@@ -24,7 +24,7 @@ import secrets
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +60,8 @@ from .estimate import compare_methods
 from .gibbs import SamplerConfig, fit as run_fit
 from .model import PriorSpec
 from .simulate import simulate_dataset
-from .validate import ess, rhat, run_validation_suite
+# the summary's effective sample size is the multi-chain one
+from .validate import multi_ess as ess, rhat, run_validation_suite
 
 log = logging.getLogger(__name__)
 
@@ -142,20 +143,13 @@ def _cmd_simulate(args) -> int:
 # fit
 # ---------------------------------------------------------------------------
 
-def _finite_chain_rows(mat: np.ndarray) -> List[np.ndarray]:
-    return [row[np.isfinite(row)] for row in mat]
-
-
 def _chain_diagnostics(mat: np.ndarray) -> Tuple[Optional[float], Optional[float]]:
-    """Split-chain R-hat and summed per-chain effective size, or None when a
-    chain is too short after dropping undefined draws."""
-    rows = _finite_chain_rows(mat)
-    r = e = None
-    if len(rows) >= 2 and min(r_.size for r_ in rows) >= 4:
-        n_min = min(r_.size for r_ in rows)
-        r = rhat([r_[:n_min] for r_ in rows])
-    if all(r_.size >= 10 for r_ in rows):
-        e = float(sum(ess(r_) for r_ in rows))
+    """Split-chain R-hat and multi-chain effective size over the iterations
+    at which every chain has a defined draw, or None when too few remain."""
+    aligned = mat[:, np.isfinite(mat).all(axis=0)]
+    n = aligned.shape[1]
+    r = rhat(aligned) if aligned.shape[0] >= 2 and n >= 4 else None
+    e = ess(aligned) if n >= 10 else None
     return r, e
 
 
@@ -260,6 +254,9 @@ def _cmd_compare(args) -> int:
     sidecar = truth_sidecar_path(data_path)
     if sidecar.exists():
         truth = read_truth_json(sidecar)
+        if len(truth.compliance) != len(data):
+            raise SchemaError(f"{sidecar}: ground truth for {len(truth.compliance)} units, "
+                              f"but {data_path} has {len(data)}")
         if not math.isnan(truth.true_late):
             true_late = truth.true_late
     table = compare_methods(data, late[np.isfinite(late)], arms=arms,

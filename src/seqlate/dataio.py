@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .domain import ComplianceType, Dataset, ObservedUnit, PotentialTable
-from .errors import DataError, SchemaError
+from .errors import DataError, InvariantViolation, SchemaError
 from .simulate import GroundTruth
 
 PathLike = Union[str, Path]
@@ -45,6 +45,24 @@ def write_dataset_csv(data: Dataset, path: PathLike) -> None:
             writer.writerow(row)
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not a text file: {e}") from None
+
+
+def _load_json(path: Path):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        # JSONDecodeError, or an integer literal too long to convert
+        raise SchemaError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: JSON nested too deeply") from None
+
+
 def _parse_binary(text: str, column: str, row: int) -> int:
     if text not in ("0", "1"):
         raise DataError(f"row {row}: column {column} must be 0 or 1, got {text!r}")
@@ -65,7 +83,7 @@ def read_dataset_csv(path: PathLike) -> Dataset:
     """Parse a dataset table; malformed structure raises SchemaError and
     malformed values raise DataError naming the 1-based data row."""
     path = Path(path)
-    text = path.read_text()
+    text = _read_text(path)
     if not text.strip():
         raise SchemaError(f"{path} is empty")
     reader = csv.reader(io.StringIO(text))
@@ -110,10 +128,7 @@ def write_dataset_json(data: Dataset, path: PathLike) -> None:
 
 def read_dataset_json(path: PathLike) -> Dataset:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON: {e}") from None
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "units" not in doc or "covariate_dim" not in doc:
         raise SchemaError(f"{path}: expected an object with covariate_dim and units")
     p = doc["covariate_dim"]
@@ -159,25 +174,68 @@ def write_truth_json(truth: GroundTruth, path: PathLike) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def read_truth_json(path: PathLike) -> GroundTruth:
-    path = Path(path)
+_LABELS = {c.value: c for c in ComplianceType}
+
+
+def _truth_number(value, what: str, path: Path) -> Optional[float]:
+    """A JSON number as a finite float, or None for null."""
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: {what} must be a number or null, got {value!r:.40}")
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise SchemaError(f"{path}: invalid JSON: {e}") from None
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise SchemaError(f"{path}: {what} must be finite, got {value!r:.40}")
+    return v
+
+
+def _truth_cells(rec, key: str, size: int, unit: int, path: Path) -> tuple:
+    cells = rec.get(key) if isinstance(rec, dict) else None
+    if not isinstance(cells, list) or len(cells) != size:
+        raise SchemaError(f"{path}: unit {unit}: {key} must be a list of {size} cells")
+    return tuple(_truth_number(v, f"unit {unit} {key} cell", path) for v in cells)
+
+
+def read_truth_json(path: PathLike) -> GroundTruth:
+    """Parse a ground-truth sidecar.  A sidecar that is not the shape
+    write_truth_json produces, or whose labels, tables and complier count
+    disagree with each other, raises SchemaError."""
+    path = Path(path)
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
     for key in ("compliance", "tables", "true_late", "n_co"):
         if key not in doc:
             raise SchemaError(f"{path}: missing key {key!r}")
-    compliance = tuple(ComplianceType(v) for v in doc["compliance"])
+    labels, recs, n_co = doc["compliance"], doc["tables"], doc["n_co"]
+    if not isinstance(labels, list) or not isinstance(recs, list):
+        raise SchemaError(f"{path}: compliance and tables must be lists")
+    if len(recs) != len(labels):
+        raise SchemaError(f"{path}: {len(recs)} tables for {len(labels)} compliance labels")
+    compliance = []
+    for unit, v in enumerate(labels, start=1):
+        c = _LABELS.get(v) if isinstance(v, str) else None
+        if c is None:
+            raise SchemaError(f"{path}: unit {unit}: unknown compliance label {v!r:.40}")
+        compliance.append(c)
+    n_labelled = compliance.count(ComplianceType.COMPLIER)
+    if isinstance(n_co, bool) or not isinstance(n_co, int) or n_co != n_labelled:
+        raise SchemaError(f"{path}: n_co is {n_co!r:.40} but {n_labelled} units carry "
+                          f"the complier label")
     tables = []
-    for rec, c in zip(doc["tables"], compliance):
-        x2 = tuple(None if v is None else float(v) for v in rec["x2"])
-        y = tuple(None if v is None else float(v) for v in rec["y"])
-        tables.append(PotentialTable(c, x2, y))
-    late = doc["true_late"]
-    return GroundTruth(compliance, tuple(tables),
-                       float("nan") if late is None else float(late),
-                       int(doc["n_co"]))
+    for unit, (rec, c) in enumerate(zip(recs, compliance), start=1):
+        x2 = _truth_cells(rec, "x2", 2, unit, path)
+        y = _truth_cells(rec, "y", 4, unit, path)
+        try:
+            tables.append(PotentialTable(c, x2, y))
+        except InvariantViolation as e:
+            raise SchemaError(f"{path}: unit {unit}: {e}") from None
+    late = _truth_number(doc["true_late"], "true_late", path)
+    return GroundTruth(tuple(compliance), tuple(tables),
+                       float("nan") if late is None else late, n_co)
 
 
 def truth_sidecar_path(dataset_path: PathLike) -> Path:
@@ -206,25 +264,38 @@ def write_draws_csv(path: PathLike, theta_names: Sequence[str],
             writer.writerow([str(it), str(chain), late_txt] + [_fmt(v) for v in vec])
 
 
+def _parse_int(text: str, column: str, row: int, path: Path) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(
+            f"{path}: row {row}: column {column} is not an integer: {text!r:.40}") from None
+
+
 def read_draws_csv(path: PathLike) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]:
     """Returns (theta_names, chain ids, contrast draws with NaN gaps, theta matrix)."""
     path = Path(path)
-    text = path.read_text()
+    text = _read_text(path)
     if not text.strip():
         raise SchemaError(f"{path} is empty")
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if header[:3] != ["iter", "chain", "late"]:
-        raise SchemaError(f"{path}: header must start with iter,chain,late")
-    names = header[3:]
     chains, lates, thetas = [], [], []
-    for row_num, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
-        chains.append(int(row[1]))
-        lates.append(float("nan") if row[2] == "" else _parse_float(row[2], "late", row_num))
-        thetas.append([_parse_float(v, names[j], row_num) for j, v in enumerate(row[3:])])
+    try:
+        header = next(reader)
+        if header[:3] != ["iter", "chain", "late"]:
+            raise SchemaError(f"{path}: header must start with iter,chain,late")
+        names = header[3:]
+        for row_num, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
+            _parse_int(row[0], "iter", row_num, path)
+            chains.append(_parse_int(row[1], "chain", row_num, path))
+            lates.append(float("nan") if row[2] == ""
+                         else _parse_float(row[2], "late", row_num))
+            thetas.append([_parse_float(v, names[j], row_num) for j, v in enumerate(row[3:])])
+    except csv.Error as e:
+        raise SchemaError(f"{path}: {e}") from None
     return names, np.asarray(chains), np.asarray(lates), np.asarray(thetas)

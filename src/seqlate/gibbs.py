@@ -19,6 +19,18 @@ integrated out) and the imputation step redraws every missing cell, the pair
 (2, 3) is one exact blocked draw of (labels, missing cells) given theta, and
 the sweep leaves the joint posterior invariant in both modes.
 
+Each chain keeps one workspace across sweeps.  The static columns of the
+observed units' design rows are built once per dataset (_VectorData).  Two
+stacked row buffers per chain (_StackedRows, one per regression block) hold
+the n observed rows followed by the rows of the compliers' imputed cells:
+step_impute writes those tail rows while it draws the cells, and the
+conjugate theta update only rewrites the stratum-indicator columns of the
+observed rows before regressing on the rows in use.  In "marginal_mh" mode
+the masked (n, 3) log-weight matrix that the Metropolis step evaluates for
+its accepted theta travels with the state, and the label step normalises
+that matrix instead of evaluating it again.  Neither changes the arithmetic
+of a draw or the order in which the random stream is consumed.
+
 Proposal scales adapt with a decaying Robbins-Monro rule during warmup only
 and freeze afterwards, so kept draws come from a fixed-kernel chain.
 """
@@ -28,19 +40,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .domain import (
-    COMPLIANCE_CODE,
-    COMPLIANCE_ORDER,
-    ComplianceType,
-    Dataset,
-    PotentialTable,
-    Y_CELLS,
-    y_cell_index,
-)
+from .domain import Dataset, Y_CELLS, y_cell_index
 from .errors import (
     InconsistentUnit,
     InvalidConfig,
@@ -58,8 +62,6 @@ from .model import (
     observed_cell_logliks,
     theta_dim,
     theta_field_names,
-    x2_design,
-    y_design,
 )
 from .rng import substream
 
@@ -132,11 +134,101 @@ class _VectorData:
                 f"w2={self.w2[i]}) admits no compliance type"
             )
         self.consistent = consistent
+        self.inconsistent = ~consistent
         self.obs_ycol = 2 * self.w1 + self.w2
+        # observed cells of every unit, the starting point of each imputation
+        rows = np.arange(self.n)
+        self.x2_cells_obs = np.full((self.n, 2), np.nan)
+        self.x2_cells_obs[rows, self.w1] = self.x2
+        self.y_cells_obs = np.full((self.n, 4), np.nan)
+        self.y_cells_obs[rows, self.obs_ycol] = self.y
+        # design columns of the observed rows that no label changes:
+        # [1, x1..., w1] and [1, x1..., x2, w1, w2, w1*w2]
+        self.x2_static = np.column_stack([self.U1, self.w1f])
+        self.y_static = np.column_stack([self.U1, self.x2, self.w1f, self.w2f,
+                                         self.w1f * self.w2f])
 
 
 def as_vector_data(data: Union[Dataset, _VectorData]) -> _VectorData:
     return data if isinstance(data, _VectorData) else _VectorData(data)
+
+
+class _StackedRows:
+    """Regression rows of one block: the n observed rows, then one row per
+    imputed complier cell.
+
+    The buffers have room for every unit to be a complier; the first `used`
+    rows are current.  The last two design columns are the stratum
+    indicators (alwaystaker, nevertaker): zero on the imputed rows, set from
+    the labels on the observed rows by `regression`.
+    """
+
+    def __init__(self, static: np.ndarray, resp_obs: np.ndarray, capacity: int):
+        n, k = static.shape
+        self.n_obs = n
+        self.design = np.zeros((capacity, k + 2))
+        self.design[:n, :k] = static
+        self.resp = np.zeros(capacity)
+        self.resp[:n] = resp_obs
+        self.used = n
+
+    def regression(self, at: np.ndarray, nt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Design rows and responses in use, indicators set from the labels."""
+        self.design[:self.n_obs, -2] = at
+        self.design[:self.n_obs, -1] = nt
+        return self.design[:self.used], self.resp[:self.used]
+
+
+def _new_rows(vd: _VectorData) -> Tuple[_StackedRows, _StackedRows]:
+    """Empty-tailed row buffers (intermediate, outcome) for one chain."""
+    return (_StackedRows(vd.x2_static, vd.x2, 2 * vd.n),
+            _StackedRows(vd.y_static, vd.y, 4 * vd.n))
+
+
+def _write_complier_rows(vd: _VectorData, idx: np.ndarray, x2_rows: _StackedRows,
+                         y_rows: _StackedRows, x2_cells: np.ndarray, y_cells: np.ndarray,
+                         draw: Optional[Tuple[Theta, np.random.Generator]] = None) -> None:
+    """Stack the rows of the compliers idx's missing cells below the observed rows.
+
+    Row order: the counterfactual x2 cell of each complier, then, per y cell
+    in Y_CELLS order, each complier for whom that cell is missing, paired
+    with the x2 cell that shares its first-period receipt.  With
+    draw=(theta, rng) each cell is first drawn from its model conditional,
+    whose mean is its design row times the coefficients, and stored in
+    x2_cells / y_cells; without it the cells are read from there.
+    """
+    n, p = vd.n, vd.p
+    th, rng = draw if draw is not None else (None, None)
+    k = idx.size
+    if k:
+        w1_mis = 1 - vd.w1[idx]
+        D = x2_rows.design[n:n + k]
+        D[:, :p + 1] = vd.U1.take(idx, axis=0)
+        D[:, p + 1] = w1_mis
+        if draw is None:
+            x2_rows.resp[n:n + k] = x2_cells[idx, w1_mis]
+        else:
+            x2_cells[idx, w1_mis] = x2_rows.resp[n:n + k] = (
+                D @ th.alpha + th.sigma_x * rng.standard_normal(k))
+    x2_rows.used = n + k
+    start = n
+    for a, b in Y_CELLS:
+        col = y_cell_index(a, b)
+        rows = idx[vd.obs_ycol[idx] != col]
+        if rows.size == 0:
+            continue
+        stop = start + rows.size
+        D = y_rows.design[start:stop]
+        D[:, :p + 1] = vd.U1.take(rows, axis=0)
+        D[:, p + 1] = x2_cells[rows, a]
+        D[:, p + 2:p + 5] = (a, b, a * b)
+        if draw is None:
+            y_rows.resp[start:stop] = y_cells[rows, col]
+        else:
+            y_cells[rows, col] = y_rows.resp[start:stop] = (
+                D @ th.beta + th.sigma_y * rng.standard_normal(rows.size))
+        start = stop
+    y_rows.used = start
 
 
 @dataclass
@@ -147,6 +239,12 @@ class ChainState:
     y_cells (n, 4) hold the current potential tables with NaN marking cells
     the current label leaves undefined; observed cells always carry the
     dataset values bit for bit.
+
+    x2_rows / y_rows are the chain's regression workspace, shared by every
+    state of the chain and rewritten in place: their tails hold the complier
+    cells of the latest step_impute.  logweights pairs a theta with its
+    masked (n, 3) label log-weights.  All three may be None; the steps then
+    build what they need.
     """
 
     theta: Theta
@@ -155,20 +253,9 @@ class ChainState:
     y_cells: np.ndarray
     iter: int
     rng: np.random.Generator
-
-    def compliance_types(self) -> List[ComplianceType]:
-        return [COMPLIANCE_ORDER[c] for c in self.compliance]
-
-    def tables(self) -> List[PotentialTable]:
-        out = []
-        for i, code in enumerate(self.compliance):
-            x2_of = {w: float(self.x2_cells[i, w]) for w in (0, 1)
-                     if np.isfinite(self.x2_cells[i, w])}
-            y_of = {cell: float(self.y_cells[i, y_cell_index(*cell)])
-                    for cell in Y_CELLS
-                    if np.isfinite(self.y_cells[i, y_cell_index(*cell)])}
-            out.append(PotentialTable.from_cells(COMPLIANCE_ORDER[code], x2_of, y_of))
-        return out
+    x2_rows: Optional[_StackedRows] = None
+    y_rows: Optional[_StackedRows] = None
+    logweights: Optional[Tuple[Theta, np.ndarray]] = None
 
     def n_compliers(self) -> int:
         return int((self.compliance == _CO).sum())
@@ -182,6 +269,20 @@ def _vector_categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, lastpos).astype(np.int8)
 
 
+def _log_weights(theta: Theta, vd: _VectorData) -> np.ndarray:
+    """(n, 3) unnormalised log label weights; inadmissible types get -inf."""
+    lw = compliance_log_prob_matrix(theta, vd.U1)
+    lw = lw + observed_cell_logliks(theta, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y)
+    lw[vd.inconsistent] = -np.inf
+    return lw
+
+
+def _normalise(lw: np.ndarray) -> np.ndarray:
+    m = lw.max(axis=1, keepdims=True)
+    w = np.exp(lw - m)
+    return w / w.sum(axis=1, keepdims=True)
+
+
 def compliance_posterior(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarray:
     """(n, 3) exact conditional label probabilities given theta.
 
@@ -189,21 +290,22 @@ def compliance_posterior(theta: Theta, data: Union[Dataset, _VectorData]) -> np.
     point masses, the stratum probability, and the observed-cell densities;
     strata with a zero treatment factor get probability exactly 0.0.
     """
-    vd = as_vector_data(data)
-    lw = compliance_log_prob_matrix(theta, vd.U1)
-    lw = lw + observed_cell_logliks(theta, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y)
-    lw[~vd.consistent] = -np.inf
-    m = lw.max(axis=1, keepdims=True)
-    w = np.exp(lw - m)
-    return w / w.sum(axis=1, keepdims=True)
+    return _normalise(_log_weights(theta, as_vector_data(data)))
 
 
 def step_compliance(state: ChainState, data: Union[Dataset, _VectorData]) -> ChainState:
-    """Redraw every label from its exact conditional given theta and data."""
+    """Redraw every label from its exact conditional given theta and data.
+
+    Reuses the log-weight matrix the state carries for its theta, if any.
+    """
     vd = as_vector_data(data)
-    probs = compliance_posterior(state.theta, vd)
+    cached = state.logweights
+    if cached is not None and cached[0] is state.theta:
+        lw = cached[1]
+    else:
+        lw = _log_weights(state.theta, vd)
     u = state.rng.uniform(size=vd.n)
-    codes = _vector_categorical(probs, u)
+    codes = _vector_categorical(_normalise(lw), u)
     return replace(state, compliance=codes)
 
 
@@ -214,32 +316,21 @@ def step_impute(state: ChainState, data: Union[Dataset, _VectorData]) -> ChainSt
     complier the counterfactual first-period cell x2(1-w1) is drawn first,
     then the three missing y cells, each using the x2 cell that shares its
     first-period receipt.  Nevertakers and alwaystakers have no missing
-    defined cells: their single cell equals the observed record.
+    defined cells: their single cell equals the observed record.  The design
+    rows and draws of the complier cells also become the tails of the
+    chain's row buffers.
     """
     vd = as_vector_data(data)
-    th = state.theta
-    n = vd.n
-    x2_cells = np.full((n, 2), np.nan)
-    y_cells = np.full((n, 4), np.nan)
-    x2_cells[np.arange(n), vd.w1] = vd.x2
-    y_cells[np.arange(n), vd.obs_ycol] = vd.y
-
-    co = state.compliance == _CO
-    idx = np.nonzero(co)[0]
-    if idx.size:
-        w1_mis = 1 - vd.w1[idx]
-        X1co = vd.X1[idx]
-        mu = x2_design(X1co, w1_mis.astype(float), 0.0, 0.0) @ th.alpha
-        x2_cells[idx, w1_mis] = mu + th.sigma_x * state.rng.standard_normal(idx.size)
-    for cell in Y_CELLS:
-        col = y_cell_index(*cell)
-        rows = idx[(vd.obs_ycol[idx] != col)] if idx.size else idx
-        if rows.size == 0:
-            continue
-        x2v = x2_cells[rows, cell[0]]
-        mu = y_design(vd.X1[rows], x2v, float(cell[0]), float(cell[1]), 0.0, 0.0) @ th.beta
-        y_cells[rows, col] = mu + th.sigma_y * state.rng.standard_normal(rows.size)
-    return replace(state, x2_cells=x2_cells, y_cells=y_cells)
+    x2_cells = vd.x2_cells_obs.copy()
+    y_cells = vd.y_cells_obs.copy()
+    x2_rows, y_rows = state.x2_rows, state.y_rows
+    if x2_rows is None or y_rows is None:
+        x2_rows, y_rows = _new_rows(vd)
+    idx = np.nonzero(state.compliance == _CO)[0]
+    _write_complier_rows(vd, idx, x2_rows, y_rows, x2_cells, y_cells,
+                         draw=(state.theta, state.rng))
+    return replace(state, x2_cells=x2_cells, y_cells=y_cells,
+                   x2_rows=x2_rows, y_rows=y_rows)
 
 
 def late_draw(state: ChainState,
@@ -270,6 +361,7 @@ class _Tuning:
     sd_refresh_at: Optional[int] = None
     last_theta: Optional[Theta] = None
     last_logpost: Optional[float] = None
+    last_logweights: Optional[np.ndarray] = None
 
 
 def _draw_ridge(D: np.ndarray, resp: np.ndarray, sigma: float, coef_sd: float,
@@ -303,7 +395,9 @@ def _draw_variance(resid: np.ndarray, prior: PriorSpec, rng: np.random.Generator
 def _gamma_logpost(gnt: np.ndarray, gat: np.ndarray, U1: np.ndarray,
                    codes: np.ndarray, coef_sd: float) -> float:
     n = U1.shape[0]
-    logits = np.column_stack([U1 @ gnt, np.zeros(n), U1 @ gat])
+    logits = np.zeros((n, 3))
+    logits[:, 0] = U1 @ gnt
+    logits[:, 2] = U1 @ gat
     m = logits.max(axis=1)
     lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
     ll = float((logits[np.arange(n), codes] - lse).sum())
@@ -317,42 +411,22 @@ def _adapt_scale(scale: float, accept_prob: float, target: float, t: int) -> flo
 
 
 def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
-                     tuning: _Tuning) -> Theta:
+                     tuning: _Tuning, x2_rows: _StackedRows, y_rows: _StackedRows) -> Theta:
     th = state.theta
     rng = state.rng
     c = state.compliance
-    at = (c == _AT).astype(float)
-    nt = (c == _NT).astype(float)
-    co_idx = np.nonzero(c == _CO)[0]
+    at = c == _AT
+    nt = c == _NT
 
     # intermediate block: observed cell of every unit plus the imputed
     # counterfactual cell of each complier
-    D_obs = x2_design(vd.X1, vd.w1f, at, nt)
-    resp_obs = vd.x2
-    if co_idx.size:
-        w1_mis = 1 - vd.w1[co_idx]
-        D_mis = x2_design(vd.X1[co_idx], w1_mis.astype(float), 0.0, 0.0)
-        D_x = np.vstack([D_obs, D_mis])
-        resp_x = np.concatenate([resp_obs, state.x2_cells[co_idx, w1_mis]])
-    else:
-        D_x, resp_x = D_obs, resp_obs
+    D_x, resp_x = x2_rows.regression(at, nt)
     alpha = _draw_ridge(D_x, resp_x, th.sigma_x, prior.coef_sd, rng)
     sigma_x = math.sqrt(_draw_variance(resp_x - D_x @ alpha, prior, rng))
 
     # outcome block: observed cell of every unit plus compliers' three
     # missing cells, each with its matching first-period x2 cell
-    D_parts = [y_design(vd.X1, vd.x2, vd.w1f, vd.w2f, at, nt)]
-    resp_parts = [vd.y]
-    for cell in Y_CELLS:
-        col = y_cell_index(*cell)
-        rows = co_idx[vd.obs_ycol[co_idx] != col] if co_idx.size else co_idx
-        if rows.size == 0:
-            continue
-        x2v = state.x2_cells[rows, cell[0]]
-        D_parts.append(y_design(vd.X1[rows], x2v, float(cell[0]), float(cell[1]), 0.0, 0.0))
-        resp_parts.append(state.y_cells[rows, col])
-    D_y = np.vstack(D_parts)
-    resp_y = np.concatenate(resp_parts)
+    D_y, resp_y = y_rows.regression(at, nt)
     beta = _draw_ridge(D_y, resp_y, th.sigma_y, prior.coef_sd, rng)
     sigma_y = math.sqrt(_draw_variance(resp_y - D_y @ beta, prior, rng))
 
@@ -380,12 +454,9 @@ def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
     return Theta(gnt, gat, alpha, sigma_x, beta, sigma_y)
 
 
-def marginal_loglik_total(theta: Theta, data: Union[Dataset, _VectorData]) -> float:
-    """Sum over units of the label-marginalized log likelihood."""
-    vd = as_vector_data(data)
-    lw = compliance_log_prob_matrix(theta, vd.U1)
-    lw = lw + observed_cell_logliks(theta, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y)
-    lw[~vd.consistent] = -np.inf
+def _marginal_loglik(lw: np.ndarray) -> float:
+    """Sum over units of the label-marginalized log likelihood, from the
+    masked log-weight matrix."""
     m = lw.max(axis=1)
     tot = m + np.log(np.exp(lw - m[:, None]).sum(axis=1))
     return float(tot.sum())
@@ -408,47 +479,48 @@ def _unpack_unconstrained(vec: np.ndarray, p: int) -> Theta:
     return Theta.from_vector(v, p)
 
 
-def _marginal_logpost(theta: Theta, vd: _VectorData, prior: PriorSpec) -> float:
+def _marginal_logpost(theta: Theta, vd: _VectorData,
+                      prior: PriorSpec) -> Tuple[float, np.ndarray]:
+    """Log posterior on the log-sigma scale, and the masked log-weights."""
+    lw = _log_weights(theta, vd)
     # change of variables to log sigma adds 2*log(sigma) per noise scale
-    return (log_prior(theta, prior)
-            + 2.0 * math.log(theta.sigma_x) + 2.0 * math.log(theta.sigma_y)
-            + marginal_loglik_total(theta, vd))
+    lp = (log_prior(theta, prior)
+          + 2.0 * math.log(theta.sigma_x) + 2.0 * math.log(theta.sigma_y)
+          + _marginal_loglik(lw))
+    return lp, lw
 
 
 def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
-                    tuning: _Tuning) -> Theta:
+                    tuning: _Tuning) -> Tuple[Theta, np.ndarray]:
+    """One Metropolis step; returns the new theta and its log-weights."""
     th = state.theta
     rng = state.rng
     p = th.p
     cur = _pack_unconstrained(th)
     if tuning.last_logpost is not None and tuning.last_theta is th:
-        lp_cur = tuning.last_logpost
+        lp_cur, lw_cur = tuning.last_logpost, tuning.last_logweights
     else:
-        lp_cur = _marginal_logpost(th, vd, prior)
+        lp_cur, lw_cur = _marginal_logpost(th, vd, prior)
     if not np.isfinite(lp_cur):
         raise NumericalOverflow("current marginal log posterior is non-finite")
     sd = tuning.marg_sd if tuning.marg_sd is not None else np.ones(cur.shape[0])
     prop_vec = cur + tuning.marg_scale * sd * rng.standard_normal(cur.shape[0])
     try:
         prop = _unpack_unconstrained(prop_vec, p)
-        lp_prop = _marginal_logpost(prop, vd, prior)
+        lp_prop, lw_prop = _marginal_logpost(prop, vd, prior)
     except (OverflowError, FloatingPointError, InvariantViolation):
         lp_prop = -np.inf
         prop = None
     if prop is not None and np.isnan(lp_prop):
         raise NumericalOverflow("proposal marginal log posterior is NaN")
-    new = th
+    new, lw_new, lp_new = th, lw_cur, lp_cur
     if lp_prop == -np.inf:
         accept_prob = 0.0
-        tuning.last_logpost = lp_cur
     else:
         accept_prob = min(1.0, math.exp(min(0.0, lp_prop - lp_cur)))
         if math.log(rng.uniform()) < lp_prop - lp_cur:
-            new = prop
-            tuning.last_logpost = lp_prop
-        else:
-            tuning.last_logpost = lp_cur
-    tuning.last_theta = new
+            new, lw_new, lp_new = prop, lw_prop, lp_prop
+    tuning.last_theta, tuning.last_logpost, tuning.last_logweights = new, lp_new, lw_new
     if tuning.adapting:
         tuning.marg_scale = _adapt_scale(tuning.marg_scale, accept_prob, 0.234, tuning.t)
         tuning.history.append(_pack_unconstrained(new))
@@ -456,22 +528,31 @@ def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
             hist = np.asarray(tuning.history)
             sd_new = hist.std(axis=0, ddof=0)
             tuning.marg_sd = np.maximum(sd_new, 1e-3)
-    return new
+    return new, lw_new
 
 
 def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: PriorSpec,
                mode: str = "conjugate_gibbs", tuning: Optional[_Tuning] = None) -> ChainState:
-    """Update theta given everything else (or given only data in marginal mode)."""
+    """Update theta given everything else (or given only data in marginal mode).
+
+    Returns a new state; the argument keeps its theta.  A state without row
+    buffers gets them built from its x2_cells / y_cells.
+    """
     if mode not in THETA_UPDATE_MODES:
         raise InvalidConfig(f"theta_update: unknown mode {mode!r}")
     vd = as_vector_data(data)
     if tuning is None:
         tuning = _Tuning()
-    if mode == "conjugate_gibbs":
-        new_theta = _theta_conjugate(state, vd, prior, tuning)
-    else:
-        new_theta = _theta_marginal(state, vd, prior, tuning)
-    return replace(state, theta=new_theta)
+    if mode == "marginal_mh":
+        new_theta, lw = _theta_marginal(state, vd, prior, tuning)
+        return replace(state, theta=new_theta, logweights=(new_theta, lw))
+    x2_rows, y_rows = state.x2_rows, state.y_rows
+    if x2_rows is None or y_rows is None:
+        x2_rows, y_rows = _new_rows(vd)
+        _write_complier_rows(vd, np.nonzero(state.compliance == _CO)[0], x2_rows, y_rows,
+                             state.x2_cells, state.y_cells)
+    new_theta = _theta_conjugate(state, vd, prior, tuning, x2_rows, y_rows)
+    return replace(state, theta=new_theta, x2_rows=x2_rows, y_rows=y_rows, logweights=None)
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +628,7 @@ def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerC
             state = step_impute(state, vd)
         except SeqlateError as e:
             raise type(e)(f"sweep {t + 1}: {e}") from e
-        state = replace(state, iter=t + 1)
+        state.iter = t + 1
         if check_invariants:
             _check_state_invariants(state, vd)
         if t >= cfg.n_warmup:
@@ -605,27 +686,3 @@ def fit(data: Dataset, prior: PriorSpec, cfg: SamplerConfig,
         chains.append(run_chain(vd, prior, cfg, chain_index=k, contrast=contrast,
                                 check_invariants=check_invariants))
     return FitResult(chains, vd.p, cfg)
-
-
-def random_walk_metropolis(log_density: Callable[[np.ndarray], float],
-                           init: np.ndarray, scale: float, n_steps: int,
-                           rng: np.random.Generator,
-                           sd: Optional[np.ndarray] = None,
-                           thin: int = 1) -> np.ndarray:
-    """Plain random-walk Metropolis over a vector target; used for kernel tests."""
-    x = np.asarray(init, dtype=float).copy()
-    lp = log_density(x)
-    if np.isnan(lp):
-        raise NumericalOverflow("initial log density is NaN")
-    sdv = np.ones(x.shape[0]) if sd is None else np.asarray(sd, dtype=float)
-    kept = []
-    for t in range(n_steps):
-        prop = x + scale * sdv * rng.standard_normal(x.shape[0])
-        lp_prop = log_density(prop)
-        if np.isnan(lp_prop):
-            raise NumericalOverflow("proposal log density is NaN")
-        if math.log(rng.uniform()) < lp_prop - lp:
-            x, lp = prop, lp_prop
-        if (t + 1) % thin == 0:
-            kept.append(x.copy())
-    return np.asarray(kept)

@@ -380,29 +380,6 @@ def logit_design(X1: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((n, 1)), X1])
 
 
-def x2_design(X1: np.ndarray, w1, at, nt) -> np.ndarray:
-    """Intermediate-model design rows; w1/at/nt broadcast to (n,)."""
-    n = X1.shape[0]
-    cols = [np.ones(n), *X1.T,
-            np.broadcast_to(np.asarray(w1, dtype=float), (n,)),
-            np.broadcast_to(np.asarray(at, dtype=float), (n,)),
-            np.broadcast_to(np.asarray(nt, dtype=float), (n,))]
-    return np.column_stack(cols)
-
-
-def y_design(X1: np.ndarray, x2, w1, w2, at, nt) -> np.ndarray:
-    """Outcome-model design rows; scalar args broadcast to (n,)."""
-    n = X1.shape[0]
-    w1v = np.broadcast_to(np.asarray(w1, dtype=float), (n,))
-    w2v = np.broadcast_to(np.asarray(w2, dtype=float), (n,))
-    cols = [np.ones(n), *X1.T,
-            np.broadcast_to(np.asarray(x2, dtype=float), (n,)),
-            w1v, w2v, w1v * w2v,
-            np.broadcast_to(np.asarray(at, dtype=float), (n,)),
-            np.broadcast_to(np.asarray(nt, dtype=float), (n,))]
-    return np.column_stack(cols)
-
-
 def compliance_log_prob_matrix(theta: Theta, U1: np.ndarray) -> np.ndarray:
     """(n, 3) log stratum probabilities for precomputed logit rows U1."""
     n = U1.shape[0]

@@ -8,7 +8,9 @@ long-run label frequencies must match the enumeration, which is the
 strongest whole-sampler check the package has.
 
 rhat is the split-chain potential scale reduction factor; ess uses the
-initial-monotone-sequence truncation of the autocorrelation sum.
+initial-monotone-sequence truncation of the autocorrelation sum, and
+multi_ess applies the same truncation to the multi-chain autocorrelation
+that also counts disagreement between chains.
 """
 
 from __future__ import annotations
@@ -345,6 +347,23 @@ def rhat(chains: Sequence[Sequence[float]]) -> float:
     return float(np.sqrt(var_hat / w))
 
 
+def _geyer_tau(rho: np.ndarray) -> float:
+    """Integrated autocorrelation time from autocorrelations rho[0..n-1].
+
+    Geyer pairs G_m = rho_{2m} + rho_{2m+1} are kept while positive and
+    forced to be non-increasing (initial monotone sequence).  tau below
+    1/1.5 only says the draws anti-correlate strongly; the floor keeps the
+    estimate conservative.
+    """
+    n_pairs = rho.shape[0] // 2
+    pairs = rho[0:2 * n_pairs:2] + rho[1:2 * n_pairs:2]
+    keep = 0
+    while keep < n_pairs and pairs[keep] > 0:
+        keep += 1
+    g = np.minimum.accumulate(pairs[:keep]) if keep else np.zeros(0)
+    return max(2.0 * float(g.sum()) - 1.0, 1.0 / 1.5)
+
+
 def ess(draws: Sequence[float]) -> float:
     """Effective sample size of one sequence.
 
@@ -368,22 +387,55 @@ def ess(draws: Sequence[float]) -> float:
     f = np.fft.rfft(xc, nfft)
     acov = np.fft.irfft(f * np.conj(f))[:n] / n
     rho = acov / acov[0]
-    # Geyer pairs G_m = rho_{2m} + rho_{2m+1}
-    n_pairs = n // 2
-    pairs = rho[0:2 * n_pairs:2] + rho[1:2 * n_pairs:2]
-    keep = 0
-    while keep < n_pairs and pairs[keep] > 0:
-        keep += 1
-    g = np.minimum.accumulate(pairs[:keep]) if keep else np.zeros(0)
-    # tau below 1/1.5 only says the draws anti-correlate strongly; the cap
-    # keeps the estimate conservative
-    tau = max(2.0 * float(g.sum()) - 1.0, 1.0 / 1.5)
-    return float(min(n / tau, 1.5 * n))
+    return float(min(n / _geyer_tau(rho), 1.5 * n))
 
 
 def multi_ess(chains: Sequence[Sequence[float]]) -> float:
-    """Sum of per-chain effective sizes, for Monte Carlo standard errors."""
-    return float(sum(ess(c) for c in chains))
+    """Effective sample size of m equal-length chains taken together
+    (BDA3 section 11.5).
+
+    The lag-t autocorrelation is 1 - V_t / (2 var_plus).  V_t is the mean
+    squared difference of draws t apart, pooled over chains (the
+    variogram), and var_plus = (n-1)/n W + B/n adds the variance of the
+    chain means to the within-chain variance W, so chains that disagree
+    read as strongly autocorrelated.  The sum is truncated as in ess.
+    Constant input returns m*n with a warning; the estimate is capped at
+    1.5 * m * n.
+    """
+    arrs = [np.asarray(c, dtype=float).ravel() for c in chains]
+    if not arrs:
+        raise TooFewDraws("multi_ess needs at least one chain")
+    n = arrs[0].size
+    if any(a.size != n for a in arrs):
+        raise InvariantViolation("multi_ess needs equal-length chains")
+    if n < 10:
+        raise TooFewDraws("multi_ess needs at least 10 draws per chain")
+    mat = np.vstack(arrs)
+    if not np.all(np.isfinite(mat)):
+        raise InvariantViolation("multi_ess input must be finite")
+    m = mat.shape[0]
+    w = float(mat.var(axis=1, ddof=1).mean())
+    var_plus = (n - 1) / n * w
+    if m > 1:
+        var_plus += float(mat.mean(axis=1).var(ddof=1))
+    if var_plus == 0.0:
+        warnings.warn("constant chains; effective sample size set to m*n")
+        return float(m * n)
+    # variogram from FFT lag products: for centred draws x,
+    # sum_{i>=t} (x_i - x_{i-t})^2 = sum_{i>=t} x_i^2 + sum_{i<n-t} x_i^2
+    #                                - 2 sum_{i<n-t} x_i x_{i+t}
+    xc = mat - mat.mean(axis=1, keepdims=True)
+    nfft = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(xc, nfft, axis=1)
+    lag_products = np.fft.irfft(f * np.conj(f), nfft, axis=1)[:, :n]
+    csum = np.cumsum(xc * xc, axis=1)
+    lags = np.arange(n)
+    head = csum[:, n - 1 - lags]
+    tail = csum[:, -1:] - np.concatenate([np.zeros((m, 1)), csum[:, :-1]], axis=1)
+    variogram = (head + tail - 2.0 * lag_products).sum(axis=0) / (m * (n - lags))
+    rho = 1.0 - variogram / (2.0 * var_plus)
+    rho[0] = 1.0
+    return float(min(m * n / _geyer_tau(rho), 1.5 * m * n))
 
 
 # ---------------------------------------------------------------------------

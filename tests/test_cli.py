@@ -6,8 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from seqlate.cli import main
+from seqlate.cli import _chain_diagnostics, main
 from seqlate.config import load_config, parse_config
+from seqlate.dataio import read_draws_csv, write_draws_csv
+from seqlate.validate import multi_ess, rhat
 
 CONFIG = """\
 [dgp]
@@ -108,6 +110,66 @@ def test_compare_emits_table_with_bias(sim_dir, tmp_path, capsys):
     lines = (fit_dir / "comparison.csv").read_text().splitlines()
     assert lines[0] == "method,point,lo,hi,n_used,bias"
     assert len(lines) == 5
+
+
+def test_compare_rejects_a_cut_truth_sidecar(tmp_path, capsys):
+    cfg = tmp_path / "big.ini"
+    cfg.write_text("[dgp]\nn = 20000\nseed = 11\n")
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    fit_dir = tmp_path / "fit"
+    fit_dir.mkdir()
+    write_draws_csv(fit_dir / "draws.csv", ["beta_0"],
+                    [(i + 1, 0, 1.0 + 0.01 * i, np.array([0.0])) for i in range(20)])
+    sidecar = sim / "dataset.truth.json"
+    doc = json.loads(sidecar.read_text())
+    cut = dict(doc, compliance=doc["compliance"][:10], tables=doc["tables"][:10])
+    compare = ["compare", "--data", str(sim / "dataset.csv"), "--fit", str(fit_dir)]
+    capsys.readouterr()
+    # the complier count still describes the 20,000 units
+    sidecar.write_text(json.dumps(cut))
+    assert main(compare) == 3
+    assert "n_co" in capsys.readouterr().err
+    # a self-consistent sidecar for 10 units does not describe this dataset
+    cut["n_co"] = cut["compliance"].count("co")
+    sidecar.write_text(json.dumps(cut))
+    assert main(compare) == 3
+    captured = capsys.readouterr()
+    assert "10 units" in captured.err and "bias" not in captured.out
+
+
+def test_compare_rejects_a_malformed_draws_file(sim_dir, tmp_path, capsys):
+    fit_dir = tmp_path / "fit"
+    fit_dir.mkdir()
+    (fit_dir / "draws.csv").write_text("iter,chain,late\n1,a,0.5\n")
+    rc = main(["compare", "--data", str(sim_dir / "dataset.csv"), "--fit", str(fit_dir)])
+    assert rc == 3
+    assert "column chain" in capsys.readouterr().err
+
+
+def test_fit_summary_uses_multi_chain_ess(sim_dir, tmp_path):
+    fit_dir = tmp_path / "fit"
+    assert main(["fit", "--data", str(sim_dir / "dataset.csv"), "--out", str(fit_dir),
+                 "--chains", "3", "--warmup", "20", "--draws", "40", "--seed", "12"]) == 0
+    summary = json.loads((fit_dir / "summary.json").read_text())
+    names, chains, late, theta = read_draws_csv(fit_dir / "draws.csv")
+    by_chain = theta[:, names.index("beta_0")].reshape(3, 40)
+    assert summary["theta"]["beta_0"]["ess"] == multi_ess(by_chain)
+    assert summary["theta"]["beta_0"]["rhat"] == rhat(by_chain)
+
+
+def test_chain_diagnostics_drop_iterations_where_any_chain_is_undefined():
+    rng = np.random.default_rng(13)
+    mat = rng.standard_normal((3, 40))
+    mat[0, [3, 17]] = np.nan
+    mat[2, 30] = np.nan
+    keep = [t for t in range(40) if t not in (3, 17, 30)]
+    r, e = _chain_diagnostics(mat)
+    assert r == rhat(mat[:, keep])
+    assert e == multi_ess(mat[:, keep])
+    # too few common iterations for either diagnostic
+    mat[1, :37] = np.nan
+    assert _chain_diagnostics(mat) == (None, None)
 
 
 def test_compare_without_sidecar_has_no_bias(sim_dir, tmp_path, capsys):

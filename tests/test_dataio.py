@@ -1,5 +1,6 @@
 """File formats: CSV/JSON datasets, truth sidecars, draw tables."""
 
+import json
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from seqlate.dataio import (
     write_truth_json,
 )
 from seqlate.domain import Dataset, ObservedUnit
-from seqlate.errors import DataError, SchemaError
+from seqlate.errors import DataError, SchemaError, SeqlateError
 from seqlate.simulate import ConstantCompliance, DgpConfig, simulate_dataset
 
 
@@ -176,3 +177,111 @@ def test_csv_float_fields_survive_round_trip(tmp_path_factory, values):
         assert unit.x2 == orig
         assert unit.y == orig
         assert unit.x1[0] == orig
+
+
+def _truth_doc(tmp_path, n=12, seed=94):
+    _, truth = simulate_dataset(DgpConfig(n=n, seed=seed))
+    path = tmp_path / "dataset.truth.json"
+    write_truth_json(truth, path)
+    return path, json.loads(path.read_text())
+
+
+def _rewrite(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_truth_sidecar_length_mismatch_is_schema_error(tmp_path):
+    path, doc = _truth_doc(tmp_path)
+    doc["tables"] = doc["tables"][:-1]
+    with pytest.raises(SchemaError, match="11 tables for 12 compliance labels"):
+        read_truth_json(_rewrite(path, doc))
+
+
+def test_truth_sidecar_complier_count_mismatch_is_schema_error(tmp_path):
+    path, doc = _truth_doc(tmp_path)
+    doc["n_co"] += 1
+    with pytest.raises(SchemaError, match="n_co"):
+        read_truth_json(_rewrite(path, doc))
+
+
+def test_truth_sidecar_unknown_label_is_schema_error(tmp_path):
+    path, doc = _truth_doc(tmp_path)
+    doc["compliance"][0] = "xx"
+    with pytest.raises(SchemaError, match="unknown compliance label 'xx'"):
+        read_truth_json(_rewrite(path, doc))
+
+
+@pytest.mark.parametrize("cells", [[1.0], [1.0, "a", None], None, [True, None]])
+def test_truth_sidecar_malformed_cells_are_schema_errors(tmp_path, cells):
+    path, doc = _truth_doc(tmp_path)
+    doc["tables"][0]["x2"] = cells
+    with pytest.raises(SchemaError, match="unit 1"):
+        read_truth_json(_rewrite(path, doc))
+
+
+@pytest.mark.parametrize("field,value", [("chain", "a"), ("chain", "1.5"),
+                                         ("iter", "x"), ("iter", "")])
+def test_draws_csv_non_integer_index_is_schema_error(tmp_path, field, value):
+    path = tmp_path / "draws.csv"
+    write_draws_csv(path, ["beta_0"], [(1, 0, 0.25, np.array([1.5])),
+                                       (2, 0, 0.5, np.array([1.0]))])
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[0 if field == "iter" else 1] = value
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=f"row 2: column {field}"):
+        read_draws_csv(path)
+
+
+def _reads_or_refuses(reader, path):
+    try:
+        reader(path)
+    except SeqlateError:
+        pass
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=150, deadline=None)
+def test_truth_reader_fuzz_arbitrary_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("truth") / "dataset.truth.json"
+    path.write_bytes(blob)
+    _reads_or_refuses(read_truth_json, path)
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(
+        st.sampled_from(["compliance", "tables", "true_late", "n_co", "x2", "y"]),
+        inner, max_size=6),
+    max_leaves=20)
+
+
+@given(st.fixed_dictionaries({
+    "compliance": st.lists(st.sampled_from(["nt", "co", "at", "xx"]), max_size=3) | _JSON,
+    "tables": _JSON,
+    "true_late": _JSON,
+    "n_co": st.integers(-1, 4) | _JSON,
+}))
+@settings(max_examples=200, deadline=None)
+def test_truth_reader_fuzz_json_shapes(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("truth") / "dataset.truth.json"
+    path.write_text(json.dumps(doc))
+    _reads_or_refuses(read_truth_json, path)
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=150, deadline=None)
+def test_draws_reader_fuzz_arbitrary_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("draws") / "draws.csv"
+    path.write_bytes(blob)
+    _reads_or_refuses(read_draws_csv, path)
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=150, deadline=None)
+def test_draws_reader_fuzz_bytes_after_valid_header(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("draws") / "draws.csv"
+    path.write_bytes(b"iter,chain,late,beta_0\n1,0,0.5,1.0\n" + blob)
+    _reads_or_refuses(read_draws_csv, path)

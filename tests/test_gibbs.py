@@ -1,5 +1,9 @@
 """Sampler blocks: exact label conditionals, imputation, kernels, chains."""
 
+import copy
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -10,6 +14,7 @@ from seqlate.errors import (
     InconsistentUnit,
     InvalidConfig,
     NoCompliersInDraw,
+    NumericalOverflow,
 )
 from seqlate.gibbs import (
     ChainState,
@@ -21,7 +26,6 @@ from seqlate.gibbs import (
     fit,
     init_state,
     late_draw,
-    random_walk_metropolis,
     run_chain,
     step_compliance,
     step_impute,
@@ -208,6 +212,27 @@ def test_ridge_draw_concentrates_on_least_squares():
     assert np.abs(draws.mean(axis=0) - coef).max() < 0.02
 
 
+def random_walk_metropolis(log_density, init, scale, n_steps, rng, sd=None, thin=1):
+    """Plain random-walk Metropolis over a vector target, the textbook form
+    of the move the marginal_mh kernel makes."""
+    x = np.asarray(init, dtype=float).copy()
+    lp = log_density(x)
+    if np.isnan(lp):
+        raise NumericalOverflow("initial log density is NaN")
+    sdv = np.ones(x.shape[0]) if sd is None else np.asarray(sd, dtype=float)
+    kept = []
+    for t in range(n_steps):
+        prop = x + scale * sdv * rng.standard_normal(x.shape[0])
+        lp_prop = log_density(prop)
+        if np.isnan(lp_prop):
+            raise NumericalOverflow("proposal log density is NaN")
+        if math.log(rng.uniform()) < lp_prop - lp:
+            x, lp = prop, lp_prop
+        if (t + 1) % thin == 0:
+            kept.append(x.copy())
+    return np.asarray(kept)
+
+
 def test_random_walk_metropolis_recovers_normal_target():
     rng = substream(31, "rwm", 0)
     kept = random_walk_metropolis(
@@ -328,3 +353,145 @@ def test_posterior_concentrates_on_sharp_data():
     ols0 = np.linalg.lstsq(D, arr["y"], rcond=None)[0][0]
     assert beta0.std() < 0.05
     assert abs(beta0.mean() - ols0) < 0.03
+
+
+# ---------------------------------------------------------------------------
+# sweep workspace: stacked regression rows and the shared log-weight matrix
+# ---------------------------------------------------------------------------
+
+def _reference_rows(state, vd):
+    """The stacked regression rows built unit by unit: observed rows first,
+    then each complier's counterfactual x2 row, then per y cell in
+    (00, 01, 10, 11) order each complier for whom that cell is missing."""
+    c = state.compliance
+    x_rows, x_resp, y_rows, y_resp = [], [], [], []
+    for i in range(vd.n):
+        at, nt = float(c[i] == 2), float(c[i] == 0)
+        x_rows.append([1.0, *vd.X1[i], vd.w1[i], at, nt])
+        x_resp.append(vd.x2[i])
+        y_rows.append([1.0, *vd.X1[i], vd.x2[i], vd.w1[i], vd.w2[i],
+                       vd.w1[i] * vd.w2[i], at, nt])
+        y_resp.append(vd.y[i])
+    co = [i for i in range(vd.n) if c[i] == 1]
+    for i in co:
+        w1_mis = 1 - vd.w1[i]
+        x_rows.append([1.0, *vd.X1[i], w1_mis, 0.0, 0.0])
+        x_resp.append(state.x2_cells[i, w1_mis])
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for i in co:
+            if vd.obs_ycol[i] == 2 * a + b:
+                continue
+            y_rows.append([1.0, *vd.X1[i], state.x2_cells[i, a], a, b, a * b, 0.0, 0.0])
+            y_resp.append(state.y_cells[i, 2 * a + b])
+    return (np.array(x_rows), np.array(x_resp), np.array(y_rows), np.array(y_resp))
+
+
+def _state_rows(state):
+    c = state.compliance
+    at, nt = c == 2, c == 0
+    return state.x2_rows.regression(at, nt) + state.y_rows.regression(at, nt)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_stacked_rows_match_unit_by_unit_rows(p):
+    data, _ = simulate_dataset(DgpConfig(n=40, p=p, seed=41))
+    vd = as_vector_data(data)
+    state = init_state(vd, substream(41, "chain", 0))
+    for _ in range(4):
+        state = step_theta(state, vd, PriorSpec())
+        state = step_impute(step_compliance(state, vd), vd)
+        assert 0 < state.n_compliers() < vd.n
+        for got, want in zip(_state_rows(state), _reference_rows(state, vd)):
+            assert np.array_equal(got, want)
+
+
+def test_step_theta_builds_rows_for_a_state_without_them():
+    data, _ = simulate_dataset(DgpConfig(n=60, seed=42))
+    vd = as_vector_data(data)
+    state = init_state(vd, substream(42, "chain", 0))
+    state = step_impute(step_compliance(step_theta(state, vd, PriorSpec()), vd), vd)
+    bare = ChainState(state.theta, state.compliance, state.x2_cells, state.y_cells,
+                      state.iter, copy.deepcopy(state.rng))
+    from_bare = step_theta(bare, vd, PriorSpec())
+    from_workspace = step_theta(state, vd, PriorSpec())
+    assert from_bare.theta == from_workspace.theta
+    for got, want in zip(_state_rows(from_bare), _reference_rows(state, vd)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
+def test_step_theta_returns_a_new_state(mode):
+    data, _ = simulate_dataset(DgpConfig(n=50, seed=43))
+    vd = as_vector_data(data)
+    state = init_state(vd, substream(43, "chain", 0))
+    old = state.theta
+    for _ in range(10):
+        new = step_theta(state, vd, PriorSpec(), mode=mode)
+        assert new is not state
+        assert state.theta is old
+        state = step_impute(step_compliance(new, vd), vd)
+        old = state.theta
+
+
+def test_marginal_chain_evaluates_log_weights_once_per_sweep(monkeypatch):
+    data, _ = simulate_dataset(DgpConfig(n=80, seed=44))
+    calls = []
+    original = gibbs.compliance_log_prob_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gibbs, "compliance_log_prob_matrix", counted)
+    k = 60
+    cfg = SamplerConfig(seed=10, n_chains=1, n_warmup=k // 2, n_draws=k // 2,
+                        theta_update="marginal_mh")
+    run_chain(data, PriorSpec(), cfg)
+    # the first sweep also evaluates the starting theta
+    assert len(calls) <= k + 1
+
+
+def test_labels_from_cached_log_weights_equal_the_posterior():
+    data, _ = simulate_dataset(DgpConfig(n=120, seed=45))
+    vd = as_vector_data(data)
+    state = init_state(vd, substream(45, "chain", 0))
+    tuning = gibbs._Tuning(marg_scale=0.05)
+    accepted = rejected = 0
+    for _ in range(30):
+        new = step_theta(state, vd, PriorSpec(), "marginal_mh", tuning)
+        accepted += new.theta is not state.theta
+        rejected += new.theta is state.theta
+        cached_theta, lw = new.logweights
+        assert cached_theta is new.theta
+        probs = compliance_posterior(new.theta, vd)
+        assert np.array_equal(gibbs._normalise(lw), probs)
+        # the same uniforms with and without the cached matrix
+        fresh = replace(new, logweights=None, rng=copy.deepcopy(new.rng))
+        labelled = step_compliance(new, vd)
+        assert np.array_equal(labelled.compliance, step_compliance(fresh, vd).compliance)
+        state = step_impute(labelled, vd)
+    assert accepted and rejected
+
+
+def test_stale_log_weights_are_not_used():
+    data, _ = simulate_dataset(DgpConfig(n=50, seed=46))
+    vd = as_vector_data(data)
+    state = init_state(vd, substream(46, "chain", 0))
+    new = step_theta(state, vd, PriorSpec(), "marginal_mh")
+    other = zero_loading_theta()
+    moved = replace(new, theta=other, rng=copy.deepcopy(new.rng))
+    u = copy.deepcopy(new.rng).uniform(size=vd.n)
+    want = gibbs._vector_categorical(compliance_posterior(other, vd), u)
+    assert np.array_equal(step_compliance(moved, vd).compliance, want)
+
+
+@pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
+def test_invariant_checks_do_not_change_draws(mode):
+    data, _ = simulate_dataset(DgpConfig(n=70, seed=47))
+    cfg = SamplerConfig(seed=11, n_chains=1, n_warmup=30, n_draws=40, theta_update=mode)
+    plain = run_chain(data, PriorSpec(), cfg)
+    checked = run_chain(data, PriorSpec(), cfg, check_invariants=True)
+    for a, b in zip(plain, checked):
+        assert a.theta == b.theta
+        assert a.n_compliers == b.n_compliers
+        assert np.array_equal(a.late, b.late, equal_nan=True)

@@ -15,6 +15,7 @@ from seqlate.validate import (
     grid_gibbs,
     load_golden,
     load_three_unit_fixture,
+    multi_ess,
     rhat,
     run_validation_suite,
     total_variation,
@@ -223,6 +224,44 @@ def test_ess_antithetic_capped():
 def test_ess_too_few():
     with pytest.raises(TooFewDraws):
         ess(np.arange(9.0))
+
+
+def test_multi_ess_iid_chains_near_total_draws():
+    rng = substream(65, "mess-iid", 0)
+    chains = rng.standard_normal((4, 1000))
+    assert 0.85 * 4000 <= multi_ess(chains) <= 1.5 * 4000
+
+
+def test_multi_ess_offset_chains_far_below_per_chain_sum():
+    # each chain mixes perfectly around its own mean, so the per-chain sum
+    # reads near m*n; the chains disagree, which the pooled estimate sees
+    rng = substream(66, "mess-offset", 0)
+    chains = rng.standard_normal((4, 500)) + np.array([[0.0], [1.5], [3.0], [4.5]])
+    per_chain = sum(ess(c) for c in chains)
+    assert per_chain > 1500
+    assert multi_ess(chains) < 0.02 * per_chain
+
+
+def test_multi_ess_matches_ar1_correlation_time():
+    rng = substream(67, "mess-ar1", 0)
+    m, n = 4, 50_000
+    eps = rng.standard_normal((m, n))
+    x = np.empty((m, n))
+    x[:, 0] = eps[:, 0]
+    for t in range(1, n):
+        x[:, t] = 0.9 * x[:, t - 1] + eps[:, t]
+    assert multi_ess(x) / (m * n) == pytest.approx(1.0 / 19.0, rel=0.15)
+
+
+def test_multi_ess_input_checks():
+    with pytest.raises(TooFewDraws):
+        multi_ess([np.arange(9.0), np.arange(9.0)])
+    with pytest.raises(InvariantViolation):
+        multi_ess([np.arange(20.0), np.arange(19.0)])
+    with pytest.raises(InvariantViolation):
+        multi_ess([np.r_[np.arange(19.0), np.nan]])
+    with pytest.warns(UserWarning):
+        assert multi_ess([np.ones(20), np.ones(20)]) == 40.0
 
 
 def test_validation_suite_passes():
