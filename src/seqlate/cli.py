@@ -33,6 +33,7 @@ from .config import RunConfig, emit_config, load_config
 from .dataio import (
     read_dataset_csv,
     read_draws_csv,
+    read_summary_contrast,
     read_truth_json,
     truth_sidecar_path,
     write_dataset_csv,
@@ -59,7 +60,7 @@ from .errors import (
 from .estimate import compare_methods
 from .gibbs import SamplerConfig, fit as run_fit
 from .model import PriorSpec
-from .simulate import simulate_dataset
+from .simulate import _DEFAULT_CONTRAST, simulate_dataset, true_sample_late
 # the summary's effective sample size is the multi-chain one
 from .validate import multi_ess as ess, rhat, run_validation_suite
 
@@ -173,6 +174,7 @@ def _scalar_summary(mat: np.ndarray) -> Dict[str, object]:
 
 
 def _cmd_fit(args) -> int:
+    contrast = _parse_contrast(args)
     data_path = Path(args.data)
     data = read_dataset_csv(data_path)
     if args.config is not None:
@@ -197,7 +199,7 @@ def _cmd_fit(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_fit(data, prior, sampler)
+    result = run_fit(data, prior, sampler, contrast=contrast)
 
     names = result.theta_names()
     theta = result.theta_matrix()
@@ -215,6 +217,7 @@ def _cmd_fit(args) -> int:
         "n_draws": sampler.n_draws,
         "theta_update": sampler.theta_update,
         "seed": seed,
+        "contrast": [list(contrast[0]), list(contrast[1])],
         "late": _scalar_summary(late),
         "theta": {name: _scalar_summary(theta[:, :, j])
                   for j, name in enumerate(names)},
@@ -243,13 +246,26 @@ def _parse_arm(text: str, flag: str) -> Tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+def _parse_contrast(args) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    return (_parse_arm(args.treated, "--treated"),
+            _parse_arm(args.control, "--control"))
+
+
 def _cmd_compare(args) -> int:
     data_path = Path(args.data)
     data = read_dataset_csv(data_path)
+    arms = _parse_contrast(args)
+    # a fit directory without summary.json carries no contrast: the default
+    summary_path = Path(args.fit) / "summary.json"
+    fitted = (read_summary_contrast(summary_path) if summary_path.exists()
+              else _DEFAULT_CONTRAST)
+    if arms != fitted:
+        raise InvalidConfig(
+            f"--treated {args.treated} --control {args.control} differ from the "
+            f"contrast {fitted[0]} versus {fitted[1]} that {args.fit} was fitted for; "
+            f"refit with the same --treated/--control")
     draws_path = Path(args.fit) / "draws.csv"
     _, _, late, _ = read_draws_csv(draws_path)
-    arms = (_parse_arm(args.treated, "--treated"),
-            _parse_arm(args.control, "--control"))
     true_late = None
     sidecar = truth_sidecar_path(data_path)
     if sidecar.exists():
@@ -257,8 +273,7 @@ def _cmd_compare(args) -> int:
         if len(truth.compliance) != len(data):
             raise SchemaError(f"{sidecar}: ground truth for {len(truth.compliance)} units, "
                               f"but {data_path} has {len(data)}")
-        if not math.isnan(truth.true_late):
-            true_late = truth.true_late
+        true_late = true_sample_late(truth, arms) if truth.n_co else None
     table = compare_methods(data, late[np.isfinite(late)], arms=arms,
                             true_late=true_late)
 
@@ -337,6 +352,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--seed", type=int)
     p_fit.add_argument("--theta-update", choices=sorted(_THETA_UPDATE_ALIASES))
     p_fit.add_argument("--mh-step-scale", type=float)
+    p_fit.add_argument("--treated", default="1,1",
+                       help="treated arm of the complier contrast as 'z1,z2' (default 1,1)")
+    p_fit.add_argument("--control", default="0,0",
+                       help="control arm of the complier contrast as 'z1,z2' (default 0,0)")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_cmp = sub.add_parser("compare", help="posterior estimate vs naive baselines")
@@ -344,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--fit", required=True, help="directory holding draws.csv")
     p_cmp.add_argument("--out", help="comparison CSV path (default: <fit>/comparison.csv)")
     p_cmp.add_argument("--treated", default="1,1",
-                       help="treated arm as 'z1,z2' (default 1,1)")
+                       help="treated arm as 'z1,z2' (default 1,1); must match the fit's")
     p_cmp.add_argument("--control", default="0,0",
-                       help="control arm as 'z1,z2' (default 0,0)")
+                       help="control arm as 'z1,z2' (default 0,0); must match the fit's")
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_val = sub.add_parser("validate", help="run the exactness self-checks")

@@ -199,7 +199,11 @@ def parse_config(text: str, source: str = "<string>") -> RunConfig:
 
 def load_config(path: Union[str, Path]) -> RunConfig:
     path = Path(path)
-    return parse_config(path.read_text(), source=str(path))
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not a text file: {e}") from None
+    return parse_config(text, source=str(path))
 
 
 def _fmt_value(v) -> str:

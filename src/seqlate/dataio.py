@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+from array import array
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .domain import ComplianceType, Dataset, ObservedUnit, PotentialTable
 from .errors import DataError, InvariantViolation, SchemaError
-from .simulate import GroundTruth
+from .simulate import _DEFAULT_CONTRAST, GroundTruth
 
 PathLike = Union[str, Path]
 
@@ -131,9 +132,19 @@ def read_dataset_json(path: PathLike) -> Dataset:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "units" not in doc or "covariate_dim" not in doc:
         raise SchemaError(f"{path}: expected an object with covariate_dim and units")
-    p = doc["covariate_dim"]
+    p, rows = doc["covariate_dim"], doc["units"]
+    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
+        raise SchemaError(f"{path}: covariate_dim must be a non-negative integer, "
+                          f"got {p!r:.40}")
+    if not isinstance(rows, list):
+        raise SchemaError(f"{path}: units must be a list")
     units = []
-    for row_num, row in enumerate(doc["units"], start=1):
+    for row_num, row in enumerate(rows, start=1):
+        if not isinstance(row, dict):
+            raise SchemaError(f"{path}: unit {row_num} must be an object")
+        if len(row) < p + len(_FIXED_COLUMNS):
+            raise SchemaError(f"{path}: unit {row_num} has {len(row)} fields, but "
+                              f"covariate_dim {p} needs {p + len(_FIXED_COLUMNS)}")
         missing = [k for k in dataset_header(p) if k not in row]
         if missing:
             raise SchemaError(f"{path}: unit {row_num} is missing {missing}")
@@ -238,6 +249,25 @@ def read_truth_json(path: PathLike) -> GroundTruth:
                        float("nan") if late is None else late, n_co)
 
 
+def read_summary_contrast(path: PathLike) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+    """The (treated, control) arms a fit's summary.json records; the
+    default (1,1) versus (0,0) for a summary without the contrast key."""
+    path = Path(path)
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
+    if "contrast" not in doc:
+        return _DEFAULT_CONTRAST
+    arms = doc["contrast"]
+    ok = (isinstance(arms, list) and len(arms) == 2
+          and all(isinstance(arm, list) and len(arm) == 2
+                  and all(v in (0, 1) and type(v) is int for v in arm) for arm in arms))
+    if not ok:
+        raise SchemaError(f"{path}: contrast must be two pairs of 0/1 integers, "
+                          f"got {arms!r:.60}")
+    return (arms[0][0], arms[0][1]), (arms[1][0], arms[1][1])
+
+
 def truth_sidecar_path(dataset_path: PathLike) -> Path:
     """dataset.csv -> dataset.truth.json, the convention the CLI uses."""
     p = Path(dataset_path)
@@ -272,30 +302,48 @@ def _parse_int(text: str, column: str, row: int, path: Path) -> int:
             f"{path}: row {row}: column {column} is not an integer: {text!r:.40}") from None
 
 
+def _blank_row(row: List[str]) -> bool:
+    return len(row) <= 1 and not "".join(row).strip()
+
+
 def read_draws_csv(path: PathLike) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Returns (theta_names, chain ids, contrast draws with NaN gaps, theta matrix)."""
+    """Returns (theta_names, chain ids, contrast draws with NaN gaps, theta matrix).
+
+    Rows are parsed as they are read into typed buffers, so memory stays
+    near the size of the returned arrays.
+    """
     path = Path(path)
-    text = _read_text(path)
-    if not text.strip():
-        raise SchemaError(f"{path} is empty")
-    reader = csv.reader(io.StringIO(text))
-    chains, lates, thetas = [], [], []
+    chains, lates, thetas = array("q"), array("d"), array("d")
     try:
-        header = next(reader)
-        if header[:3] != ["iter", "chain", "late"]:
-            raise SchemaError(f"{path}: header must start with iter,chain,late")
-        names = header[3:]
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
-            _parse_int(row[0], "iter", row_num, path)
-            chains.append(_parse_int(row[1], "chain", row_num, path))
-            lates.append(float("nan") if row[2] == ""
-                         else _parse_float(row[2], "late", row_num))
-            thetas.append([_parse_float(v, names[j], row_num) for j, v in enumerate(row[3:])])
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            # a file of whitespace only is empty
+            if _blank_row(header) and all(_blank_row(row) for row in reader):
+                raise SchemaError(f"{path} is empty")
+            if header[:3] != ["iter", "chain", "late"]:
+                raise SchemaError(f"{path}: header must start with iter,chain,late")
+            names = header[3:]
+            for row_num, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise SchemaError(
+                        f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
+                _parse_int(row[0], "iter", row_num, path)
+                chain = _parse_int(row[1], "chain", row_num, path)
+                if not -2 ** 63 <= chain < 2 ** 63:
+                    raise SchemaError(f"{path}: row {row_num}: chain id out of range: "
+                                      f"{row[1]!r:.40}")
+                chains.append(chain)
+                lates.append(float("nan") if row[2] == ""
+                             else _parse_float(row[2], "late", row_num))
+                thetas.extend([_parse_float(v, names[j], row_num)
+                               for j, v in enumerate(row[3:])])
     except csv.Error as e:
         raise SchemaError(f"{path}: {e}") from None
-    return names, np.asarray(chains), np.asarray(lates), np.asarray(thetas)
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not a text file: {e}") from None
+    theta = np.frombuffer(thetas, dtype=np.float64)
+    return (names, np.frombuffer(chains, dtype=np.int64), np.frombuffer(lates, dtype=np.float64),
+            theta.reshape(len(chains), len(names)) if chains else theta)

@@ -380,25 +380,48 @@ def logit_design(X1: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((n, 1)), X1])
 
 
+def max_shifted_exp3(c0, c1, c2):
+    """Max-shifted exponentials of three log-weight columns, elementwise.
+
+    Returns (m, e0, e1, e2, total) with m = max(c0, c1, c2),
+    e_j = exp(c_j - m) and total = (e0 + e1) + e2.  The log-sum-exp is
+    m + log(total) and the normalised weights are e_j / total, the same
+    floats as the row-wise max / exp / sum over an (n, 3) matrix, which
+    adds its three entries in that order.  Any argument may be a scalar,
+    such as the complier's reference logit 0.0.
+    """
+    m = np.maximum(np.maximum(c0, c1), c2)
+    e0 = np.exp(np.subtract(c0, m))
+    e1 = np.exp(np.subtract(c1, m))
+    e2 = np.exp(np.subtract(c2, m))
+    return m, e0, e1, e2, (e0 + e1) + e2
+
+
 def compliance_log_prob_matrix(theta: Theta, U1: np.ndarray) -> np.ndarray:
-    """(n, 3) log stratum probabilities for precomputed logit rows U1."""
-    n = U1.shape[0]
-    logits = np.column_stack([U1 @ theta.gamma_nt, np.zeros(n), U1 @ theta.gamma_at])
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    return logits - lse
+    """(n, 3) log stratum probabilities for precomputed logit rows U1,
+    column-major."""
+    a = U1 @ theta.gamma_nt
+    b = U1 @ theta.gamma_at
+    m, _, _, _, total = max_shifted_exp3(a, 0.0, b)
+    lse = m + np.log(total)
+    out = np.empty((U1.shape[0], 3), order="F")
+    np.subtract(a, lse, out=out[:, 0])
+    np.subtract(0.0, lse, out=out[:, 1])
+    np.subtract(b, lse, out=out[:, 2])
+    return out
 
 
 def observed_cell_logliks(theta: Theta, X1: np.ndarray, w1: np.ndarray,
                           w2: np.ndarray, x2: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(n, 3) joint log density of the observed (x2, y) cells per candidate type.
 
-    Column order matches COMPLIANCE_ORDER.  Consistency with the treatment
-    pattern is NOT applied here; callers mask inadmissible types.
+    Column order matches COMPLIANCE_ORDER and the array is column-major.
+    Consistency with the treatment pattern is NOT applied here; callers
+    mask inadmissible types.
     """
     p = theta.p
     n = X1.shape[0]
-    out = np.empty((n, 3))
+    out = np.empty((n, 3), order="F")
     base_x = theta.alpha[0] + X1 @ theta.alpha[1:1 + p] + theta.alpha[p + 1] * w1
     b = theta.beta
     base_y = (b[0] + X1 @ b[1:1 + p] + b[p + 1] * x2 + b[p + 2] * w1

@@ -33,7 +33,7 @@ from .domain import (
     ObservedUnit,
 )
 from .errors import InvariantViolation, TooFewDraws, TooLarge
-from .gibbs import _VectorData, _vector_categorical, as_vector_data
+from .gibbs import _VectorData, _normalise, _vector_categorical, as_vector_data
 from .model import (
     Theta,
     compliance_log_prob,
@@ -248,6 +248,13 @@ class GridGibbsResult:
         return out
 
 
+def _grid_categorical(pk: np.ndarray, u: float) -> int:
+    """Inverse-CDF draw of one index from a probability vector: the number
+    of running sums at or below u, capped at the last positive entry."""
+    last = pk.size - 1 - int(np.argmax(pk[::-1] > 0.0))
+    return min(int(np.searchsorted(np.cumsum(pk), u, side="right")), last)
+
+
 def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
                contrast: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_CONTRAST) -> GridGibbsResult:
     """Two-block Gibbs sampler with theta restricted to the grid.
@@ -266,10 +273,11 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     for ki, th in enumerate(spec.thetas):
         lw = compliance_log_prob_matrix(th, vd.U1)
         lw = lw + observed_cell_logliks(th, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y)
-        lw[~vd.consistent] = -np.inf
-        L[ki] = lw
+        L[ki] = lw + vd.logmask
         for i, unit in enumerate(data):
             diffs[ki, i] = _complier_cell_means(th, unit, contrast)
+    # exact conditional over labels at each grid point
+    label_probs = [_normalise(L[ki]) for ki in range(k)]
     log_w = np.log(spec.weights)
     rng = substream(seed, "grid-gibbs", 0)
 
@@ -288,13 +296,8 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
         m = lw_k.max()
         pk = np.exp(lw_k - m)
         pk /= pk.sum()
-        ki = int(_vector_categorical(pk[None, :], rng.uniform(size=1))[0])
-        # exact conditional over labels given the grid point
-        lw_c = L[ki]
-        mc = lw_c.max(axis=1, keepdims=True)
-        pc = np.exp(lw_c - mc)
-        pc /= pc.sum(axis=1, keepdims=True)
-        codes = _vector_categorical(pc, rng.uniform(size=n))
+        ki = _grid_categorical(pk, rng.uniform(size=1)[0])
+        codes = _vector_categorical(label_probs[ki], rng.uniform(size=n))
         theta_idx[s] = ki
         config_idx[s] = int(codes @ powers)
         co = codes == COMPLIANCE_CODE[ComplianceType.COMPLIER]

@@ -188,12 +188,70 @@ def test_compare_without_sidecar_has_no_bias(sim_dir, tmp_path, capsys):
 
 def test_compare_arm_overrides(sim_dir, tmp_path, capsys):
     fit_dir = tmp_path / "fit"
+    arms = ["--treated", "1,0", "--control", "0,1"]
+    main(["fit", "--data", str(sim_dir / "dataset.csv"), "--out", str(fit_dir),
+          "--chains", "1", "--warmup", "20", "--draws", "40", "--seed", "4"] + arms)
+    capsys.readouterr()
+    rc = main(["compare", "--data", str(sim_dir / "dataset.csv"),
+               "--fit", str(fit_dir)] + arms)
+    assert rc == 0
+
+
+def test_compare_refuses_arms_the_fit_was_not_made_for(sim_dir, tmp_path, capsys):
+    fit_dir = tmp_path / "fit"
     main(["fit", "--data", str(sim_dir / "dataset.csv"), "--out", str(fit_dir),
           "--chains", "1", "--warmup", "20", "--draws", "40", "--seed", "4"])
+    assert json.loads((fit_dir / "summary.json").read_text())["contrast"] == [[1, 1], [0, 0]]
     capsys.readouterr()
     rc = main(["compare", "--data", str(sim_dir / "dataset.csv"),
                "--fit", str(fit_dir), "--treated", "1,0", "--control", "0,1"])
-    assert rc == 0
+    assert rc == 2
+    assert "refit" in capsys.readouterr().err
+    # a summary without the contrast key describes the default contrast
+    summary = json.loads((fit_dir / "summary.json").read_text())
+    del summary["contrast"]
+    (fit_dir / "summary.json").write_text(json.dumps(summary))
+    assert main(["compare", "--data", str(sim_dir / "dataset.csv"), "--fit", str(fit_dir),
+                 "--treated", "0,1", "--control", "0,0"]) == 2
+    assert main(["compare", "--data", str(sim_dir / "dataset.csv"), "--fit", str(fit_dir)]) == 0
+
+
+def test_compare_bias_uses_the_fitted_contrast(sim_dir, tmp_path, capsys):
+    from seqlate.dataio import read_truth_json
+    from seqlate.simulate import true_sample_late
+
+    fit_dir = tmp_path / "fit"
+    arms = ["--treated", "1,0", "--control", "0,1"]
+    assert main(["fit", "--data", str(sim_dir / "dataset.csv"), "--out", str(fit_dir),
+                 "--chains", "2", "--warmup", "20", "--draws", "40", "--seed", "5"]
+                + arms) == 0
+    assert json.loads((fit_dir / "summary.json").read_text())["contrast"] == [[1, 0], [0, 1]]
+    capsys.readouterr()
+    assert main(["compare", "--data", str(sim_dir / "dataset.csv"),
+                 "--fit", str(fit_dir)] + arms) == 0
+    lines = (fit_dir / "comparison.csv").read_text().splitlines()
+    assert lines[0] == "method,point,lo,hi,n_used,bias"
+    truth = read_truth_json(sim_dir / "dataset.truth.json")
+    want = true_sample_late(truth, ((1, 0), (0, 1)))
+    assert want != truth.true_late
+    _, _, late, _ = read_draws_csv(fit_dir / "draws.csv")
+    bayes = lines[1].split(",")
+    assert bayes[0] == "bayes_late"
+    assert float(bayes[1]) == float(np.mean(late[np.isfinite(late)]))
+    assert float(bayes[-1]) == float(bayes[1]) - want
+
+
+@pytest.mark.parametrize("contrast", ['"1,1"', "[[1, 1]]", "[[1, 1], [0, 2]]",
+                                      "[[true, 1], [0, 0]]", "[[1, 1], [0, 0.0]]"])
+def test_compare_rejects_a_malformed_summary_contrast(sim_dir, tmp_path, capsys, contrast):
+    fit_dir = tmp_path / "fit"
+    fit_dir.mkdir()
+    write_draws_csv(fit_dir / "draws.csv", ["beta_0"],
+                    [(i + 1, 0, 1.0 + 0.01 * i, np.array([0.0])) for i in range(20)])
+    (fit_dir / "summary.json").write_text('{"contrast": %s}' % contrast)
+    rc = main(["compare", "--data", str(sim_dir / "dataset.csv"), "--fit", str(fit_dir)])
+    assert rc == 3
+    assert "contrast" in capsys.readouterr().err
 
 
 def test_exit_code_for_bad_config(tmp_path, capsys):

@@ -2,9 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqlate.config import emit_config, load_config, parse_config
-from seqlate.errors import InvalidConfig, ParseError, UnknownKey
+from seqlate.config import (
+    _DGP_KEYS,
+    _PRIOR_KEYS,
+    _SAMPLER_KEYS,
+    emit_config,
+    load_config,
+    parse_config,
+)
+from seqlate.errors import InvalidConfig, ParseError, SeqlateError, UnknownKey
 from seqlate.simulate import (
     ConstantAssignment,
     ConstantCompliance,
@@ -134,3 +143,37 @@ def test_load_config_reads_files(tmp_path):
     path.write_text(FULL)
     cfg = load_config(path)
     assert cfg.dgp.n == 500
+
+
+def _loads_or_refuses(path):
+    try:
+        load_config(path)
+    except SeqlateError:
+        pass
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=150, deadline=None)
+def test_load_config_fuzz_arbitrary_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("ini") / "run.ini"
+    path.write_bytes(blob)
+    _loads_or_refuses(path)
+
+
+_VALUES = st.sampled_from(["1", "0", "-3", "2.5", "nan", "inf", "1e400", "9" * 30,
+                           "0.2, 0.6, 0.2", "0.5, 0.5", "logit: 0 1 | 1 0", "logit: |",
+                           "true", "marginal_mh", "", "x"]) | st.text(max_size=8)
+
+
+@given(st.dictionaries(
+    st.sampled_from(["dgp", "sampler", "prior", "other"]),
+    st.dictionaries(st.sampled_from(sorted(set(_DGP_KEYS + _SAMPLER_KEYS + _PRIOR_KEYS))),
+                    _VALUES, max_size=6),
+    max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_load_config_fuzz_sections_and_values(tmp_path_factory, doc):
+    text = "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                   for sec, body in doc.items())
+    path = tmp_path_factory.mktemp("ini") / "run.ini"
+    path.write_text(text)
+    _loads_or_refuses(path)

@@ -285,3 +285,100 @@ def test_draws_reader_fuzz_bytes_after_valid_header(tmp_path_factory, blob):
     path = tmp_path_factory.mktemp("draws") / "draws.csv"
     path.write_bytes(b"iter,chain,late,beta_0\n1,0,0.5,1.0\n" + blob)
     _reads_or_refuses(read_draws_csv, path)
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=150, deadline=None)
+def test_dataset_csv_reader_fuzz_arbitrary_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("data") / "dataset.csv"
+    path.write_bytes(blob)
+    _reads_or_refuses(read_dataset_csv, path)
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=150, deadline=None)
+def test_dataset_csv_reader_fuzz_bytes_after_valid_header(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("data") / "dataset.csv"
+    path.write_bytes(b"x1_0,z1,w1,x2,z2,w2,y\n0.5,1,1,0.2,0,0,1.5\n" + blob)
+    _reads_or_refuses(read_dataset_csv, path)
+
+
+@given(st.binary(max_size=300))
+@settings(max_examples=150, deadline=None)
+def test_dataset_json_reader_fuzz_arbitrary_bytes(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("data") / "dataset.json"
+    path.write_bytes(blob)
+    _reads_or_refuses(read_dataset_json, path)
+
+
+_UNIT_KEYS = ["x1_0", "x1_1", "z1", "w1", "x2", "z2", "w2", "y"]
+_UNIT_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(_UNIT_KEYS), inner, max_size=8),
+    max_leaves=20)
+
+
+@given(st.fixed_dictionaries({
+    "covariate_dim": st.integers(-2, 3) | _UNIT_JSON,
+    "units": st.lists(st.fixed_dictionaries(
+        {k: st.sampled_from([0, 1, 0.5, "1", "x", None]) | _UNIT_JSON
+         for k in _UNIT_KEYS}), max_size=3) | _UNIT_JSON,
+}))
+@settings(max_examples=200, deadline=None)
+def test_dataset_json_reader_fuzz_json_shapes(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("data") / "dataset.json"
+    path.write_text(json.dumps(doc))
+    _reads_or_refuses(read_dataset_json, path)
+
+
+def test_draws_reader_memory_stays_near_the_arrays(tmp_path):
+    # the README example's shape: 4 chains x 2000 draws, 19 parameters
+    import tracemalloc
+
+    names = [f"theta_{j}" for j in range(19)]
+    rng = np.random.default_rng(17)
+    rows = [(i % 2000 + 1, i // 2000, float(rng.normal()), rng.normal(size=19))
+            for i in range(8000)]
+    rows[5] = (6, 0, float("nan"), rows[5][3])
+    path = tmp_path / "draws.csv"
+    write_draws_csv(path, names, rows)
+    assert path.stat().st_size > 3_000_000
+    tracemalloc.start()
+    try:
+        got_names, chains, late, theta = read_draws_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20
+    assert got_names == names
+    assert np.array_equal(chains, [r[1] for r in rows])
+    assert np.array_equal(late, [r[2] for r in rows], equal_nan=True)
+    assert np.array_equal(theta, np.array([r[3] for r in rows]))
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("", "is empty"),
+    (" \n\t\n", "is empty"),
+    ("\n\niter,chain,late\n", "header"),
+    ("iter,chain,late,b\n1,0,0.5,oops\n", "column b"),
+    ("iter,chain,late,b\n1,0,0.5,inf\n", "column b must be finite"),
+    ("iter,chain,late,b\n1,99999999999999999999,0.5,1\n", "chain id out of range"),
+])
+def test_draws_reader_errors(tmp_path, text, fragment):
+    path = tmp_path / "draws.csv"
+    path.write_text(text)
+    with pytest.raises(SeqlateError, match=fragment):
+        read_draws_csv(path)
+
+
+def test_draws_reader_without_rows_or_parameters(tmp_path):
+    path = tmp_path / "draws.csv"
+    path.write_text("iter,chain,late\n")
+    names, chains, late, theta = read_draws_csv(path)
+    assert names == [] and chains.size == late.size == theta.size == 0
+    path.write_text("iter,chain,late\n1,0,0.5\n2,1,\n")
+    names, chains, late, theta = read_draws_csv(path)
+    assert theta.shape == (2, 0)
+    assert np.array_equal(chains, [0, 1])
+    assert np.array_equal(late, [0.5, np.nan], equal_nan=True)

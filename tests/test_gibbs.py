@@ -1,11 +1,15 @@
 """Sampler blocks: exact label conditionals, imputation, kernels, chains."""
 
 import copy
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import seqlate.gibbs as gibbs
@@ -31,9 +35,13 @@ from seqlate.gibbs import (
     step_impute,
     step_theta,
 )
-from seqlate.model import PriorSpec, Theta
+from seqlate.model import PriorSpec, Theta, compliance_log_prob_matrix, observed_cell_logliks
 from seqlate.rng import substream
 from seqlate.simulate import ConstantCompliance, DgpConfig, simulate_dataset
+from seqlate.validate import _grid_categorical
+
+# a column kernel producing inf - inf or 0 * inf fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 NT = ComplianceType.NEVERTAKER
 CO = ComplianceType.COMPLIER
@@ -495,3 +503,166 @@ def test_invariant_checks_do_not_change_draws(mode):
         assert a.theta == b.theta
         assert a.n_compliers == b.n_compliers
         assert np.array_equal(a.late, b.late, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# column kernels against the row-wise reductions over (n, 3) they replaced;
+# the two must give the same floats
+# ---------------------------------------------------------------------------
+
+def ref_compliance_log_prob_matrix(theta, U1):
+    n = U1.shape[0]
+    logits = np.column_stack([U1 @ theta.gamma_nt, np.zeros(n), U1 @ theta.gamma_at])
+    m = logits.max(axis=1, keepdims=True)
+    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
+    return logits - lse
+
+
+def ref_log_weights(theta, vd):
+    lw = ref_compliance_log_prob_matrix(theta, vd.U1)
+    lw = lw + np.ascontiguousarray(
+        observed_cell_logliks(theta, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y))
+    lw[~vd.consistent] = -np.inf
+    return lw
+
+
+def ref_normalise(lw):
+    m = lw.max(axis=1, keepdims=True)
+    w = np.exp(lw - m)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def ref_marginal_loglik(lw):
+    m = lw.max(axis=1)
+    tot = m + np.log(np.exp(lw - m[:, None]).sum(axis=1))
+    return float(tot.sum())
+
+
+def ref_gamma_logpost(gnt, gat, U1, codes, coef_sd):
+    n = U1.shape[0]
+    logits = np.zeros((n, 3))
+    logits[:, 0] = U1 @ gnt
+    logits[:, 2] = U1 @ gat
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    ll = float((logits[np.arange(n), codes] - lse).sum())
+    lp = -0.5 * (float(gnt @ gnt) + float(gat @ gat)) / coef_sd ** 2
+    return ll + lp
+
+
+def ref_vector_categorical(probs, u):
+    cum = np.cumsum(probs, axis=1)
+    idx = (cum <= u[:, None]).sum(axis=1)
+    lastpos = probs.shape[1] - 1 - np.argmax((probs > 0.0)[:, ::-1], axis=1)
+    return np.minimum(idx, lastpos).astype(np.int8)
+
+
+# every nonempty set of admissible types, as a row mask over (nt, co, at)
+_ADMISSIBLE = [m for m in itertools.product([False, True], repeat=3) if any(m)]
+_LOG_WEIGHT = (st.floats(-745.0, 745.0)
+               | st.sampled_from([-709.5, -700.0, -0.0, 0.0, 1e-300, 700.0, 709.5]))
+_LOGIT = st.floats(-720.0, 720.0) | st.sampled_from([-700.0, 0.0, 700.0])
+
+
+@st.composite
+def masked_log_weights(draw, max_rows=25):
+    """(n, 3) log-weights, -inf where a row's type is inadmissible, in C or
+    F layout; rows with a single admissible type included."""
+    n = draw(st.integers(1, max_rows))
+    vals = draw(hnp.arrays(np.float64, (n, 3), elements=_LOG_WEIGHT))
+    mask = np.array(draw(st.lists(st.sampled_from(_ADMISSIBLE), min_size=n, max_size=n)))
+    return np.array(np.where(mask, vals, -np.inf), order=draw(st.sampled_from("CF")))
+
+
+def boundary_uniforms(draw, cum):
+    """Per row of running sums: 0, a running sum, a float either side of
+    one (not below 0), or a uniform draw."""
+    n = cum.shape[0]
+    lo = np.maximum(np.nextafter(cum, -np.inf), 0.0)
+    hi = np.nextafter(cum, np.inf)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    cands = np.column_stack([np.zeros(n), cum, lo, hi, rng.uniform(size=n)])
+    picks = draw(st.lists(st.integers(0, cands.shape[1] - 1), min_size=n, max_size=n))
+    return cands[np.arange(n), picks]
+
+
+def random_theta(rng, p, gamma_nt0, gamma_at0):
+    gnt = np.concatenate([[gamma_nt0], rng.normal(size=p)])
+    gat = np.concatenate([[gamma_at0], rng.normal(size=p)])
+    return Theta(gnt, gat, rng.normal(size=p + 4), float(rng.uniform(0.3, 3.0)),
+                 rng.normal(size=p + 7), float(rng.uniform(0.3, 3.0)))
+
+
+@given(masked_log_weights())
+@settings(max_examples=300, deadline=None)
+def test_normalise_and_marginal_loglik_match_row_reductions(lw):
+    probs = gibbs._normalise(lw)
+    assert probs.flags.f_contiguous
+    assert np.array_equal(probs, ref_normalise(lw))
+    assert gibbs._marginal_loglik(lw) == ref_marginal_loglik(lw)
+
+
+@given(masked_log_weights(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_vector_categorical_matches_row_cumsum(lw, data):
+    # masked types are zero-probability columns, trailing ones included
+    probs = ref_normalise(lw)
+    u = boundary_uniforms(data.draw, np.cumsum(probs, axis=1))
+    want = ref_vector_categorical(probs, u)
+    for layout in (probs, np.asfortranarray(probs)):
+        got = gibbs._vector_categorical(layout, u)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+    assert (probs[np.arange(probs.shape[0]), want] > 0.0).all()
+
+
+def test_vector_categorical_hand_rows():
+    probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0],
+                      [0.0, 0.5, 0.5], [0.25, 0.5, 0.25], [0.5, 0.5, 0.0]])
+    u = np.array([0.999, 0.0, 0.5, 0.5, 0.75, 1.0])
+    assert np.array_equal(gibbs._vector_categorical(probs, u), ref_vector_categorical(probs, u))
+    assert gibbs._vector_categorical(probs, u).tolist() == [0, 2, 1, 2, 2, 1]
+
+
+@given(st.integers(1, 40), st.integers(1, 3), _LOGIT, _LOGIT, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_gamma_logpost_and_log_probs_match_row_reductions(n, p, g_nt, g_at, seed):
+    rng = np.random.default_rng(seed)
+    U1 = np.column_stack([np.ones(n), rng.normal(size=(n, p))])
+    th = random_theta(rng, p, g_nt, g_at)
+    lcp = compliance_log_prob_matrix(th, U1)
+    assert lcp.flags.f_contiguous
+    assert np.array_equal(lcp, ref_compliance_log_prob_matrix(th, U1))
+    codes = rng.integers(0, 3, size=n).astype(np.int8)
+    for coef_sd in (5.0, 0.5):
+        assert (gibbs._gamma_logpost(th.gamma_nt, th.gamma_at, U1, codes, coef_sd)
+                == ref_gamma_logpost(th.gamma_nt, th.gamma_at, U1, codes, coef_sd))
+
+
+@given(st.integers(1, 30), st.integers(1, 3), _LOGIT, _LOGIT, st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_log_weights_match_row_reductions(n, p, g_nt, g_at, seed):
+    data, _ = simulate_dataset(DgpConfig(n=n, seed=seed, p=p))
+    vd = as_vector_data(data)
+    th = random_theta(np.random.default_rng(seed), p, g_nt, g_at)
+    cells = observed_cell_logliks(th, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y)
+    assert cells.flags.f_contiguous
+    lw = gibbs._log_weights(th, vd)
+    assert lw.flags.f_contiguous
+    want = ref_log_weights(th, vd)
+    assert np.array_equal(lw, want)
+    assert (np.isneginf(lw) == ~vd.consistent).all()
+    assert np.array_equal(gibbs._normalise(lw), ref_normalise(want))
+    assert gibbs._marginal_loglik(lw) == ref_marginal_loglik(want)
+
+
+@given(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=12),
+       st.integers(0, 4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_grid_draw_matches_one_row_categorical(weights, trailing_zeros, data):
+    pk = np.array(weights + [0.0] * trailing_zeros)
+    if pk.sum() > 0:
+        pk = pk / pk.sum()
+    u = boundary_uniforms(data.draw, np.cumsum(pk)[None, :])[0]
+    want = int(ref_vector_categorical(pk[None, :], np.array([u]))[0])
+    assert _grid_categorical(pk, u) == want

@@ -23,6 +23,9 @@ from seqlate.model import (
 )
 from seqlate.rng import substream
 
+# a column kernel producing inf - inf or 0 * inf fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 NT = ComplianceType.NEVERTAKER
 CO = ComplianceType.COMPLIER
 AT = ComplianceType.ALWAYSTAKER

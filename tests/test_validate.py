@@ -22,6 +22,10 @@ from seqlate.validate import (
 )
 
 
+# a column kernel producing inf - inf or 0 * inf fails the test instead of warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
 def flat_theta(sigma=1.0, gamma_nt=0.0, gamma_at=0.0):
     return Theta(np.array([gamma_nt, 0.0]), np.array([gamma_at, 0.0]),
                  np.zeros(5), sigma, np.zeros(8), sigma)
