@@ -29,7 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, emit_config, load_config
+from .config import emit_config, load_config
 from .dataio import (
     read_dataset_csv,
     read_draws_csv,
@@ -40,6 +40,7 @@ from .dataio import (
     write_draws_csv,
     write_truth_json,
 )
+from .domain import Dataset
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -51,7 +52,6 @@ from .errors import (
     NumericalOverflow,
     ParseError,
     SchemaError,
-    SeqlateError,
     TooFewDraws,
     TooLarge,
     UndefinedCell,
@@ -60,7 +60,7 @@ from .errors import (
 from .estimate import compare_methods
 from .gibbs import SamplerConfig, fit as run_fit
 from .model import PriorSpec
-from .simulate import _DEFAULT_CONTRAST, simulate_dataset, true_sample_late
+from .simulate import _AT, _CO, _DEFAULT_CONTRAST, GroundTruth, simulate_dataset, true_sample_late
 # the summary's effective sample size is the multi-chain one
 from .validate import multi_ess as ess, rhat, run_validation_suite
 
@@ -251,6 +251,25 @@ def _parse_contrast(args) -> Tuple[Tuple[int, int], Tuple[int, int]]:
             _parse_arm(args.control, "--control"))
 
 
+def _check_truth_matches(truth: GroundTruth, sidecar: Path, data: Dataset,
+                         data_path: Path) -> None:
+    """SchemaError unless each unit's label reproduces its receipts and its
+    observed cells are, bit for bit, the dataset's x2 and y."""
+    if len(truth) != len(data):
+        raise SchemaError(f"{sidecar}: ground truth for {len(truth)} units, "
+                          f"but {data_path} has {len(data)}")
+    rows = np.arange(len(data))
+    receipts = np.where(truth.codes == _CO, [data.z1, data.z2], truth.codes == _AT)
+    cells = np.array([truth.x2_cells[rows, data.w1], truth.y_cells[rows, 2 * data.w1 + data.w2]])
+    bad = ((receipts != [data.w1, data.w2]).any(axis=0)
+           | (cells.view(np.int64) != np.array([data.x2, data.y]).view(np.int64)).any(axis=0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SchemaError(f"{sidecar}: unit {i + 1} does not match row {i + 1} of {data_path}: "
+                          f"its label or its observed cells differ, so the ground truth "
+                          f"belongs to another dataset")
+
+
 def _cmd_compare(args) -> int:
     data_path = Path(args.data)
     data = read_dataset_csv(data_path)
@@ -270,9 +289,7 @@ def _cmd_compare(args) -> int:
     sidecar = truth_sidecar_path(data_path)
     if sidecar.exists():
         truth = read_truth_json(sidecar)
-        if len(truth.compliance) != len(data):
-            raise SchemaError(f"{sidecar}: ground truth for {len(truth.compliance)} units, "
-                              f"but {data_path} has {len(data)}")
+        _check_truth_matches(truth, sidecar, data, data_path)
         true_late = true_sample_late(truth, arms) if truth.n_co else None
     table = compare_methods(data, late[np.isfinite(late)], arms=arms,
                             true_late=true_late)

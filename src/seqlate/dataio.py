@@ -8,7 +8,6 @@ byte-identical.  JSON mirrors use the same flat field names.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from array import array
@@ -17,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .domain import ComplianceType, Dataset, ObservedUnit, PotentialTable
+from .domain import COMPLIANCE_ORDER, ComplianceType, Dataset, PotentialTable, invalid_tables
 from .errors import DataError, InvariantViolation, SchemaError
 from .simulate import _DEFAULT_CONTRAST, GroundTruth
 
@@ -34,29 +33,26 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _columns(data: Dataset) -> List[np.ndarray]:
+    """The dataset's columns in header order."""
+    return ([data.X1[:, j] for j in range(data.covariate_dim)]
+            + [getattr(data, k) for k in _FIXED_COLUMNS])
+
+
 def write_dataset_csv(data: Dataset, path: PathLike) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    # repr of each float, str of each 0/1
+    text = [list(map(repr if c.dtype.kind == "f" else str, c.tolist())) for c in _columns(data)]
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset_header(data.covariate_dim))
-        for unit in data:
-            row = [_fmt(v) for v in unit.x1]
-            row += [str(unit.z1), str(unit.w1), _fmt(unit.x2),
-                    str(unit.z2), str(unit.w2), _fmt(unit.y)]
-            writer.writerow(row)
-
-
-def _read_text(path: Path) -> str:
-    try:
-        return path.read_text()
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"{path}: not a text file: {e}") from None
+        writer.writerows(zip(*text))
 
 
 def _load_json(path: Path):
-    text = _read_text(path)
     try:
-        return json.loads(text)
+        return json.loads(path.read_text())
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not a text file: {e}") from None
     except ValueError as e:
         # JSONDecodeError, or an integer literal too long to convert
         raise SchemaError(f"{path}: invalid JSON: {e}") from None
@@ -64,8 +60,11 @@ def _load_json(path: Path):
         raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
+_BINARY = ("0", "1")
+
+
 def _parse_binary(text: str, column: str, row: int) -> int:
-    if text not in ("0", "1"):
+    if text not in _BINARY:
         raise DataError(f"row {row}: column {column} must be 0 or 1, got {text!r}")
     return int(text)
 
@@ -80,49 +79,81 @@ def _parse_float(text: str, column: str, row: int) -> float:
     return v
 
 
+def _dataset_row(row: List[str], header: List[str], row_num: int) -> List[float]:
+    """The fields of one dataset row as floats; DataError names the first
+    field that is not a 0/1 text in a binary column or a finite number."""
+    p = len(row) - len(_FIXED_COLUMNS)
+    try:
+        parsed = list(map(float, row))
+        # a non-finite sum may also be an overflow of finite fields
+        ok = (row[p] in _BINARY and row[p + 1] in _BINARY and row[p + 3] in _BINARY
+              and row[p + 4] in _BINARY and math.isfinite(sum(parsed)))
+    except ValueError:
+        ok = False
+    if not ok:
+        for j, text in enumerate(row):
+            if j in (p, p + 1, p + 3, p + 4):
+                _parse_binary(text, header[j], row_num)
+            else:
+                _parse_float(text, header[j], row_num)
+    return parsed
+
+
+def _dataset(values: array, p: int) -> Dataset:
+    M = np.frombuffer(values, dtype=np.float64).reshape(-1, p + len(_FIXED_COLUMNS))
+    return Dataset(M[:, :p], *(M[:, p + j] for j in range(len(_FIXED_COLUMNS))))
+
+
+def _csv_table(path: Path):
+    """Stream a CSV file: first its header, then (1-based row number,
+    fields) for each non-empty row, whose field count must match the
+    header's.  A file that is not text or not CSV raises SchemaError."""
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            # a file of whitespace only is empty
+            if _blank_row(header) and all(_blank_row(row) for row in reader):
+                raise SchemaError(f"{path} is empty")
+            yield header
+            for row_num, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise SchemaError(
+                        f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
+                yield row_num, row
+    except csv.Error as e:
+        raise SchemaError(f"{path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not a text file: {e}") from None
+
+
 def read_dataset_csv(path: PathLike) -> Dataset:
     """Parse a dataset table; malformed structure raises SchemaError and
-    malformed values raise DataError naming the 1-based data row."""
+    malformed values raise DataError naming the 1-based data row.
+
+    Fields are parsed as they are read into one typed buffer, so memory
+    stays near the size of the returned columns.
+    """
     path = Path(path)
-    text = _read_text(path)
-    if not text.strip():
-        raise SchemaError(f"{path} is empty")
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    header = [h.strip() for h in header]
-    fixed = list(_FIXED_COLUMNS)
-    p = len(header) - len(fixed)
+    table = _csv_table(path)
+    header = [h.strip() for h in next(table)]
+    p = len(header) - len(_FIXED_COLUMNS)
     if p < 0 or header != dataset_header(p):
-        raise SchemaError(
-            f"{path}: header {header!r} does not match x1_0..x1_{{p-1}},"
-            + ",".join(fixed))
-    units = []
-    for row_num, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
-        x1 = np.array([_parse_float(row[j], header[j], row_num) for j in range(p)])
-        z1 = _parse_binary(row[p + 0], "z1", row_num)
-        w1 = _parse_binary(row[p + 1], "w1", row_num)
-        x2 = _parse_float(row[p + 2], "x2", row_num)
-        z2 = _parse_binary(row[p + 3], "z2", row_num)
-        w2 = _parse_binary(row[p + 4], "w2", row_num)
-        y = _parse_float(row[p + 5], "y", row_num)
-        units.append(ObservedUnit(x1, z1, w1, x2, z2, w2, y))
-    if not units:
+        raise SchemaError(f"{path}: header {header!r} does not match x1_0..x1_{{p-1}},"
+                          + ",".join(_FIXED_COLUMNS))
+    values = array("d")
+    for row_num, row in table:
+        values.extend(_dataset_row(row, header, row_num))
+    if not values:
         raise SchemaError(f"{path} has a header but no data rows")
-    return Dataset(tuple(units), p)
+    return _dataset(values, p)
 
 
 def write_dataset_json(data: Dataset, path: PathLike) -> None:
-    rows = []
-    for unit in data:
-        row = {f"x1_{j}": float(v) for j, v in enumerate(unit.x1)}
-        row.update(z1=unit.z1, w1=unit.w1, x2=float(unit.x2),
-                   z2=unit.z2, w2=unit.w2, y=float(unit.y))
-        rows.append(row)
+    header = dataset_header(data.covariate_dim)
+    rows = [dict(zip(header, unit)) for unit in zip(*(c.tolist() for c in _columns(data)))]
     Path(path).write_text(json.dumps(
         {"covariate_dim": data.covariate_dim, "units": rows}, indent=2) + "\n")
 
@@ -138,54 +169,56 @@ def read_dataset_json(path: PathLike) -> Dataset:
                           f"got {p!r:.40}")
     if not isinstance(rows, list):
         raise SchemaError(f"{path}: units must be a list")
-    units = []
+    header, values = dataset_header(p), array("d")
     for row_num, row in enumerate(rows, start=1):
         if not isinstance(row, dict):
             raise SchemaError(f"{path}: unit {row_num} must be an object")
         if len(row) < p + len(_FIXED_COLUMNS):
             raise SchemaError(f"{path}: unit {row_num} has {len(row)} fields, but "
                               f"covariate_dim {p} needs {p + len(_FIXED_COLUMNS)}")
-        missing = [k for k in dataset_header(p) if k not in row]
+        missing = [k for k in header if k not in row]
         if missing:
             raise SchemaError(f"{path}: unit {row_num} is missing {missing}")
-        x1 = np.array([_parse_float(str(row[f"x1_{j}"]), f"x1_{j}", row_num)
-                       for j in range(p)])
-        z1 = _parse_binary(str(row["z1"]), "z1", row_num)
-        w1 = _parse_binary(str(row["w1"]), "w1", row_num)
-        x2 = _parse_float(str(row["x2"]), "x2", row_num)
-        z2 = _parse_binary(str(row["z2"]), "z2", row_num)
-        w2 = _parse_binary(str(row["w2"]), "w2", row_num)
-        y = _parse_float(str(row["y"]), "y", row_num)
-        units.append(ObservedUnit(x1, z1, w1, x2, z2, w2, y))
-    if not units:
+        values.extend(_dataset_row([str(row[k]) for k in header], header, row_num))
+    if not values:
         raise SchemaError(f"{path} contains no units")
-    return Dataset(tuple(units), p)
+    return _dataset(values, p)
 
 
 # ---------------------------------------------------------------------------
 # ground-truth sidecar
 # ---------------------------------------------------------------------------
 
-def _cells_or_null(cells: Sequence[Optional[float]]) -> list:
-    return [None if v is None else float(v) for v in cells]
+_TABLE_JSON = ('{\n      "x2": [\n        %s,\n        %s\n      ],\n'
+               '      "y": [\n        %s,\n        %s,\n        %s,\n        %s\n      ]\n    }')
+
+
+def _json_list(items: List[str]) -> str:
+    """A list of rendered JSON values as json.dumps(..., indent=2) lays it
+    out as the value of a top-level key."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
 def write_truth_json(truth: GroundTruth, path: PathLike) -> None:
-    """Persist latent labels and potential cells next to a simulated dataset."""
-    tables = []
-    for tab in truth.tables:
-        tables.append({"x2": _cells_or_null(tab.x2_cells),
-                       "y": _cells_or_null(tab.y_cells)})
-    doc = {
-        "compliance": [c.value for c in truth.compliance],
-        "tables": tables,
-        "true_late": None if math.isnan(truth.true_late) else truth.true_late,
-        "n_co": truth.n_co,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """Persist latent labels and potential cells next to a simulated dataset.
+
+    The text is the one json.dumps(doc, indent=2) gives for
+    {"compliance": [label, ...], "tables": [{"x2": [...], "y": [...]}, ...],
+    "true_late": float or null, "n_co": int}, with null for undefined cells,
+    rendered straight from the columns.
+    """
+    labels = [f'"{c.value}"' for c in COMPLIANCE_ORDER]
+    cells = np.concatenate([truth.x2_cells, truth.y_cells], axis=1).ravel().tolist()
+    cells = [repr(v) if v == v else "null" for v in cells]
+    tables = [_TABLE_JSON % tuple(cells[k:k + 6]) for k in range(0, len(cells), 6)]
+    late = "null" if math.isnan(truth.true_late) else repr(truth.true_late)
+    Path(path).write_text(
+        '{\n  "compliance": ' + _json_list([labels[c] for c in truth.codes.tolist()])
+        + ',\n  "tables": ' + _json_list(tables)
+        + f',\n  "true_late": {late},\n  "n_co": {truth.n_co}\n}}\n')
 
 
-_LABELS = {c.value: c for c in ComplianceType}
+_LABEL_CODES = {c.value: k for k, c in enumerate(COMPLIANCE_ORDER)}
 
 
 def _truth_number(value, what: str, path: Path) -> Optional[float]:
@@ -203,17 +236,17 @@ def _truth_number(value, what: str, path: Path) -> Optional[float]:
     return v
 
 
-def _truth_cells(rec, key: str, size: int, unit: int, path: Path) -> tuple:
+def _truth_cells(rec, key: str, size: int, unit: int, path: Path) -> list:
     cells = rec.get(key) if isinstance(rec, dict) else None
     if not isinstance(cells, list) or len(cells) != size:
         raise SchemaError(f"{path}: unit {unit}: {key} must be a list of {size} cells")
-    return tuple(_truth_number(v, f"unit {unit} {key} cell", path) for v in cells)
+    return [_truth_number(v, f"unit {unit} {key} cell", path) for v in cells]
 
 
 def read_truth_json(path: PathLike) -> GroundTruth:
     """Parse a ground-truth sidecar.  A sidecar that is not the shape
     write_truth_json produces, or whose labels, tables and complier count
-    disagree with each other, raises SchemaError."""
+    disagree with each other, raises SchemaError naming the first bad unit."""
     path = Path(path)
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -226,27 +259,38 @@ def read_truth_json(path: PathLike) -> GroundTruth:
         raise SchemaError(f"{path}: compliance and tables must be lists")
     if len(recs) != len(labels):
         raise SchemaError(f"{path}: {len(recs)} tables for {len(labels)} compliance labels")
-    compliance = []
-    for unit, v in enumerate(labels, start=1):
-        c = _LABELS.get(v) if isinstance(v, str) else None
-        if c is None:
-            raise SchemaError(f"{path}: unit {unit}: unknown compliance label {v!r:.40}")
-        compliance.append(c)
-    n_labelled = compliance.count(ComplianceType.COMPLIER)
+    codes = [_LABEL_CODES.get(v) if isinstance(v, str) else None for v in labels]
+    if None in codes:
+        unit = codes.index(None)
+        raise SchemaError(f"{path}: unit {unit + 1}: unknown compliance label "
+                          f"{labels[unit]!r:.40}")
+    codes = np.array(codes, dtype=np.int8)
+    n_labelled = int((codes == COMPLIANCE_ORDER.index(ComplianceType.COMPLIER)).sum())
     if isinstance(n_co, bool) or not isinstance(n_co, int) or n_co != n_labelled:
         raise SchemaError(f"{path}: n_co is {n_co!r:.40} but {n_labelled} units carry "
                           f"the complier label")
-    tables = []
-    for unit, (rec, c) in enumerate(zip(recs, compliance), start=1):
-        x2 = _truth_cells(rec, "x2", 2, unit, path)
-        y = _truth_cells(rec, "y", 4, unit, path)
+    try:
+        # all cells at once, NaN for null; any fault falls through to the unit-by-unit check
+        x2, y = [rec["x2"] for rec in recs], [rec["y"] for rec in recs]
+        flat = [v for cells in x2 + y for v in cells]
+        x2 = np.array(x2, dtype=float).reshape(len(recs), 2)
+        y = np.array(y, dtype=float).reshape(len(recs), 4)
+        if (not set(map(type, flat)) <= {float, int, type(None)}
+                or np.isfinite(x2).sum() + np.isfinite(y).sum() + flat.count(None) != len(flat)
+                or invalid_tables(codes, x2, y).any()):
+            raise ValueError("a cell or a table is malformed")
+        late = _truth_number(doc["true_late"], "true_late", path)
+        return GroundTruth(codes, x2, y, float("nan") if late is None else late, n_co)
+    except (ValueError, LookupError, TypeError, OverflowError) as e:
+        error = e
+    # name the first bad unit; a bad table is reported before a bad true_late
+    for unit, rec in enumerate(recs, start=1):
+        cells = _truth_cells(rec, "x2", 2, unit, path), _truth_cells(rec, "y", 4, unit, path)
         try:
-            tables.append(PotentialTable(c, x2, y))
+            PotentialTable(COMPLIANCE_ORDER[codes[unit - 1]], *cells)
         except InvariantViolation as e:
             raise SchemaError(f"{path}: unit {unit}: {e}") from None
-    late = _truth_number(doc["true_late"], "true_late", path)
-    return GroundTruth(tuple(compliance), tuple(tables),
-                       float("nan") if late is None else late, n_co)
+    raise error if isinstance(error, SchemaError) else SchemaError(f"{path}: malformed tables")
 
 
 def read_summary_contrast(path: PathLike) -> Tuple[Tuple[int, int], Tuple[int, int]]:
@@ -314,36 +358,19 @@ def read_draws_csv(path: PathLike) -> Tuple[List[str], np.ndarray, np.ndarray, n
     """
     path = Path(path)
     chains, lates, thetas = array("q"), array("d"), array("d")
-    try:
-        with path.open(newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            # a file of whitespace only is empty
-            if _blank_row(header) and all(_blank_row(row) for row in reader):
-                raise SchemaError(f"{path} is empty")
-            if header[:3] != ["iter", "chain", "late"]:
-                raise SchemaError(f"{path}: header must start with iter,chain,late")
-            names = header[3:]
-            for row_num, row in enumerate(reader, start=1):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise SchemaError(
-                        f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
-                _parse_int(row[0], "iter", row_num, path)
-                chain = _parse_int(row[1], "chain", row_num, path)
-                if not -2 ** 63 <= chain < 2 ** 63:
-                    raise SchemaError(f"{path}: row {row_num}: chain id out of range: "
-                                      f"{row[1]!r:.40}")
-                chains.append(chain)
-                lates.append(float("nan") if row[2] == ""
-                             else _parse_float(row[2], "late", row_num))
-                thetas.extend([_parse_float(v, names[j], row_num)
-                               for j, v in enumerate(row[3:])])
-    except csv.Error as e:
-        raise SchemaError(f"{path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise SchemaError(f"{path}: not a text file: {e}") from None
+    table = _csv_table(path)
+    header = next(table)
+    if header[:3] != ["iter", "chain", "late"]:
+        raise SchemaError(f"{path}: header must start with iter,chain,late")
+    names = header[3:]
+    for row_num, row in table:
+        _parse_int(row[0], "iter", row_num, path)
+        chain = _parse_int(row[1], "chain", row_num, path)
+        if not -2 ** 63 <= chain < 2 ** 63:
+            raise SchemaError(f"{path}: row {row_num}: chain id out of range: {row[1]!r:.40}")
+        chains.append(chain)
+        lates.append(float("nan") if row[2] == "" else _parse_float(row[2], "late", row_num))
+        thetas.extend([_parse_float(v, names[j], row_num) for j, v in enumerate(row[3:])])
     theta = np.frombuffer(thetas, dtype=np.float64)
     return (names, np.frombuffer(chains, dtype=np.int64), np.frombuffer(lates, dtype=np.float64),
             theta.reshape(len(chains), len(names)) if chains else theta)

@@ -9,13 +9,18 @@ pattern is ruled out by assumption and is not representable.
 Potential-outcome cells that an assumption says cannot exist (for example a
 nevertaker's outcome under treatment receipt) are represented explicitly as
 undefined; reading one raises UndefinedCell rather than returning a sentinel.
+
+A Dataset stores its units as columns, and so does the simulator's
+GroundTruth; the sampler, the baselines and the file readers and writers
+work on those columns.  ObservedUnit and PotentialTable are value types
+built from them on demand.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -110,17 +115,20 @@ def _as_finite(v, name: str) -> float:
     return fv
 
 
-# cells each compliance type is allowed to have in the canonical table
-_CANONICAL_X2 = {
-    ComplianceType.NEVERTAKER: (0,),
-    ComplianceType.COMPLIER: (0, 1),
-    ComplianceType.ALWAYSTAKER: (1,),
-}
-_CANONICAL_Y = {
-    ComplianceType.NEVERTAKER: ((0, 0),),
-    ComplianceType.COMPLIER: Y_CELLS,
-    ComplianceType.ALWAYSTAKER: ((1, 1),),
-}
+# cells each compliance type's canonical table defines, one row per label in
+# COMPLIANCE_ORDER: x2 cells by first-period receipt, y cells in Y_CELLS order
+CANONICAL_X2_MASK = np.array([[1, 0], [1, 1], [0, 1]], dtype=bool)
+CANONICAL_Y_MASK = np.array([[1, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 1]], dtype=bool)
+_CANONICAL_CELLS = [tuple(row) for row in np.hstack([CANONICAL_X2_MASK, CANONICAL_Y_MASK]).tolist()]
+
+
+def invalid_tables(codes: np.ndarray, x2_cells: np.ndarray, y_cells: np.ndarray) -> np.ndarray:
+    """Per row: whether its defined (non-NaN) cells are neither the canonical
+    nor the full table for its label code."""
+    def_x2, def_y = ~np.isnan(x2_cells), ~np.isnan(y_cells)
+    canonical = ((def_x2 == CANONICAL_X2_MASK[codes]).all(axis=-1)
+                 & (def_y == CANONICAL_Y_MASK[codes]).all(axis=-1))
+    return ~(canonical | (def_x2.all(axis=-1) & def_y.all(axis=-1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,27 +156,14 @@ class PotentialTable:
             raise InvariantViolation("x2_cells must have 2 entries and y_cells 4")
         object.__setattr__(self, "x2_cells", x2)
         object.__setattr__(self, "y_cells", y)
-        defined_x2 = tuple(w for w in (0, 1) if x2[w] is not None)
-        defined_y = tuple(cell for cell in Y_CELLS if y[y_cell_index(*cell)] is not None)
-        canonical = (defined_x2 == _CANONICAL_X2[self.compliance]
-                     and defined_y == _CANONICAL_Y[self.compliance])
-        full = defined_x2 == (0, 1) and defined_y == Y_CELLS
-        if not (canonical or full):
+        defined = tuple(v is not None for v in x2 + y)
+        if not (all(defined) or defined == _CANONICAL_CELLS[COMPLIANCE_CODE[self.compliance]]):
+            defined_x2 = tuple(w for w in (0, 1) if x2[w] is not None)
+            defined_y = tuple(cell for cell in Y_CELLS if y[y_cell_index(*cell)] is not None)
             raise InvariantViolation(
                 f"cell pattern x2={defined_x2} y={defined_y} is not the canonical or "
                 f"full table for {self.compliance.value}"
             )
-
-    @classmethod
-    def from_cells(
-        cls,
-        compliance: ComplianceType,
-        x2_of: Mapping[int, float],
-        y_of: Mapping[Tuple[int, int], float],
-    ) -> "PotentialTable":
-        x2 = tuple(x2_of.get(w) for w in (0, 1))
-        y = tuple(y_of.get(cell) for cell in Y_CELLS)
-        return cls(compliance, x2, y)
 
     def x2(self, w1: int) -> float:
         w1 = _as_binary(w1, "w1")
@@ -188,12 +183,6 @@ class PotentialTable:
                 f"y cell (w1={w1}, w2={w2}) is undefined for a {self.compliance.value} unit"
             )
         return v
-
-    def defined_x2_cells(self) -> Tuple[int, ...]:
-        return tuple(w for w in (0, 1) if self.x2_cells[w] is not None)
-
-    def defined_y_cells(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple(c for c in Y_CELLS if self.y_cells[y_cell_index(*c)] is not None)
 
     def __eq__(self, other):
         if not isinstance(other, PotentialTable):
@@ -245,16 +234,50 @@ class ObservedUnit:
         return hash((self.x1.tobytes(), self.z1, self.w1, self.x2, self.z2, self.w2, self.y))
 
 
+_COLUMNS = ("X1", "z1", "w1", "x2", "z2", "w2", "y")
+_BINARY_COLUMNS = ("z1", "w1", "z2", "w2")
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Immutable collection of observed units sharing one covariate dimension."""
+    """Observed units as validated, read-only columns of one length n.
 
-    units: Tuple[ObservedUnit, ...]
-    covariate_dim: int
+    X1 is (n, p) float, z1/w1/z2/w2 are int8 with values 0 and 1, x2 and y
+    are float.  The constructor copies its inputs; a value that an
+    ObservedUnit would refuse raises InvariantViolation naming the 0-based
+    unit.  Units are built on demand by unit(i) and by iteration.
+    """
+
+    X1: np.ndarray
+    z1: np.ndarray
+    w1: np.ndarray
+    x2: np.ndarray
+    z2: np.ndarray
+    w2: np.ndarray
+    y: np.ndarray
 
     def __post_init__(self):
-        units = tuple(self.units)
-        p = int(self.covariate_dim)
+        shape = np.shape(self.X1)
+        if len(shape) != 2:
+            raise DimensionMismatch("X1 must be a 2-d array (n, p)")
+        for name in _COLUMNS:
+            v = np.asarray(getattr(self, name))
+            if v.shape != (shape if name == "X1" else shape[:1]):
+                raise DimensionMismatch(f"{name} has shape {v.shape}, X1 has {shape}")
+            binary = name in _BINARY_COLUMNS
+            bad = ((v != 0) & (v != 1)) if binary else ~np.isfinite(v)
+            if bad.any():
+                i = int(np.argmax(bad.reshape(shape[0], -1).any(axis=1)))
+                raise InvariantViolation(
+                    f"unit {i}: {name.lower()} must be {'0 or 1' if binary else 'finite'}")
+            v = v.astype(np.int8 if binary else float)
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def from_units(cls, units: Iterable[ObservedUnit], covariate_dim: int) -> "Dataset":
+        units = tuple(units)
+        p = int(covariate_dim)
         if p < 0:
             raise InvariantViolation(f"covariate_dim must be >= 0, got {p}")
         for i, u in enumerate(units):
@@ -262,48 +285,28 @@ class Dataset:
                 raise DimensionMismatch(
                     f"unit {i} has covariate dimension {u.x1.shape[0]}, expected {p}"
                 )
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "covariate_dim", p)
+        return cls(np.array([u.x1 for u in units]).reshape(len(units), p),
+                   *(np.array([getattr(u, k) for u in units]) for k in _COLUMNS[1:]))
+
+    @property
+    def covariate_dim(self) -> int:
+        return self.X1.shape[1]
 
     def __len__(self) -> int:
-        return len(self.units)
+        return self.X1.shape[0]
+
+    def unit(self, i: int) -> ObservedUnit:
+        return ObservedUnit(self.X1[i], self.z1[i], self.w1[i], self.x2[i],
+                            self.z2[i], self.w2[i], self.y[i])
 
     def __iter__(self):
-        return iter(self.units)
+        return map(self.unit, range(len(self)))
 
     def as_arrays(self) -> Dict[str, np.ndarray]:
-        """Column view: X1 (n, p), binary z1/w1/z2/w2, float x2/y."""
-        n = len(self.units)
-        p = self.covariate_dim
-        X1 = np.empty((n, p))
-        cols = {k: np.empty(n, dtype=int) for k in ("z1", "w1", "z2", "w2")}
-        x2 = np.empty(n)
-        y = np.empty(n)
-        for i, u in enumerate(self.units):
-            X1[i] = u.x1
-            cols["z1"][i] = u.z1
-            cols["w1"][i] = u.w1
-            cols["z2"][i] = u.z2
-            cols["w2"][i] = u.w2
-            x2[i] = u.x2
-            y[i] = u.y
-        return {"X1": X1, "x2": x2, "y": y, **cols}
-
-    @classmethod
-    def from_arrays(cls, X1, z1, w1, x2, z2, w2, y) -> "Dataset":
-        X1 = np.asarray(X1, dtype=float)
-        if X1.ndim != 2:
-            raise DimensionMismatch("X1 must be a 2-d array (n, p)")
-        units = tuple(
-            ObservedUnit(X1[i], int(z1[i]), int(w1[i]), float(x2[i]),
-                         int(z2[i]), int(w2[i]), float(y[i]))
-            for i in range(X1.shape[0])
-        )
-        return cls(units, X1.shape[1])
+        """The read-only columns by name, not copied."""
+        return {k: getattr(self, k) for k in _COLUMNS}
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (self.covariate_dim == other.covariate_dim
-                and len(self.units) == len(other.units)
-                and all(a == b for a, b in zip(self.units, other.units)))
+        return all(np.array_equal(getattr(self, k), getattr(other, k)) for k in _COLUMNS)

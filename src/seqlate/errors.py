@@ -56,7 +56,7 @@ class EmptyArm(SeqlateError, ValueError):
 
 
 class TooLarge(SeqlateError, ValueError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """Exhaustive enumeration would exceed its budget, or buffers do not fit in memory."""
 
 
 class SchemaError(SeqlateError, ValueError):

@@ -83,35 +83,31 @@ def _two_group_report(method: str, y1: np.ndarray, y0: np.ndarray,
 def itt_estimate(data: Dataset,
                  arms: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_ARMS) -> EstimateReport:
     """Difference of outcome means between two assignment arms (z1, z2)."""
-    arr = data.as_arrays()
     (a1, a2), (b1, b2) = arms
-    in1 = (arr["z1"] == a1) & (arr["z2"] == a2)
-    in0 = (arr["z1"] == b1) & (arr["z2"] == b2)
-    return _two_group_report("itt", arr["y"][in1], arr["y"][in0],
+    in1 = (data.z1 == a1) & (data.z2 == a2)
+    in0 = (data.z1 == b1) & (data.z2 == b2)
+    return _two_group_report("itt", data.y[in1], data.y[in0],
                              f"z=({a1},{a2})", f"z=({b1},{b2})")
 
 
 def per_protocol_estimate(data: Dataset,
                           arms: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_ARMS) -> EstimateReport:
     """ITT computed only on units whose receipts equal their assignments."""
-    arr = data.as_arrays()
-    kept = (arr["w1"] == arr["z1"]) & (arr["w2"] == arr["z2"])
+    kept = (data.w1 == data.z1) & (data.w2 == data.z2)
     (a1, a2), (b1, b2) = arms
-    in1 = kept & (arr["z1"] == a1) & (arr["z2"] == a2)
-    in0 = kept & (arr["z1"] == b1) & (arr["z2"] == b2)
-    rep = _two_group_report("per_protocol", arr["y"][in1], arr["y"][in0],
-                            f"z=({a1},{a2})", f"z=({b1},{b2})")
-    return rep
+    in1 = kept & (data.z1 == a1) & (data.z2 == a2)
+    in0 = kept & (data.z1 == b1) & (data.z2 == b2)
+    return _two_group_report("per_protocol", data.y[in1], data.y[in0],
+                             f"z=({a1},{a2})", f"z=({b1},{b2})")
 
 
 def as_treated_estimate(data: Dataset,
                         arms: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_ARMS) -> EstimateReport:
     """Difference of outcome means between two receipt groups (w1, w2)."""
-    arr = data.as_arrays()
     (a1, a2), (b1, b2) = arms
-    in1 = (arr["w1"] == a1) & (arr["w2"] == a2)
-    in0 = (arr["w1"] == b1) & (arr["w2"] == b2)
-    return _two_group_report("as_treated", arr["y"][in1], arr["y"][in0],
+    in1 = (data.w1 == a1) & (data.w2 == a2)
+    in0 = (data.w1 == b1) & (data.w2 == b2)
+    return _two_group_report("as_treated", data.y[in1], data.y[in0],
                              f"w=({a1},{a2})", f"w=({b1},{b2})")
 
 

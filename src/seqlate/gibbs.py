@@ -122,19 +122,13 @@ class _VectorData:
     """Column view of a dataset plus precomputed masks the sweeps reuse."""
 
     def __init__(self, data: Dataset):
-        arr = data.as_arrays()
         self.n = len(data)
         self.p = data.covariate_dim
-        self.X1 = arr["X1"]
+        self.X1, self.z1, self.w1, self.x2 = data.X1, data.z1, data.w1, data.x2
+        self.z2, self.w2, self.y = data.z2, data.w2, data.y
         self.U1 = logit_design(self.X1)
-        self.z1 = arr["z1"]
-        self.w1 = arr["w1"]
-        self.z2 = arr["z2"]
-        self.w2 = arr["w2"]
         self.w1f = self.w1.astype(float)
         self.w2f = self.w2.astype(float)
-        self.x2 = arr["x2"]
-        self.y = arr["y"]
         consistent = np.zeros((self.n, 3), dtype=bool)
         consistent[:, _NT] = (self.w1 == 0) & (self.w2 == 0)
         consistent[:, _CO] = (self.w1 == self.z1) & (self.w2 == self.z2)

@@ -7,27 +7,56 @@ the two assignment coins.  Because every unit consumes the same number of
 draws in the same order, flipping assignments leaves all potential-outcome
 noise unchanged, which is what makes counterfactual-stability checks with
 common random numbers possible.
+
+That per-unit layout is all the per-unit loop does: it fills draw buffers.
+Labels, receipts and cells are then computed column by column, with the same
+floating-point operations in the same order as one unit at a time, so every
+seed gives the same dataset and sidecar, bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, replace
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .domain import (
+    CANONICAL_X2_MASK,
+    CANONICAL_Y_MASK,
     COMPLIANCE_ORDER,
     ComplianceType,
     Dataset,
-    ObservedUnit,
     PotentialTable,
     Y_CELLS,
-    realized_treatment,
     y_cell_index,
 )
-from .errors import InvalidConfig, NoCompliers, UndefinedCell
+from .errors import InvalidConfig, NoCompliers, TooLarge
+from .model import logit_design
 from .rng import substream
+
+
+def _set_logit_rows(spec, names: Tuple[str, str], key: str) -> None:
+    """Check a logit spec's two coefficient rows (finite, one length p+1)
+    and store them as read-only float vectors."""
+    rows = [np.asarray(getattr(spec, k), dtype=float).reshape(-1) for k in names]
+    if rows[0].shape != rows[1].shape or rows[0].shape[0] < 1:
+        raise InvalidConfig(f"{key}: logit rows must share length p+1")
+    if not np.isfinite(rows).all():
+        raise InvalidConfig(f"{key}: logit rows must be finite")
+    for k, row in zip(names, rows):
+        row.flags.writeable = False
+        object.__setattr__(spec, k, row)
+
+
+def _same_rows(a, b, *names: str) -> bool:
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in names)
+
+
+def _row_dot(X: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """x @ a for every row x of X, rounded exactly as that 1-d product is
+    (X @ a, einsum and (X * a).sum(1) may differ from it in the last bit)."""
+    return (X[:, None, :] @ a[:, None])[:, 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +77,8 @@ class ConstantCompliance:
             )
         object.__setattr__(self, "probs", probs)
 
-    def stratum_probs(self, x1: np.ndarray) -> np.ndarray:
-        return np.asarray(self.probs)
+    def stratum_probs(self, X1: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(self.probs), (X1.shape[0], 3))
 
     def __eq__(self, other):
         return isinstance(other, ConstantCompliance) and self.probs == other.probs
@@ -66,28 +95,18 @@ class LogitCompliance:
     gamma_at: np.ndarray
 
     def __post_init__(self):
-        gnt = np.asarray(self.gamma_nt, dtype=float).reshape(-1)
-        gat = np.asarray(self.gamma_at, dtype=float).reshape(-1)
-        if gnt.shape != gat.shape or gnt.shape[0] < 1:
-            raise InvalidConfig("compliance_probs: logit rows must share length p+1")
-        if not (np.all(np.isfinite(gnt)) and np.all(np.isfinite(gat))):
-            raise InvalidConfig("compliance_probs: logit rows must be finite")
-        gnt.flags.writeable = False
-        gat.flags.writeable = False
-        object.__setattr__(self, "gamma_nt", gnt)
-        object.__setattr__(self, "gamma_at", gat)
+        _set_logit_rows(self, ("gamma_nt", "gamma_at"), "compliance_probs")
 
-    def stratum_probs(self, x1: np.ndarray) -> np.ndarray:
-        u = np.concatenate([[1.0], x1])
-        logits = np.array([float(self.gamma_nt @ u), 0.0, float(self.gamma_at @ u)])
-        m = logits.max()
-        w = np.exp(logits - m)
-        return w / w.sum()
+    def stratum_probs(self, X1: np.ndarray) -> np.ndarray:
+        U = logit_design(X1)
+        l_nt, l_at = _row_dot(U, self.gamma_nt), _row_dot(U, self.gamma_at)
+        m = np.maximum(np.maximum(l_nt, 0.0), l_at)
+        w = np.column_stack([np.exp(l_nt - m), np.exp(0.0 - m), np.exp(l_at - m)])
+        # summed left to right, as the sum of a length-3 row is
+        return w / ((w[:, 0] + w[:, 1]) + w[:, 2])[:, None]
 
     def __eq__(self, other):
-        return (isinstance(other, LogitCompliance)
-                and np.array_equal(self.gamma_nt, other.gamma_nt)
-                and np.array_equal(self.gamma_at, other.gamma_at))
+        return isinstance(other, LogitCompliance) and _same_rows(self, other, "gamma_nt", "gamma_at")
 
 
 ComplianceSpec = Union[ConstantCompliance, LogitCompliance]
@@ -107,7 +126,7 @@ class ConstantAssignment:
                 raise InvalidConfig(f"assignment_probs: {name} must lie in [0, 1], got {v}")
             object.__setattr__(self, name, v)
 
-    def assignment_probs(self, x1: np.ndarray) -> Tuple[float, float]:
+    def assignment_probs(self, X1: np.ndarray) -> Tuple[float, float]:
         return self.pi_z1, self.pi_z2
 
     def __eq__(self, other):
@@ -126,27 +145,14 @@ class LogitAssignment:
     coef_z2: np.ndarray
 
     def __post_init__(self):
-        c1 = np.asarray(self.coef_z1, dtype=float).reshape(-1)
-        c2 = np.asarray(self.coef_z2, dtype=float).reshape(-1)
-        if c1.shape != c2.shape or c1.shape[0] < 1:
-            raise InvalidConfig("assignment_probs: logit rows must share length p+1")
-        if not (np.all(np.isfinite(c1)) and np.all(np.isfinite(c2))):
-            raise InvalidConfig("assignment_probs: logit rows must be finite")
-        c1.flags.writeable = False
-        c2.flags.writeable = False
-        object.__setattr__(self, "coef_z1", c1)
-        object.__setattr__(self, "coef_z2", c2)
+        _set_logit_rows(self, ("coef_z1", "coef_z2"), "assignment_probs")
 
-    def assignment_probs(self, x1: np.ndarray) -> Tuple[float, float]:
-        u = np.concatenate([[1.0], x1])
-        e1 = float(self.coef_z1 @ u)
-        e2 = float(self.coef_z2 @ u)
-        return 1.0 / (1.0 + np.exp(-e1)), 1.0 / (1.0 + np.exp(-e2))
+    def assignment_probs(self, X1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        U = logit_design(X1)
+        return tuple(1.0 / (1.0 + np.exp(-_row_dot(U, c))) for c in (self.coef_z1, self.coef_z2))
 
     def __eq__(self, other):
-        return (isinstance(other, LogitAssignment)
-                and np.array_equal(self.coef_z1, other.coef_z1)
-                and np.array_equal(self.coef_z2, other.coef_z2))
+        return isinstance(other, LogitAssignment) and _same_rows(self, other, "coef_z1", "coef_z2")
 
 
 AssignmentSpec = Union[ConstantAssignment, LogitAssignment]
@@ -192,42 +198,26 @@ class DgpConfig:
         if not 0 <= int(self.seed) < 2 ** 64:
             raise InvalidConfig(f"seed: must be a 64-bit unsigned integer, got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
-        if not isinstance(self.compliance_probs, (ConstantCompliance, LogitCompliance)):
-            raise InvalidConfig("compliance_probs: expected a compliance spec")
-        if isinstance(self.compliance_probs, LogitCompliance):
-            if self.compliance_probs.gamma_nt.shape[0] != self.p + 1:
-                raise InvalidConfig(
-                    f"compliance_probs: logit rows must have length p+1={self.p + 1}"
-                )
-        if not isinstance(self.assignment_probs, (ConstantAssignment, LogitAssignment)):
-            raise InvalidConfig("assignment_probs: expected an assignment spec")
-        if isinstance(self.assignment_probs, LogitAssignment):
-            if self.assignment_probs.coef_z1.shape[0] != self.p + 1:
-                raise InvalidConfig(
-                    f"assignment_probs: logit rows must have length p+1={self.p + 1}"
-                )
-        ic = self.intermediate_coeffs
-        ic = default_intermediate_coeffs(self.p) if ic is None else np.asarray(ic, dtype=float)
-        if ic.shape != (self.p + 4,):
-            raise InvalidConfig(
-                f"intermediate_coeffs: must have length p+4={self.p + 4}, got {ic.shape[0]}"
-            )
-        if not np.all(np.isfinite(ic)):
-            raise InvalidConfig("intermediate_coeffs: must be finite")
-        ic = ic.copy()
-        ic.flags.writeable = False
-        object.__setattr__(self, "intermediate_coeffs", ic)
-        oc = self.outcome_coeffs
-        oc = default_outcome_coeffs(self.p) if oc is None else np.asarray(oc, dtype=float)
-        if oc.shape != (self.p + 7,):
-            raise InvalidConfig(
-                f"outcome_coeffs: must have length p+7={self.p + 7}, got {oc.shape[0]}"
-            )
-        if not np.all(np.isfinite(oc)):
-            raise InvalidConfig("outcome_coeffs: must be finite")
-        oc = oc.copy()
-        oc.flags.writeable = False
-        object.__setattr__(self, "outcome_coeffs", oc)
+        for key, kinds in (("compliance_probs", (ConstantCompliance, LogitCompliance)),
+                           ("assignment_probs", (ConstantAssignment, LogitAssignment))):
+            spec = getattr(self, key)
+            if not isinstance(spec, kinds):
+                raise InvalidConfig(f"{key}: expected a {key.split('_')[0]} spec")
+            # the coefficient rows of a logit spec
+            rows = [v for v in vars(spec).values() if isinstance(v, np.ndarray)]
+            if rows and rows[0].shape[0] != self.p + 1:
+                raise InvalidConfig(f"{key}: logit rows must have length p+1={self.p + 1}")
+        for key, default, extra in (("intermediate_coeffs", default_intermediate_coeffs, 4),
+                                    ("outcome_coeffs", default_outcome_coeffs, 7)):
+            v = getattr(self, key)
+            v = default(self.p) if v is None else np.array(v, dtype=float)
+            if v.shape != (self.p + extra,):
+                raise InvalidConfig(f"{key}: must have length p+{extra}={self.p + extra}, "
+                                    f"got {v.shape[0]}")
+            if not np.all(np.isfinite(v)):
+                raise InvalidConfig(f"{key}: must be finite")
+            v.flags.writeable = False
+            object.__setattr__(self, key, v)
         for name in ("intermediate_noise_sd", "outcome_noise_sd"):
             v = float(getattr(self, name))
             if not (np.isfinite(v) and v > 0):
@@ -250,103 +240,102 @@ class DgpConfig:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Latent side of a simulated dataset.
+    """Latent side of a simulated dataset, as columns.
 
-    true_late is the finite-sample complier contrast between receiving
-    treatment in both periods and in neither; NaN when the sample holds no
-    compliers (n_co == 0).
+    codes holds each unit's compliance label as an int8 index into
+    COMPLIANCE_ORDER; x2_cells (n, 2) and y_cells (n, 4, in Y_CELLS order)
+    hold its potential cells, NaN where its table leaves a cell undefined.
+    The arrays are made read-only.  true_late is the finite-sample complier
+    contrast between receiving treatment in both periods and in neither;
+    NaN when the sample holds no compliers (n_co == 0).
     """
 
-    compliance: Tuple[ComplianceType, ...]
-    tables: Tuple[PotentialTable, ...]
+    codes: np.ndarray
+    x2_cells: np.ndarray
+    y_cells: np.ndarray
     true_late: float
     n_co: int
 
+    def __post_init__(self):
+        for v in (self.codes, self.x2_cells, self.y_cells):
+            v.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.codes.shape[0]
+
+    def table(self, i: int) -> PotentialTable:
+        cells = [None if v != v else v for v in self.x2_cells[i].tolist() + self.y_cells[i].tolist()]
+        return PotentialTable(COMPLIANCE_ORDER[self.codes[i]], cells[:2], cells[2:])
+
+    @property
+    def compliance(self) -> Tuple[ComplianceType, ...]:
+        return tuple(map(COMPLIANCE_ORDER.__getitem__, self.codes.tolist()))
+
+    @property
+    def tables(self) -> Tuple[PotentialTable, ...]:
+        return tuple(map(self.table, range(len(self))))
+
 
 _DEFAULT_CONTRAST = ((1, 1), (0, 0))
-
-
-def _draw_categorical(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw over (nt, co, at); zero-probability cells are skipped."""
-    cum = np.cumsum(probs)
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= probs.shape[0]:
-        positive = np.nonzero(probs > 0)[0]
-        idx = int(positive[-1])
-    return idx
-
-
-def _stratum_indicators(c: ComplianceType) -> Tuple[float, float]:
-    at = 1.0 if c is ComplianceType.ALWAYSTAKER else 0.0
-    nt = 1.0 if c is ComplianceType.NEVERTAKER else 0.0
-    return at, nt
+_CO = COMPLIANCE_ORDER.index(ComplianceType.COMPLIER)
+_AT = COMPLIANCE_ORDER.index(ComplianceType.ALWAYSTAKER)
+_NT = COMPLIANCE_ORDER.index(ComplianceType.NEVERTAKER)
 
 
 def simulate_dataset(cfg: DgpConfig) -> Tuple[Dataset, GroundTruth]:
-    """Generate a dataset and its latent ground truth, deterministically."""
-    p = cfg.p
+    """Generate a dataset and its latent ground truth, deterministically.
+
+    TooLarge when the draw buffers for cfg.n units cannot be allocated.
+    """
+    n, p = cfg.n, cfg.p
     alpha = cfg.intermediate_coeffs
     beta = cfg.outcome_coeffs
-    sx = cfg.intermediate_noise_sd
-    sy = cfg.outcome_noise_sd
-
-    units: List[ObservedUnit] = []
-    labels: List[ComplianceType] = []
-    tables: List[PotentialTable] = []
-    for i in range(cfg.n):
+    try:
+        X1, u_c, eps, u_z = np.empty((n, p)), np.empty(n), np.empty((n, 6)), np.empty((n, 2))
+    except (MemoryError, ValueError):
+        raise TooLarge(f"n: {n} units do not fit in memory") from None
+    for i in range(n):
         g = substream(cfg.seed, "unit", i)
-        x1 = g.standard_normal(p)
-        u_c = g.uniform()
-        probs = cfg.compliance_probs.stratum_probs(x1)
-        c = COMPLIANCE_ORDER[_draw_categorical(probs, u_c)]
-        eps_x = g.standard_normal(2)          # one noise draw per x2 cell
-        eps_y = g.standard_normal(4)          # one noise draw per y cell
-        u_z = g.uniform(size=2)
-        pi1, pi2 = cfg.assignment_probs.assignment_probs(x1)
-        z1 = int(u_z[0] < pi1)
-        z2 = int(u_z[1] < pi2)
-        w1 = realized_treatment(c, z1)
-        w2 = realized_treatment(c, z2)
+        # random() draws what uniform() would: 0.0 + 1.0 * u is u
+        g.standard_normal(out=X1[i])
+        u_c[i] = g.random()
+        g.standard_normal(out=eps[i])         # 2 x2 cells, then 4 y cells
+        g.random(out=u_z[i])
 
-        at, nt = _stratum_indicators(c)
-        if cfg.all_cells or c is ComplianceType.COMPLIER:
-            x2_ws = (0, 1)
-        else:
-            x2_ws = (w1,)
-        x2_of = {}
-        for wcell in x2_ws:
-            mu = float(alpha[0] + x1 @ alpha[1:1 + p] + alpha[p + 1] * wcell
-                       + alpha[p + 2] * at + alpha[p + 3] * nt)
-            x2_of[wcell] = mu + sx * eps_x[wcell]
-        if cfg.all_cells or c is ComplianceType.COMPLIER:
-            y_ws = Y_CELLS
-        else:
-            y_ws = ((w1, w2),)
-        y_of = {}
-        for cell in y_ws:
-            w1c, w2c = cell
-            mu = float(beta[0] + x1 @ beta[1:1 + p] + beta[p + 1] * x2_of[w1c]
-                       + beta[p + 2] * w1c + beta[p + 3] * w2c
-                       + beta[p + 4] * w1c * w2c + beta[p + 5] * at + beta[p + 6] * nt)
-            y_of[cell] = mu + sy * eps_y[y_cell_index(w1c, w2c)]
+    # inverse-CDF label draw: the number of running sums at or below u_c,
+    # capped at the last stratum of positive probability
+    P = cfg.compliance_probs.stratum_probs(X1)
+    last = 2 - np.argmax(P[:, ::-1] > 0, axis=1)
+    codes = np.minimum((np.cumsum(P, axis=1) <= u_c[:, None]).sum(axis=1), last).astype(np.int8)
+    pi1, pi2 = cfg.assignment_probs.assignment_probs(X1)
+    z1 = (u_z[:, 0] < pi1).astype(np.int8)
+    z2 = (u_z[:, 1] < pi2).astype(np.int8)
+    co, at = codes == _CO, codes == _AT
+    w1 = np.where(co, z1, at).astype(np.int8)
+    w2 = np.where(co, z2, at).astype(np.int8)
 
-        table = PotentialTable.from_cells(c, x2_of, y_of)
-        units.append(ObservedUnit(x1, z1, w1, x2_of[w1], z2, w2, y_of[(w1, w2)]))
-        labels.append(c)
-        tables.append(table)
+    atf, ntf = at.astype(float), (codes == _NT).astype(float)
+    dot_a, dot_b = _row_dot(X1, alpha[1:1 + p]), _row_dot(X1, beta[1:1 + p])
+    x2_cells = np.empty((n, 2))
+    for w in (0, 1):
+        mu = alpha[0] + dot_a + alpha[p + 1] * w + alpha[p + 2] * atf + alpha[p + 3] * ntf
+        x2_cells[:, w] = mu + cfg.intermediate_noise_sd * eps[:, w]
+    y_cells = np.empty((n, 4))
+    for a, b in Y_CELLS:
+        k = y_cell_index(a, b)
+        mu = (beta[0] + dot_b + beta[p + 1] * x2_cells[:, a] + beta[p + 2] * a
+              + beta[p + 3] * b + beta[p + 4] * a * b + beta[p + 5] * atf + beta[p + 6] * ntf)
+        y_cells[:, k] = mu + cfg.outcome_noise_sd * eps[:, 2 + k]
+    if not cfg.all_cells:
+        x2_cells[~CANONICAL_X2_MASK[codes]] = np.nan
+        y_cells[~CANONICAL_Y_MASK[codes]] = np.nan
 
-    n_co = sum(1 for c in labels if c is ComplianceType.COMPLIER)
-    if n_co > 0:
-        (a1, a2), (b1, b2) = _DEFAULT_CONTRAST
-        diffs = [t.y(a1, a2) - t.y(b1, b2) for t, c in zip(tables, labels)
-                 if c is ComplianceType.COMPLIER]
-        true_late = float(np.mean(diffs))
-    else:
-        true_late = float("nan")
-    gt = GroundTruth(tuple(labels), tuple(tables), true_late, n_co)
-    return Dataset(tuple(units), p), gt
+    rows = np.arange(n)
+    data = Dataset(X1, z1, w1, x2_cells[rows, w1], z2, w2, y_cells[rows, 2 * w1 + w2])
+    truth = GroundTruth(codes, x2_cells, y_cells, float("nan"), int(co.sum()))
+    return data, replace(truth, true_late=true_sample_late(truth)) if truth.n_co else truth
 
 
 def true_sample_late(gt: GroundTruth,
@@ -355,9 +344,8 @@ def true_sample_late(gt: GroundTruth,
     if gt.n_co == 0:
         raise NoCompliers("the sample contains no compliers")
     (a1, a2), (b1, b2) = contrast
-    diffs = [t.y(a1, a2) - t.y(b1, b2) for t, c in zip(gt.tables, gt.compliance)
-             if c is ComplianceType.COMPLIER]
-    return float(np.mean(diffs))
+    co = gt.y_cells[gt.codes == _CO]
+    return float(np.mean(co[:, y_cell_index(a1, a2)] - co[:, y_cell_index(b1, b2)]))
 
 
 def true_sample_sate(gt: GroundTruth,
@@ -368,5 +356,9 @@ def true_sample_sate(gt: GroundTruth,
     needed cells are undefined for noncompliers and UndefinedCell is raised.
     """
     (a1, a2), (b1, b2) = contrast
-    diffs = [t.y(a1, a2) - t.y(b1, b2) for t in gt.tables]
-    return float(np.mean(diffs))
+    treated, control = gt.y_cells[:, y_cell_index(a1, a2)], gt.y_cells[:, y_cell_index(b1, b2)]
+    undefined = np.isnan(treated) | np.isnan(control)
+    if undefined.any():
+        table = gt.table(int(np.argmax(undefined)))
+        table.y(a1, a2) - table.y(b1, b2)     # raises UndefinedCell
+    return float(np.mean(treated - control))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -136,6 +137,44 @@ def test_compare_rejects_a_cut_truth_sidecar(tmp_path, capsys):
     assert main(compare) == 3
     captured = capsys.readouterr()
     assert "10 units" in captured.err and "bias" not in captured.out
+
+
+def _stub_fit(fit_dir):
+    fit_dir.mkdir()
+    write_draws_csv(fit_dir / "draws.csv", ["beta_0"],
+                    [(i + 1, 0, 1.0 + 0.01 * i, np.array([0.0])) for i in range(20)])
+    return fit_dir
+
+
+def test_compare_rejects_a_truth_sidecar_from_another_dataset(tmp_path, capsys):
+    # two datasets of the same size; seed 4's sidecar next to seed 3's data
+    sims = {}
+    for seed in (3, 4):
+        cfg = tmp_path / f"seed{seed}.ini"
+        cfg.write_text(f"[dgp]\nn = 40\nseed = {seed}\np = 0\nall_cells = true\n")
+        sims[seed] = tmp_path / f"sim{seed}"
+        assert main(["simulate", "--config", str(cfg), "--out", str(sims[seed])]) == 0
+    shutil.copy(sims[4] / "dataset.truth.json", sims[3] / "dataset.truth.json")
+    fit_dir = _stub_fit(tmp_path / "fit")
+    capsys.readouterr()
+    assert main(["compare", "--data", str(sims[3] / "dataset.csv"), "--fit", str(fit_dir)]) == 3
+    captured = capsys.readouterr()
+    assert "does not match row" in captured.err and "bias" not in captured.out
+
+
+def test_compare_rejects_a_sidecar_one_observed_cell_off(sim_dir, tmp_path, capsys):
+    sidecar = sim_dir / "dataset.truth.json"
+    doc = json.loads(sidecar.read_text())
+    # line 7 of the file is data row 7, which is unit 7 (tables[6]) of the sidecar
+    row = (sim_dir / "dataset.csv").read_text().splitlines()[7].split(",")
+    w1, w2 = int(row[2]), int(row[5])
+    cells = doc["tables"][6]["y"]
+    cells[2 * w1 + w2] = float(np.nextafter(cells[2 * w1 + w2], np.inf))
+    sidecar.write_text(json.dumps(doc))
+    fit_dir = _stub_fit(tmp_path / "fit")
+    capsys.readouterr()
+    assert main(["compare", "--data", str(sim_dir / "dataset.csv"), "--fit", str(fit_dir)]) == 3
+    assert "unit 7 does not match row 7" in capsys.readouterr().err
 
 
 def test_compare_rejects_a_malformed_draws_file(sim_dir, tmp_path, capsys):
@@ -306,3 +345,12 @@ def test_validate_subcommand_passes(capsys):
     assert rc == 0
     assert "FAIL" not in out
     assert out.count("PASS") >= 6
+
+
+def test_simulate_too_large_to_allocate_is_a_data_error(tmp_path, capsys):
+    # the draw buffers are allocated before the per-unit loop; 10**15 units
+    # fail that allocation at once, without touching memory
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text("[dgp]\nn = 1000000000000000\nseed = 1\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 3
+    assert "do not fit in memory" in capsys.readouterr().err

@@ -169,7 +169,7 @@ def test_csv_float_fields_survive_round_trip(tmp_path_factory, values):
     units = tuple(
         ObservedUnit(np.array([v]), 0, 0, v, 0, 0, v) for v in values
     )
-    data = Dataset(units, 1)
+    data = Dataset.from_units(units, 1)
     path = tmp / "f.csv"
     write_dataset_csv(data, path)
     back = read_dataset_csv(path)

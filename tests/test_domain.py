@@ -115,13 +115,6 @@ def test_potential_table_undefined_cell_raises():
         tab.y(1, 1)
 
 
-def test_potential_table_from_cells_round_trip():
-    tab = PotentialTable.from_cells(CO, {0: 0.1, 1: 0.2},
-                                    {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 4.0})
-    assert tab.x2_cells == (0.1, 0.2)
-    assert tab.y_cells == (1.0, 2.0, 3.0, 4.0)
-
-
 def test_observed_unit_validates_binaries():
     with pytest.raises(InvariantViolation):
         ObservedUnit(np.array([0.0]), 2, 0, 0.5, 0, 0, 1.0)
@@ -147,24 +140,24 @@ def test_dataset_as_arrays_round_trip():
         ObservedUnit(np.array([0.3, -0.6]), 0, 1, 2.5, 1, 1, 3.0),
         ObservedUnit(np.array([0.4, -0.8]), 1, 0, 3.5, 0, 0, 4.0),
     )
-    data = Dataset(units, 2)
+    data = Dataset.from_units(units, 2)
     arr = data.as_arrays()
     assert arr["X1"].shape == (4, 2)
     assert np.array_equal(arr["y"], np.array([1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(arr["z1"], np.array([0, 1, 0, 1]))
-    back = Dataset.from_arrays(**arr)
+    back = Dataset(**arr)
     assert back == data
 
 
 def test_dataset_rejects_wrong_covariate_dim():
     unit = ObservedUnit(np.array([0.1]), 0, 0, 0.5, 0, 0, 1.0)
     with pytest.raises(DimensionMismatch):
-        Dataset((unit,), 2)
+        Dataset.from_units((unit,), 2)
 
 
 def test_dataset_equality_is_by_value():
     u1 = ObservedUnit(np.array([0.1]), 0, 0, 0.5, 0, 0, 1.0)
     u2 = ObservedUnit(np.array([0.1]), 0, 0, 0.5, 0, 0, 1.0)
-    assert Dataset((u1,), 1) == Dataset((u2,), 1)
+    assert Dataset.from_units((u1,), 1) == Dataset.from_units((u2,), 1)
     u3 = ObservedUnit(np.array([0.1]), 0, 0, 0.5, 0, 0, 1.5)
-    assert Dataset((u1,), 1) != Dataset((u3,), 1)
+    assert Dataset.from_units((u1,), 1) != Dataset.from_units((u3,), 1)

@@ -35,7 +35,7 @@ def hand_dataset():
         # assigned (1,1) but untreated: nevertaker
         unit(1, 0, 0.0, 1, 0, -10.0),
     )
-    return Dataset(units, 1)
+    return Dataset.from_units(units, 1)
 
 
 def test_itt_uses_assignment_arms():
@@ -69,7 +69,7 @@ def test_custom_arms_select_other_groups():
         unit(1, 1, 0.0, 0, 0, 7.0),
         unit(0, 0, 0.0, 0, 0, 1.0),
     )
-    data = Dataset(units, 1)
+    data = Dataset.from_units(units, 1)
     rep = itt_estimate(data, arms=((1, 0), (0, 0)))
     assert rep.point == pytest.approx(6.0 - 1.0)
 
@@ -87,7 +87,7 @@ def test_full_compliance_collapses_all_baselines():
 
 def test_empty_arm_raises():
     units = (unit(1, 1, 0.0, 1, 1, 2.0), unit(1, 1, 0.0, 1, 1, 3.0))
-    data = Dataset(units, 1)
+    data = Dataset.from_units(units, 1)
     with pytest.raises(EmptyArm):
         itt_estimate(data)
 

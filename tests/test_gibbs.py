@@ -56,7 +56,7 @@ def zero_loading_theta(gamma_nt=(0.0, 0.0), sigma=1.0):
 
 
 def one_unit_dataset(z1, w1, z2, w2):
-    return Dataset((ObservedUnit(np.array([0.3]), z1, w1, 0.6, z2, w2, 1.1),), 1)
+    return Dataset.from_units((ObservedUnit(np.array([0.3]), z1, w1, 0.6, z2, w2, 1.1),), 1)
 
 
 def test_label_posterior_equal_densities_split_half():
@@ -109,19 +109,16 @@ def test_label_posterior_is_permutation_equivariant():
                    float(rng.uniform(0.5, 2)))
         probs = compliance_posterior(th, data)
         perm = rng.permutation(len(data))
-        data_perm = Dataset(tuple(data.units[i] for i in perm), 1)
+        data_perm = Dataset.from_units([data.unit(i) for i in perm], 1)
         probs_perm = compliance_posterior(th, data_perm)
         assert np.array_equal(probs[perm], probs_perm)
 
 
 def test_vector_data_rejects_impossible_unit():
-    unit = ObservedUnit.__new__(ObservedUnit)
-    object.__setattr__(unit, "x1", np.array([0.0]))
-    for name, val in (("z1", 0), ("w1", 1), ("z2", 1), ("w2", 0),
-                      ("x2", 0.0), ("y", 0.0)):
-        object.__setattr__(unit, name, val)
+    # (z1, w1, z2, w2) = (0, 1, 1, 0) is a defier history
+    data = Dataset(np.zeros((1, 1)), z1=[0], w1=[1], x2=[0.0], z2=[1], w2=[0], y=[0.0])
     with pytest.raises(InconsistentUnit, match="unit 0"):
-        as_vector_data(Dataset.__new__(Dataset).__class__((unit,), 1))
+        as_vector_data(data)
 
 
 def test_step_compliance_respects_admissibility():

@@ -1,8 +1,11 @@
 """Data-generating process: determinism, frequencies, counterfactual noise."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from seqlate.dataio import write_dataset_csv, write_truth_json
 from seqlate.domain import ComplianceType, classify_compliance, realized_treatment
 from seqlate.errors import InvalidConfig, NoCompliers, UndefinedCell
 from seqlate.simulate import (
@@ -220,3 +223,52 @@ def test_constant_specs_are_hashable_dataclass_defaults():
     assert c == d and hash(c) == hash(d)
     assert c != ConstantAssignment(0.5, 0.4)
     assert len({a, b, c, d}) == 2
+
+
+# Output digests of the simulator, pinned so that a rewrite of how cells are
+# computed must reproduce every existing dataset and sidecar byte for byte.
+_LARGE_N_LOGIT = (np.array([-1.0, 0.5, -0.3, 0.2]), np.array([-1.2, -0.4, 0.3, 0.5]))
+_PINNED_CONFIGS = {
+    "p0-all-cells": (
+        dict(n=300, seed=21, p=0, all_cells=True,
+             compliance_probs=ConstantCompliance((0.3, 0.4, 0.3))),
+        "7843ddcb00aea097f0a4340873901fe287ea27f4e8e92440e016cc6b446f7046",
+        "5298d98dda983164d3ba82827938817c6a7b64204520c5e9738c030affd2bf50"),
+    "p1-constant": (
+        dict(n=300, seed=22, p=1, compliance_probs=ConstantCompliance((0.25, 0.5, 0.25)),
+             assignment_probs=ConstantAssignment(0.4, 0.6)),
+        "1aa115fba2ae434df006274b9ee57b31d6a044599a2ef3a79687fbad119eb8e3",
+        "8a2e95988d2a7e81e233cea013f1e20eedec1f8fb75ac5f0224a61fb83cfe8d5"),
+    "p3-logit-compliance": (
+        dict(n=2000, seed=23, p=3, compliance_probs=LogitCompliance(*_LARGE_N_LOGIT)),
+        "fcd6d17696226669e6ed9080284fefbcb05eeeabbb8a8085fda64a1f20998bb3",
+        "945c949f7fd63b261d974763eb53da7190e0b0eb79a9e41d08f7560895bd2adb"),
+    "p2-logit-assignment": (
+        dict(n=300, seed=24, p=2,
+             assignment_probs=LogitAssignment(np.array([0.2, 1.5, -0.7]),
+                                              np.array([-0.3, -0.6, 1.1]))),
+        "19e3707a795c1cf1bbba207bef02334ffb66276f0c4a2d61aaa1d9492a418f48",
+        "0a9807e5f26626c2a58f210a7bb2f43d521c62b32e5ec37e15ae2307b01b0064"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_CONFIGS))
+def test_simulated_files_are_pinned(name, tmp_path):
+    kwargs, data_digest, truth_digest = _PINNED_CONFIGS[name]
+    data, truth = simulate_dataset(DgpConfig(**kwargs))
+    write_dataset_csv(data, tmp_path / "dataset.csv")
+    write_truth_json(truth, tmp_path / "dataset.truth.json")
+    sha = lambda f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+    assert (sha("dataset.csv"), sha("dataset.truth.json")) == (data_digest, truth_digest)
+
+
+@pytest.mark.parametrize("p", range(6))
+def test_batched_row_dot_matches_per_row_dot(p):
+    # the simulator's per-unit x1 @ a, computed for all rows at once; plain
+    # X @ a, einsum and (X * a).sum(1) may round differently in the last bit
+    rng = np.random.default_rng(p)
+    X = rng.standard_normal((500, p))
+    a = rng.standard_normal(p) * 3.0
+    want = np.array([x @ a for x in X])
+    got = (X[:, None, :] @ a[:, None])[:, 0, 0]
+    assert np.array_equal(got, want)

@@ -66,7 +66,7 @@ def test_exact_posterior_matches_committed_golden():
 
 def test_exact_posterior_certain_units_get_sole_type():
     # one alwaystaker-certain unit and one nevertaker-certain unit
-    data = Dataset((unit(0, 1, 1, 1), unit(1, 0, 0, 0)), 1)
+    data = Dataset.from_units((unit(0, 1, 1, 1), unit(1, 0, 0, 0)), 1)
     spec = DiscreteSpec((flat_theta(), flat_theta(sigma=2.0)), np.array([0.5, 0.5]))
     post = exact_posterior(data, spec)
     # excluded strata carry literally zero mass; the sole admissible one
@@ -85,7 +85,7 @@ def test_exact_posterior_certain_units_get_sole_type():
 def test_exact_posterior_flat_likelihood_recovers_prior_weights():
     # sigma so large that the data carry no information about theta, with
     # identical stratum models across the grid: theta posterior == weights
-    data = Dataset((unit(0, 0, 0, 0), unit(1, 1, 1, 1)), 1)
+    data = Dataset.from_units((unit(0, 0, 0, 0), unit(1, 1, 1, 1)), 1)
     thetas = tuple(flat_theta(sigma=1e6, gamma_nt=g) for g in (0.0, 0.0, 0.0))
     weights = np.array([0.5, 0.3, 0.2])
     post = exact_posterior(data, DiscreteSpec(thetas, weights))
@@ -96,7 +96,7 @@ def test_exact_posterior_permutation_invariance():
     data, spec = load_three_unit_fixture()
     post = exact_posterior(data, spec)
     for perm in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):
-        permuted = Dataset(tuple(data.units[i] for i in perm), data.covariate_dim)
+        permuted = Dataset.from_units([data.unit(i) for i in perm], data.covariate_dim)
         post_p = exact_posterior(permuted, spec)
         rel = abs(post_p.log_evidence - post.log_evidence) / abs(post.log_evidence)
         assert rel < 1e-12
@@ -108,11 +108,11 @@ def test_exact_posterior_permutation_invariance():
 
 def test_exact_posterior_too_large():
     spec = DiscreteSpec((flat_theta(),), np.array([1.0]), max_units=3)
-    data = Dataset(tuple(unit(0, 0, 0, 0) for _ in range(4)), 1)
+    data = Dataset.from_units(tuple(unit(0, 0, 0, 0) for _ in range(4)), 1)
     with pytest.raises(TooLarge):
         exact_posterior(data, spec)
     tight = DiscreteSpec((flat_theta(),), np.array([1.0]), budget=10)
-    small = Dataset(tuple(unit(0, 0, 0, 0) for _ in range(3)), 1)
+    small = Dataset.from_units(tuple(unit(0, 0, 0, 0) for _ in range(3)), 1)
     with pytest.raises(TooLarge):
         exact_posterior(small, tight)
 
