@@ -204,10 +204,8 @@ def _cmd_fit(args) -> int:
     names = result.theta_names()
     theta = result.theta_matrix()
     late = result.late_matrix()
-    rows = []
-    for ci, chain in enumerate(result.chains):
-        for d in chain:
-            rows.append((d.iter, ci, d.late, d.theta.to_vector()))
+    rows = [(d.iter, ci, d.late, theta[ci, j])
+            for ci, chain in enumerate(result.chains) for j, d in enumerate(chain)]
     draws_path = out_dir / "draws.csv"
     write_draws_csv(draws_path, names, rows)
 

@@ -482,6 +482,32 @@ def _marginal_loglik(lw: np.ndarray) -> float:
     return float((m + np.log(total)).sum())
 
 
+def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarray:
+    """Gradient of _marginal_loglik(_log_weights(theta, data)) in
+    Theta.to_vector() layout.
+
+    It is sum_i sum_c r_ic d lw_ic / d theta, with r the normalised label
+    weights: a multinomial-logit score (r - pi) U1 for the logit rows, and a
+    Gaussian regression score for each of the two regression blocks, whose
+    type-c design row is the static row followed by the (alwaystaker,
+    nevertaker) indicators.
+    """
+    vd = as_vector_data(data)
+    r = _normalise(_log_weights(theta, vd))
+    pc = np.exp(compliance_log_prob_matrix(theta, vd.U1))
+    parts = [vd.U1.T @ (r[:, _NT] - pc[:, _NT]), vd.U1.T @ (r[:, _AT] - pc[:, _AT])]
+    for static, resp, coef, sigma in ((vd.x2_static, vd.x2, theta.alpha, theta.sigma_x),
+                                      (vd.y_static, vd.y, theta.beta, theta.sigma_y)):
+        k = static.shape[1]
+        # (n, 3) residuals; the indicator terms of (nt, co, at) are (coef[k+1], 0, coef[k])
+        res = (resp - static @ coef[:k])[:, None] - np.array([coef[k + 1], 0.0, coef[k]])
+        wres = r * res
+        parts += [static.T @ wres.sum(axis=1) / sigma ** 2,
+                  np.array([wres[:, _AT].sum(), wres[:, _NT].sum()]) / sigma ** 2,
+                  [float((wres * res).sum()) / sigma ** 3 - vd.n / sigma]]
+    return np.concatenate(parts)
+
+
 def _pack_unconstrained(theta: Theta) -> np.ndarray:
     vec = theta.to_vector()
     p = theta.p

@@ -1,10 +1,12 @@
-"""Parametric model: compliance mixture, cell densities, prior.
+"""Parametric model: the parameter container, the prior and the column
+density kernels.
 
 The latent compliance label follows a multinomial logit on the baseline
 covariates with the complier as reference category.  The intermediate
 outcome is linear in (x1, w1, stratum indicators) with Gaussian noise, and
 the final outcome is linear in (x1, x2, w1, w2, w1*w2, stratum indicators)
-with Gaussian noise.  All likelihood code works on the log scale.
+with Gaussian noise.  All likelihood code works on the log scale, over
+whole (n, 3) columns of units by candidate type.
 
 Design-row layouts (fixed everywhere, including the simulator):
 
@@ -16,44 +18,15 @@ Design-row layouts (fixed everywhere, including the simulator):
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
-from .domain import (
-    COMPLIANCE_CODE,
-    COMPLIANCE_ORDER,
-    ComplianceType,
-    ObservedUnit,
-    consistent_types,
-)
-from .errors import (
-    DimensionMismatch,
-    InconsistentUnit,
-    InvalidConfig,
-    InvariantViolation,
-)
+from .domain import COMPLIANCE_ORDER, ComplianceType
+from .errors import DimensionMismatch, InvalidConfig, InvariantViolation
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# instrumentation: when set, called as hook(factor_kind, compliance_type)
-# every time a cell density is evaluated.  Used to verify that marginal
-# likelihood code skips types the treatment pattern rules out.
-_EVAL_HOOK: Optional[Callable[[str, ComplianceType], None]] = None
-
-
-@contextmanager
-def density_eval_trace(records: List[Tuple[str, ComplianceType]]):
-    """Record (kind, type) for every cell-density evaluation in the block."""
-    global _EVAL_HOOK
-    prev = _EVAL_HOOK
-    _EVAL_HOOK = lambda kind, c: records.append((kind, c))
-    try:
-        yield records
-    finally:
-        _EVAL_HOOK = prev
 
 
 def _check_vector(v, name: str, length: int) -> np.ndarray:
@@ -199,168 +172,6 @@ def _invgamma_logpdf(v: float, shape: float, rate: float) -> float:
     return shape * math.log(rate) - math.lgamma(shape) - (shape + 1) * math.log(v) - rate / v
 
 
-def _logit_row(theta: Theta, x1: np.ndarray) -> np.ndarray:
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    if x1.shape[0] != theta.p:
-        raise DimensionMismatch(
-            f"x1 has length {x1.shape[0]} but theta expects p={theta.p}"
-        )
-    return np.concatenate([[1.0], x1])
-
-
-def compliance_log_prob(theta: Theta, x1) -> np.ndarray:
-    """Log stratum probabilities (nevertaker, complier, alwaystaker)."""
-    u = _logit_row(theta, x1)
-    logits = np.array([float(theta.gamma_nt @ u), 0.0, float(theta.gamma_at @ u)])
-    m = logits.max()
-    lse = m + math.log(np.exp(logits - m).sum())
-    return logits - lse
-
-
-def compliance_prob(theta: Theta, x1) -> np.ndarray:
-    """Stratum probabilities in (nt, co, at) order; sums to one."""
-    return np.exp(compliance_log_prob(theta, x1))
-
-
-def treatment_lik(c: ComplianceType, z: int, w: int) -> int:
-    """Point-mass likelihood of receipt w under assignment z for type c."""
-    return 1 if realized_equals(c, z, w) else 0
-
-
-def realized_equals(c: ComplianceType, z: int, w: int) -> bool:
-    from .domain import realized_treatment
-
-    return realized_treatment(c, int(z)) == int(w)
-
-
-def _x2_mean(theta: Theta, c: ComplianceType, x1: np.ndarray, w1: int) -> float:
-    p = theta.p
-    a = theta.alpha
-    at = 1.0 if c is ComplianceType.ALWAYSTAKER else 0.0
-    nt = 1.0 if c is ComplianceType.NEVERTAKER else 0.0
-    return float(a[0] + x1 @ a[1:1 + p] + a[p + 1] * w1 + a[p + 2] * at + a[p + 3] * nt)
-
-
-def _y_mean(theta: Theta, c: ComplianceType, x1: np.ndarray, x2: float,
-            w1: int, w2: int) -> float:
-    p = theta.p
-    b = theta.beta
-    at = 1.0 if c is ComplianceType.ALWAYSTAKER else 0.0
-    nt = 1.0 if c is ComplianceType.NEVERTAKER else 0.0
-    return float(
-        b[0] + x1 @ b[1:1 + p] + b[p + 1] * x2 + b[p + 2] * w1 + b[p + 3] * w2
-        + b[p + 4] * w1 * w2 + b[p + 5] * at + b[p + 6] * nt
-    )
-
-
-def intermediate_loglik(theta: Theta, c: ComplianceType, x1, w1: int, x2: float) -> float:
-    """Log density of the intermediate outcome cell x2(w1) for a type-c unit."""
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    if x1.shape[0] != theta.p:
-        raise DimensionMismatch(f"x1 has length {x1.shape[0]} but theta expects p={theta.p}")
-    if _EVAL_HOOK is not None:
-        _EVAL_HOOK("intermediate", c)
-    mu = _x2_mean(theta, c, x1, int(w1))
-    return float(_normal_logpdf(float(x2), mu, theta.sigma_x))
-
-
-def outcome_loglik(theta: Theta, c: ComplianceType, x1, x2: float,
-                   w1: int, w2: int, y: float) -> float:
-    """Log density of the final outcome cell y(w1, w2) for a type-c unit.
-
-    Assignment does not appear: given receipt and type, outcomes do not
-    depend on it.
-    """
-    x1 = np.asarray(x1, dtype=float).reshape(-1)
-    if x1.shape[0] != theta.p:
-        raise DimensionMismatch(f"x1 has length {x1.shape[0]} but theta expects p={theta.p}")
-    if _EVAL_HOOK is not None:
-        _EVAL_HOOK("outcome", c)
-    mu = _y_mean(theta, c, x1, float(x2), int(w1), int(w2))
-    return float(_normal_logpdf(float(y), mu, theta.sigma_y))
-
-
-def unit_marginal_loglik(theta: Theta, unit: ObservedUnit) -> float:
-    """Log likelihood of one unit with the latent stratum summed out.
-
-    Terms are accumulated only for strata the observed assignment/receipt
-    pattern admits; excluded strata contribute exact zeros and their cell
-    densities are never evaluated.  The sum uses a max-shifted log-sum-exp.
-    """
-    admissible = consistent_types(unit.z1, unit.w1, unit.z2, unit.w2)
-    if not admissible:
-        raise InconsistentUnit(
-            f"assignment/receipt pattern (z1={unit.z1}, w1={unit.w1}, "
-            f"z2={unit.z2}, w2={unit.w2}) admits no compliance type"
-        )
-    log_pc = compliance_log_prob(theta, unit.x1)
-    terms = []
-    for c in COMPLIANCE_ORDER:
-        if c not in admissible:
-            continue
-        ll = log_pc[COMPLIANCE_CODE[c]]
-        ll += intermediate_loglik(theta, c, unit.x1, unit.w1, unit.x2)
-        ll += outcome_loglik(theta, c, unit.x1, unit.x2, unit.w1, unit.w2, unit.y)
-        terms.append(ll)
-    m = max(terms)
-    return float(m + math.log(sum(math.exp(t - m) for t in terms)))
-
-
-def unit_marginal_grad(theta: Theta, unit: ObservedUnit) -> np.ndarray:
-    """Gradient of unit_marginal_loglik in Theta.to_vector() layout.
-
-    Uses stratum responsibilities: grad = sum_c r_c * grad(log term_c),
-    where r_c is the softmax weight of admissible stratum c.
-    """
-    admissible = consistent_types(unit.z1, unit.w1, unit.z2, unit.w2)
-    if not admissible:
-        raise InconsistentUnit("unit admits no compliance type")
-    p = theta.p
-    x1 = unit.x1
-    u = np.concatenate([[1.0], x1])
-    log_pc = compliance_log_prob(theta, unit.x1)
-    pc = np.exp(log_pc)
-
-    codes = [COMPLIANCE_CODE[c] for c in COMPLIANCE_ORDER if c in admissible]
-    types = [c for c in COMPLIANCE_ORDER if c in admissible]
-    terms = np.empty(len(types))
-    for j, c in enumerate(types):
-        terms[j] = (log_pc[COMPLIANCE_CODE[c]]
-                    + intermediate_loglik(theta, c, x1, unit.w1, unit.x2)
-                    + outcome_loglik(theta, c, x1, unit.x2, unit.w1, unit.w2, unit.y))
-    m = terms.max()
-    w = np.exp(terms - m)
-    resp = w / w.sum()
-
-    r_by_code = np.zeros(3)
-    for j, code in enumerate(codes):
-        r_by_code[code] = resp[j]
-
-    # multinomial-logit rows: d log P(c) / d gamma_g = (1[c=g] - p_g) * u
-    g_nt = (r_by_code[0] - pc[0]) * u
-    g_at = (r_by_code[2] - pc[2]) * u
-
-    g_alpha = np.zeros(p + 4)
-    g_sigma_x = 0.0
-    g_beta = np.zeros(p + 7)
-    g_sigma_y = 0.0
-    sx, sy = theta.sigma_x, theta.sigma_y
-    for j, c in enumerate(types):
-        at = 1.0 if c is ComplianceType.ALWAYSTAKER else 0.0
-        nt = 1.0 if c is ComplianceType.NEVERTAKER else 0.0
-        dx = np.concatenate([[1.0], x1, [unit.w1, at, nt]])
-        rx = unit.x2 - _x2_mean(theta, c, x1, unit.w1)
-        g_alpha += resp[j] * rx / sx ** 2 * dx
-        g_sigma_x += resp[j] * (rx * rx / sx ** 3 - 1.0 / sx)
-        dy = np.concatenate([[1.0], x1, [unit.x2, unit.w1, unit.w2,
-                                         unit.w1 * unit.w2, at, nt]])
-        ry = unit.y - _y_mean(theta, c, x1, unit.x2, unit.w1, unit.w2)
-        g_beta += resp[j] * ry / sy ** 2 * dy
-        g_sigma_y += resp[j] * (ry * ry / sy ** 3 - 1.0 / sy)
-
-    return np.concatenate([g_nt, g_at, g_alpha, [g_sigma_x], g_beta, [g_sigma_y]])
-
-
 def log_prior(theta: Theta, prior: PriorSpec) -> float:
     """Log prior density: Normal on coefficients, InverseGamma on variances."""
     coefs = theta.coefficients()
@@ -371,7 +182,7 @@ def log_prior(theta: Theta, prior: PriorSpec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# vectorized helpers shared by the sampler and the enumeration oracle driver
+# column kernels shared by the sampler, its score and the enumeration oracle
 # ---------------------------------------------------------------------------
 
 def logit_design(X1: np.ndarray) -> np.ndarray:
@@ -400,6 +211,9 @@ def max_shifted_exp3(c0, c1, c2):
 def compliance_log_prob_matrix(theta: Theta, U1: np.ndarray) -> np.ndarray:
     """(n, 3) log stratum probabilities for precomputed logit rows U1,
     column-major."""
+    if U1.shape[1] != theta.p + 1:
+        raise DimensionMismatch(
+            f"logit rows have {U1.shape[1]} columns but theta expects p={theta.p}")
     a = U1 @ theta.gamma_nt
     b = U1 @ theta.gamma_at
     m, _, _, _, total = max_shifted_exp3(a, 0.0, b)

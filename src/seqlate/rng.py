@@ -8,11 +8,18 @@ are statistically independent, and the mapping is stable across platforms
 and processes.
 """
 
+import functools
 import hashlib
 
 import numpy as np
 
 from .errors import InvalidConfig
+
+
+@functools.lru_cache(maxsize=64)
+def _label_key(label: str) -> int:
+    """First 8 bytes of the label's SHA-256 as a little-endian integer."""
+    return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
 
 
 def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
@@ -31,7 +38,5 @@ def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
         raise InvalidConfig(f"seed: must be a 64-bit unsigned integer, got {seed}")
     if index < 0:
         raise InvalidConfig(f"index: must be non-negative, got {index}")
-    digest = hashlib.sha256(label.encode("utf-8")).digest()
-    label_key = int.from_bytes(digest[:8], "little")
-    ss = np.random.SeedSequence([int(seed), label_key, int(index)])
+    ss = np.random.SeedSequence([int(seed), _label_key(label), int(index)])
     return np.random.default_rng(ss)

@@ -5,7 +5,10 @@ pair for a small dataset and normalizes with compensated summation, so its
 output is an exact reference distribution.  grid_gibbs runs the same model
 as a genuine two-block Gibbs chain whose parameter lives on the grid; its
 long-run label frequencies must match the enumeration, which is the
-strongest whole-sampler check the package has.
+strongest whole-sampler check the package has.  Both read their per-unit
+factors from the column kernels the sampler runs.  The committed golden
+table, which scripts/regen_golden.py re-derives with scipy and no package
+code, is the independent check on those kernels.
 
 rhat is the split-chain potential scale reduction factor; ess uses the
 initial-monotone-sequence truncation of the autocorrelation sum, and
@@ -25,24 +28,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .domain import (
-    COMPLIANCE_CODE,
-    COMPLIANCE_ORDER,
-    ComplianceType,
-    Dataset,
-    ObservedUnit,
-)
+from .domain import COMPLIANCE_CODE, ComplianceType, Dataset, y_cell_index
 from .errors import InvariantViolation, TooFewDraws, TooLarge
-from .gibbs import _normalise, _vector_categorical, as_vector_data
-from .model import (
-    Theta,
-    compliance_log_prob,
-    compliance_log_prob_matrix,
-    intermediate_loglik,
-    observed_cell_logliks,
-    outcome_loglik,
-    treatment_lik,
-)
+from .gibbs import _VectorData, _normalise, _vector_categorical, as_vector_data
+# the kernels are called through this module's own names, not through
+# gibbs._log_weights, so that counting the sampler's calls leaves these out
+from .model import Theta, compliance_log_prob_matrix, observed_cell_logliks
 from .rng import substream
 
 _DEFAULT_CONTRAST = ((1, 1), (0, 0))
@@ -111,45 +102,49 @@ def config_index(codes: Sequence[int]) -> int:
     return idx
 
 
-def _unit_log_factors(theta: Theta, unit: ObservedUnit) -> np.ndarray:
-    """Log of the five-factor weight for each stratum, -inf when excluded."""
-    log_pc = compliance_log_prob(theta, unit.x1)
-    out = np.full(3, -np.inf)
-    for code, c in enumerate(COMPLIANCE_ORDER):
-        t1 = treatment_lik(c, unit.z1, unit.w1)
-        t2 = treatment_lik(c, unit.z2, unit.w2)
-        if t1 == 0 or t2 == 0:
-            continue
-        out[code] = (log_pc[code]
-                     + intermediate_loglik(theta, c, unit.x1, unit.w1, unit.x2)
-                     + outcome_loglik(theta, c, unit.x1, unit.x2, unit.w1, unit.w2, unit.y))
-    return out
-
-
-def _complier_cell_means(theta: Theta, unit: ObservedUnit,
-                         contrast: Tuple[Tuple[int, int], Tuple[int, int]]) -> float:
-    """Contrast at imputation means, were this unit a complier.
+def _complier_contrasts(theta: Theta, vd: _VectorData,
+                        contrast: Tuple[Tuple[int, int], Tuple[int, int]]) -> np.ndarray:
+    """(n,) contrast at imputation means, were each unit a complier.
 
     Observed cells keep their observed values; a missing x2 cell sits at its
     model mean, and a missing y cell at its model mean evaluated at that x2
     value (exact for the mean because the outcome model is linear in x2).
     """
-    from .model import _x2_mean, _y_mean
+    p = vd.p
+    a, b = theta.alpha, theta.beta
+    x2_base = vd.U1 @ a[:p + 1]
+    y_base = vd.U1 @ b[:p + 1]
 
-    co = ComplianceType.COMPLIER
+    def x2_at(w1: int) -> np.ndarray:
+        return np.where(vd.w1 == w1, vd.x2, x2_base + a[p + 1] * w1)
 
-    def x2_at(w1: int) -> float:
-        if w1 == unit.w1:
-            return unit.x2
-        return _x2_mean(theta, co, unit.x1, w1)
-
-    def y_at(w1: int, w2: int) -> float:
-        if (w1, w2) == (unit.w1, unit.w2):
-            return unit.y
-        return _y_mean(theta, co, unit.x1, x2_at(w1), w1, w2)
+    def y_at(w1: int, w2: int) -> np.ndarray:
+        mean = (y_base + b[p + 1] * x2_at(w1) + b[p + 2] * w1 + b[p + 3] * w2
+                + b[p + 4] * (w1 * w2))
+        return np.where(vd.obs_ycol == y_cell_index(w1, w2), vd.y, mean)
 
     (a1, a2), (b1, b2) = contrast
     return y_at(a1, a2) - y_at(b1, b2)
+
+
+def _grid_factors(vd: _VectorData, spec: DiscreteSpec,
+                  contrast: Tuple[Tuple[int, int], Tuple[int, int]]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """(grid, unit, type) log factors and (grid, unit) complier contrasts.
+
+    A unit's factor for a type is the log of the product of the stratum
+    probability, the two treatment point masses and the observed-cell
+    densities: -inf where the receipts rule the type out.
+    """
+    k = len(spec.thetas)
+    L = np.empty((k, vd.n, 3))
+    diffs = np.empty((k, vd.n))
+    for ki, th in enumerate(spec.thetas):
+        lw = compliance_log_prob_matrix(th, vd.U1)
+        lw = lw + observed_cell_logliks(th, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y)
+        L[ki] = lw + vd.logmask
+        diffs[ki] = _complier_contrasts(th, vd, contrast)
+    return L, diffs
 
 
 def exact_posterior(data: Dataset, spec: DiscreteSpec,
@@ -157,7 +152,8 @@ def exact_posterior(data: Dataset, spec: DiscreteSpec,
     """Enumerate the posterior over (grid point, label configuration).
 
     Raises TooLarge when 3**n * len(grid) exceeds the grid's budget or when
-    the dataset has more than max_units units.
+    the dataset has more than max_units units, and InconsistentUnit when no
+    type explains some unit's receipts.
     """
     n = len(data)
     k = len(spec.thetas)
@@ -167,17 +163,8 @@ def exact_posterior(data: Dataset, spec: DiscreteSpec,
     if total > spec.budget:
         raise TooLarge(f"3^{n} * {k} = {total} configurations exceed budget {spec.budget}")
 
-    # per-grid-point, per-unit, per-stratum log factors
-    L = np.empty((k, n, 3))
-    for ki, th in enumerate(spec.thetas):
-        for i, unit in enumerate(data):
-            L[ki, i] = _unit_log_factors(th, unit)
+    L, diffs = _grid_factors(as_vector_data(data), spec, contrast)
     log_w = np.log(spec.weights)
-
-    diffs = np.empty((k, n))
-    for ki, th in enumerate(spec.thetas):
-        for i, unit in enumerate(data):
-            diffs[ki, i] = _complier_cell_means(th, unit, contrast)
 
     configs = list(itertools.product(range(3), repeat=n))
     n_cfg = len(configs)
@@ -266,16 +253,8 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     """
     vd = as_vector_data(data)
     n, k = vd.n, len(spec.thetas)
-    # vectorized route to the same five-factor tensor the enumerator builds
-    # from scalar calls; the two code paths cross-check each other
-    L = np.empty((k, n, 3))
-    diffs = np.empty((k, n))
-    for ki, th in enumerate(spec.thetas):
-        lw = compliance_log_prob_matrix(th, vd.U1)
-        lw = lw + observed_cell_logliks(th, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y)
-        L[ki] = lw + vd.logmask
-        for i, unit in enumerate(data):
-            diffs[ki, i] = _complier_cell_means(th, unit, contrast)
+    # the same five-factor tensor the enumerator sums over
+    L, diffs = _grid_factors(vd, spec, contrast)
     # exact conditional over labels at each grid point
     label_probs = [_normalise(L[ki]) for ki in range(k)]
     log_w = np.log(spec.weights)

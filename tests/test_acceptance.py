@@ -15,16 +15,18 @@ import numpy as np
 import pytest
 
 from seqlate.cli import main as cli_main
-from seqlate.domain import ObservedUnit
+from seqlate.domain import Dataset
 from seqlate.estimate import itt_estimate, per_protocol_estimate, as_treated_estimate
-from seqlate.gibbs import SamplerConfig, compliance_posterior, fit
-from seqlate.model import (
-    PriorSpec,
-    Theta,
-    theta_field_names,
-    unit_marginal_grad,
-    unit_marginal_loglik,
+from seqlate.gibbs import (
+    SamplerConfig,
+    _log_weights,
+    _marginal_loglik,
+    as_vector_data,
+    compliance_posterior,
+    fit,
+    marginal_score,
 )
+from seqlate.model import PriorSpec, Theta, theta_field_names
 from seqlate.rng import substream
 from seqlate.simulate import (
     ConstantCompliance,
@@ -248,9 +250,9 @@ def test_criterion_9_analytic_gradient_matches_finite_differences():
         c = int(rng.integers(3))
         w1 = [0, z1, 1][c]
         w2 = [0, z2, 1][c]
-        unit = ObservedUnit(rng.normal(size=1), z1, w1, float(rng.normal()),
-                            z2, w2, float(rng.normal()))
-        grad = unit_marginal_grad(th, unit)
+        vd = as_vector_data(Dataset(rng.normal(size=(1, 1)), [z1], [w1], [float(rng.normal())],
+                                    [z2], [w2], [float(rng.normal())]))
+        grad = marginal_score(th, vd)
         vec = th.to_vector()
         h = 1e-5
         fd = np.empty_like(vec)
@@ -258,8 +260,8 @@ def test_criterion_9_analytic_gradient_matches_finite_differences():
             hi, lo = vec.copy(), vec.copy()
             hi[j] += h
             lo[j] -= h
-            fd[j] = (unit_marginal_loglik(Theta.from_vector(hi, 1), unit)
-                     - unit_marginal_loglik(Theta.from_vector(lo, 1), unit)) / (2 * h)
+            fd[j] = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 1), vd))
+                     - _marginal_loglik(_log_weights(Theta.from_vector(lo, 1), vd))) / (2 * h)
         rel = float(np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12))
         worst = max(worst, rel)
     ok = worst < 1e-4

@@ -1,27 +1,32 @@
 """Density and prior computations against independent scipy oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from seqlate.domain import ComplianceType, ObservedUnit
+from seqlate.domain import (
+    COMPLIANCE_ORDER,
+    ComplianceType,
+    Dataset,
+    consistent_types,
+    realized_treatment,
+)
 from seqlate.errors import DimensionMismatch, InconsistentUnit
+from seqlate.gibbs import _log_weights, _marginal_loglik, as_vector_data, marginal_score
 from seqlate.model import (
     PriorSpec,
     Theta,
-    compliance_log_prob,
-    compliance_prob,
-    density_eval_trace,
-    intermediate_loglik,
+    compliance_log_prob_matrix,
     log_prior,
-    outcome_loglik,
+    logit_design,
+    observed_cell_logliks,
     theta_dim,
     theta_field_names,
-    treatment_lik,
-    unit_marginal_grad,
-    unit_marginal_loglik,
 )
 from seqlate.rng import substream
+from seqlate.simulate import DgpConfig, simulate_dataset
 
 # a column kernel producing inf - inf or 0 * inf fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -29,6 +34,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 NT = ComplianceType.NEVERTAKER
 CO = ComplianceType.COMPLIER
 AT = ComplianceType.ALWAYSTAKER
+AT_CODE = COMPLIANCE_ORDER.index(AT)
 
 
 def random_theta(rng, p=1, scale=1.0):
@@ -62,17 +68,20 @@ def test_theta_field_names_layout():
     assert len(set(names)) == len(names)
 
 
+def one_unit(x1, z1, w1, x2, z2, w2, y) -> Dataset:
+    return Dataset(np.reshape(x1, (1, -1)), [z1], [w1], [x2], [z2], [w2], [y])
+
+
 def test_compliance_prob_is_softmax():
     rng = substream(12, "softmax", 0)
     for _ in range(50):
         th = random_theta(rng)
-        x1 = rng.normal(size=1)
-        u = np.concatenate([[1.0], x1])
-        logits = np.array([float(th.gamma_nt @ u), 0.0, float(th.gamma_at @ u)])
-        expected = np.exp(logits) / np.exp(logits).sum()
-        got = compliance_prob(th, x1)
+        U1 = logit_design(rng.normal(size=(20, 1)))
+        logits = np.column_stack([U1 @ th.gamma_nt, np.zeros(20), U1 @ th.gamma_at])
+        expected = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+        got = np.exp(compliance_log_prob_matrix(th, U1))
         assert np.allclose(got, expected, atol=1e-12)
-        assert got.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(got.sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_compliance_prob_shift_invariance():
@@ -80,7 +89,7 @@ def test_compliance_prob_shift_invariance():
     # and huge logits must not overflow
     th = Theta(np.array([800.0, 0.0]), np.array([-800.0, 0.0]),
                np.zeros(5), 1.0, np.zeros(8), 1.0)
-    probs = compliance_prob(th, np.array([0.0]))
+    probs = np.exp(compliance_log_prob_matrix(th, logit_design(np.zeros((1, 1)))))[0]
     assert np.all(np.isfinite(probs))
     assert probs[0] > 0.999
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
@@ -89,7 +98,7 @@ def test_compliance_prob_shift_invariance():
 def test_compliance_prob_dimension_mismatch():
     th = Theta(np.zeros(2), np.zeros(2), np.zeros(5), 1.0, np.zeros(8), 1.0)
     with pytest.raises(DimensionMismatch):
-        compliance_log_prob(th, np.array([0.1, 0.2]))
+        compliance_log_prob_matrix(th, logit_design(np.array([[0.1, 0.2]])))
 
 
 @pytest.mark.parametrize("c,z,w,expected", [
@@ -98,7 +107,22 @@ def test_compliance_prob_dimension_mismatch():
     (AT, 0, 1, 1), (AT, 1, 1, 1), (AT, 0, 0, 0), (AT, 1, 0, 0),
 ])
 def test_treatment_lik_point_masses(c, z, w, expected):
-    assert treatment_lik(c, z, w) == expected
+    # the same (z, w) in both periods: the admissibility mask is the
+    # single-period point mass of receiving w under assignment z
+    vd = as_vector_data(one_unit([0.0], z, w, 0.0, z, w, 0.0))
+    assert vd.consistent[0, COMPLIANCE_ORDER.index(c)] == bool(expected)
+
+
+@pytest.mark.parametrize("z1,w1,z2,w2", list(itertools.product((0, 1), repeat=4)))
+def test_admissibility_mask_matches_consistent_types(z1, w1, z2, w2):
+    data = one_unit([0.0], z1, w1, 0.0, z2, w2, 0.0)
+    want = consistent_types(z1, w1, z2, w2)
+    if not want:
+        with pytest.raises(InconsistentUnit):
+            as_vector_data(data)
+        return
+    got = as_vector_data(data).consistent[0]
+    assert {c for c, ok in zip(COMPLIANCE_ORDER, got) if ok} == want
 
 
 def test_cell_logliks_match_scipy():
@@ -106,69 +130,68 @@ def test_cell_logliks_match_scipy():
     for _ in range(100):
         p = int(rng.integers(0, 3))
         th = random_theta(rng, p=p)
-        c = [NT, CO, AT][int(rng.integers(3))]
-        x1 = rng.normal(size=p)
-        w1, w2 = int(rng.integers(2)), int(rng.integers(2))
-        x2, y = float(rng.normal()), float(rng.normal())
-        at = 1.0 if c is AT else 0.0
-        nt = 1.0 if c is NT else 0.0
-        mu_x = float(th.alpha @ np.concatenate([[1.0], x1, [w1, at, nt]]))
-        got_x = intermediate_loglik(th, c, x1, w1, x2)
-        want_x = stats.norm.logpdf(x2, loc=mu_x, scale=th.sigma_x)
-        assert got_x == pytest.approx(want_x, abs=1e-12)
-        mu_y = float(th.beta @ np.concatenate([[1.0], x1, [x2, w1, w2, w1 * w2, at, nt]]))
-        got_y = outcome_loglik(th, c, x1, x2, w1, w2, y)
-        want_y = stats.norm.logpdf(y, loc=mu_y, scale=th.sigma_y)
-        assert got_y == pytest.approx(want_y, abs=1e-12)
+        n = 10
+        X1 = rng.normal(size=(n, p))
+        w1, w2 = rng.integers(2, size=n), rng.integers(2, size=n)
+        x2, y = rng.normal(size=n), rng.normal(size=n)
+        got = observed_cell_logliks(th, X1, w1.astype(float), w2.astype(float), x2, y)
+        for code, c in enumerate(COMPLIANCE_ORDER):
+            at = np.full(n, 1.0 if c is AT else 0.0)
+            nt = np.full(n, 1.0 if c is NT else 0.0)
+            mu_x = np.column_stack([np.ones(n), X1, w1, at, nt]) @ th.alpha
+            mu_y = np.column_stack([np.ones(n), X1, x2, w1, w2, w1 * w2, at, nt]) @ th.beta
+            want = (stats.norm.logpdf(x2, loc=mu_x, scale=th.sigma_x)
+                    + stats.norm.logpdf(y, loc=mu_y, scale=th.sigma_y))
+            assert np.allclose(got[:, code], want, rtol=0.0, atol=1e-12)
 
 
 def test_unit_marginal_matches_longdouble_brute_force():
     rng = substream(14, "marginal-oracle", 0)
+    ld = np.longdouble
     for _ in range(100):
         th = random_theta(rng)
         z1, z2 = int(rng.integers(2)), int(rng.integers(2))
         # choose receipts consistent with some stratum
         c_true = [NT, CO, AT][int(rng.integers(3))]
-        from seqlate.domain import realized_treatment
         w1, w2 = realized_treatment(c_true, z1), realized_treatment(c_true, z2)
-        unit = ObservedUnit(rng.normal(size=1), z1, w1, float(rng.normal()),
-                            z2, w2, float(rng.normal()))
-        got = unit_marginal_loglik(th, unit)
-        total = np.longdouble(0.0)
-        for c in (NT, CO, AT):
-            t = treatment_lik(c, z1, w1) * treatment_lik(c, z2, w2)
-            if t == 0:
+        x1, x2, y = float(rng.normal()), float(rng.normal()), float(rng.normal())
+        got = _marginal_loglik(_log_weights(th, as_vector_data(
+            one_unit([x1], z1, w1, x2, z2, w2, y))))
+        a, b = th.alpha.astype(ld), th.beta.astype(ld)
+        logits = [th.gamma_nt.astype(ld) @ [ld(1), ld(x1)], ld(0),
+                  th.gamma_at.astype(ld) @ [ld(1), ld(x1)]]
+        norm = sum(np.exp(v) for v in logits)
+        total = ld(0)
+        for code, c in enumerate((NT, CO, AT)):
+            if c not in consistent_types(z1, w1, z2, w2):
                 continue
-            lp = (compliance_log_prob(th, unit.x1)[[NT, CO, AT].index(c)]
-                  + intermediate_loglik(th, c, unit.x1, w1, unit.x2)
-                  + outcome_loglik(th, c, unit.x1, unit.x2, w1, w2, unit.y))
-            total += np.exp(np.longdouble(lp))
+            at, nt = ld(c is AT), ld(c is NT)
+            mu_x = a[0] + a[1] * ld(x1) + a[2] * w1 + a[3] * at + a[4] * nt
+            mu_y = (b[0] + b[1] * ld(x1) + b[2] * ld(x2) + b[3] * w1 + b[4] * w2
+                    + b[5] * w1 * w2 + b[6] * at + b[7] * nt)
+            dens = ld(1)
+            for v, mu, sd in ((ld(x2), mu_x, ld(th.sigma_x)), (ld(y), mu_y, ld(th.sigma_y))):
+                dens *= np.exp(-0.5 * ((v - mu) / sd) ** 2) / (sd * np.sqrt(2 * ld(np.pi)))
+            total += np.exp(logits[code]) / norm * dens
         want = float(np.log(total))
         assert got == pytest.approx(want, abs=1e-12)
 
 
-def test_unit_marginal_rejects_impossible_unit():
-    th = Theta(np.zeros(2), np.zeros(2), np.zeros(5), 1.0, np.zeros(8), 1.0)
-    unit = ObservedUnit.__new__(ObservedUnit)
-    # bypass validation to build a unit no stratum can produce
-    object.__setattr__(unit, "x1", np.array([0.0]))
-    for name, val in (("z1", 0), ("w1", 1), ("z2", 1), ("w2", 0),
-                      ("x2", 0.0), ("y", 0.0)):
-        object.__setattr__(unit, name, val)
-    with pytest.raises(InconsistentUnit):
-        unit_marginal_loglik(th, unit)
-
-
-def test_marginal_never_evaluates_excluded_strata():
-    # an assigned-control unit that took treatment is an alwaystaker for
-    # certain; the nevertaker and complier densities must never be touched
-    th = Theta(np.zeros(2), np.zeros(2), np.zeros(5), 1.0, np.zeros(8), 1.0)
-    unit = ObservedUnit(np.array([0.2]), 0, 1, 0.4, 1, 1, 1.0)
-    records = []
-    with density_eval_trace(records):
-        unit_marginal_loglik(th, unit)
-    assert records
-    assert {c for _, c in records} == {AT}
+def test_marginal_gives_excluded_strata_no_weight():
+    # every type a unit's receipts rule out has log-weight exactly -inf, so
+    # an assigned-control unit that took treatment in both periods is an
+    # alwaystaker for certain and its marginal is the alwaystaker term alone
+    vd = as_vector_data(simulate_dataset(DgpConfig(n=200, seed=16))[0])
+    unit = as_vector_data(one_unit([0.2], 0, 1, 0.4, 1, 1, 1.0))
+    rng = substream(16, "excluded-strata", 0)
+    for th in (random_theta(rng), random_theta(rng, scale=3.0)):
+        lw = _log_weights(th, vd)
+        assert np.all(lw[~vd.consistent] == -np.inf)
+        assert np.all(np.isfinite(lw[vd.consistent]))
+        at_term = (compliance_log_prob_matrix(th, unit.U1)
+                   + observed_cell_logliks(th, unit.X1, unit.w1f, unit.w2f,
+                                           unit.x2, unit.y))[0, AT_CODE]
+        assert _marginal_loglik(_log_weights(th, unit)) == at_term
 
 
 def test_log_prior_matches_scipy():
@@ -197,16 +220,19 @@ def test_log_prior_coef_sd_doubling_at_origin():
 
 
 def test_marginal_gradient_matches_finite_differences():
+    # p = 3 and many units: every block of the score, beyond criterion 9's
+    # one-unit, p = 1 points
+    data, _ = simulate_dataset(DgpConfig(n=200, seed=17, p=3))
+    vd = as_vector_data(data)
     rng = substream(16, "grad-fd", 0)
-    th = random_theta(rng)
-    unit = ObservedUnit(rng.normal(size=1), 0, 0, 0.3, 0, 0, -0.5)
-    grad = unit_marginal_grad(th, unit)
+    th = random_theta(rng, p=3, scale=0.5)
+    grad = marginal_score(th, vd)
     vec = th.to_vector()
     eps = 1e-6
     for j in range(vec.shape[0]):
         lo, hi = vec.copy(), vec.copy()
         lo[j] -= eps
         hi[j] += eps
-        fd = (unit_marginal_loglik(Theta.from_vector(hi, 1), unit)
-              - unit_marginal_loglik(Theta.from_vector(lo, 1), unit)) / (2 * eps)
+        fd = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 3), vd))
+              - _marginal_loglik(_log_weights(Theta.from_vector(lo, 3), vd))) / (2 * eps)
         assert grad[j] == pytest.approx(fd, abs=1e-5)

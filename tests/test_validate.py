@@ -1,13 +1,23 @@
 """Exact enumeration, the grid sampler, and convergence diagnostics."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from seqlate.domain import Dataset, ObservedUnit
-from seqlate.errors import InvariantViolation, TooFewDraws, TooLarge
+from seqlate.errors import (
+    DimensionMismatch,
+    InconsistentUnit,
+    InvariantViolation,
+    TooFewDraws,
+    TooLarge,
+)
+from seqlate.gibbs import as_vector_data, compliance_posterior
 from seqlate.model import Theta
 from seqlate.rng import substream
 from seqlate.validate import (
+    _complier_contrasts,
     DiscreteSpec,
     config_index,
     ess,
@@ -115,6 +125,49 @@ def test_exact_posterior_too_large():
     small = Dataset.from_units(tuple(unit(0, 0, 0, 0) for _ in range(3)), 1)
     with pytest.raises(TooLarge):
         exact_posterior(small, tight)
+
+
+def test_exact_posterior_rejects_unit_no_type_explains():
+    # (z1, w1, z2, w2) = (0, 1, 1, 0): took treatment unassigned, then refused it
+    data = Dataset(np.zeros((1, 1)), z1=[0], w1=[1], x2=[0.0], z2=[1], w2=[0], y=[0.0])
+    with pytest.raises(InconsistentUnit):
+        exact_posterior(data, DiscreteSpec((flat_theta(),), np.array([1.0])))
+
+
+@pytest.mark.parametrize("entry", ["exact_posterior", "grid_gibbs", "compliance_posterior"])
+def test_covariate_dimension_mismatch_is_clean(entry):
+    data, _ = load_three_unit_fixture()
+    assert data.covariate_dim == 1
+    th = Theta(np.zeros(3), np.zeros(3), np.zeros(6), 1.0, np.zeros(9), 1.0)
+    spec = DiscreteSpec((th,), np.array([1.0]))
+    calls = {"exact_posterior": lambda: exact_posterior(data, spec),
+             "grid_gibbs": lambda: grid_gibbs(data, spec, 10, 1),
+             "compliance_posterior": lambda: compliance_posterior(th, data)}
+    with pytest.raises(DimensionMismatch, match="p=2"):
+        calls[entry]()
+
+
+def test_complier_contrasts_match_per_unit_imputation_means():
+    # per unit, per contrast: observed cells as observed, a missing x2 cell at
+    # its complier mean, a missing y cell at its complier mean given that x2
+    data, spec = load_three_unit_fixture()
+    vd = as_vector_data(data)
+    cells = list(itertools.product((0, 1), repeat=2))
+    for th in spec.thetas:
+        a, b = th.alpha, th.beta
+        for contrast in itertools.permutations(cells, 2):
+            got = _complier_contrasts(th, vd, contrast)
+            for i, u in enumerate(data):
+                def x2_at(w1):
+                    return u.x2 if w1 == u.w1 else a[0] + a[1] * u.x1[0] + a[2] * w1
+
+                def y_at(w1, w2):
+                    if (w1, w2) == (u.w1, u.w2):
+                        return u.y
+                    return (b[0] + b[1] * u.x1[0] + b[2] * x2_at(w1) + b[3] * w1
+                            + b[4] * w2 + b[5] * w1 * w2)
+                want = y_at(*contrast[0]) - y_at(*contrast[1])
+                assert got[i] == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 def test_discrete_spec_validates_weights():
