@@ -29,7 +29,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .domain import COMPLIANCE_CODE, ComplianceType, Dataset, y_cell_index
-from .errors import InvariantViolation, TooFewDraws, TooLarge
+from .errors import InvalidConfig, InvariantViolation, TooFewDraws, TooLarge
 from .gibbs import _VectorData, _normalise, _vector_categorical, as_vector_data
 # the kernels are called through this module's own names, not through
 # gibbs._log_weights, so that counting the sampler's calls leaves these out
@@ -235,11 +235,40 @@ class GridGibbsResult:
         return out
 
 
-def _grid_categorical(pk: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw of one index from a probability vector: the number
-    of running sums at or below u, capped at the last positive entry."""
-    last = pk.size - 1 - int(np.argmax(pk[::-1] > 0.0))
-    return min(int(np.searchsorted(np.cumsum(pk), u, side="right")), last)
+# floats in grid_gibbs's largest per-block array, the (n, block * k, k) unit
+# log factors of a block whose label configurations all differ: 512 KiB
+_GRID_BLOCK_FLOATS = 1 << 16
+
+
+def _grid_block_len(k: int, n: int) -> int:
+    """Sweeps per block of grid_gibbs for a k-point grid and n units."""
+    return max(1, _GRID_BLOCK_FLOATS // (k * k * n))
+
+
+def _grid_conditional(by_code: List[np.ndarray], log_w: np.ndarray,
+                      codes: np.ndarray) -> np.ndarray:
+    """(m, k) exact conditional over the grid given each of m label
+    configurations codes (m, n); by_code[c] holds the (unit, grid) log
+    factors of label c.
+
+    The log factors are summed over the leading unit axis, so numpy adds
+    them unit by unit, in the order it adds the strided (grid, unit) gather
+    of one configuration (not pairwise, as it would along a contiguous
+    last axis of eight or more units).
+    """
+    factors = np.choose(codes.T[:, :, None], [f[:, None, :] for f in by_code])
+    lw_k = log_w + factors.sum(axis=0)
+    pk = np.exp(lw_k - lw_k.max(axis=-1, keepdims=True))
+    pk /= pk.sum(axis=-1, keepdims=True)
+    return pk
+
+
+def _grid_pick(pk: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws along the last axis of probability vectors pk: the
+    number of running sums at or below u, capped at the last positive entry."""
+    below = (np.cumsum(pk, axis=-1) <= u[..., None]).sum(axis=-1)
+    last = pk.shape[-1] - 1 - np.argmax(pk[..., ::-1] > 0.0, axis=-1)
+    return np.minimum(below, last)
 
 
 def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
@@ -250,13 +279,39 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     with exact per-unit label draws given the grid point, both conditioning
     on observed cells only.  Its stationary law is exactly the enumerated
     posterior, so long-run frequencies must match exact_posterior.
+
+    A sweep consumes 1 + n uniforms, the grid draw's and then the labels',
+    whatever the state, so the chain runs in blocks of sweeps that draw
+    their uniforms as one (block, 1 + n) array: the same stream, in the same
+    order, as one grid uniform and n label uniforms per sweep.  A block
+    draws the labels of every sweep at every grid point, then the grid
+    index each sweep would draw after each possible grid index of the sweep
+    before, and walks the chain through that table with one lookup per
+    sweep.  The grid conditional is computed once per distinct label
+    configuration of the block and the complier contrast once per distinct
+    (grid index, labels) pair.  The trace is the one-sweep-at-a-time
+    chain's bit for bit: exp and the comparisons act on each element alone,
+    the sum over units adds unit by unit as in one sweep, and the sums and
+    running sums over the grid run along a contiguous last axis of length
+    k, as in one sweep, so numpy adds the same terms in the same order.
+
+    Raises InvalidConfig for fewer than one sweep, and TooLarge when
+    3**n * len(grid) exceeds int64, which the base-3 configuration index
+    and the (grid index, labels) key are stored in.
     """
+    if n_sweeps < 1:
+        raise InvalidConfig(f"n_sweeps: must be >= 1, got {n_sweeps}")
     vd = as_vector_data(data)
     n, k = vd.n, len(spec.thetas)
+    if 3 ** n * k > np.iinfo(np.int64).max:
+        raise TooLarge(f"3^{n} label configurations times {k} grid points overflow int64")
     # the same five-factor tensor the enumerator sums over
     L, diffs = _grid_factors(vd, spec, contrast)
-    # exact conditional over labels at each grid point
-    label_probs = [_normalise(L[ki]) for ki in range(k)]
+    by_code = [np.ascontiguousarray(L[:, :, c].T) for c in range(3)]
+    # exact conditional over labels at each grid point, laid out
+    # (1, type, grid, unit) so one categorical draw covers every grid point
+    label_probs = np.stack([_normalise(L[ki], vd.admissible) for ki in range(k)])
+    label_probs = label_probs.transpose(2, 0, 1)[None]
     log_w = np.log(spec.weights)
     rng = substream(seed, "grid-gibbs", 0)
 
@@ -264,23 +319,46 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     mask = vd.consistent.astype(float)
     codes = _vector_categorical(mask / mask.sum(axis=1, keepdims=True),
                                 rng.uniform(size=n))
-    rows = np.arange(n)
     powers = 3 ** np.arange(n - 1, -1, -1)
     theta_idx = np.empty(n_sweeps, dtype=np.int64)
     config_idx = np.empty(n_sweeps, dtype=np.int64)
     late = np.empty(n_sweeps)
-    for s in range(n_sweeps):
-        # exact conditional over the grid given the labels
-        lw_k = log_w + L[:, rows, codes].sum(axis=1)
-        m = lw_k.max()
-        pk = np.exp(lw_k - m)
-        pk /= pk.sum()
-        ki = _grid_categorical(pk, rng.uniform(size=1)[0])
-        codes = _vector_categorical(label_probs[ki], rng.uniform(size=n))
-        theta_idx[s] = ki
-        config_idx[s] = int(codes @ powers)
-        co = codes == COMPLIANCE_CODE[ComplianceType.COMPLIER]
-        late[s] = float(diffs[ki, co].mean()) if co.any() else float("nan")
+    block = _grid_block_len(k, n)
+    for start in range(0, n_sweeps, block):
+        stop = min(start + block, n_sweeps)
+        size = stop - start
+        u = rng.uniform(size=(size, n + 1))
+        # (sweep, grid index, unit) labels and (sweep, grid index) configurations
+        at_k = _vector_categorical(label_probs, u[:, None, 1:])
+        configs = at_k @ powers
+        # the grid conditional after each configuration the next sweep can
+        # start from: the block's but the last sweep's, then the carried one
+        _, first, inverse = np.unique(np.append(configs[:-1], codes @ powers),
+                                      return_index=True, return_inverse=True)
+        starts = np.concatenate([at_k[:-1].reshape(-1, n), codes[None]])
+        pk = _grid_conditional(by_code, log_w, starts[first])[inverse.reshape(-1)]
+        ki = int(_grid_pick(pk[-1:], u[:1, 0])[0])
+        # nxt[s][kj]: grid index of sweep s + 1 after grid index kj at sweep s
+        nxt = _grid_pick(pk[:-1].reshape(size - 1, k, k), u[1:, :1]).tolist()
+        walk = [ki]
+        for row in nxt:
+            ki = row[ki]
+            walk.append(ki)
+        walk = np.asarray(walk, dtype=np.int64)
+        sweeps = np.arange(size)
+        block_codes = at_k[sweeps, walk]
+        codes = block_codes[-1]
+        theta_idx[start:stop] = walk
+        config_idx[start:stop] = configs[sweeps, walk]
+        # the complier contrast once per distinct (grid index, labels) pair
+        _, first, inverse = np.unique(config_idx[start:stop] * k + walk,
+                                      return_index=True, return_inverse=True)
+        values = np.full(first.size, np.nan)
+        for j, s in enumerate(first):
+            co = block_codes[s] == COMPLIANCE_CODE[ComplianceType.COMPLIER]
+            if co.any():
+                values[j] = diffs[walk[s], co].mean()
+        late[start:stop] = values[inverse.reshape(-1)]
     return GridGibbsResult(theta_idx, config_idx, late)
 
 

@@ -347,6 +347,15 @@ def test_validate_subcommand_passes(capsys):
     assert out.count("PASS") >= 6
 
 
+@pytest.mark.parametrize("sweeps", ["0", "-5"])
+def test_validate_rejects_fewer_than_one_sweep(sweeps, capsys):
+    rc = main(["validate", "--sweeps", sweeps])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: n_sweeps: must be >= 1")
+    assert "Traceback" not in err
+
+
 def test_simulate_too_large_to_allocate_is_a_data_error(tmp_path, capsys):
     # the draw buffers are allocated before the per-unit loop; 10**15 units
     # fail that allocation at once, without touching memory

@@ -38,7 +38,7 @@ from seqlate.gibbs import (
 from seqlate.model import PriorSpec, Theta, compliance_log_prob_matrix, observed_cell_logliks
 from seqlate.rng import substream
 from seqlate.simulate import ConstantCompliance, DgpConfig, simulate_dataset
-from seqlate.validate import _grid_categorical
+from seqlate.validate import _grid_pick
 
 # a column kernel producing inf - inf or 0 * inf fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -469,7 +469,7 @@ def test_labels_from_cached_log_weights_equal_the_posterior():
         cached_theta, lw = new.logweights
         assert cached_theta is new.theta
         probs = compliance_posterior(new.theta, vd)
-        assert np.array_equal(gibbs._normalise(lw), probs)
+        assert np.array_equal(gibbs._normalise(lw, vd.admissible), probs)
         # the same uniforms with and without the cached matrix
         fresh = replace(new, logweights=None, rng=copy.deepcopy(new.rng))
         labelled = step_compliance(new, vd)
@@ -593,7 +593,8 @@ def random_theta(rng, p, gamma_nt0, gamma_at0):
 @given(masked_log_weights())
 @settings(max_examples=300, deadline=None)
 def test_normalise_and_marginal_loglik_match_row_reductions(lw):
-    probs = gibbs._normalise(lw)
+    admissible = tuple(np.flatnonzero(np.isfinite(lw[:, j])) for j in range(3))
+    probs = gibbs._normalise(lw, admissible)
     assert probs.flags.f_contiguous
     assert np.array_equal(probs, ref_normalise(lw))
     assert gibbs._marginal_loglik(lw) == ref_marginal_loglik(lw)
@@ -649,7 +650,7 @@ def test_log_weights_match_row_reductions(n, p, g_nt, g_at, seed):
     want = ref_log_weights(th, vd)
     assert np.array_equal(lw, want)
     assert (np.isneginf(lw) == ~vd.consistent).all()
-    assert np.array_equal(gibbs._normalise(lw), ref_normalise(want))
+    assert np.array_equal(gibbs._normalise(lw, vd.admissible), ref_normalise(want))
     assert gibbs._marginal_loglik(lw) == ref_marginal_loglik(want)
 
 
@@ -662,4 +663,4 @@ def test_grid_draw_matches_one_row_categorical(weights, trailing_zeros, data):
         pk = pk / pk.sum()
     u = boundary_uniforms(data.draw, np.cumsum(pk)[None, :])[0]
     want = int(ref_vector_categorical(pk[None, :], np.array([u]))[0])
-    assert _grid_categorical(pk, u) == want
+    assert _grid_pick(pk, np.array(u)) == want

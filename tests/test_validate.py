@@ -9,15 +9,20 @@ from seqlate.domain import Dataset, ObservedUnit
 from seqlate.errors import (
     DimensionMismatch,
     InconsistentUnit,
+    InvalidConfig,
     InvariantViolation,
     TooFewDraws,
     TooLarge,
 )
-from seqlate.gibbs import as_vector_data, compliance_posterior
+from seqlate.gibbs import _normalise, _vector_categorical, as_vector_data, compliance_posterior
 from seqlate.model import Theta
 from seqlate.rng import substream
+from seqlate.simulate import DgpConfig, simulate_dataset
 from seqlate.validate import (
     _complier_contrasts,
+    _grid_block_len,
+    _grid_conditional,
+    _grid_factors,
     DiscreteSpec,
     config_index,
     ess,
@@ -203,6 +208,107 @@ def test_grid_gibbs_is_deterministic():
     assert np.array_equal(r1.config_idx, r2.config_idx)
     r3 = grid_gibbs(data, spec, n_sweeps=500, seed=73)
     assert not np.array_equal(r1.config_idx, r3.config_idx)
+
+
+def one_sweep_grid_conditional(L, log_w, codes):
+    """The grid conditional given one label configuration, as one sweep of
+    the chain computes it."""
+    lw_k = log_w + L[:, np.arange(codes.size), codes].sum(axis=1)
+    pk = np.exp(lw_k - lw_k.max())
+    pk /= pk.sum()
+    return pk
+
+
+def reference_grid_gibbs(data, spec, n_sweeps, seed, contrast=((1, 1), (0, 0))):
+    """The grid chain one sweep at a time: the trace grid_gibbs must reproduce."""
+    vd = as_vector_data(data)
+    n, k = vd.n, len(spec.thetas)
+    L, diffs = _grid_factors(vd, spec, contrast)
+    label_probs = [_normalise(L[ki], vd.admissible) for ki in range(k)]
+    log_w = np.log(spec.weights)
+    rng = substream(seed, "grid-gibbs", 0)
+    mask = vd.consistent.astype(float)
+    codes = _vector_categorical(mask / mask.sum(axis=1, keepdims=True), rng.uniform(size=n))
+    powers = 3 ** np.arange(n - 1, -1, -1)
+    theta_idx = np.empty(n_sweeps, dtype=np.int64)
+    config_idx = np.empty(n_sweeps, dtype=np.int64)
+    late = np.empty(n_sweeps)
+    for s in range(n_sweeps):
+        pk = one_sweep_grid_conditional(L, log_w, codes)
+        last = k - 1 - int(np.argmax(pk[::-1] > 0.0))
+        u = rng.uniform(size=1)[0]
+        ki = min(int(np.searchsorted(np.cumsum(pk), u, side="right")), last)
+        codes = _vector_categorical(label_probs[ki], rng.uniform(size=n))
+        theta_idx[s] = ki
+        config_idx[s] = int(codes @ powers)
+        co = codes == 1
+        late[s] = float(diffs[ki, co].mean()) if co.any() else float("nan")
+    return theta_idx, config_idx, late
+
+
+def pinning_case(name):
+    data, spec = load_three_unit_fixture()
+    if name == "permuted":
+        data = Dataset(**{k: v[[2, 0, 1]] for k, v in data.as_arrays().items()})
+    elif name == "nine-units":
+        # nine units and nine grid points: sums past the eight terms from
+        # which numpy adds a contiguous axis pairwise
+        data, _ = simulate_dataset(DgpConfig(n=9, seed=4))
+        spec = DiscreteSpec(spec.thetas[:3] * 3, np.arange(1, 10) / 45)
+    return data, spec
+
+
+@pytest.mark.parametrize("name", ["fixture", "permuted", "nine-units"])
+def test_grid_gibbs_blocks_reproduce_the_sweep_by_sweep_trace(name):
+    data, spec = pinning_case(name)
+    block = _grid_block_len(len(spec.thetas), len(data))
+    assert block > 1
+    runs = list(enumerate([1, block - 1, block, block + 1, 3 * block + 7], start=20260820))
+    if name == "fixture":
+        runs.append((20260819, 20_000))
+    for seed, n_sweeps in runs:
+        run = grid_gibbs(data, spec, n_sweeps, seed)
+        theta_idx, config_idx, late = reference_grid_gibbs(data, spec, n_sweeps, seed)
+        assert np.array_equal(run.theta_idx, theta_idx)
+        assert np.array_equal(run.config_idx, config_idx)
+        # bit for bit, NaN positions included
+        assert np.array_equal(run.late.view(np.int64), late.view(np.int64))
+    # the 3-unit chains visit configurations without compliers, so the
+    # comparison covers NaN contrasts
+    assert name == "nine-units" or np.isnan(late).any()
+
+
+@pytest.mark.parametrize("name", ["fixture", "nine-units"])
+def test_grid_conditional_matches_one_configuration_at_a_time(name):
+    # the trace hides float differences that flip no draw; the conditional
+    # itself must carry the one-sweep floats too
+    data, spec = pinning_case(name)
+    vd = as_vector_data(data)
+    L, _ = _grid_factors(vd, spec, ((1, 1), (0, 0)))
+    log_w = np.log(spec.weights)
+    rng = np.random.default_rng(5)
+    codes = np.array([[rng.choice(np.flatnonzero(ok)) for ok in vd.consistent]
+                      for _ in range(200)], dtype=np.int8)
+    got = _grid_conditional([np.ascontiguousarray(L[:, :, c].T) for c in range(3)],
+                            log_w, codes)
+    for cfg, pk in zip(codes, got):
+        assert np.array_equal(pk, one_sweep_grid_conditional(L, log_w, cfg))
+
+
+@pytest.mark.parametrize("n_sweeps", [0, -5])
+def test_grid_gibbs_rejects_fewer_than_one_sweep(n_sweeps):
+    data, spec = load_three_unit_fixture()
+    with pytest.raises(InvalidConfig, match="n_sweeps: must be >= 1"):
+        grid_gibbs(data, spec, n_sweeps, 1)
+    with pytest.raises(InvalidConfig, match="n_sweeps: must be >= 1"):
+        run_validation_suite(n_sweeps=n_sweeps)
+
+
+def test_grid_gibbs_refuses_configurations_past_int64():
+    data, _ = simulate_dataset(DgpConfig(n=40, seed=4))
+    _, spec = load_three_unit_fixture()
+    with pytest.raises(TooLarge, match="overflow int64"):
+        grid_gibbs(data, spec, 10, 1)
 
 
 # ---------------------------------------------------------------------------
