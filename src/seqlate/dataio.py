@@ -335,7 +335,8 @@ def write_draws_csv(path: PathLike, theta_names: Sequence[str],
         writer.writerow(["iter", "chain", "late"] + list(theta_names))
         for it, chain, late, vec in rows:
             late_txt = "" if math.isnan(late) else _fmt(late)
-            writer.writerow([str(it), str(chain), late_txt] + [_fmt(v) for v in vec])
+            # tolist() gives Python floats, whose repr is _fmt's text
+            writer.writerow([str(it), str(chain), late_txt, *map(repr, vec.tolist())])
 
 
 def _parse_int(text: str, column: str, row: int, path: Path) -> int:

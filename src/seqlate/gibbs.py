@@ -19,17 +19,13 @@ integrated out) and the imputation step redraws every missing cell, the pair
 (2, 3) is one exact blocked draw of (labels, missing cells) given theta, and
 the sweep leaves the joint posterior invariant in both modes.
 
-Each chain keeps one workspace across sweeps.  The static columns of the
-observed units' design rows are built once per dataset (_VectorData).  Two
-stacked row buffers per chain (_StackedRows, one per regression block) hold
-the n observed rows followed by the rows of the compliers' imputed cells:
-step_impute writes those tail rows while it draws the cells, and the
-conjugate theta update only rewrites the stratum-indicator columns of the
-observed rows before regressing on the rows in use.  In "marginal_mh" mode
-the masked (n, 3) log-weight matrix that the Metropolis step evaluates for
-its accepted theta travels with the state, and the label step normalises
-that matrix instead of evaluating it again.  Neither changes the arithmetic
-of a draw or the order in which the random stream is consumed.
+The conjugate blocks regress on every unit's observed row plus the imputed
+cells of each complier without stacking those rows: the observed rows' Gram
+matrices are built once per dataset, and each sweep adds the stratum sums
+and the compliers' terms in closed form (_normal_equations).  In
+"marginal_mh" mode the masked (n, 3) log-weights the Metropolis step
+evaluates for its accepted theta travel with the state, and the label step
+normalises them instead of evaluating them again.
 
 The (n, 3) label matrices (log stratum probabilities, observed-cell log
 densities, log-weights, label probabilities) are column-major, one
@@ -71,7 +67,7 @@ from .model import (
     compliance_log_prob_matrix,
     logit_design,
     log_prior,
-    max_shifted_exp3,
+    logit_lse,
     observed_cell_logliks,
     theta_dim,
     theta_field_names,
@@ -84,6 +80,10 @@ THETA_UPDATE_MODES = ("conjugate_gibbs", "marginal_mh")
 
 _NT, _CO, _AT = 0, 1, 2
 _DEFAULT_CONTRAST = ((1, 1), (0, 0))
+# labels == _AT_NT gives the (2, n) alwaystaker and nevertaker masks
+_AT_NT = np.array([[_AT], [_NT]], dtype=np.int8)
+# per y cell in Y_CELLS order, whose x2 cell is x2(w1): its terms (w1, w2, w1*w2)
+_CELL_TERMS = np.array([(a, b, a * b) for a, b in Y_CELLS], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -146,99 +146,65 @@ class _VectorData:
         # the units admitting each type, the only entries _normalise exponentiates
         self.admissible = tuple(np.flatnonzero(consistent[:, j]) for j in range(3))
         self.obs_ycol = 2 * self.w1 + self.w2
-        # observed cells of every unit, the starting point of each imputation
+        # observed cells of every unit, the starting point of each imputation,
+        # column-major, and the flat indices in their .T of each unit's
+        # counterfactual x2 cell and observed y cell
         rows = np.arange(self.n)
-        self.x2_cells_obs = np.full((self.n, 2), np.nan)
+        self.x2_cells_obs = np.full((self.n, 2), np.nan, order="F")
         self.x2_cells_obs[rows, self.w1] = self.x2
-        self.y_cells_obs = np.full((self.n, 4), np.nan)
+        self.y_cells_obs = np.full((self.n, 4), np.nan, order="F")
         self.y_cells_obs[rows, self.obs_ycol] = self.y
-        # design columns of the observed rows that no label changes:
-        # [1, x1..., w1] and [1, x1..., x2, w1, w2, w1*w2]
-        self.x2_static = np.column_stack([self.U1, self.w1f])
-        self.y_static = np.column_stack([self.U1, self.x2, self.w1f, self.w2f,
-                                         self.w1f * self.w2f])
+        self.cf_flat = rows + self.n * (1 - self.w1.astype(np.intp))
+        self.obs_flat = rows + self.n * self.obs_ycol.astype(np.intp)
+        # the observed rows' [1, x1..., x2, w1, w2, w1*w2, y, 0], from which
+        # the lists pick each block's columns, the indicators as the zero one
+        p = self.p
+        self.obs_cols = np.column_stack([self.U1, self.x2, self.w1f, self.w2f,
+                                         self.w1f * self.w2f, self.y, np.zeros(self.n)])
+        x_cols = [*range(p + 1), p + 2, p + 6, p + 6, p + 1]
+        y_cols = [*range(p + 5), p + 6, p + 6, p + 5]
+        self.x2_static, self.y_static = self.obs_cols[:, x_cols[:p + 2]], self.obs_cols[:, :p + 5]
+        gram = self.obs_cols.T @ self.obs_cols
+        self.x2_gram, self.y_gram = gram[np.ix_(x_cols, x_cols)], gram[np.ix_(y_cols, y_cols)]
+        self.x2_lmap, self.y_lmap = (_indicator_map(c, p + 7) for c in (x_cols, y_cols))
+        self.Kx, self.Ky, self.Dy = _complier_maps(p)
+        # per unit as a complier: [1, x1..., 1 - w1] and its missing y cells
+        self.cf_rows = np.vstack([self.U1.T, 1.0 - self.w1f])
+        self.y_missing = self.obs_ycol != np.arange(4)[:, None]
+
+
+def _indicator_map(cols: List[int], width: int) -> np.ndarray:
+    """Flat indices into the (2, width) at / nt sums of the observed columns
+    that fill a block's indicator rows and columns (its layout picked by
+    cols): a stratum's count on its own diagonal entry, zero elsewhere."""
+    s, zero = len(cols) - 3, cols[-2]
+    M = np.full((s + 3, s + 3), zero)
+    M[s], M[s + 1] = cols, np.add(cols, width)
+    M[s, s], M[s + 1, s + 1] = 0, width
+    M[:, s:s + 2] = M[s:s + 2].T
+    return M
+
+
+def _complier_maps(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Kx, Ky, Dy) for B of _normal_equations: a complier's rows are maps K'
+    of its column b, so their Gram matrix is K'(B B' * D)K, D counting the rows
+    a product of two entries shares (three for the logit row [1, x1...], one
+    within a y cell, none across cells)."""
+    m, cells = p + 15, np.arange(4)
+    Kx = np.eye(m + 1)[:m, [*range(p + 2), m, m, p + 2]]
+    Ky = np.zeros((m, p + 8))
+    Ky[:p + 1, :p + 1] = np.eye(p + 1)
+    Ky[p + 3 + cells, p + 1] = Ky[p + 11 + cells, p + 7] = 1.0
+    Ky[p + 7 + cells, p + 2:p + 5] = _CELL_TERMS
+    cell_of = np.r_[np.full(p + 3, -1), cells, cells, cells]
+    Dy = ((cell_of[:, None] == cell_of) & (cell_of >= 0)).astype(float)
+    Dy[:p + 1, p + 3:] = Dy[p + 3:, :p + 1] = 1.0
+    Dy[:p + 1, :p + 1] = 3.0
+    return Kx, Ky, Dy
 
 
 def as_vector_data(data: Union[Dataset, _VectorData]) -> _VectorData:
     return data if isinstance(data, _VectorData) else _VectorData(data)
-
-
-class _StackedRows:
-    """Regression rows of one block: the n observed rows, then one row per
-    imputed complier cell.
-
-    The buffers have room for every unit to be a complier; the first `used`
-    rows are current.  The last two design columns are the stratum
-    indicators (alwaystaker, nevertaker): zero on the imputed rows, set from
-    the labels on the observed rows by `regression`.
-    """
-
-    def __init__(self, static: np.ndarray, resp_obs: np.ndarray, capacity: int):
-        n, k = static.shape
-        self.n_obs = n
-        self.design = np.zeros((capacity, k + 2))
-        self.design[:n, :k] = static
-        self.resp = np.zeros(capacity)
-        self.resp[:n] = resp_obs
-        self.used = n
-
-    def regression(self, at: np.ndarray, nt: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Design rows and responses in use, indicators set from the labels."""
-        self.design[:self.n_obs, -2] = at
-        self.design[:self.n_obs, -1] = nt
-        return self.design[:self.used], self.resp[:self.used]
-
-
-def _new_rows(vd: _VectorData) -> Tuple[_StackedRows, _StackedRows]:
-    """Empty-tailed row buffers (intermediate, outcome) for one chain."""
-    return (_StackedRows(vd.x2_static, vd.x2, 2 * vd.n),
-            _StackedRows(vd.y_static, vd.y, 4 * vd.n))
-
-
-def _write_complier_rows(vd: _VectorData, idx: np.ndarray, x2_rows: _StackedRows,
-                         y_rows: _StackedRows, x2_cells: np.ndarray, y_cells: np.ndarray,
-                         draw: Optional[Tuple[Theta, np.random.Generator]] = None) -> None:
-    """Stack the rows of the compliers idx's missing cells below the observed rows.
-
-    Row order: the counterfactual x2 cell of each complier, then, per y cell
-    in Y_CELLS order, each complier for whom that cell is missing, paired
-    with the x2 cell that shares its first-period receipt.  With
-    draw=(theta, rng) each cell is first drawn from its model conditional,
-    whose mean is its design row times the coefficients, and stored in
-    x2_cells / y_cells; without it the cells are read from there.
-    """
-    n, p = vd.n, vd.p
-    th, rng = draw if draw is not None else (None, None)
-    k = idx.size
-    if k:
-        w1_mis = 1 - vd.w1[idx]
-        D = x2_rows.design[n:n + k]
-        D[:, :p + 1] = vd.U1.take(idx, axis=0)
-        D[:, p + 1] = w1_mis
-        if draw is None:
-            x2_rows.resp[n:n + k] = x2_cells[idx, w1_mis]
-        else:
-            x2_cells[idx, w1_mis] = x2_rows.resp[n:n + k] = (
-                D @ th.alpha + th.sigma_x * rng.standard_normal(k))
-    x2_rows.used = n + k
-    start = n
-    for a, b in Y_CELLS:
-        col = y_cell_index(a, b)
-        rows = idx[vd.obs_ycol[idx] != col]
-        if rows.size == 0:
-            continue
-        stop = start + rows.size
-        D = y_rows.design[start:stop]
-        D[:, :p + 1] = vd.U1.take(rows, axis=0)
-        D[:, p + 1] = x2_cells[rows, a]
-        D[:, p + 2:p + 5] = (a, b, a * b)
-        if draw is None:
-            y_rows.resp[start:stop] = y_cells[rows, col]
-        else:
-            y_cells[rows, col] = y_rows.resp[start:stop] = (
-                D @ th.beta + th.sigma_y * rng.standard_normal(rows.size))
-        start = stop
-    y_rows.used = start
 
 
 @dataclass
@@ -248,13 +214,9 @@ class ChainState:
     compliance holds int8 codes in (nt, co, at) order.  x2_cells (n, 2) and
     y_cells (n, 4) hold the current potential tables with NaN marking cells
     the current label leaves undefined; observed cells always carry the
-    dataset values bit for bit.
-
-    x2_rows / y_rows are the chain's regression workspace, shared by every
-    state of the chain and rewritten in place: their tails hold the complier
-    cells of the latest step_impute.  logweights pairs a theta with its
-    masked (n, 3) label log-weights.  All three may be None; the steps then
-    build what they need.
+    dataset values bit for bit.  logweights pairs a theta with its masked
+    (n, 3) label log-weights, left by the marginal_mh update for the label
+    step, or is None.
     """
 
     theta: Theta
@@ -263,8 +225,6 @@ class ChainState:
     y_cells: np.ndarray
     iter: int
     rng: np.random.Generator
-    x2_rows: Optional[_StackedRows] = None
-    y_rows: Optional[_StackedRows] = None
     logweights: Optional[Tuple[Theta, np.ndarray]] = None
 
     def n_compliers(self) -> int:
@@ -298,13 +258,13 @@ def _log_weights(theta: Theta, vd: _VectorData) -> np.ndarray:
     return lw
 
 
-def _normalise(lw: np.ndarray, admissible: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Row-normalised exp(lw), column-major, for lw that is -inf outside
-    admissible (per type, the rows admitting it, as in _VectorData).
+def _admissible_exp(lw: np.ndarray, admissible: Tuple[np.ndarray, ...]) -> tuple:
+    """(m, e, total) for lw that is -inf outside admissible (per type, the
+    rows admitting it, as in _VectorData): row maxima, the column-major
+    exp(lw - m) and its row sums (e0 + e1) + e2.
 
-    exp runs at the admissible entries only.  The others get 0.0, the value
-    exp(-inf - m) has, without paying for exp(-inf), which is several times
-    slower than exp of a finite float.
+    exp runs at the admissible entries only; the others get 0.0 without
+    paying for exp(-inf), several times slower than exp of a finite float.
     """
     m = np.maximum(np.maximum(lw[:, 0], lw[:, 1]), lw[:, 2])
     out = np.zeros(lw.shape, order="F")
@@ -312,10 +272,13 @@ def _normalise(lw: np.ndarray, admissible: Tuple[np.ndarray, ...]) -> np.ndarray
     for j, rows in enumerate(admissible):
         e = np.subtract(lw[:, j].take(rows), m.take(rows))
         cols[j][rows] = np.exp(e, out=e)
-    total = (cols[0] + cols[1]) + cols[2]
-    for col in cols:
-        np.divide(col, total, out=col)
-    return out
+    return m, out, (cols[0] + cols[1]) + cols[2]
+
+
+def _normalise(lw: np.ndarray, admissible: Tuple[np.ndarray, ...]) -> np.ndarray:
+    """Row-normalised exp(lw), column-major, for lw -inf outside admissible."""
+    _, out, total = _admissible_exp(lw, admissible)
+    return np.divide(out, total[:, None], out=out)
 
 
 def compliance_posterior(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarray:
@@ -352,21 +315,31 @@ def step_impute(state: ChainState, data: Union[Dataset, _VectorData]) -> ChainSt
     complier the counterfactual first-period cell x2(1-w1) is drawn first,
     then the three missing y cells, each using the x2 cell that shares its
     first-period receipt.  Nevertakers and alwaystakers have no missing
-    defined cells: their single cell equals the observed record.  The design
-    rows and draws of the complier cells also become the tails of the
-    chain's row buffers.
+    defined cells: their single cell equals the observed record.  Normals
+    go to the x2 cells, then to the y cells in Y_CELLS order, units ascending.
     """
     vd = as_vector_data(data)
-    x2_cells = vd.x2_cells_obs.copy()
-    y_cells = vd.y_cells_obs.copy()
-    x2_rows, y_rows = state.x2_rows, state.y_rows
-    if x2_rows is None or y_rows is None:
-        x2_rows, y_rows = _new_rows(vd)
-    idx = np.nonzero(state.compliance == _CO)[0]
-    _write_complier_rows(vd, idx, x2_rows, y_rows, x2_cells, y_cells,
-                         draw=(state.theta, state.rng))
-    return replace(state, x2_cells=x2_cells, y_cells=y_cells,
-                   x2_rows=x2_rows, y_rows=y_rows)
+    th, p = state.theta, vd.p
+    x2_cells = vd.x2_cells_obs.copy(order="F")
+    y_cells = vd.y_cells_obs.copy(order="F")
+    idx = np.flatnonzero(state.compliance == _CO)
+    k = idx.size
+    if k:
+        x2T, yT = x2_cells.T, y_cells.T
+        z = state.rng.standard_normal(4 * k)
+        x2T.put(vd.cf_flat.take(idx),
+                (th.alpha[:p + 2] @ vd.cf_rows).take(idx) + th.sigma_x * z[:k])
+        # (4, k): each y cell's mean, its receipts' terms added last
+        b = th.beta
+        mean = (((b[:p + 1] @ vd.cf_rows[:p + 1]).take(idx)
+                 + b[p + 1] * np.repeat(x2T.take(idx, axis=1), 2, axis=0))
+                + (_CELL_TERMS @ b[p + 2:p + 5])[:, None])
+        noise = np.zeros((4, k))
+        noise[vd.y_missing.take(idx, axis=1)] = z[k:]
+        yT[:, idx] = mean + th.sigma_y * noise
+        # the observed cells, overwritten above, back bit for bit
+        yT.put(vd.obs_flat.take(idx), vd.y.take(idx))
+    return replace(state, x2_cells=x2_cells, y_cells=y_cells)
 
 
 def late_draw(state: ChainState,
@@ -404,45 +377,86 @@ class _Tuning:
     last_logweights: Optional[np.ndarray] = None
 
 
-def _draw_ridge(D: np.ndarray, resp: np.ndarray, sigma: float, coef_sd: float,
+def _normal_equations(state: ChainState, lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple]:
+    """(G, r, n_rows, rss) of the intermediate and outcome blocks.
+
+    The rows D are every unit's observed row plus each complier's
+    counterfactual x2 row and three missing y rows (with the x2 cell of
+    their first-period receipt), columns [1, x1..., w1, at, nt] and
+    [1, x1..., x2, w1, w2, w1*w2, at, nt]: G = D'D, r = D'resp, and
+    rss(coef) = |resp - D coef|^2 from residual vectors.  lab: labels == _AT_NT.
+    """
+    p, n = vd.p, vd.n
+    ind = lab.astype(float)
+    L = (ind @ vd.obs_cols).ravel()
+    idx = np.flatnonzero(state.compliance == _CO)
+    k = idx.size
+    # per complier [1, x1..., 1 - w1, x2(1 - w1)], then per y cell its paired
+    # x2 cell, whether it is missing, and the y cell, cells zero if observed;
+    # idx is in range, and mode "clip" lets take fill B without a checked copy
+    x2T = state.x2_cells.T
+    B = np.empty((p + 15, k))
+    np.take(vd.cf_rows, idx, axis=1, out=B[:p + 2], mode="clip")
+    np.take(x2T.ravel(), vd.cf_flat.take(idx), out=B[p + 2], mode="clip")
+    cells = B[p + 3:].reshape(3, 4, k)
+    cells[0] = np.repeat(x2T.take(idx, axis=1), 2, axis=0)
+    cells[1] = vd.y_missing.take(idx, axis=1)
+    np.take(state.y_cells.T, idx, axis=1, out=cells[2], mode="clip")
+    cells[0::2] *= cells[1]
+    BB = B @ B.T
+    Nx = vd.x2_gram + vd.Kx.T @ BB @ vd.Kx + L[vd.x2_lmap]
+    Ny = vd.y_gram + vd.Ky.T @ (BB * vd.Dy) @ vd.Ky + L[vd.y_lmap]
+
+    def rss_x(alpha: np.ndarray) -> float:
+        res = vd.x2 - vd.x2_static @ alpha[:p + 2] - alpha[p + 2:] @ ind
+        cf = B[p + 2] - alpha[:p + 2] @ B[:p + 2]
+        return float(res @ res) + float(cf @ cf)
+
+    def rss_y(beta: np.ndarray) -> float:
+        res = vd.y - vd.y_static @ beta[:p + 5] - beta[p + 5:] @ ind
+        fit = beta[:p + 1] @ B[:p + 1] + (_CELL_TERMS @ beta[p + 2:p + 5])[:, None]
+        cf = (cells[2] - beta[p + 1] * cells[0] - cells[1] * fit).ravel()
+        return float(res @ res) + float(cf @ cf)
+
+    return ((Nx[:-1, :-1], Nx[:-1, -1], n + k, rss_x),
+            (Ny[:-1, :-1], Ny[:-1, -1], n + 3 * k, rss_y))
+
+
+def _draw_ridge(G: np.ndarray, r: np.ndarray, sigma: float, coef_sd: float,
                 rng: np.random.Generator) -> np.ndarray:
-    """One draw from the normal conditional of a ridge regression block."""
-    k = D.shape[1]
-    prec = D.T @ D / sigma ** 2 + np.eye(k) / coef_sd ** 2
+    """One draw from the normal conditional of a ridge block with G = D'D, r = D'resp."""
+    k = G.shape[0]
+    prec = G / sigma ** 2
+    prec.flat[::k + 1] += 1.0 / coef_sd ** 2
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as e:
         raise NumericalOverflow(f"coefficient precision matrix not positive definite: {e}")
-    rhs = D.T @ resp / sigma ** 2
-    mean = np.linalg.solve(prec, rhs)
+    # mean + chol'^-1 z, as one solve: chol'^-1 z = prec^-1 chol z
     z = rng.standard_normal(k)
-    draw = mean + np.linalg.solve(chol.T, z)
-    if not np.all(np.isfinite(draw)):
+    draw = np.linalg.solve(prec, r / sigma ** 2 + chol @ z)
+    if not np.isfinite(draw).all():
         raise NumericalOverflow("coefficient draw is non-finite")
     return draw
 
 
-def _draw_variance(resid: np.ndarray, prior: PriorSpec, rng: np.random.Generator) -> float:
-    """One draw from the inverse-gamma conditional of a noise variance."""
-    a = prior.scale_shape + resid.size / 2.0
-    b = prior.scale_rate + 0.5 * float(resid @ resid)
+def _draw_variance(rss: float, n_rows: int, prior: PriorSpec, rng: np.random.Generator) -> float:
+    """One inverse-gamma draw of a noise variance given the RSS of n_rows rows."""
+    a = prior.scale_shape + n_rows / 2.0
+    b = prior.scale_rate + 0.5 * rss
     v = 1.0 / rng.gamma(a, 1.0 / b)
     if not (np.isfinite(v) and v > 0):
         raise NumericalOverflow("variance draw is non-finite")
     return v
 
 
-def _gamma_logpost(gnt: np.ndarray, gat: np.ndarray, U1: np.ndarray,
-                   codes: np.ndarray, coef_sd: float) -> float:
-    """Multinomial-logit log likelihood of the labels plus the rows' prior."""
-    a = U1 @ gnt
-    b = U1 @ gat
-    m, _, _, _, total = max_shifted_exp3(a, 0.0, b)
-    lse = m + np.log(total)
-    picked = np.where(codes == _NT, a, np.where(codes == _AT, b, 0.0))
-    ll = float((picked - lse).sum())
+def _gamma_logpost(a: np.ndarray, b: np.ndarray, nt: np.ndarray, at: np.ndarray,
+                   gnt: np.ndarray, gat: np.ndarray, coef_sd: float) -> float:
+    """Logit rows' log likelihood of the labels plus prior; a = U1 @ gnt, b = U1 @ gat."""
+    picked = np.where(at, b, 0.0)
+    np.copyto(picked, a, where=nt)
     lp = -0.5 * (float(gnt @ gnt) + float(gat @ gat)) / coef_sd ** 2
-    return ll + lp
+    return float(np.subtract(picked, logit_lse(a, b), out=picked).sum()) + lp
 
 
 def _adapt_scale(scale: float, accept_prob: float, target: float, t: int) -> float:
@@ -451,59 +465,55 @@ def _adapt_scale(scale: float, accept_prob: float, target: float, t: int) -> flo
 
 
 def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
-                     tuning: _Tuning, x2_rows: _StackedRows, y_rows: _StackedRows) -> Theta:
-    th = state.theta
-    rng = state.rng
-    c = state.compliance
-    at = c == _AT
-    nt = c == _NT
+                     tuning: _Tuning) -> Theta:
+    th, rng = state.theta, state.rng
+    lab = state.compliance == _AT_NT
+    (Gx, rx, nx, rss_x), (Gy, ry, ny, rss_y) = _normal_equations(state, lab, vd)
 
     # intermediate block: observed cell of every unit plus the imputed
     # counterfactual cell of each complier
-    D_x, resp_x = x2_rows.regression(at, nt)
-    alpha = _draw_ridge(D_x, resp_x, th.sigma_x, prior.coef_sd, rng)
-    sigma_x = math.sqrt(_draw_variance(resp_x - D_x @ alpha, prior, rng))
+    alpha = _draw_ridge(Gx, rx, th.sigma_x, prior.coef_sd, rng)
+    sigma_x = math.sqrt(_draw_variance(rss_x(alpha), nx, prior, rng))
 
     # outcome block: observed cell of every unit plus compliers' three
     # missing cells, each with its matching first-period x2 cell
-    D_y, resp_y = y_rows.regression(at, nt)
-    beta = _draw_ridge(D_y, resp_y, th.sigma_y, prior.coef_sd, rng)
-    sigma_y = math.sqrt(_draw_variance(resp_y - D_y @ beta, prior, rng))
+    beta = _draw_ridge(Gy, ry, th.sigma_y, prior.coef_sd, rng)
+    sigma_y = math.sqrt(_draw_variance(rss_y(beta), ny, prior, rng))
 
-    # multinomial-logit rows: one random-walk Metropolis move each
-    gnt = th.gamma_nt.copy()
-    gat = th.gamma_at.copy()
-    lp_cur = _gamma_logpost(gnt, gat, vd.U1, c, prior.coef_sd)
+    # multinomial-logit rows (nt, at): one random-walk Metropolis move each;
+    # a proposal recomputes only the logit column it moves
+    at, nt = lab
+    g = [th.gamma_nt, th.gamma_at]
+    cols = [vd.U1 @ g[0], vd.U1 @ g[1]]
+    lp_cur = _gamma_logpost(*cols, nt, at, *g, prior.coef_sd)
     if not np.isfinite(lp_cur):
         raise NumericalOverflow("logit-row log posterior is non-finite")
     for row in (0, 1):
         scale = tuning.gamma_scales[row]
-        prop_nt, prop_at = gnt.copy(), gat.copy()
-        if row == 0:
-            prop_nt = gnt + scale * rng.standard_normal(gnt.shape[0])
-        else:
-            prop_at = gat + scale * rng.standard_normal(gat.shape[0])
-        lp_prop = _gamma_logpost(prop_nt, prop_at, vd.U1, c, prior.coef_sd)
+        prop, prop_cols = list(g), list(cols)
+        prop[row] = g[row] + scale * rng.standard_normal(g[row].shape[0])
+        prop_cols[row] = vd.U1 @ prop[row]
+        lp_prop = _gamma_logpost(*prop_cols, nt, at, *prop, prior.coef_sd)
         if np.isnan(lp_prop):
             raise NumericalOverflow("logit-row proposal log posterior is NaN")
         accept_prob = min(1.0, math.exp(min(0.0, lp_prop - lp_cur)))
         if math.log(rng.uniform()) < lp_prop - lp_cur:
-            gnt, gat, lp_cur = prop_nt, prop_at, lp_prop
+            g, cols, lp_cur = prop, prop_cols, lp_prop
         if tuning.adapting:
             tuning.gamma_scales[row] = _adapt_scale(scale, accept_prob, 0.35, tuning.t)
-    return Theta(gnt, gat, alpha, sigma_x, beta, sigma_y)
+    return Theta(*g, alpha, sigma_x, beta, sigma_y)
 
 
-def _marginal_loglik(lw: np.ndarray) -> float:
+def _marginal_loglik(lw: np.ndarray, admissible: Tuple[np.ndarray, ...]) -> float:
     """Sum over units of the label-marginalized log likelihood, from the
-    masked log-weight matrix."""
-    m, _, _, _, total = max_shifted_exp3(lw[:, 0], lw[:, 1], lw[:, 2])
+    masked log-weight matrix and its admissible rows per type."""
+    m, _, total = _admissible_exp(lw, admissible)
     return float((m + np.log(total)).sum())
 
 
 def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarray:
-    """Gradient of _marginal_loglik(_log_weights(theta, data)) in
-    Theta.to_vector() layout.
+    """Gradient of _marginal_loglik(_log_weights(theta, vd), vd.admissible)
+    in Theta.to_vector() layout.
 
     It is sum_i sum_c r_ic d lw_ic / d theta, with r the normalised label
     weights: a multinomial-logit score (r - pi) U1 for the logit rows, and a
@@ -551,7 +561,7 @@ def _marginal_logpost(theta: Theta, vd: _VectorData,
     # change of variables to log sigma adds 2*log(sigma) per noise scale
     lp = (log_prior(theta, prior)
           + 2.0 * math.log(theta.sigma_x) + 2.0 * math.log(theta.sigma_y)
-          + _marginal_loglik(lw))
+          + _marginal_loglik(lw, vd.admissible))
     return lp, lw
 
 
@@ -600,8 +610,7 @@ def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: Prio
                mode: str = "conjugate_gibbs", tuning: Optional[_Tuning] = None) -> ChainState:
     """Update theta given everything else (or given only data in marginal mode).
 
-    Returns a new state; the argument keeps its theta.  A state without row
-    buffers gets them built from its x2_cells / y_cells.
+    Returns a new state; the argument keeps its theta.
     """
     if mode not in THETA_UPDATE_MODES:
         raise InvalidConfig(f"theta_update: unknown mode {mode!r}")
@@ -611,13 +620,7 @@ def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: Prio
     if mode == "marginal_mh":
         new_theta, lw = _theta_marginal(state, vd, prior, tuning)
         return replace(state, theta=new_theta, logweights=(new_theta, lw))
-    x2_rows, y_rows = state.x2_rows, state.y_rows
-    if x2_rows is None or y_rows is None:
-        x2_rows, y_rows = _new_rows(vd)
-        _write_complier_rows(vd, np.nonzero(state.compliance == _CO)[0], x2_rows, y_rows,
-                             state.x2_cells, state.y_cells)
-    new_theta = _theta_conjugate(state, vd, prior, tuning, x2_rows, y_rows)
-    return replace(state, theta=new_theta, x2_rows=x2_rows, y_rows=y_rows, logweights=None)
+    return replace(state, theta=_theta_conjugate(state, vd, prior, tuning), logweights=None)
 
 
 # ---------------------------------------------------------------------------

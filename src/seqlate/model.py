@@ -191,21 +191,18 @@ def logit_design(X1: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((n, 1)), X1])
 
 
-def max_shifted_exp3(c0, c1, c2):
-    """Max-shifted exponentials of three log-weight columns, elementwise.
-
-    Returns (m, e0, e1, e2, total) with m = max(c0, c1, c2),
-    e_j = exp(c_j - m) and total = (e0 + e1) + e2.  The log-sum-exp is
-    m + log(total) and the normalised weights are e_j / total, the same
-    floats as the row-wise max / exp / sum over an (n, 3) matrix, which
-    adds its three entries in that order.  Any argument may be a scalar,
-    such as the complier's reference logit 0.0.
-    """
-    m = np.maximum(np.maximum(c0, c1), c2)
-    e0 = np.exp(np.subtract(c0, m))
-    e1 = np.exp(np.subtract(c1, m))
-    e2 = np.exp(np.subtract(c2, m))
-    return m, e0, e1, e2, (e0 + e1) + e2
+def logit_lse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise log(exp(a) + exp(0) + exp(b)), the normaliser of the
+    (nt, co, at) logits: m + log((e0 + e1) + e2) with m = max(a, 0, b) and e_j
+    the exponentials of the logits minus m, the same floats as the row-wise
+    max / exp / sum over an (n, 3) matrix.  It allocates three arrays."""
+    m = np.maximum(a, 0.0)
+    np.maximum(m, b, out=m)
+    e = np.subtract(a, m)
+    total = np.exp(e)
+    for c in (0.0, b):
+        total += np.exp(np.subtract(c, m, out=e), out=e)
+    return np.add(np.log(total, out=total), m, out=total)
 
 
 def compliance_log_prob_matrix(theta: Theta, U1: np.ndarray) -> np.ndarray:
@@ -216,8 +213,7 @@ def compliance_log_prob_matrix(theta: Theta, U1: np.ndarray) -> np.ndarray:
             f"logit rows have {U1.shape[1]} columns but theta expects p={theta.p}")
     a = U1 @ theta.gamma_nt
     b = U1 @ theta.gamma_at
-    m, _, _, _, total = max_shifted_exp3(a, 0.0, b)
-    lse = m + np.log(total)
+    lse = logit_lse(a, b)
     out = np.empty((U1.shape[0], 3), order="F")
     np.subtract(a, lse, out=out[:, 0])
     np.subtract(0.0, lse, out=out[:, 1])

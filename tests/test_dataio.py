@@ -159,6 +159,23 @@ def test_draws_csv_round_trip(tmp_path):
     assert np.array_equal(theta, np.array([[1.5, 0.7], [-0.5, 1.2], [0.0, 2.0]]))
 
 
+def test_draws_csv_bytes_match_per_value_repr(tmp_path):
+    # whole rows are formatted from vec.tolist(); the bytes must equal
+    # formatting each numpy scalar with repr(float(v)), NaN late as ""
+    names = ["a", "b", "c", "d", "e"]
+    vec = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5])
+    rows = [(1, 0, float("nan"), vec), (2, 0, 0.1 + 0.2, vec[::-1]),
+            (1, 1, -0.0, vec * 3.0)]
+    path = tmp_path / "draws.csv"
+    write_draws_csv(path, names, rows)
+    lines = [",".join(["iter", "chain", "late"] + names)]
+    for it, chain, late, v in rows:
+        late_txt = "" if math.isnan(late) else repr(float(late))
+        lines.append(",".join([str(it), str(chain), late_txt] + [repr(float(x)) for x in v]))
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+    assert "-0.0,5e-324,1e+16,0.30000000000000004" in path.read_text()
+
+
 @given(st.lists(
     st.floats(allow_nan=False, allow_infinity=False, width=64),
     min_size=1, max_size=8))

@@ -194,7 +194,7 @@ def test_late_draw_hand_case():
 
 def test_ridge_draw_with_no_rows_recovers_prior():
     rng = substream(28, "ridge-prior", 0)
-    draws = np.array([_draw_ridge(np.zeros((0, 3)), np.zeros(0), 1.0, 5.0, rng)
+    draws = np.array([_draw_ridge(np.zeros((3, 3)), np.zeros(3), 1.0, 5.0, rng)
                       for _ in range(5000)])
     assert abs(draws.mean()) < 0.25
     assert np.abs(draws.std(axis=0) - 5.0).max() < 0.25
@@ -203,7 +203,7 @@ def test_ridge_draw_with_no_rows_recovers_prior():
 def test_variance_draw_with_no_rows_recovers_prior():
     rng = substream(29, "var-prior", 0)
     prior = PriorSpec(scale_shape=2.0, scale_rate=1.0)
-    draws = np.array([_draw_variance(np.zeros(0), prior, rng) for _ in range(5000)])
+    draws = np.array([_draw_variance(0.0, 0, prior, rng) for _ in range(5000)])
     ks = stats.kstest(draws, lambda v: stats.invgamma.cdf(v, 2.0, scale=1.0))
     assert ks.statistic < 0.05
 
@@ -213,7 +213,7 @@ def test_ridge_draw_concentrates_on_least_squares():
     D = rng.normal(size=(2000, 3))
     coef = np.array([1.0, -2.0, 0.5])
     resp = D @ coef + 0.1 * rng.standard_normal(2000)
-    draws = np.array([_draw_ridge(D, resp, 0.1, 5.0, rng) for _ in range(200)])
+    draws = np.array([_draw_ridge(D.T @ D, D.T @ resp, 0.1, 5.0, rng) for _ in range(200)])
     assert np.abs(draws.mean(axis=0) - coef).max() < 0.02
 
 
@@ -361,13 +361,13 @@ def test_posterior_concentrates_on_sharp_data():
 
 
 # ---------------------------------------------------------------------------
-# sweep workspace: stacked regression rows and the shared log-weight matrix
+# normal equations of the conjugate blocks, and the shared log-weight matrix
 # ---------------------------------------------------------------------------
 
 def _reference_rows(state, vd):
-    """The stacked regression rows built unit by unit: observed rows first,
-    then each complier's counterfactual x2 row, then per y cell in
-    (00, 01, 10, 11) order each complier for whom that cell is missing."""
+    """The conjugate blocks' regression rows stacked unit by unit: observed
+    rows first, then each complier's counterfactual x2 row, then per y cell
+    in (00, 01, 10, 11) order each complier for whom that cell is missing."""
     c = state.compliance
     x_rows, x_resp, y_rows, y_resp = [], [], [], []
     for i in range(vd.n):
@@ -388,40 +388,101 @@ def _reference_rows(state, vd):
                 continue
             y_rows.append([1.0, *vd.X1[i], state.x2_cells[i, a], a, b, a * b, 0.0, 0.0])
             y_resp.append(state.y_cells[i, 2 * a + b])
-    return (np.array(x_rows), np.array(x_resp), np.array(y_rows), np.array(y_resp))
+    return ((np.array(x_rows), np.array(x_resp)), (np.array(y_rows), np.array(y_resp)))
 
 
-def _state_rows(state):
-    c = state.compliance
-    at, nt = c == 2, c == 0
-    return state.x2_rows.regression(at, nt) + state.y_rows.regression(at, nt)
+def _assert_rel(got, want, rtol=1e-10):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-@pytest.mark.parametrize("p", [1, 3])
-def test_stacked_rows_match_unit_by_unit_rows(p):
+def _check_normal_equations(state, vd, seed):
+    """G, r, row count and residual sums of squares of both blocks against
+    the stacked rows, at the least-squares coefficients and a random draw."""
+    blocks = gibbs._normal_equations(state, state.compliance == gibbs._AT_NT, vd)
+    rng = np.random.default_rng(seed)
+    for (G, r, n_rows, rss), (D, resp) in zip(blocks, _reference_rows(state, vd)):
+        assert n_rows == len(D)
+        _assert_rel(G, D.T @ D)
+        _assert_rel(r, D.T @ resp)
+        ls = np.linalg.lstsq(D, resp, rcond=None)[0]
+        for coef in (ls, ls + rng.normal(size=ls.shape)):
+            resid = resp - D @ coef
+            _assert_rel(rss(coef), resid @ resid)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+def test_normal_equations_match_unit_by_unit_rows(p):
     data, _ = simulate_dataset(DgpConfig(n=40, p=p, seed=41))
     vd = as_vector_data(data)
     state = init_state(vd, substream(41, "chain", 0))
-    for _ in range(4):
+    for t in range(4):
         state = step_theta(state, vd, PriorSpec())
         state = step_impute(step_compliance(state, vd), vd)
         assert 0 < state.n_compliers() < vd.n
-        for got, want in zip(_state_rows(state), _reference_rows(state, vd)):
-            assert np.array_equal(got, want)
+        _check_normal_equations(state, vd, t)
+    # every unit that admits the label is a complier, the others are not
+    codes = np.where(vd.consistent[:, 1], 1, np.where(vd.consistent[:, 0], 0, 2))
+    full = step_impute(replace(state, compliance=codes.astype(np.int8)), vd)
+    assert full.n_compliers() == vd.consistent[:, 1].sum()
+    _check_normal_equations(full, vd, 5)
+    # y shifted by 1e4: residuals of order one under responses of order 1e4,
+    # where r'r - 2 coef'r + coef'G coef would cancel away the sum of squares
+    shifted = as_vector_data(Dataset(data.X1, data.z1, data.w1, data.x2, data.z2,
+                                     data.w2, data.y + 1e4))
+    _check_normal_equations(replace(state, y_cells=state.y_cells + 1e4), shifted, 6)
 
 
-def test_step_theta_builds_rows_for_a_state_without_them():
+def test_normal_equations_without_compliers():
+    data, _ = simulate_dataset(DgpConfig(
+        n=40, p=1, seed=42, compliance_probs=ConstantCompliance((0.5, 0.0, 0.5))))
+    vd = as_vector_data(data)
+    codes = np.where(vd.consistent[:, 0], 0, 2).astype(np.int8)
+    state = init_state(vd, substream(42, "chain", 0))
+    state = step_impute(replace(state, compliance=codes), vd)
+    assert state.n_compliers() == 0
+    _check_normal_equations(state, vd, 0)
+    assert np.isfinite(step_theta(state, vd, PriorSpec()).theta.to_vector()).all()
+
+
+def test_step_theta_reads_cells_in_either_layout():
+    # the sampler keeps its cell tables column-major; a hand-built state
+    # with row-major tables gives the same draw
     data, _ = simulate_dataset(DgpConfig(n=60, seed=42))
     vd = as_vector_data(data)
     state = init_state(vd, substream(42, "chain", 0))
     state = step_impute(step_compliance(step_theta(state, vd, PriorSpec()), vd), vd)
-    bare = ChainState(state.theta, state.compliance, state.x2_cells, state.y_cells,
-                      state.iter, copy.deepcopy(state.rng))
-    from_bare = step_theta(bare, vd, PriorSpec())
-    from_workspace = step_theta(state, vd, PriorSpec())
-    assert from_bare.theta == from_workspace.theta
-    for got, want in zip(_state_rows(from_bare), _reference_rows(state, vd)):
-        assert np.array_equal(got, want)
+    assert state.x2_cells.flags.f_contiguous and state.y_cells.flags.f_contiguous
+    bare = ChainState(state.theta, state.compliance, np.ascontiguousarray(state.x2_cells),
+                      np.ascontiguousarray(state.y_cells), state.iter,
+                      copy.deepcopy(state.rng))
+    assert step_theta(bare, vd, PriorSpec()).theta == step_theta(state, vd, PriorSpec()).theta
+
+
+def test_step_impute_draws_in_documented_order():
+    # k normals for the compliers' x2 cells, then the missing y cells cell by
+    # cell in (00, 01, 10, 11) order, units ascending within each cell
+    data, _ = simulate_dataset(DgpConfig(n=50, p=2, seed=48))
+    vd = as_vector_data(data)
+    state = init_state(vd, substream(48, "chain", 0))
+    state = step_compliance(step_theta(state, vd, PriorSpec()), vd)
+    th, co = state.theta, np.flatnonzero(state.compliance == 1)
+    z = iter(copy.deepcopy(state.rng).standard_normal(4 * co.size))
+    new = step_impute(state, vd)
+    for i in co:
+        w1_mis = 1 - vd.w1[i]
+        want = float(th.alpha @ [1.0, *vd.X1[i], w1_mis, 0.0, 0.0]) + th.sigma_x * next(z)
+        assert new.x2_cells[i, w1_mis] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for i in co:
+            if vd.obs_ycol[i] == 2 * a + b:
+                continue
+            x2v = new.x2_cells[i, a]
+            want = (float(th.beta @ [1.0, *vd.X1[i], x2v, a, b, a * b, 0.0, 0.0])
+                    + th.sigma_y * next(z))
+            assert new.y_cells[i, 2 * a + b] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert next(z, None) is None
 
 
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
@@ -597,7 +658,7 @@ def test_normalise_and_marginal_loglik_match_row_reductions(lw):
     probs = gibbs._normalise(lw, admissible)
     assert probs.flags.f_contiguous
     assert np.array_equal(probs, ref_normalise(lw))
-    assert gibbs._marginal_loglik(lw) == ref_marginal_loglik(lw)
+    assert gibbs._marginal_loglik(lw, admissible) == ref_marginal_loglik(lw)
 
 
 @given(masked_log_weights(), st.data())
@@ -633,7 +694,8 @@ def test_gamma_logpost_and_log_probs_match_row_reductions(n, p, g_nt, g_at, seed
     assert np.array_equal(lcp, ref_compliance_log_prob_matrix(th, U1))
     codes = rng.integers(0, 3, size=n).astype(np.int8)
     for coef_sd in (5.0, 0.5):
-        assert (gibbs._gamma_logpost(th.gamma_nt, th.gamma_at, U1, codes, coef_sd)
+        assert (gibbs._gamma_logpost(U1 @ th.gamma_nt, U1 @ th.gamma_at, codes == 0, codes == 2,
+                                     th.gamma_nt, th.gamma_at, coef_sd)
                 == ref_gamma_logpost(th.gamma_nt, th.gamma_at, U1, codes, coef_sd))
 
 
@@ -651,7 +713,7 @@ def test_log_weights_match_row_reductions(n, p, g_nt, g_at, seed):
     assert np.array_equal(lw, want)
     assert (np.isneginf(lw) == ~vd.consistent).all()
     assert np.array_equal(gibbs._normalise(lw, vd.admissible), ref_normalise(want))
-    assert gibbs._marginal_loglik(lw) == ref_marginal_loglik(want)
+    assert gibbs._marginal_loglik(lw, vd.admissible) == ref_marginal_loglik(want)
 
 
 @given(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=12),

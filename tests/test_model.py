@@ -155,8 +155,8 @@ def test_unit_marginal_matches_longdouble_brute_force():
         c_true = [NT, CO, AT][int(rng.integers(3))]
         w1, w2 = realized_treatment(c_true, z1), realized_treatment(c_true, z2)
         x1, x2, y = float(rng.normal()), float(rng.normal()), float(rng.normal())
-        got = _marginal_loglik(_log_weights(th, as_vector_data(
-            one_unit([x1], z1, w1, x2, z2, w2, y))))
+        unit = as_vector_data(one_unit([x1], z1, w1, x2, z2, w2, y))
+        got = _marginal_loglik(_log_weights(th, unit), unit.admissible)
         a, b = th.alpha.astype(ld), th.beta.astype(ld)
         logits = [th.gamma_nt.astype(ld) @ [ld(1), ld(x1)], ld(0),
                   th.gamma_at.astype(ld) @ [ld(1), ld(x1)]]
@@ -191,7 +191,7 @@ def test_marginal_gives_excluded_strata_no_weight():
         at_term = (compliance_log_prob_matrix(th, unit.U1)
                    + observed_cell_logliks(th, unit.X1, unit.w1f, unit.w2f,
                                            unit.x2, unit.y))[0, AT_CODE]
-        assert _marginal_loglik(_log_weights(th, unit)) == at_term
+        assert _marginal_loglik(_log_weights(th, unit), unit.admissible) == at_term
 
 
 def test_log_prior_matches_scipy():
@@ -233,6 +233,7 @@ def test_marginal_gradient_matches_finite_differences():
         lo, hi = vec.copy(), vec.copy()
         lo[j] -= eps
         hi[j] += eps
-        fd = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 3), vd))
-              - _marginal_loglik(_log_weights(Theta.from_vector(lo, 3), vd))) / (2 * eps)
+        fd = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 3), vd), vd.admissible)
+              - _marginal_loglik(_log_weights(Theta.from_vector(lo, 3), vd), vd.admissible)
+              ) / (2 * eps)
         assert grad[j] == pytest.approx(fd, abs=1e-5)
