@@ -40,7 +40,7 @@ from .dataio import (
     write_draws_csv,
     write_truth_json,
 )
-from .domain import Dataset
+from .domain import AT, CO, DEFAULT_CONTRAST, Contrast, Dataset
 from .errors import (
     DataError,
     DimensionMismatch,
@@ -60,7 +60,7 @@ from .errors import (
 from .estimate import compare_methods
 from .gibbs import SamplerConfig, fit as run_fit
 from .model import PriorSpec
-from .simulate import _AT, _CO, _DEFAULT_CONTRAST, GroundTruth, simulate_dataset, true_sample_late
+from .simulate import GroundTruth, simulate_dataset, true_sample_late
 # the summary's effective sample size is the multi-chain one
 from .validate import multi_ess as ess, rhat, run_validation_suite
 
@@ -202,12 +202,8 @@ def _cmd_fit(args) -> int:
     result = run_fit(data, prior, sampler, contrast=contrast)
 
     names = result.theta_names()
-    theta = result.theta_matrix()
-    late = result.late_matrix()
-    rows = [(d.iter, ci, d.late, theta[ci, j])
-            for ci, chain in enumerate(result.chains) for j, d in enumerate(chain)]
     draws_path = out_dir / "draws.csv"
-    write_draws_csv(draws_path, names, rows)
+    write_draws_csv(draws_path, names, result.late, result.theta)
 
     summary = {
         "n_chains": sampler.n_chains,
@@ -216,8 +212,8 @@ def _cmd_fit(args) -> int:
         "theta_update": sampler.theta_update,
         "seed": seed,
         "contrast": [list(contrast[0]), list(contrast[1])],
-        "late": _scalar_summary(late),
-        "theta": {name: _scalar_summary(theta[:, :, j])
+        "late": _scalar_summary(result.late),
+        "theta": {name: _scalar_summary(result.theta[:, :, j])
                   for j, name in enumerate(names)},
     }
     summary_path = out_dir / "summary.json"
@@ -244,7 +240,7 @@ def _parse_arm(text: str, flag: str) -> Tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _parse_contrast(args) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+def _parse_contrast(args) -> Contrast:
     return (_parse_arm(args.treated, "--treated"),
             _parse_arm(args.control, "--control"))
 
@@ -257,7 +253,7 @@ def _check_truth_matches(truth: GroundTruth, sidecar: Path, data: Dataset,
         raise SchemaError(f"{sidecar}: ground truth for {len(truth)} units, "
                           f"but {data_path} has {len(data)}")
     rows = np.arange(len(data))
-    receipts = np.where(truth.codes == _CO, [data.z1, data.z2], truth.codes == _AT)
+    receipts = np.where(truth.codes == CO, [data.z1, data.z2], truth.codes == AT)
     cells = np.array([truth.x2_cells[rows, data.w1], truth.y_cells[rows, 2 * data.w1 + data.w2]])
     bad = ((receipts != [data.w1, data.w2]).any(axis=0)
            | (cells.view(np.int64) != np.array([data.x2, data.y]).view(np.int64)).any(axis=0))
@@ -275,7 +271,7 @@ def _cmd_compare(args) -> int:
     # a fit directory without summary.json carries no contrast: the default
     summary_path = Path(args.fit) / "summary.json"
     fitted = (read_summary_contrast(summary_path) if summary_path.exists()
-              else _DEFAULT_CONTRAST)
+              else DEFAULT_CONTRAST)
     if arms != fitted:
         raise InvalidConfig(
             f"--treated {args.treated} --control {args.control} differ from the "

@@ -16,9 +16,17 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .domain import COMPLIANCE_ORDER, ComplianceType, Dataset, PotentialTable, invalid_tables
+from .domain import (
+    CO,
+    COMPLIANCE_ORDER,
+    DEFAULT_CONTRAST,
+    Contrast,
+    Dataset,
+    PotentialTable,
+    invalid_tables,
+)
 from .errors import DataError, InvariantViolation, SchemaError
-from .simulate import _DEFAULT_CONTRAST, GroundTruth
+from .simulate import GroundTruth
 
 PathLike = Union[str, Path]
 
@@ -27,10 +35,6 @@ _FIXED_COLUMNS = ("z1", "w1", "x2", "z2", "w2", "y")
 
 def dataset_header(covariate_dim: int) -> List[str]:
     return [f"x1_{j}" for j in range(covariate_dim)] + list(_FIXED_COLUMNS)
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 def _columns(data: Dataset) -> List[np.ndarray]:
@@ -265,7 +269,7 @@ def read_truth_json(path: PathLike) -> GroundTruth:
         raise SchemaError(f"{path}: unit {unit + 1}: unknown compliance label "
                           f"{labels[unit]!r:.40}")
     codes = np.array(codes, dtype=np.int8)
-    n_labelled = int((codes == COMPLIANCE_ORDER.index(ComplianceType.COMPLIER)).sum())
+    n_labelled = int((codes == CO).sum())
     if isinstance(n_co, bool) or not isinstance(n_co, int) or n_co != n_labelled:
         raise SchemaError(f"{path}: n_co is {n_co!r:.40} but {n_labelled} units carry "
                           f"the complier label")
@@ -293,7 +297,7 @@ def read_truth_json(path: PathLike) -> GroundTruth:
     raise error if isinstance(error, SchemaError) else SchemaError(f"{path}: malformed tables")
 
 
-def read_summary_contrast(path: PathLike) -> Tuple[Tuple[int, int], Tuple[int, int]]:
+def read_summary_contrast(path: PathLike) -> Contrast:
     """The (treated, control) arms a fit's summary.json records; the
     default (1,1) versus (0,0) for a summary without the contrast key."""
     path = Path(path)
@@ -301,7 +305,7 @@ def read_summary_contrast(path: PathLike) -> Tuple[Tuple[int, int], Tuple[int, i
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     if "contrast" not in doc:
-        return _DEFAULT_CONTRAST
+        return DEFAULT_CONTRAST
     arms = doc["contrast"]
     ok = (isinstance(arms, list) and len(arms) == 2
           and all(isinstance(arm, list) and len(arm) == 2
@@ -322,21 +326,22 @@ def truth_sidecar_path(dataset_path: PathLike) -> Path:
 # posterior draw tables
 # ---------------------------------------------------------------------------
 
-def write_draws_csv(path: PathLike, theta_names: Sequence[str],
-                    rows: Sequence[Tuple[int, int, float, np.ndarray]]) -> None:
-    """Rows: (iteration, chain, contrast draw or NaN, parameter vector).
+def write_draws_csv(path: PathLike, theta_names: Sequence[str], late: np.ndarray,
+                    theta: np.ndarray) -> None:
+    """One row per draw, chain by chain: its iteration (1-based), chain
+    index, contrast draw and parameter vector, from the (chains, draws)
+    contrast draws late and the (chains, draws, d) parameter vectors theta.
 
-    A NaN contrast is rendered as an empty field so the column stays
-    numeric for every reader.
+    Floats are written with repr, and a NaN contrast as an empty field so
+    the column stays numeric for every reader.  No field needs quoting, so
+    the rows are csv.writer's: fields joined by "," and ended by "\r\n".
     """
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "chain", "late"] + list(theta_names))
-        for it, chain, late, vec in rows:
-            late_txt = "" if math.isnan(late) else _fmt(late)
-            # tolist() gives Python floats, whose repr is _fmt's text
-            writer.writerow([str(it), str(chain), late_txt, *map(repr, vec.tolist())])
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(["iter", "chain", "late", *theta_names]) + "\r\n")
+        for chain, (lates, vecs) in enumerate(zip(late, theta)):
+            for j, (v, vec) in enumerate(zip(lates.tolist(), vecs.tolist()), start=1):
+                late_txt = "" if v != v else repr(v)
+                fh.write(",".join([str(j), str(chain), late_txt, *map(repr, vec)]) + "\r\n")
 
 
 def _parse_int(text: str, column: str, row: int, path: Path) -> int:

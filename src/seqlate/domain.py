@@ -47,6 +47,15 @@ COMPLIANCE_ORDER: Tuple[ComplianceType, ...] = (
 )
 
 COMPLIANCE_CODE: Dict[ComplianceType, int] = {c: i for i, c in enumerate(COMPLIANCE_ORDER)}
+# the int8 array codes of the three labels
+NT, CO, AT = (COMPLIANCE_CODE[c] for c in (ComplianceType.NEVERTAKER, ComplianceType.COMPLIER,
+                                           ComplianceType.ALWAYSTAKER))
+
+# a complier contrast: its treated arm, then its control arm, each a
+# (period 1, period 2) pair of treatments
+Contrast = Tuple[Tuple[int, int], Tuple[int, int]]
+# treatment in both periods versus in neither
+DEFAULT_CONTRAST: Contrast = ((1, 1), (0, 0))
 
 # y cells in fixed column order (w1, w2); index = 2*w1 + w2
 Y_CELLS: Tuple[Tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))

@@ -14,13 +14,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .domain import Dataset
+from .domain import DEFAULT_CONTRAST, Contrast, Dataset
 from .errors import EmptyArm, InvariantViolation, TooFewDraws
 
 # normal 97.5% quantile, for the display-only Wald intervals
 _Z975 = 1.959963984540054
-
-_DEFAULT_ARMS = ((1, 1), (0, 0))
 
 METHODS = ("bayes_late", "itt", "per_protocol", "as_treated")
 
@@ -80,8 +78,7 @@ def _two_group_report(method: str, y1: np.ndarray, y0: np.ndarray,
     return EstimateReport(method, point, interval, n1 + n0)
 
 
-def itt_estimate(data: Dataset,
-                 arms: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_ARMS) -> EstimateReport:
+def itt_estimate(data: Dataset, arms: Contrast = DEFAULT_CONTRAST) -> EstimateReport:
     """Difference of outcome means between two assignment arms (z1, z2)."""
     (a1, a2), (b1, b2) = arms
     in1 = (data.z1 == a1) & (data.z2 == a2)
@@ -90,8 +87,7 @@ def itt_estimate(data: Dataset,
                              f"z=({a1},{a2})", f"z=({b1},{b2})")
 
 
-def per_protocol_estimate(data: Dataset,
-                          arms: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_ARMS) -> EstimateReport:
+def per_protocol_estimate(data: Dataset, arms: Contrast = DEFAULT_CONTRAST) -> EstimateReport:
     """ITT computed only on units whose receipts equal their assignments."""
     kept = (data.w1 == data.z1) & (data.w2 == data.z2)
     (a1, a2), (b1, b2) = arms
@@ -101,8 +97,7 @@ def per_protocol_estimate(data: Dataset,
                              f"z=({a1},{a2})", f"z=({b1},{b2})")
 
 
-def as_treated_estimate(data: Dataset,
-                        arms: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_ARMS) -> EstimateReport:
+def as_treated_estimate(data: Dataset, arms: Contrast = DEFAULT_CONTRAST) -> EstimateReport:
     """Difference of outcome means between two receipt groups (w1, w2)."""
     (a1, a2), (b1, b2) = arms
     in1 = (data.w1 == a1) & (data.w2 == a2)
@@ -112,7 +107,7 @@ def as_treated_estimate(data: Dataset,
 
 
 def compare_methods(data: Dataset, late_draws: Sequence[float],
-                    arms: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_ARMS,
+                    arms: Contrast = DEFAULT_CONTRAST,
                     true_late: Optional[float] = None) -> List[dict]:
     """Rows for the method-comparison table, one dict per method."""
     reports = [

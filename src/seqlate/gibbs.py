@@ -23,9 +23,10 @@ The conjugate blocks regress on every unit's observed row plus the imputed
 cells of each complier without stacking those rows: the observed rows' Gram
 matrices are built once per dataset, and each sweep adds the stratum sums
 and the compliers' terms in closed form (_normal_equations).  In
-"marginal_mh" mode the masked (n, 3) log-weights the Metropolis step
-evaluates for its accepted theta travel with the state, and the label step
-normalises them instead of evaluating them again.
+"marginal_mh" mode the accepted theta's log posterior and masked (n, 3)
+log-weights travel with the state: the label step normalises the
+log-weights instead of evaluating them again, and the next Metropolis step
+starts from both.
 
 The (n, 3) label matrices (log stratum probabilities, observed-cell log
 densities, log-weights, label probabilities) are column-major, one
@@ -41,6 +42,10 @@ matrix.
 
 Proposal scales adapt with a decaying Robbins-Monro rule during warmup only
 and freeze afterwards, so kept draws come from a fixed-kernel chain.
+
+A chain writes each kept sweep's parameter vector, complier contrast and
+complier count into preallocated arrays, and fit stacks the chains into the
+(chains, draws) arrays of a FitResult.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .domain import Dataset, Y_CELLS, y_cell_index
+from .domain import AT, CO, DEFAULT_CONTRAST, NT, Contrast, Dataset, Y_CELLS, y_cell_index
 from .errors import (
     InconsistentUnit,
     InvalidConfig,
@@ -78,10 +83,8 @@ log = logging.getLogger(__name__)
 
 THETA_UPDATE_MODES = ("conjugate_gibbs", "marginal_mh")
 
-_NT, _CO, _AT = 0, 1, 2
-_DEFAULT_CONTRAST = ((1, 1), (0, 0))
 # labels == _AT_NT gives the (2, n) alwaystaker and nevertaker masks
-_AT_NT = np.array([[_AT], [_NT]], dtype=np.int8)
+_AT_NT = np.array([[AT], [NT]], dtype=np.int8)
 # per y cell in Y_CELLS order, whose x2 cell is x2(w1): its terms (w1, w2, w1*w2)
 _CELL_TERMS = np.array([(a, b, a * b) for a, b in Y_CELLS], dtype=float)
 
@@ -130,9 +133,9 @@ class _VectorData:
         self.w1f = self.w1.astype(float)
         self.w2f = self.w2.astype(float)
         consistent = np.zeros((self.n, 3), dtype=bool)
-        consistent[:, _NT] = (self.w1 == 0) & (self.w2 == 0)
-        consistent[:, _CO] = (self.w1 == self.z1) & (self.w2 == self.z2)
-        consistent[:, _AT] = (self.w1 == 1) & (self.w2 == 1)
+        consistent[:, NT] = (self.w1 == 0) & (self.w2 == 0)
+        consistent[:, CO] = (self.w1 == self.z1) & (self.w2 == self.z2)
+        consistent[:, AT] = (self.w1 == 1) & (self.w2 == 1)
         bad = np.nonzero(~consistent.any(axis=1))[0]
         if bad.size:
             i = int(bad[0])
@@ -214,21 +217,20 @@ class ChainState:
     compliance holds int8 codes in (nt, co, at) order.  x2_cells (n, 2) and
     y_cells (n, 4) hold the current potential tables with NaN marking cells
     the current label leaves undefined; observed cells always carry the
-    dataset values bit for bit.  logweights pairs a theta with its masked
-    (n, 3) label log-weights, left by the marginal_mh update for the label
-    step, or is None.
+    dataset values bit for bit.  logweights is None or (theta, its marginal
+    log posterior, its masked (n, 3) label log-weights), left by the
+    marginal_mh update for the label step and the next update.
     """
 
     theta: Theta
     compliance: np.ndarray
     x2_cells: np.ndarray
     y_cells: np.ndarray
-    iter: int
     rng: np.random.Generator
-    logweights: Optional[Tuple[Theta, np.ndarray]] = None
+    logweights: Optional[Tuple[Theta, float, np.ndarray]] = None
 
     def n_compliers(self) -> int:
-        return int((self.compliance == _CO).sum())
+        return int((self.compliance == CO).sum())
 
 
 def _vector_categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -300,7 +302,7 @@ def step_compliance(state: ChainState, data: Union[Dataset, _VectorData]) -> Cha
     vd = as_vector_data(data)
     cached = state.logweights
     if cached is not None and cached[0] is state.theta:
-        lw = cached[1]
+        lw = cached[2]
     else:
         lw = _log_weights(state.theta, vd)
     u = state.rng.uniform(size=vd.n)
@@ -322,7 +324,7 @@ def step_impute(state: ChainState, data: Union[Dataset, _VectorData]) -> ChainSt
     th, p = state.theta, vd.p
     x2_cells = vd.x2_cells_obs.copy(order="F")
     y_cells = vd.y_cells_obs.copy(order="F")
-    idx = np.flatnonzero(state.compliance == _CO)
+    idx = np.flatnonzero(state.compliance == CO)
     k = idx.size
     if k:
         x2T, yT = x2_cells.T, y_cells.T
@@ -342,10 +344,9 @@ def step_impute(state: ChainState, data: Union[Dataset, _VectorData]) -> ChainSt
     return replace(state, x2_cells=x2_cells, y_cells=y_cells)
 
 
-def late_draw(state: ChainState,
-              contrast: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_CONTRAST) -> float:
+def late_draw(state: ChainState, contrast: Contrast = DEFAULT_CONTRAST) -> float:
     """Average treatment contrast over the units currently labelled compliers."""
-    co = state.compliance == _CO
+    co = state.compliance == CO
     if not co.any():
         raise NoCompliersInDraw("no units carry the complier label in this sweep")
     (a1, a2), (b1, b2) = contrast
@@ -372,9 +373,6 @@ class _Tuning:
     marg_sd: Optional[np.ndarray] = None
     history: List[np.ndarray] = field(default_factory=list)
     sd_refresh_at: Optional[int] = None
-    last_theta: Optional[Theta] = None
-    last_logpost: Optional[float] = None
-    last_logweights: Optional[np.ndarray] = None
 
 
 def _normal_equations(state: ChainState, lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple]:
@@ -389,7 +387,7 @@ def _normal_equations(state: ChainState, lab: np.ndarray, vd: _VectorData) -> Tu
     p, n = vd.p, vd.n
     ind = lab.astype(float)
     L = (ind @ vd.obs_cols).ravel()
-    idx = np.flatnonzero(state.compliance == _CO)
+    idx = np.flatnonzero(state.compliance == CO)
     k = idx.size
     # per complier [1, x1..., 1 - w1, x2(1 - w1)], then per y cell its paired
     # x2 cell, whether it is missing, and the y cell, cells zero if observed;
@@ -524,7 +522,7 @@ def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarra
     vd = as_vector_data(data)
     r = _normalise(_log_weights(theta, vd), vd.admissible)
     pc = np.exp(compliance_log_prob_matrix(theta, vd.U1))
-    parts = [vd.U1.T @ (r[:, _NT] - pc[:, _NT]), vd.U1.T @ (r[:, _AT] - pc[:, _AT])]
+    parts = [vd.U1.T @ (r[:, NT] - pc[:, NT]), vd.U1.T @ (r[:, AT] - pc[:, AT])]
     for static, resp, coef, sigma in ((vd.x2_static, vd.x2, theta.alpha, theta.sigma_x),
                                       (vd.y_static, vd.y, theta.beta, theta.sigma_y)):
         k = static.shape[1]
@@ -532,7 +530,7 @@ def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarra
         res = (resp - static @ coef[:k])[:, None] - np.array([coef[k + 1], 0.0, coef[k]])
         wres = r * res
         parts += [static.T @ wres.sum(axis=1) / sigma ** 2,
-                  np.array([wres[:, _AT].sum(), wres[:, _NT].sum()]) / sigma ** 2,
+                  np.array([wres[:, AT].sum(), wres[:, NT].sum()]) / sigma ** 2,
                   [float((wres * res).sum()) / sigma ** 3 - vd.n / sigma]]
     return np.concatenate(parts)
 
@@ -566,14 +564,16 @@ def _marginal_logpost(theta: Theta, vd: _VectorData,
 
 
 def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
-                    tuning: _Tuning) -> Tuple[Theta, np.ndarray]:
-    """One Metropolis step; returns the new theta and its log-weights."""
+                    tuning: _Tuning) -> Tuple[Theta, float, np.ndarray]:
+    """One Metropolis step; returns the new theta, its log posterior and
+    its log-weights."""
     th = state.theta
     rng = state.rng
     p = th.p
     cur = _pack_unconstrained(th)
-    if tuning.last_logpost is not None and tuning.last_theta is th:
-        lp_cur, lw_cur = tuning.last_logpost, tuning.last_logweights
+    cached = state.logweights
+    if cached is not None and cached[0] is th:
+        _, lp_cur, lw_cur = cached
     else:
         lp_cur, lw_cur = _marginal_logpost(th, vd, prior)
     if not np.isfinite(lp_cur):
@@ -595,7 +595,6 @@ def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
         accept_prob = min(1.0, math.exp(min(0.0, lp_prop - lp_cur)))
         if math.log(rng.uniform()) < lp_prop - lp_cur:
             new, lw_new, lp_new = prop, lw_prop, lp_prop
-    tuning.last_theta, tuning.last_logpost, tuning.last_logweights = new, lp_new, lw_new
     if tuning.adapting:
         tuning.marg_scale = _adapt_scale(tuning.marg_scale, accept_prob, 0.234, tuning.t)
         tuning.history.append(_pack_unconstrained(new))
@@ -603,7 +602,7 @@ def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
             hist = np.asarray(tuning.history)
             sd_new = hist.std(axis=0, ddof=0)
             tuning.marg_sd = np.maximum(sd_new, 1e-3)
-    return new, lw_new
+    return new, lp_new, lw_new
 
 
 def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: PriorSpec,
@@ -618,8 +617,8 @@ def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: Prio
     if tuning is None:
         tuning = _Tuning()
     if mode == "marginal_mh":
-        new_theta, lw = _theta_marginal(state, vd, prior, tuning)
-        return replace(state, theta=new_theta, logweights=(new_theta, lw))
+        cache = _theta_marginal(state, vd, prior, tuning)
+        return replace(state, theta=cache[0], logweights=cache)
     return replace(state, theta=_theta_conjugate(state, vd, prior, tuning), logweights=None)
 
 
@@ -627,30 +626,24 @@ def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: Prio
 # chain driver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Draw:
-    """Kept sweep snapshot: parameters plus the complier contrast."""
-
-    iter: int
-    theta: Theta
-    late: float        # NaN marks a sweep whose label draw had no compliers
-    n_compliers: int
+def _uniform_labels(vd: _VectorData, rng: np.random.Generator) -> np.ndarray:
+    """Labels drawn uniformly over each unit's admissible types, from n uniforms."""
+    mask = vd.consistent.astype(float)
+    return _vector_categorical(mask / mask.sum(axis=1, keepdims=True), rng.uniform(size=vd.n))
 
 
 def init_state(data: Union[Dataset, _VectorData], rng: np.random.Generator) -> ChainState:
     """Starting state: labels uniform over each unit's admissible types,
     coefficients at their prior means, noise scales at the sample spreads."""
     vd = as_vector_data(data)
-    mask = vd.consistent.astype(float)
-    probs = mask / mask.sum(axis=1, keepdims=True)
-    codes = _vector_categorical(probs, rng.uniform(size=vd.n))
+    codes = _uniform_labels(vd, rng)
     p = vd.p
     sx = max(float(vd.x2.std()), 1e-2)
     sy = max(float(vd.y.std()), 1e-2)
     theta0 = Theta(np.zeros(p + 1), np.zeros(p + 1), np.zeros(p + 4), sx,
                    np.zeros(p + 7), sy)
     state = ChainState(theta0, codes, np.full((vd.n, 2), np.nan),
-                       np.full((vd.n, 4), np.nan), 0, rng)
+                       np.full((vd.n, 4), np.nan), rng)
     return step_impute(state, vd)
 
 
@@ -664,16 +657,16 @@ def _check_state_invariants(state: ChainState, vd: _VectorData) -> None:
         raise AssertionError("an observed x2 cell was modified")
     if not np.array_equal(state.y_cells[np.arange(vd.n), vd.obs_ycol], vd.y):
         raise AssertionError("an observed y cell was modified")
-    co = codes == _CO
+    co = codes == CO
     if np.isnan(state.x2_cells[co]).any() or np.isnan(state.y_cells[co]).any():
         raise AssertionError("a complier table has an undefined cell")
 
 
 def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerConfig,
-              chain_index: int = 0,
-              contrast: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_CONTRAST,
-              check_invariants: bool = False) -> List[Draw]:
-    """Run one chain and return its kept draws.
+              chain_index: int = 0, contrast: Contrast = DEFAULT_CONTRAST,
+              check_invariants: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run one chain; returns its kept draws as (theta, late, n_compliers)
+    arrays, one row per kept sweep, laid out as FitResult's per chain.
 
     Deterministic in (cfg.seed, chain_index); step errors are re-raised with
     the failing sweep number attached.
@@ -685,9 +678,10 @@ def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerC
     state = init_state(vd, rng)
     tuning = _Tuning(marg_scale=cfg.mh_step_scale,
                      sd_refresh_at=max(1, cfg.n_warmup // 2))
-    draws: List[Draw] = []
-    total = cfg.n_warmup + cfg.n_draws
-    for t in range(total):
+    theta = np.empty((cfg.n_draws, theta_dim(vd.p)))
+    late = np.empty(cfg.n_draws)
+    n_compliers = np.empty(cfg.n_draws, dtype=np.int64)
+    for t in range(cfg.n_warmup + cfg.n_draws):
         tuning.adapting = t < cfg.n_warmup
         tuning.t = t
         try:
@@ -696,56 +690,52 @@ def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerC
             state = step_impute(state, vd)
         except SeqlateError as e:
             raise type(e)(f"sweep {t + 1}: {e}") from e
-        state.iter = t + 1
         if check_invariants:
             _check_state_invariants(state, vd)
-        if t >= cfg.n_warmup:
+        j = t - cfg.n_warmup
+        if j >= 0:
+            theta[j] = state.theta.to_vector()
+            n_compliers[j] = state.n_compliers()
             try:
-                late = late_draw(state, contrast)
+                late[j] = late_draw(state, contrast)
             except NoCompliersInDraw:
-                late = float("nan")
-            draws.append(Draw(t - cfg.n_warmup + 1, state.theta, late,
-                              state.n_compliers()))
-    return draws
+                late[j] = np.nan
+    return theta, late, n_compliers
 
 
 @dataclass
 class FitResult:
-    """Draws from all chains plus layout metadata."""
+    """Kept draws of every chain as arrays, plus layout metadata.
 
-    chains: List[List[Draw]]
+    theta is (chains, draws, d) in Theta.to_vector() layout, named by
+    theta_names(); late is (chains, draws), NaN on a sweep whose label draw
+    had no compliers; n_compliers is (chains, draws).
+    """
+
+    theta: np.ndarray
+    late: np.ndarray
+    n_compliers: np.ndarray
     p: int
     config: SamplerConfig
 
     @property
     def n_chains(self) -> int:
-        return len(self.chains)
+        return self.late.shape[0]
 
     @property
     def n_draws(self) -> int:
-        return len(self.chains[0])
+        return self.late.shape[1]
 
     def theta_names(self) -> List[str]:
         return theta_field_names(self.p)
 
-    def late_matrix(self) -> np.ndarray:
-        return np.array([[d.late for d in chain] for chain in self.chains])
-
     def pooled_late(self) -> np.ndarray:
-        flat = self.late_matrix().ravel()
+        flat = self.late.ravel()
         return flat[np.isfinite(flat)]
-
-    def theta_matrix(self) -> np.ndarray:
-        out = np.empty((self.n_chains, self.n_draws, theta_dim(self.p)))
-        for i, chain in enumerate(self.chains):
-            for j, d in enumerate(chain):
-                out[i, j] = d.theta.to_vector()
-        return out
 
 
 def fit(data: Dataset, prior: PriorSpec, cfg: SamplerConfig,
-        contrast: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_CONTRAST,
-        check_invariants: bool = False) -> FitResult:
+        contrast: Contrast = DEFAULT_CONTRAST, check_invariants: bool = False) -> FitResult:
     """Run cfg.n_chains independent chains over their own substreams."""
     vd = as_vector_data(data)
     chains = []
@@ -753,4 +743,5 @@ def fit(data: Dataset, prior: PriorSpec, cfg: SamplerConfig,
         log.info("running chain %d/%d", k + 1, cfg.n_chains)
         chains.append(run_chain(vd, prior, cfg, chain_index=k, contrast=contrast,
                                 check_invariants=check_invariants))
-    return FitResult(chains, vd.p, cfg)
+    theta, late, n_compliers = map(np.stack, zip(*chains))
+    return FitResult(theta, late, n_compliers, vd.p, cfg)

@@ -23,7 +23,7 @@ from typing import List
 
 import numpy as np
 
-from .domain import COMPLIANCE_ORDER, ComplianceType
+from .domain import AT, CO, NT
 from .errors import DimensionMismatch, InvalidConfig, InvariantViolation
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -236,11 +236,20 @@ def observed_cell_logliks(theta: Theta, X1: np.ndarray, w1: np.ndarray,
     b = theta.beta
     base_y = (b[0] + X1 @ b[1:1 + p] + b[p + 1] * x2 + b[p + 2] * w1
               + b[p + 3] * w2 + b[p + 4] * w1 * w2)
-    for code, c in enumerate(COMPLIANCE_ORDER):
-        at = 1.0 if c is ComplianceType.ALWAYSTAKER else 0.0
-        nt = 1.0 if c is ComplianceType.NEVERTAKER else 0.0
+    for code in (NT, CO, AT):
+        at, nt = float(code == AT), float(code == NT)
         mu_x = base_x + theta.alpha[p + 2] * at + theta.alpha[p + 3] * nt
         mu_y = base_y + b[p + 5] * at + b[p + 6] * nt
         out[:, code] = (_normal_logpdf(x2, mu_x, theta.sigma_x)
                         + _normal_logpdf(y, mu_y, theta.sigma_y))
     return out
+
+
+def inverse_cdf_draw(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws along the last axis of probability vectors probs,
+    one per entry of u: the number of running sums at or below u, capped at
+    the last positive entry, so a zero-probability trailing entry is never
+    drawn."""
+    below = (np.cumsum(probs, axis=-1) <= u[..., None]).sum(axis=-1)
+    last = probs.shape[-1] - 1 - np.argmax(probs[..., ::-1] > 0.0, axis=-1)
+    return np.minimum(below, last)

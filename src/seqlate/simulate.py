@@ -22,17 +22,22 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .domain import (
+    AT,
     CANONICAL_X2_MASK,
     CANONICAL_Y_MASK,
+    CO,
     COMPLIANCE_ORDER,
+    DEFAULT_CONTRAST,
+    NT,
     ComplianceType,
+    Contrast,
     Dataset,
     PotentialTable,
     Y_CELLS,
     y_cell_index,
 )
 from .errors import InvalidConfig, NoCompliers, TooLarge
-from .model import logit_design
+from .model import inverse_cdf_draw, logit_design
 from .rng import substream
 
 
@@ -278,12 +283,6 @@ class GroundTruth:
         return tuple(map(self.table, range(len(self))))
 
 
-_DEFAULT_CONTRAST = ((1, 1), (0, 0))
-_CO = COMPLIANCE_ORDER.index(ComplianceType.COMPLIER)
-_AT = COMPLIANCE_ORDER.index(ComplianceType.ALWAYSTAKER)
-_NT = COMPLIANCE_ORDER.index(ComplianceType.NEVERTAKER)
-
-
 def simulate_dataset(cfg: DgpConfig) -> Tuple[Dataset, GroundTruth]:
     """Generate a dataset and its latent ground truth, deterministically.
 
@@ -304,19 +303,15 @@ def simulate_dataset(cfg: DgpConfig) -> Tuple[Dataset, GroundTruth]:
         g.standard_normal(out=eps[i])         # 2 x2 cells, then 4 y cells
         g.random(out=u_z[i])
 
-    # inverse-CDF label draw: the number of running sums at or below u_c,
-    # capped at the last stratum of positive probability
-    P = cfg.compliance_probs.stratum_probs(X1)
-    last = 2 - np.argmax(P[:, ::-1] > 0, axis=1)
-    codes = np.minimum((np.cumsum(P, axis=1) <= u_c[:, None]).sum(axis=1), last).astype(np.int8)
+    codes = inverse_cdf_draw(cfg.compliance_probs.stratum_probs(X1), u_c).astype(np.int8)
     pi1, pi2 = cfg.assignment_probs.assignment_probs(X1)
     z1 = (u_z[:, 0] < pi1).astype(np.int8)
     z2 = (u_z[:, 1] < pi2).astype(np.int8)
-    co, at = codes == _CO, codes == _AT
+    co, at = codes == CO, codes == AT
     w1 = np.where(co, z1, at).astype(np.int8)
     w2 = np.where(co, z2, at).astype(np.int8)
 
-    atf, ntf = at.astype(float), (codes == _NT).astype(float)
+    atf, ntf = at.astype(float), (codes == NT).astype(float)
     dot_a, dot_b = _row_dot(X1, alpha[1:1 + p]), _row_dot(X1, beta[1:1 + p])
     x2_cells = np.empty((n, 2))
     for w in (0, 1):
@@ -338,18 +333,16 @@ def simulate_dataset(cfg: DgpConfig) -> Tuple[Dataset, GroundTruth]:
     return data, replace(truth, true_late=true_sample_late(truth)) if truth.n_co else truth
 
 
-def true_sample_late(gt: GroundTruth,
-                     contrast: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_CONTRAST) -> float:
+def true_sample_late(gt: GroundTruth, contrast: Contrast = DEFAULT_CONTRAST) -> float:
     """Finite-sample average effect over the compliers for the given contrast."""
     if gt.n_co == 0:
         raise NoCompliers("the sample contains no compliers")
     (a1, a2), (b1, b2) = contrast
-    co = gt.y_cells[gt.codes == _CO]
+    co = gt.y_cells[gt.codes == CO]
     return float(np.mean(co[:, y_cell_index(a1, a2)] - co[:, y_cell_index(b1, b2)]))
 
 
-def true_sample_sate(gt: GroundTruth,
-                     contrast: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_CONTRAST) -> float:
+def true_sample_sate(gt: GroundTruth, contrast: Contrast = DEFAULT_CONTRAST) -> float:
     """Finite-sample average effect over every unit.
 
     Requires the all-cells diagnostic tables; with canonical tables the

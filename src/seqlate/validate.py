@@ -28,16 +28,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .domain import COMPLIANCE_CODE, ComplianceType, Dataset, y_cell_index
+from .domain import CO, DEFAULT_CONTRAST, Contrast, Dataset, y_cell_index
 from .errors import InvalidConfig, InvariantViolation, TooFewDraws, TooLarge
-from .gibbs import _VectorData, _normalise, _vector_categorical, as_vector_data
+from .gibbs import _VectorData, _normalise, _uniform_labels, _vector_categorical, as_vector_data
 # the kernels are called through this module's own names, not through
 # gibbs._log_weights, so that counting the sampler's calls leaves these out
-from .model import Theta, compliance_log_prob_matrix, observed_cell_logliks
+from .model import Theta, compliance_log_prob_matrix, inverse_cdf_draw, observed_cell_logliks
 from .rng import substream
-
-_DEFAULT_CONTRAST = ((1, 1), (0, 0))
-
 
 @dataclass(frozen=True)
 class DiscreteSpec:
@@ -102,8 +99,7 @@ def config_index(codes: Sequence[int]) -> int:
     return idx
 
 
-def _complier_contrasts(theta: Theta, vd: _VectorData,
-                        contrast: Tuple[Tuple[int, int], Tuple[int, int]]) -> np.ndarray:
+def _complier_contrasts(theta: Theta, vd: _VectorData, contrast: Contrast) -> np.ndarray:
     """(n,) contrast at imputation means, were each unit a complier.
 
     Observed cells keep their observed values; a missing x2 cell sits at its
@@ -128,8 +124,7 @@ def _complier_contrasts(theta: Theta, vd: _VectorData,
 
 
 def _grid_factors(vd: _VectorData, spec: DiscreteSpec,
-                  contrast: Tuple[Tuple[int, int], Tuple[int, int]]
-                  ) -> Tuple[np.ndarray, np.ndarray]:
+                  contrast: Contrast) -> Tuple[np.ndarray, np.ndarray]:
     """(grid, unit, type) log factors and (grid, unit) complier contrasts.
 
     A unit's factor for a type is the log of the product of the stratum
@@ -148,7 +143,7 @@ def _grid_factors(vd: _VectorData, spec: DiscreteSpec,
 
 
 def exact_posterior(data: Dataset, spec: DiscreteSpec,
-                    contrast: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_CONTRAST) -> ExactPosterior:
+                    contrast: Contrast = DEFAULT_CONTRAST) -> ExactPosterior:
     """Enumerate the posterior over (grid point, label configuration).
 
     Raises TooLarge when 3**n * len(grid) exceeds the grid's budget or when
@@ -196,7 +191,7 @@ def exact_posterior(data: Dataset, spec: DiscreteSpec,
         pj = joint[j]
         for i, c in enumerate(cfg):
             marginals[i, c] += pj
-        co_units = [i for i, c in enumerate(cfg) if c == COMPLIANCE_CODE[ComplianceType.COMPLIER]]
+        co_units = [i for i, c in enumerate(cfg) if c == CO]
         if not co_units:
             dropped += pj
             continue
@@ -263,16 +258,8 @@ def _grid_conditional(by_code: List[np.ndarray], log_w: np.ndarray,
     return pk
 
 
-def _grid_pick(pk: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws along the last axis of probability vectors pk: the
-    number of running sums at or below u, capped at the last positive entry."""
-    below = (np.cumsum(pk, axis=-1) <= u[..., None]).sum(axis=-1)
-    last = pk.shape[-1] - 1 - np.argmax(pk[..., ::-1] > 0.0, axis=-1)
-    return np.minimum(below, last)
-
-
 def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
-               contrast: Tuple[Tuple[int, int], Tuple[int, int]] = _DEFAULT_CONTRAST) -> GridGibbsResult:
+               contrast: Contrast = DEFAULT_CONTRAST) -> GridGibbsResult:
     """Two-block Gibbs sampler with theta restricted to the grid.
 
     Alternates an exact categorical draw of the grid index given the labels
@@ -315,10 +302,7 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     log_w = np.log(spec.weights)
     rng = substream(seed, "grid-gibbs", 0)
 
-    # labels start uniform over each unit's admissible strata
-    mask = vd.consistent.astype(float)
-    codes = _vector_categorical(mask / mask.sum(axis=1, keepdims=True),
-                                rng.uniform(size=n))
+    codes = _uniform_labels(vd, rng)
     powers = 3 ** np.arange(n - 1, -1, -1)
     theta_idx = np.empty(n_sweeps, dtype=np.int64)
     config_idx = np.empty(n_sweeps, dtype=np.int64)
@@ -337,9 +321,9 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
                                       return_index=True, return_inverse=True)
         starts = np.concatenate([at_k[:-1].reshape(-1, n), codes[None]])
         pk = _grid_conditional(by_code, log_w, starts[first])[inverse.reshape(-1)]
-        ki = int(_grid_pick(pk[-1:], u[:1, 0])[0])
+        ki = int(inverse_cdf_draw(pk[-1:], u[:1, 0])[0])
         # nxt[s][kj]: grid index of sweep s + 1 after grid index kj at sweep s
-        nxt = _grid_pick(pk[:-1].reshape(size - 1, k, k), u[1:, :1]).tolist()
+        nxt = inverse_cdf_draw(pk[:-1].reshape(size - 1, k, k), u[1:, :1]).tolist()
         walk = [ki]
         for row in nxt:
             ki = row[ki]
@@ -355,7 +339,7 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
                                       return_index=True, return_inverse=True)
         values = np.full(first.size, np.nan)
         for j, s in enumerate(first):
-            co = block_codes[s] == COMPLIANCE_CODE[ComplianceType.COMPLIER]
+            co = block_codes[s] == CO
             if co.any():
                 values[j] = diffs[walk[s], co].mean()
         late[start:stop] = values[inverse.reshape(-1)]

@@ -98,11 +98,10 @@ def test_criterion_3_posterior_recovers_known_effect():
     pooled = res.pooled_late()
     err = abs(pooled.mean() - truth.true_late)
     sd = pooled.std(ddof=1)
-    worst_r = rhat(res.late_matrix())
+    worst_r = rhat(res.late)
     worst_name = "late"
-    tm = res.theta_matrix()
     for j, name in enumerate(res.theta_names()):
-        r = rhat(tm[:, :, j])
+        r = rhat(res.theta[:, :, j])
         if r > worst_r:
             worst_r, worst_name = r, name
     ok = err < 3 * sd and worst_r < 1.05
@@ -134,7 +133,7 @@ def test_criterion_4_simulation_based_calibration():
         res = fit(data, prior,
                   SamplerConfig(seed=int(rng.integers(2 ** 63)), n_chains=1,
                                 n_warmup=300, n_draws=500))
-        kept = res.theta_matrix()[0, 4::5, focal][:99]
+        kept = res.theta[0, 4::5, focal][:99]
         ranks.append(int((kept < true_vec[focal]).sum()))
     counts = np.bincount(np.asarray(ranks) // 10, minlength=10)
     expected = n_reps / 10
@@ -198,11 +197,11 @@ def test_criterion_7_both_kernels_agree():
 
     def late_stats(res):
         pooled = res.pooled_late()
-        e = sum(ess(row[np.isfinite(row)]) for row in res.late_matrix())
+        e = sum(ess(row[np.isfinite(row)]) for row in res.late)
         return float(pooled.mean()), float(pooled.std(ddof=1) / np.sqrt(e))
 
     def coef_stats(res):
-        mat = res.theta_matrix()[:, :, j4]
+        mat = res.theta[:, :, j4]
         e = sum(ess(row) for row in mat)
         return float(mat.mean()), float(mat.ravel().std(ddof=1) / np.sqrt(e))
 

@@ -121,7 +121,7 @@ def test_compare_rejects_a_cut_truth_sidecar(tmp_path, capsys):
     fit_dir = tmp_path / "fit"
     fit_dir.mkdir()
     write_draws_csv(fit_dir / "draws.csv", ["beta_0"],
-                    [(i + 1, 0, 1.0 + 0.01 * i, np.array([0.0])) for i in range(20)])
+                    1.0 + 0.01 * np.arange(20)[None], np.zeros((1, 20, 1)))
     sidecar = sim / "dataset.truth.json"
     doc = json.loads(sidecar.read_text())
     cut = dict(doc, compliance=doc["compliance"][:10], tables=doc["tables"][:10])
@@ -142,7 +142,7 @@ def test_compare_rejects_a_cut_truth_sidecar(tmp_path, capsys):
 def _stub_fit(fit_dir):
     fit_dir.mkdir()
     write_draws_csv(fit_dir / "draws.csv", ["beta_0"],
-                    [(i + 1, 0, 1.0 + 0.01 * i, np.array([0.0])) for i in range(20)])
+                    1.0 + 0.01 * np.arange(20)[None], np.zeros((1, 20, 1)))
     return fit_dir
 
 
@@ -286,7 +286,7 @@ def test_compare_rejects_a_malformed_summary_contrast(sim_dir, tmp_path, capsys,
     fit_dir = tmp_path / "fit"
     fit_dir.mkdir()
     write_draws_csv(fit_dir / "draws.csv", ["beta_0"],
-                    [(i + 1, 0, 1.0 + 0.01 * i, np.array([0.0])) for i in range(20)])
+                    1.0 + 0.01 * np.arange(20)[None], np.zeros((1, 20, 1)))
     (fit_dir / "summary.json").write_text('{"contrast": %s}' % contrast)
     rc = main(["compare", "--data", str(sim_dir / "dataset.csv"), "--fit", str(fit_dir)])
     assert rc == 3

@@ -142,21 +142,20 @@ def test_truth_sidecar_path_convention():
 
 def test_draws_csv_round_trip(tmp_path):
     names = ["beta_0", "sigma_y"]
-    rows = [
-        (1, 0, 0.25, np.array([1.5, 0.7])),
-        (2, 0, float("nan"), np.array([-0.5, 1.2])),
-        (1, 1, -0.75, np.array([0.0, 2.0])),
-    ]
+    lates = np.array([[0.25, float("nan")], [-0.75, 0.5]])
+    thetas = np.array([[[1.5, 0.7], [-0.5, 1.2]], [[0.0, 2.0], [3.0, 0.1]]])
     path = tmp_path / "draws.csv"
-    write_draws_csv(path, names, rows)
+    write_draws_csv(path, names, lates, thetas)
     text = path.read_text().splitlines()
     assert text[0] == "iter,chain,late,beta_0,sigma_y"
     assert text[2].split(",")[2] == ""   # NaN renders as the empty field
+    assert [line.split(",")[:2] for line in text[1:]] == [["1", "0"], ["2", "0"],
+                                                          ["1", "1"], ["2", "1"]]
     got_names, chains, late, theta = read_draws_csv(path)
     assert got_names == names
-    assert chains.tolist() == [0, 0, 1]
-    assert np.isnan(late[1]) and late[0] == 0.25
-    assert np.array_equal(theta, np.array([[1.5, 0.7], [-0.5, 1.2], [0.0, 2.0]]))
+    assert chains.tolist() == [0, 0, 1, 1]
+    assert np.array_equal(late, lates.ravel(), equal_nan=True)
+    assert np.array_equal(theta, thetas.reshape(4, 2))
 
 
 def test_draws_csv_bytes_match_per_value_repr(tmp_path):
@@ -165,9 +164,10 @@ def test_draws_csv_bytes_match_per_value_repr(tmp_path):
     names = ["a", "b", "c", "d", "e"]
     vec = np.array([-0.0, 5e-324, 1e16, 0.1 + 0.2, -1.5])
     rows = [(1, 0, float("nan"), vec), (2, 0, 0.1 + 0.2, vec[::-1]),
-            (1, 1, -0.0, vec * 3.0)]
+            (1, 1, -0.0, vec * 3.0), (2, 1, 1e300, -vec)]
     path = tmp_path / "draws.csv"
-    write_draws_csv(path, names, rows)
+    write_draws_csv(path, names, np.array([r[2] for r in rows]).reshape(2, 2),
+                    np.array([r[3] for r in rows]).reshape(2, 2, 5))
     lines = [",".join(["iter", "chain", "late"] + names)]
     for it, chain, late, v in rows:
         late_txt = "" if math.isnan(late) else repr(float(late))
@@ -241,8 +241,7 @@ def test_truth_sidecar_malformed_cells_are_schema_errors(tmp_path, cells):
                                          ("iter", "x"), ("iter", "")])
 def test_draws_csv_non_integer_index_is_schema_error(tmp_path, field, value):
     path = tmp_path / "draws.csv"
-    write_draws_csv(path, ["beta_0"], [(1, 0, 0.25, np.array([1.5])),
-                                       (2, 0, 0.5, np.array([1.0]))])
+    write_draws_csv(path, ["beta_0"], np.array([[0.25, 0.5]]), np.array([[[1.5], [1.0]]]))
     lines = path.read_text().splitlines()
     fields = lines[2].split(",")
     fields[0 if field == "iter" else 1] = value
@@ -359,7 +358,8 @@ def test_draws_reader_memory_stays_near_the_arrays(tmp_path):
             for i in range(8000)]
     rows[5] = (6, 0, float("nan"), rows[5][3])
     path = tmp_path / "draws.csv"
-    write_draws_csv(path, names, rows)
+    write_draws_csv(path, names, np.array([r[2] for r in rows]).reshape(4, 2000),
+                    np.array([r[3] for r in rows]).reshape(4, 2000, 19))
     assert path.stat().st_size > 3_000_000
     tracemalloc.start()
     try:

@@ -35,10 +35,16 @@ from seqlate.gibbs import (
     step_impute,
     step_theta,
 )
-from seqlate.model import PriorSpec, Theta, compliance_log_prob_matrix, observed_cell_logliks
+from seqlate.model import (
+    PriorSpec,
+    Theta,
+    compliance_log_prob_matrix,
+    inverse_cdf_draw,
+    observed_cell_logliks,
+    theta_field_names,
+)
 from seqlate.rng import substream
 from seqlate.simulate import ConstantCompliance, DgpConfig, simulate_dataset
-from seqlate.validate import _grid_pick
 
 # a column kernel producing inf - inf or 0 * inf fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -156,7 +162,7 @@ def test_step_impute_is_centered_on_model_means():
     th = zero_loading_theta(sigma=1e-8)
     state = init_state(vd, substream(26, "chain", 0))
     state = ChainState(th, np.full(vd.n, 1, dtype=np.int8), state.x2_cells,
-                       state.y_cells, 0, state.rng)
+                       state.y_cells, state.rng)
     state = step_impute(state, vd)
     p = 1
     for i in range(vd.n):
@@ -179,15 +185,14 @@ def test_late_draw_hand_case():
     y = np.array([[1.0, 0.0, 0.0, 4.0],
                   [0.0, 0.0, 0.0, 1.0],
                   [2.0, np.nan, np.nan, np.nan]])
-    state = ChainState(th, np.array([1, 1, 0], dtype=np.int8), x2, y, 0,
+    state = ChainState(th, np.array([1, 1, 0], dtype=np.int8), x2, y,
                        substream(27, "chain", 0))
     # compliers contribute y(1,1) - y(0,0): (4-1) and (1-0); the nevertaker
     # is excluded
     assert late_draw(state) == pytest.approx(2.0)
     # y(0,1) - y(0,0): (0-1) and (0-0)
     assert late_draw(state, contrast=((0, 1), (0, 0))) == pytest.approx(-0.5)
-    state_none = ChainState(th, np.array([0, 0, 2], dtype=np.int8), x2, y, 0,
-                            state.rng)
+    state_none = ChainState(th, np.array([0, 0, 2], dtype=np.int8), x2, y, state.rng)
     with pytest.raises(NoCompliersInDraw):
         late_draw(state_none)
 
@@ -262,14 +267,13 @@ def test_random_walk_metropolis_duplicated_flat_target():
 def test_run_chain_is_deterministic(mode):
     data, _ = simulate_dataset(DgpConfig(n=80, seed=33))
     cfg = SamplerConfig(seed=5, n_chains=1, n_warmup=50, n_draws=60, theta_update=mode)
-    d1 = run_chain(data, PriorSpec(), cfg, chain_index=0)
-    d2 = run_chain(data, PriorSpec(), cfg, chain_index=0)
-    assert len(d1) == 60
-    for a, b in zip(d1, d2):
-        assert a.theta == b.theta
-        assert (a.late == b.late) or (np.isnan(a.late) and np.isnan(b.late))
-    d3 = run_chain(data, PriorSpec(), cfg, chain_index=1)
-    assert any(a.theta != b.theta for a, b in zip(d1, d3))
+    theta1, late1, _ = run_chain(data, PriorSpec(), cfg, chain_index=0)
+    theta2, late2, _ = run_chain(data, PriorSpec(), cfg, chain_index=0)
+    assert theta1.shape[0] == late1.shape[0] == 60
+    assert np.array_equal(theta1, theta2)
+    assert np.array_equal(late1, late2, equal_nan=True)
+    theta3, _, _ = run_chain(data, PriorSpec(), cfg, chain_index=1)
+    assert (theta1 != theta3).any(axis=1).any()
 
 
 def test_run_chain_reports_failing_sweep(monkeypatch):
@@ -295,8 +299,8 @@ def test_run_chain_requires_seed():
 def test_run_chain_invariants_hold_throughout():
     data, _ = simulate_dataset(DgpConfig(n=60, seed=36))
     cfg = SamplerConfig(seed=7, n_chains=1, n_warmup=30, n_draws=30)
-    draws = run_chain(data, PriorSpec(), cfg, check_invariants=True)
-    assert all(np.isfinite(d.theta.sigma_y) for d in draws)
+    theta, _, _ = run_chain(data, PriorSpec(), cfg, check_invariants=True)
+    assert np.isfinite(theta[:, theta_field_names(1).index("sigma_y")]).all()
 
 
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
@@ -326,11 +330,57 @@ def test_fit_shapes_and_determinism():
     cfg = SamplerConfig(seed=8, n_chains=2, n_warmup=40, n_draws=50)
     r1 = fit(data, PriorSpec(), cfg)
     r2 = fit(data, PriorSpec(), cfg)
-    assert r1.late_matrix().shape == (2, 50)
-    assert r1.theta_matrix().shape == (2, 50, len(r1.theta_names()))
-    lm1, lm2 = r1.late_matrix(), r2.late_matrix()
-    assert np.array_equal(lm1, lm2, equal_nan=True)
-    assert np.array_equal(r1.theta_matrix(), r2.theta_matrix())
+    assert r1.late.shape == r1.n_compliers.shape == (2, 50)
+    assert r1.theta.shape == (2, 50, len(r1.theta_names()))
+    assert (r1.n_chains, r1.n_draws) == (2, 50)
+    assert np.array_equal(r1.late, r2.late, equal_nan=True)
+    assert np.array_equal(r1.theta, r2.theta)
+    assert np.array_equal(r1.n_compliers, r2.n_compliers)
+
+
+@pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
+def test_fit_arrays_equal_hand_driven_sweeps(mode):
+    # row j of chain c is kept sweep n_warmup + j of init_state and the three
+    # steps driven by hand on that chain's substream, adapting during warmup
+    data, _ = simulate_dataset(DgpConfig(n=60, seed=49))
+    vd = as_vector_data(data)
+    cfg = SamplerConfig(seed=12, n_chains=2, n_warmup=6, n_draws=15, theta_update=mode)
+    res = fit(data, PriorSpec(), cfg)
+    for c in range(cfg.n_chains):
+        state = init_state(vd, substream(cfg.seed, "chain", c))
+        tuning = gibbs._Tuning(marg_scale=cfg.mh_step_scale, sd_refresh_at=cfg.n_warmup // 2)
+        for t in range(cfg.n_warmup + cfg.n_draws):
+            tuning.adapting, tuning.t = t < cfg.n_warmup, t
+            state = step_theta(state, vd, PriorSpec(), mode, tuning)
+            state = step_impute(step_compliance(state, vd), vd)
+            j = t - cfg.n_warmup
+            if j >= 0:
+                assert np.array_equal(res.theta[c, j], state.theta.to_vector())
+                assert res.n_compliers[c, j] == state.n_compliers()
+                want = late_draw(state) if state.n_compliers() else np.nan
+                assert np.array_equal(res.late[c, j], want, equal_nan=True)
+
+
+def test_fit_result_keeps_only_its_arrays():
+    # the README shape: n = 500, 4 chains x 750 kept draws of 19 parameters,
+    # whose arrays take about 0.5 MiB; one Theta object per draw took 3.5
+    import gc
+    import tracemalloc
+
+    data, _ = simulate_dataset(DgpConfig(n=500, seed=50))
+    cfg = SamplerConfig(seed=13, n_chains=4, n_warmup=10, n_draws=750)
+    tracemalloc.start()
+    try:
+        res = fit(data, PriorSpec(), cfg)
+        assert (res.n_chains, res.n_draws) == (4, 750)
+        gc.collect()
+        with_result = tracemalloc.get_traced_memory()[0]
+        del res
+        gc.collect()
+        kept = with_result - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.5 * 2 ** 20
 
 
 def test_sampler_config_validation():
@@ -351,7 +401,7 @@ def test_posterior_concentrates_on_sharp_data():
     data, _ = simulate_dataset(cfg)
     res = fit(data, PriorSpec(), SamplerConfig(seed=9, n_chains=1,
                                                n_warmup=200, n_draws=400))
-    beta0 = res.theta_matrix()[0, :, res.theta_names().index("beta_0")]
+    beta0 = res.theta[0, :, res.theta_names().index("beta_0")]
     arr = data.as_arrays()
     D = np.column_stack([np.ones(len(data)), arr["X1"][:, 0], arr["x2"],
                          arr["w1"], arr["w2"], arr["w1"] * arr["w2"]])
@@ -455,8 +505,7 @@ def test_step_theta_reads_cells_in_either_layout():
     state = step_impute(step_compliance(step_theta(state, vd, PriorSpec()), vd), vd)
     assert state.x2_cells.flags.f_contiguous and state.y_cells.flags.f_contiguous
     bare = ChainState(state.theta, state.compliance, np.ascontiguousarray(state.x2_cells),
-                      np.ascontiguousarray(state.y_cells), state.iter,
-                      copy.deepcopy(state.rng))
+                      np.ascontiguousarray(state.y_cells), copy.deepcopy(state.rng))
     assert step_theta(bare, vd, PriorSpec()).theta == step_theta(state, vd, PriorSpec()).theta
 
 
@@ -527,7 +576,7 @@ def test_labels_from_cached_log_weights_equal_the_posterior():
         new = step_theta(state, vd, PriorSpec(), "marginal_mh", tuning)
         accepted += new.theta is not state.theta
         rejected += new.theta is state.theta
-        cached_theta, lw = new.logweights
+        cached_theta, _, lw = new.logweights
         assert cached_theta is new.theta
         probs = compliance_posterior(new.theta, vd)
         assert np.array_equal(gibbs._normalise(lw, vd.admissible), probs)
@@ -555,12 +604,11 @@ def test_stale_log_weights_are_not_used():
 def test_invariant_checks_do_not_change_draws(mode):
     data, _ = simulate_dataset(DgpConfig(n=70, seed=47))
     cfg = SamplerConfig(seed=11, n_chains=1, n_warmup=30, n_draws=40, theta_update=mode)
-    plain = run_chain(data, PriorSpec(), cfg)
-    checked = run_chain(data, PriorSpec(), cfg, check_invariants=True)
-    for a, b in zip(plain, checked):
-        assert a.theta == b.theta
-        assert a.n_compliers == b.n_compliers
-        assert np.array_equal(a.late, b.late, equal_nan=True)
+    (theta_a, late_a, n_co_a) = run_chain(data, PriorSpec(), cfg)
+    (theta_b, late_b, n_co_b) = run_chain(data, PriorSpec(), cfg, check_invariants=True)
+    assert np.array_equal(theta_a, theta_b)
+    assert np.array_equal(n_co_a, n_co_b)
+    assert np.array_equal(late_a, late_b, equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -725,4 +773,4 @@ def test_grid_draw_matches_one_row_categorical(weights, trailing_zeros, data):
         pk = pk / pk.sum()
     u = boundary_uniforms(data.draw, np.cumsum(pk)[None, :])[0]
     want = int(ref_vector_categorical(pk[None, :], np.array([u]))[0])
-    assert _grid_pick(pk, np.array(u)) == want
+    assert inverse_cdf_draw(pk, np.array(u)) == want
