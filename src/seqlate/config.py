@@ -21,7 +21,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from .errors import ParseError, UnknownKey
-from .gibbs import SamplerConfig, THETA_UPDATE_MODES
+from .gibbs import SamplerConfig
 from .model import PriorSpec
 from .simulate import (
     AssignmentSpec,

@@ -1,6 +1,6 @@
 """Posterior sampling by data augmentation over latent compliance labels.
 
-Each sweep has three blocks, executed in this order:
+Each sweep has up to three blocks, executed in this order:
 
 1. step_theta: update the parameter vector.  In "conjugate_gibbs" mode the
    regression coefficients and noise variances are drawn from their exact
@@ -18,6 +18,10 @@ Because the label step conditions only on observed data (the imputations are
 integrated out) and the imputation step redraws every missing cell, the pair
 (2, 3) is one exact blocked draw of (labels, missing cells) given theta, and
 the sweep leaves the joint posterior invariant in both modes.
+
+In "marginal_mh" mode the theta chain reads neither labels nor cells, so
+warmup sweeps run step_theta alone; every kept sweep, the first included,
+draws (2, 3) exactly given its theta.  Conjugate warmup runs all three.
 
 The conjugate blocks regress on every unit's observed row plus the imputed
 cells of each complier without stacking those rows: the observed rows' Gram
@@ -597,11 +601,12 @@ def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
             new, lw_new, lp_new = prop, lw_prop, lp_prop
     if tuning.adapting:
         tuning.marg_scale = _adapt_scale(tuning.marg_scale, accept_prob, 0.234, tuning.t)
-        tuning.history.append(_pack_unconstrained(new))
-        if tuning.sd_refresh_at is not None and tuning.t == tuning.sd_refresh_at:
-            hist = np.asarray(tuning.history)
-            sd_new = hist.std(axis=0, ddof=0)
-            tuning.marg_sd = np.maximum(sd_new, 1e-3)
+        # history is read once, at the sd refresh
+        if tuning.sd_refresh_at is not None and tuning.t <= tuning.sd_refresh_at:
+            tuning.history.append(_pack_unconstrained(new))
+            if tuning.t == tuning.sd_refresh_at:
+                sd_new = np.asarray(tuning.history).std(axis=0, ddof=0)
+                tuning.marg_sd = np.maximum(sd_new, 1e-3)
     return new, lp_new, lw_new
 
 
@@ -681,13 +686,16 @@ def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerC
     theta = np.empty((cfg.n_draws, theta_dim(vd.p)))
     late = np.empty(cfg.n_draws)
     n_compliers = np.empty(cfg.n_draws, dtype=np.int64)
+    marginal = cfg.theta_update == "marginal_mh"
     for t in range(cfg.n_warmup + cfg.n_draws):
         tuning.adapting = t < cfg.n_warmup
         tuning.t = t
         try:
             state = step_theta(state, vd, prior, cfg.theta_update, tuning)
-            state = step_compliance(state, vd)
-            state = step_impute(state, vd)
+            # the marginal theta chain never reads labels or cells
+            if not (marginal and tuning.adapting):
+                state = step_compliance(state, vd)
+                state = step_impute(state, vd)
         except SeqlateError as e:
             raise type(e)(f"sweep {t + 1}: {e}") from e
         if check_invariants:

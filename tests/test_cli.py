@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from seqlate.cli import _chain_diagnostics, main
-from seqlate.config import load_config, parse_config
+from seqlate.config import load_config
 from seqlate.dataio import read_draws_csv, write_draws_csv
 from seqlate.validate import multi_ess, rhat
 

@@ -340,8 +340,9 @@ def test_fit_shapes_and_determinism():
 
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
 def test_fit_arrays_equal_hand_driven_sweeps(mode):
-    # row j of chain c is kept sweep n_warmup + j of init_state and the three
-    # steps driven by hand on that chain's substream, adapting during warmup
+    # row j of chain c is kept sweep n_warmup + j of init_state and the
+    # steps driven by hand on that chain's substream, adapting during warmup;
+    # marginal warmup sweeps update theta only
     data, _ = simulate_dataset(DgpConfig(n=60, seed=49))
     vd = as_vector_data(data)
     cfg = SamplerConfig(seed=12, n_chains=2, n_warmup=6, n_draws=15, theta_update=mode)
@@ -352,13 +353,54 @@ def test_fit_arrays_equal_hand_driven_sweeps(mode):
         for t in range(cfg.n_warmup + cfg.n_draws):
             tuning.adapting, tuning.t = t < cfg.n_warmup, t
             state = step_theta(state, vd, PriorSpec(), mode, tuning)
-            state = step_impute(step_compliance(state, vd), vd)
+            if mode == "conjugate_gibbs" or not tuning.adapting:
+                state = step_impute(step_compliance(state, vd), vd)
             j = t - cfg.n_warmup
             if j >= 0:
                 assert np.array_equal(res.theta[c, j], state.theta.to_vector())
                 assert res.n_compliers[c, j] == state.n_compliers()
                 want = late_draw(state) if state.n_compliers() else np.nan
                 assert np.array_equal(res.late[c, j], want, equal_nan=True)
+
+
+@pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
+def test_marginal_warmup_updates_theta_only(monkeypatch, mode):
+    data, _ = simulate_dataset(DgpConfig(n=40, seed=51))
+    calls = {"step_compliance": 0, "step_impute": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(gibbs, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(gibbs, name, counted)
+    cfg = SamplerConfig(seed=14, n_chains=1, n_warmup=7, n_draws=5, theta_update=mode)
+    run_chain(data, PriorSpec(), cfg, check_invariants=True)
+    # init_state imputes once more
+    sweeps = cfg.n_draws if mode == "marginal_mh" else cfg.n_warmup + cfg.n_draws
+    assert calls == {"step_compliance": sweeps, "step_impute": sweeps + 1}
+
+
+def test_first_kept_marginal_labels_come_from_the_exact_conditional(monkeypatch):
+    # after theta-only warmup, the first label draw given the kept theta uses
+    # the same uniforms as a draw from compliance_posterior
+    data, _ = simulate_dataset(DgpConfig(n=90, seed=52))
+    vd = as_vector_data(data)
+    seen = []
+    original = gibbs.step_compliance
+
+    def checked(state, data):
+        u = copy.deepcopy(state.rng).uniform(size=vd.n)
+        out = original(state, data)
+        want = gibbs._vector_categorical(compliance_posterior(state.theta, vd), u)
+        seen.append((state.theta.to_vector(), np.array_equal(out.compliance, want)))
+        return out
+
+    monkeypatch.setattr(gibbs, "step_compliance", checked)
+    cfg = SamplerConfig(seed=15, n_chains=1, n_warmup=20, n_draws=3,
+                        theta_update="marginal_mh")
+    theta, _, _ = run_chain(data, PriorSpec(), cfg)
+    assert len(seen) == cfg.n_draws
+    assert np.array_equal(seen[0][0], theta[0])
+    assert all(ok for _, ok in seen)
 
 
 def test_fit_result_keeps_only_its_arrays():

@@ -12,7 +12,6 @@ from seqlate.simulate import (
     ConstantAssignment,
     ConstantCompliance,
     DgpConfig,
-    GroundTruth,
     LogitAssignment,
     LogitCompliance,
     simulate_dataset,
