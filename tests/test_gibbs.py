@@ -361,6 +361,8 @@ def test_fit_arrays_equal_hand_driven_sweeps(mode):
                 assert res.n_compliers[c, j] == state.n_compliers()
                 want = late_draw(state) if state.n_compliers() else np.nan
                 assert np.array_equal(res.late[c, j], want, equal_nan=True)
+        # the marginal history stops at the scale refresh, its one reader
+        assert len(tuning.history) == (tuning.sd_refresh_at + 1 if mode == "marginal_mh" else 0)
 
 
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
