@@ -173,6 +173,23 @@ def _scalar_summary(mat: np.ndarray) -> Dict[str, object]:
     return out
 
 
+# split R-hat of the complier effect above which fit warns
+_RHAT_WARN = 1.01
+
+
+def _warn_if_unconverged(late: Dict[str, object], n_compliers: np.ndarray) -> None:
+    """Warn when the chains disagree on the complier effect or some kept
+    draw had no compliers; the written outputs do not change."""
+    r = late["rhat"]
+    if r is not None and r > _RHAT_WARN:
+        log.warning("complier effect split R-hat %.3f exceeds %.2f: the chains have not "
+                    "converged; run more warmup and draws", r, _RHAT_WARN)
+    empty = int((n_compliers == 0).sum())
+    if empty:
+        log.warning("%d of %d kept draws had no compliers; their complier effect is "
+                    "undefined", empty, n_compliers.size)
+
+
 def _cmd_fit(args) -> int:
     contrast = _parse_contrast(args)
     data_path = Path(args.data)
@@ -223,6 +240,7 @@ def _cmd_fit(args) -> int:
     _write_manifest(out_dir, "fit", seed, args.config,
                     inputs=inputs, outputs=[draws_path, summary_path])
     s = summary["late"]
+    _warn_if_unconverged(s, result.n_compliers)
     mean_txt = "undefined" if s["mean"] is None else f"{s['mean']:.4f}"
     rhat_txt = "n/a" if s["rhat"] is None else f"{s['rhat']:.3f}"
     print(f"wrote {draws_path}; complier effect mean {mean_txt}, rhat {rhat_txt}")

@@ -23,41 +23,57 @@ In "marginal_mh" mode the theta chain reads neither labels nor cells, so
 warmup sweeps run step_theta alone; every kept sweep, the first included,
 draws (2, 3) exactly given its theta.  Conjugate warmup runs all three.
 
+Chains run in lockstep.  The state carries a leading chain axis: its Theta
+holds (C, .) fields, its labels are (C, n) and its cell tables (C, n, 2) and
+(C, n, 4), and every block runs once per sweep for all C chains.  Chain k
+still draws every variate from its own substream(seed, "chain", k), in the
+order and sizes a chain run alone would, so a chain's draws do not depend on
+which chains run beside it.  Per-chain products are stacked matrix products
+(one BLAS call per chain row) and everything else is elementwise, so the
+floats are those of the chain run alone.  What differs between chains in
+length, the compliers, sits in flat arrays ordered by chain, then by unit.
+Only the draws, the Metropolis decisions and the reductions over each
+chain's compliers loop over chains.
+
 The conjugate blocks regress on every unit's observed row plus the imputed
 cells of each complier without stacking those rows: the observed rows' Gram
 matrices are built once per dataset, and each sweep adds the stratum sums
 and the compliers' terms in closed form (_normal_equations).  In
-"marginal_mh" mode the accepted theta's log posterior and masked (n, 3)
+"marginal_mh" mode the accepted theta's log posterior and masked
 log-weights travel with the state: the label step normalises the
 log-weights instead of evaluating them again, and the next Metropolis step
 starts from both.
 
-The (n, 3) label matrices (log stratum probabilities, observed-cell log
-densities, log-weights, label probabilities) are column-major, one
-contiguous column per type in (nt, co, at) order, and every per-unit
-reduction over the three types is written as elementwise operations on
-those columns: a three-way maximum, the sum (c0 + c1) + c2, the running
-sums of an inverse-CDF draw.  numpy reduces along a length-3 axis row by
-row, which costs tens of nanoseconds per unit, while an elementwise pass
-over a column costs about one.  The column forms perform the same float
+The label matrices (log stratum probabilities, observed-cell log densities,
+log-weights, label probabilities) are (C, n, 3) views of (3, C, n) arrays,
+one contiguous (C, n) block per type in (nt, co, at) order, and every
+per-unit reduction over the three types is written as elementwise
+operations on those blocks: a three-way maximum, the sum (c0 + c1) + c2, the
+running sums of an inverse-CDF draw.  numpy reduces along a length-3 axis
+row by row, which costs tens of nanoseconds per unit, while an elementwise
+pass over a block costs about one.  The block forms perform the same float
 operations in the same order as the row-wise reductions, so the draws do
 not change.  Inadmissible types are masked by adding a precomputed 0 / -inf
-matrix.
+matrix.  A run keeps these matrices, and its cell tables, in buffers
+allocated once per dataset and chain count (_Work), so a sweep at large n
+does not allocate and fault in fresh pages.
 
-Proposal scales adapt with a decaying Robbins-Monro rule during warmup only
-and freeze afterwards, so kept draws come from a fixed-kernel chain.
+Proposal scales adapt per chain with a decaying Robbins-Monro rule during
+warmup only and freeze afterwards, so kept draws come from a fixed-kernel
+chain.
 
-A chain writes each kept sweep's parameter vector, complier contrast and
-complier count into preallocated arrays, and fit stacks the chains into the
-(chains, draws) arrays of a FitResult.
+The run writes each kept sweep's parameter vectors, complier contrasts and
+complier counts into preallocated (chains, draws) arrays, the layout of a
+FitResult.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,8 +81,6 @@ from .domain import AT, CO, DEFAULT_CONTRAST, NT, Contrast, Dataset, Y_CELLS, y_
 from .errors import (
     InconsistentUnit,
     InvalidConfig,
-    InvariantViolation,
-    NoCompliersInDraw,
     NumericalOverflow,
     SeqlateError,
 )
@@ -78,8 +92,12 @@ from .model import (
     log_prior,
     logit_lse,
     observed_cell_logliks,
+    row_dot,
     theta_dim,
     theta_field_names,
+    type_major,
+    types_first,
+    types_last,
 )
 from .rng import substream
 
@@ -87,10 +105,14 @@ log = logging.getLogger(__name__)
 
 THETA_UPDATE_MODES = ("conjugate_gibbs", "marginal_mh")
 
-# labels == _AT_NT gives the (2, n) alwaystaker and nevertaker masks
+# labels[:, None] == _AT_NT gives the (C, 2, n) alwaystaker and nevertaker masks
 _AT_NT = np.array([[AT], [NT]], dtype=np.int8)
 # per y cell in Y_CELLS order, whose x2 cell is x2(w1): its terms (w1, w2, w1*w2)
 _CELL_TERMS = np.array([(a, b, a * b) for a, b in Y_CELLS], dtype=float)
+# per y cell in Y_CELLS order, the x2 cell it pairs with, x2(w1), and its own
+# row, as offsets in units of n in (2, n) and (4, n) cell tables
+_X2_OF_CELL = np.array([[w1] for w1, _ in Y_CELLS])
+_Y_CELL = np.arange(4)[:, None]
 
 
 @dataclass(frozen=True)
@@ -150,19 +172,17 @@ class _VectorData:
         self.consistent = consistent
         # added to the label log-weights: 0 where admissible, -inf where not
         self.logmask = np.where(consistent, 0.0, -np.inf).copy(order="F")
-        # the units admitting each type, the only entries _normalise exponentiates
-        self.admissible = tuple(np.flatnonzero(consistent[:, j]) for j in range(3))
         self.obs_ycol = 2 * self.w1 + self.w2
         # observed cells of every unit, the starting point of each imputation,
-        # column-major, and the flat indices in their .T of each unit's
-        # counterfactual x2 cell and observed y cell
+        # as (2, n) and (4, n) tables, and the offsets in them of each unit's
+        # counterfactual x2 cell and observed y cell from its first cell
         rows = np.arange(self.n)
-        self.x2_cells_obs = np.full((self.n, 2), np.nan, order="F")
-        self.x2_cells_obs[rows, self.w1] = self.x2
-        self.y_cells_obs = np.full((self.n, 4), np.nan, order="F")
-        self.y_cells_obs[rows, self.obs_ycol] = self.y
-        self.cf_flat = rows + self.n * (1 - self.w1.astype(np.intp))
-        self.obs_flat = rows + self.n * self.obs_ycol.astype(np.intp)
+        self.x2_cells_obs = np.full((2, self.n), np.nan)
+        self.x2_cells_obs[self.w1, rows] = self.x2
+        self.y_cells_obs = np.full((4, self.n), np.nan)
+        self.y_cells_obs[self.obs_ycol, rows] = self.y
+        self.cf_shift = self.n * (1 - self.w1.astype(np.intp))
+        self.obs_shift = self.n * self.obs_ycol.astype(np.intp)
         # the observed rows' [1, x1..., x2, w1, w2, w1*w2, y, 0], from which
         # the lists pick each block's columns, the indicators as the zero one
         p = self.p
@@ -178,6 +198,66 @@ class _VectorData:
         # per unit as a complier: [1, x1..., 1 - w1] and its missing y cells
         self.cf_rows = np.vstack([self.U1.T, 1.0 - self.w1f])
         self.y_missing = self.obs_ycol != np.arange(4)[:, None]
+        self._works: Dict[int, _Work] = {}
+
+    @functools.cached_property
+    def admissible(self) -> np.ndarray:
+        """The (type, unit) entries admitting a label, the only ones
+        _normalise exponentiates, as flat indices into a (3, n) block."""
+        return np.flatnonzero(self.consistent.T)
+
+    def work(self, n_chains: int) -> "_Work":
+        """The buffers of a lockstep run of n_chains chains on this dataset."""
+        if n_chains not in self._works:
+            self._works[n_chains] = _Work(self, n_chains)
+        return self._works[n_chains]
+
+    def compliers(self, codes: np.ndarray) -> "_Compliers":
+        """The compliers under labels codes (C, n), built once per label
+        draw: the imputation and the next sweep's normal equations read the
+        same."""
+        w = self.work(codes.shape[0])
+        if w.compliers is None or w.compliers.codes is not codes:
+            w.compliers = _Compliers(codes, self)
+        return w.compliers
+
+
+class _Work:
+    """Buffers reused sweep after sweep by C chains on one dataset.
+
+    Label matrices are (C, n, 3) views of (3, C, n) arrays: logw takes the
+    log-weights the label step evaluates and then the label probabilities,
+    cells the observed-cell densities, and both serve _admissible_exp.  The
+    two log-weight matrices a marginal_mh state caches (lw, made on first
+    use) alternate: a step writes into the one its input state does not
+    hold, so the input stays valid and the state before it is overwritten.
+    x2 and y are the cell tables of every state of the run.  admissible
+    holds the flat indices of the admissible entries of a (3, C, n) block.
+    """
+
+    def __init__(self, vd: _VectorData, n_chains: int):
+        C, n = n_chains, vd.n
+        self.shape = (C, n)
+        self.admissible = np.flatnonzero(np.broadcast_to(vd.consistent.T[:, None], (3, C, n)))
+        self.logw, self.cells = type_major((C,), n), type_major((C,), n)
+        # the buffers of _admissible_exp: maxima, and the two above
+        self.exp = (np.empty((C, n)), self.cells, self.logw)
+        # the cell tables every imputation refills, as (C, n, k) views of
+        # (C, k, n) arrays
+        self.x2 = np.empty((C, 2, n)).transpose(0, 2, 1)
+        self.y = np.empty((C, 4, n)).transpose(0, 2, 1)
+        # the compliers of the last label draw, for _VectorData.compliers
+        self.compliers: Optional[_Compliers] = None
+
+    @functools.cached_property
+    def lw(self) -> Tuple[np.ndarray, np.ndarray]:
+        C, n = self.shape
+        return type_major((C,), n), type_major((C,), n)
+
+
+def _free(pair: tuple, held) -> np.ndarray:
+    """The buffer of pair that held is not."""
+    return pair[1] if held is pair[0] else pair[0]
 
 
 def _indicator_map(cols: List[int], width: int) -> np.ndarray:
@@ -216,101 +296,181 @@ def as_vector_data(data: Union[Dataset, _VectorData]) -> _VectorData:
 
 @dataclass
 class ChainState:
-    """Mutable-over-sweeps sampler state.
+    """Mutable-over-sweeps state of C chains run in lockstep.
 
-    compliance holds int8 codes in (nt, co, at) order.  x2_cells (n, 2) and
-    y_cells (n, 4) hold the current potential tables with NaN marking cells
-    the current label leaves undefined; observed cells always carry the
-    dataset values bit for bit.  logweights is None or (theta, its marginal
-    log posterior, its masked (n, 3) label log-weights), left by the
-    marginal_mh update for the label step and the next update.
+    theta has a chain axis.  compliance holds (C, n) int8 codes in
+    (nt, co, at) order.  x2_cells (C, n, 2) and y_cells (C, n, 4) hold the
+    current potential tables with NaN marking cells the current label leaves
+    undefined; observed cells always carry the dataset values bit for bit.
+    step_impute writes them into its run's buffers, so imputing a state
+    refills the tables of the states that share them.
+    rngs holds one Generator per chain.  logweights is None or (theta, its
+    (C,) marginal log posteriors, its masked (C, n, 3) label log-weights),
+    left by the marginal_mh update for the label step and the next update.
+    logits is None or (theta, U1 @ gamma_nt, U1 @ gamma_at, and their
+    log-sum-exp with the complier's zero), each (C, n), left by the
+    conjugate update for the label step and the next update.
     """
 
     theta: Theta
     compliance: np.ndarray
     x2_cells: np.ndarray
     y_cells: np.ndarray
-    rng: np.random.Generator
-    logweights: Optional[Tuple[Theta, float, np.ndarray]] = None
+    rngs: Tuple[np.random.Generator, ...]
+    logweights: Optional[Tuple[Theta, np.ndarray, np.ndarray]] = None
+    logits: Optional[Tuple[Theta, np.ndarray, np.ndarray, np.ndarray]] = None
 
-    def n_compliers(self) -> int:
-        return int((self.compliance == CO).sum())
+    def n_compliers(self) -> np.ndarray:
+        return (self.compliance == CO).sum(axis=-1)
 
 
-def _vector_categorical(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws from the rows of an (n, 3) probability matrix.
+class _Compliers:
+    """Every chain's compliers under labels codes (C, n), ordered by chain and
+    then by unit, and the flat indices the sweep blocks read and write their
+    cells by.
+
+    chain, unit and flat (into (C, n)) are (K,); segments[c] slices chain
+    c's compliers.  x2 and y are the flat indices of each complier's x2(0)
+    and y(0, 0) cells in (C, 2, n) and (C, 4, n) tables, to which a multiple
+    of n picks another cell.  missing (4, K) marks the y cells a complier
+    did not reveal.
+    """
+
+    def __init__(self, codes: np.ndarray, vd: _VectorData):
+        co = codes == CO
+        C, n = co.shape
+        self.codes = codes
+        counts = co.sum(axis=1)
+        bounds = [0] + np.cumsum(counts).tolist()
+        self.segments = [slice(s, e) for s, e in zip(bounds[:-1], bounds[1:])]
+        self.flat = np.flatnonzero(co)
+        self.chain = np.repeat(np.arange(C), counts)
+        self.unit = self.flat - self.chain * n
+        self.x2 = self.chain * (2 * n) + self.unit
+        self.y = self.chain * (4 * n) + self.unit
+        self.missing = vd.y_missing.take(self.unit, axis=1)
+
+
+def _cell_terms(beta: np.ndarray, p: int) -> np.ndarray:
+    """(4, C) receipt terms of each y cell's mean, _CELL_TERMS @ beta[c, p+2:p+5]."""
+    return np.matmul(_CELL_TERMS, beta[:, p + 2:p + 5, None])[..., 0].T
+
+
+def _vector_categorical(probs: np.ndarray, u: np.ndarray, scratch=None) -> np.ndarray:
+    """Inverse-CDF draws from probability vectors along the last axis of
+    probs, which has length three.
 
     A row's draw is the number of its running sums p0, p0 + p1,
-    (p0 + p1) + p2 at or below u, capped at its last positive column, so a
-    zero-probability column is never selected.  Every row must hold a
-    positive entry.  probs may have more than two axes: column j is
-    probs[:, j], which broadcasts against u, so (1, 3, k, n) probabilities
-    and (s, 1, n) uniforms give (s, k, n) draws.
+    (p0 + p1) + p2 at or below u, capped at its last positive entry, so a
+    zero-probability type is never selected.  Every row must hold a positive
+    entry.  Type j is probs[..., j], which broadcasts against u, so
+    (1, k, n, 3) probabilities and (s, 1, n) uniforms give (s, k, n) draws.
+    scratch, if given, holds the running sums.
     """
-    p0, p1, p2 = probs[:, 0], probs[:, 1], probs[:, 2]
-    c1 = p0 + p1
-    idx = ((p0 <= u).view(np.int8) + (c1 <= u).view(np.int8)
-           + (c1 + p2 <= u).view(np.int8))
+    p0, p1, p2 = probs[..., 0], probs[..., 1], probs[..., 2]
+    c = np.add(p0, p1, out=scratch)
+    idx = (p0 <= u).view(np.int8) + (c <= u).view(np.int8)
+    idx += (np.add(c, p2, out=c) <= u).view(np.int8)
     lastpos = np.where(p2 > 0.0, np.int8(2), (p1 > 0.0).view(np.int8))
-    return np.minimum(idx, lastpos)
+    return np.minimum(idx, lastpos, out=idx)
 
 
-def _log_weights(theta: Theta, vd: _VectorData) -> np.ndarray:
-    """(n, 3) unnormalised log label weights, column-major; inadmissible
-    types get -inf."""
-    lw = compliance_log_prob_matrix(theta, vd.U1)
-    lw += observed_cell_logliks(theta, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y)
+def _cached(cache: Optional[tuple], theta: Theta) -> Optional[tuple]:
+    """A state's cache without its key, if it was left for theta."""
+    return cache[1:] if cache is not None and cache[0] is theta else None
+
+
+def _log_weights(theta: Theta, vd: _VectorData, out=None, cells=None,
+                 logits=None) -> np.ndarray:
+    """(..., n, 3) unnormalised log label weights, type-major; inadmissible
+    types get -inf.  out and cells: optional type-major buffers for the
+    result and for the observed-cell densities (out is their scratch until
+    the stratum probabilities fill it); logits: theta's logit columns and
+    their log-sum-exp, if known."""
+    cells = observed_cell_logliks(theta, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y,
+                                  out=cells, scratch=out)
+    lw = compliance_log_prob_matrix(theta, vd.U1, out=out, logits=logits)
+    lw += cells
     lw += vd.logmask
     return lw
 
 
-def _admissible_exp(lw: np.ndarray, admissible: Tuple[np.ndarray, ...]) -> tuple:
-    """(m, e, total) for lw that is -inf outside admissible (per type, the
-    rows admitting it, as in _VectorData): row maxima, the column-major
-    exp(lw - m) and its row sums (e0 + e1) + e2.
+def _admissible_exp(lw: np.ndarray, admissible: np.ndarray, buf=None) -> tuple:
+    """(m, e, total) for lw (..., n, 3) that is -inf outside the entries
+    admissible (flat indices into the (3, ..., n) view of lw): the maxima
+    over types, the type-major exp(lw - m) and its sums (e0 + e1) + e2.
 
-    exp runs at the admissible entries only; the others get 0.0 without
-    paying for exp(-inf), several times slower than exp of a finite float.
+    exp runs at the admissible entries only, all types in one call; the
+    others get 0.0 without paying for exp(-inf), several times slower than
+    exp of a finite float.  buf, if given, is a _Work's (m, cells, logw),
+    used in turn: m for the maxima, cells for the gathered entries and then
+    the sums, logw (which may hold lw) for the gathered maxima and then e.
     """
-    m = np.maximum(np.maximum(lw[:, 0], lw[:, 1]), lw[:, 2])
-    out = np.zeros(lw.shape, order="F")
-    cols = (out[:, 0], out[:, 1], out[:, 2])
-    for j, rows in enumerate(admissible):
-        e = np.subtract(lw[:, j].take(rows), m.take(rows))
-        cols[j][rows] = np.exp(e, out=e)
-    return m, out, (cols[0] + cols[1]) + cols[2]
+    lw3 = types_first(lw)
+    if buf is None:
+        m, g, h, e, total = np.empty(lw3.shape[1:]), None, None, None, None
+    else:
+        m, cells, e = buf
+        size = admissible.size
+        cells, e = types_first(cells), types_first(e)
+        g, h, total = cells.reshape(-1)[:size], e.reshape(-1)[:size], cells[0]
+    np.maximum(lw3[0], lw3[1], out=m)
+    np.maximum(m, lw3[2], out=m)
+    x = np.take(lw3.reshape(-1), admissible, out=g, mode="clip")
+    x -= np.take(m.reshape(-1), admissible % m.size, out=h, mode="clip")
+    if e is None:
+        e = np.zeros(lw3.shape)
+    else:
+        e.fill(0.0)
+    e.reshape(-1)[admissible] = np.exp(x, out=x)
+    total = np.add(e[0], e[1], out=total)
+    total += e[2]
+    return m, types_last(e), total
 
 
-def _normalise(lw: np.ndarray, admissible: Tuple[np.ndarray, ...]) -> np.ndarray:
-    """Row-normalised exp(lw), column-major, for lw -inf outside admissible."""
-    _, out, total = _admissible_exp(lw, admissible)
-    return np.divide(out, total[:, None], out=out)
+def _normalise(lw: np.ndarray, admissible: np.ndarray, buf=None) -> np.ndarray:
+    """Normalised exp(lw) over the last axis, type-major, for lw -inf
+    outside admissible."""
+    _, e, total = _admissible_exp(lw, admissible, buf)
+    return np.divide(e, total[..., None], out=e)
 
 
 def compliance_posterior(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarray:
-    """(n, 3) exact conditional label probabilities given theta.
+    """(..., n, 3) exact conditional label probabilities given theta, with
+    theta's chain axis, if any, leading.
 
     Per unit, the weight of stratum c is the product of the two treatment
     point masses, the stratum probability, and the observed-cell densities;
     strata with a zero treatment factor get probability exactly 0.0.
     """
     vd = as_vector_data(data)
-    return _normalise(_log_weights(theta, vd), vd.admissible)
+    lw = _log_weights(theta, vd)
+    chains = lw.shape[:-2]
+    return _normalise(lw, vd.work(chains[0]).admissible if chains else vd.admissible)
 
 
 def step_compliance(state: ChainState, data: Union[Dataset, _VectorData]) -> ChainState:
-    """Redraw every label from its exact conditional given theta and data.
+    """Redraw every label of every chain from its exact conditional given
+    theta and data, from n uniforms of each chain's stream.
 
-    Reuses the log-weight matrix the state carries for its theta, if any.
+    Reuses the log-weight matrix, or else the logit columns, the state
+    carries for its theta, if any.
     """
     vd = as_vector_data(data)
-    cached = state.logweights
-    if cached is not None and cached[0] is state.theta:
-        lw = cached[2]
+    w = vd.work(len(state.rngs))
+    cached = _cached(state.logweights, state.theta)
+    if cached is not None:
+        lw = cached[1]
     else:
-        lw = _log_weights(state.theta, vd)
-    u = state.rng.uniform(size=vd.n)
-    codes = _vector_categorical(_normalise(lw, vd.admissible), u)
+        lw = _log_weights(state.theta, vd, out=w.logw, cells=w.cells,
+                          logits=_cached(state.logits, state.theta))
+    probs = _normalise(lw, w.admissible, w.exp)
+    # the maxima and the sums, no longer needed, take the categorical's
+    # running sums and the uniforms
+    m, u = w.exp[0], types_first(w.cells)[0]
+    for rng, row in zip(state.rngs, u):
+        rng.random(out=row)
+    codes = _vector_categorical(probs, u, m)
     return replace(state, compliance=codes)
 
 
@@ -321,45 +481,66 @@ def step_impute(state: ChainState, data: Union[Dataset, _VectorData]) -> ChainSt
     complier the counterfactual first-period cell x2(1-w1) is drawn first,
     then the three missing y cells, each using the x2 cell that shares its
     first-period receipt.  Nevertakers and alwaystakers have no missing
-    defined cells: their single cell equals the observed record.  Normals
-    go to the x2 cells, then to the y cells in Y_CELLS order, units ascending.
+    defined cells: their single cell equals the observed record.  Each
+    chain with k compliers draws 4k normals from its own stream: k for the
+    x2 cells, then the y cells in Y_CELLS order, units ascending.
     """
     vd = as_vector_data(data)
-    th, p = state.theta, vd.p
-    x2_cells = vd.x2_cells_obs.copy(order="F")
-    y_cells = vd.y_cells_obs.copy(order="F")
-    idx = np.flatnonzero(state.compliance == CO)
-    k = idx.size
-    if k:
-        x2T, yT = x2_cells.T, y_cells.T
-        z = state.rng.standard_normal(4 * k)
-        x2T.put(vd.cf_flat.take(idx),
-                (th.alpha[:p + 2] @ vd.cf_rows).take(idx) + th.sigma_x * z[:k])
-        # (4, k): each y cell's mean, its receipts' terms added last
+    n, p = vd.n, vd.p
+    th, rngs = state.theta, state.rngs
+    w = vd.work(len(rngs))
+    x2_cells, y_cells = w.x2, w.y
+    # the (C, k, n) arrays under the views
+    x2T, yT = x2_cells.transpose(0, 2, 1), y_cells.transpose(0, 2, 1)
+    np.copyto(x2T, vd.x2_cells_obs)
+    np.copyto(yT, vd.y_cells_obs)
+    co = vd.compliers(state.compliance)
+    K = co.unit.size
+    if K:
+        zx, noise = np.empty(K), np.zeros((4, K))
+        for rng, seg in zip(rngs, co.segments):
+            k = seg.stop - seg.start
+            if k:
+                z = rng.standard_normal(4 * k)
+                zx[seg] = z[:k]
+                noise[:, seg][co.missing[:, seg]] = z[k:]
+        x2f, yf = x2T.reshape(-1), yT.reshape(-1)
+        x2f[co.x2 + vd.cf_shift.take(co.unit)] = (
+            row_dot(th.alpha[:, :p + 2], vd.cf_rows.T).take(co.flat)
+            + th.sigma_x.take(co.chain) * zx)
+        # (4, K): each y cell's mean (x2 slope, then the logit row's terms,
+        # then its receipts' terms) plus its noise, in place: a sum or a
+        # product with its operands swapped is the same float
         b = th.beta
-        mean = (((b[:p + 1] @ vd.cf_rows[:p + 1]).take(idx)
-                 + b[p + 1] * np.repeat(x2T.take(idx, axis=1), 2, axis=0))
-                + (_CELL_TERMS @ b[p + 2:p + 5])[:, None])
-        noise = np.zeros((4, k))
-        noise[vd.y_missing.take(idx, axis=1)] = z[k:]
-        yT[:, idx] = mean + th.sigma_y * noise
+        y = x2f.take(co.x2 + n * _X2_OF_CELL)
+        y *= b[:, p + 1].take(co.chain)
+        y += row_dot(b[:, :p + 1], vd.cf_rows[:p + 1].T).take(co.flat)
+        y += _cell_terms(b, p).take(co.chain, axis=1)
+        noise *= th.sigma_y.take(co.chain)
+        y += noise
+        yf[co.y + n * _Y_CELL] = y
         # the observed cells, overwritten above, back bit for bit
-        yT.put(vd.obs_flat.take(idx), vd.y.take(idx))
+        yf[co.y + vd.obs_shift.take(co.unit)] = vd.y.take(co.unit)
     return replace(state, x2_cells=x2_cells, y_cells=y_cells)
 
 
-def late_draw(state: ChainState, contrast: Contrast = DEFAULT_CONTRAST) -> float:
-    """Average treatment contrast over the units currently labelled compliers."""
-    co = state.compliance == CO
-    if not co.any():
-        raise NoCompliersInDraw("no units carry the complier label in this sweep")
+def late_draw(state: ChainState, contrast: Contrast = DEFAULT_CONTRAST) -> np.ndarray:
+    """(C,) average treatment contrast over the units each chain currently
+    labels compliers; NaN for a chain with none."""
     (a1, a2), (b1, b2) = contrast
+    co = state.compliance == CO
+    flat = np.flatnonzero(co)
     y = state.y_cells
-    # compress on a column view: the same floats as y[co, j], a third of the
-    # time at large n
-    diff = (np.compress(co, y[:, y_cell_index(a1, a2)])
-            - np.compress(co, y[:, y_cell_index(b1, b2)]))
-    return float(diff.mean())
+    # every chain's compliers, chain after chain: the same floats as each
+    # chain's y[co, j]
+    diff = (y[..., y_cell_index(a1, a2)].ravel().take(flat)
+            - y[..., y_cell_index(b1, b2)].ravel().take(flat))
+    bounds = np.cumsum(co.sum(axis=1)).tolist()
+    out = np.full(co.shape[0], np.nan)
+    for c, (s, e) in enumerate(zip([0] + bounds, bounds)):
+        if e > s:
+            out[c] = diff[s:e].mean()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -368,97 +549,151 @@ def late_draw(state: ChainState, contrast: Contrast = DEFAULT_CONTRAST) -> float
 
 @dataclass
 class _Tuning:
-    """Adaptation state owned by one chain; frozen once warmup ends."""
+    """Adaptation state of C chains, one scale per chain and block; frozen
+    once warmup ends."""
 
+    n_chains: int = 1
     adapting: bool = False
     t: int = 0
-    gamma_scales: np.ndarray = field(default_factory=lambda: np.array([0.25, 0.25]))
-    marg_scale: float = 0.2
+    gamma_scales: np.ndarray = 0.25
+    marg_scale: np.ndarray = 0.2
     marg_sd: Optional[np.ndarray] = None
     history: List[np.ndarray] = field(default_factory=list)
     sd_refresh_at: Optional[int] = None
 
+    def __post_init__(self):
+        C = self.n_chains
+        self.gamma_scales = np.array(np.broadcast_to(self.gamma_scales, (C, 2)), dtype=float)
+        self.marg_scale = np.array(np.broadcast_to(self.marg_scale, (C,)), dtype=float)
+
+
+def _dots(v: np.ndarray) -> np.ndarray:
+    """v @ v for every row of v (one BLAS dot product each)."""
+    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+
 
 def _normal_equations(state: ChainState, lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple]:
-    """(G, r, n_rows, rss) of the intermediate and outcome blocks.
+    """Per chain (G, r, n_rows, rss) of the intermediate and outcome blocks,
+    stacked along a leading chain axis.
 
-    The rows D are every unit's observed row plus each complier's
+    A chain's rows D are every unit's observed row plus each complier's
     counterfactual x2 row and three missing y rows (with the x2 cell of
     their first-period receipt), columns [1, x1..., w1, at, nt] and
     [1, x1..., x2, w1, w2, w1*w2, at, nt]: G = D'D, r = D'resp, and
-    rss(coef) = |resp - D coef|^2 from residual vectors.  lab: labels == _AT_NT.
+    rss(coef) = |resp - D coef|^2 from residual vectors, for (C, .) coef.
+    lab: (C, 2, n) labels == _AT_NT.
     """
     p, n = vd.p, vd.n
+    C = lab.shape[0]
     ind = lab.astype(float)
-    L = (ind @ vd.obs_cols).ravel()
-    idx = np.flatnonzero(state.compliance == CO)
-    k = idx.size
+    L = (ind @ vd.obs_cols).reshape(C, -1)
+    co = vd.compliers(state.compliance)
+    K = co.unit.size
+    # the (C, k, n) cell tables, flat
+    x2f = np.ravel(state.x2_cells.transpose(0, 2, 1))
+    yf = np.ravel(state.y_cells.transpose(0, 2, 1))
     # per complier [1, x1..., 1 - w1, x2(1 - w1)], then per y cell its paired
     # x2 cell, whether it is missing, and the y cell, cells zero if observed;
-    # idx is in range, and mode "clip" lets take fill B without a checked copy
-    x2T = state.x2_cells.T
-    B = np.empty((p + 15, k))
-    np.take(vd.cf_rows, idx, axis=1, out=B[:p + 2], mode="clip")
-    np.take(x2T.ravel(), vd.cf_flat.take(idx), out=B[p + 2], mode="clip")
-    cells = B[p + 3:].reshape(3, 4, k)
-    cells[0] = np.repeat(x2T.take(idx, axis=1), 2, axis=0)
-    cells[1] = vd.y_missing.take(idx, axis=1)
-    np.take(state.y_cells.T, idx, axis=1, out=cells[2], mode="clip")
+    # the indices are in range, and mode "clip" lets take fill B without a
+    # checked copy
+    B = np.empty((p + 15, K))
+    np.take(vd.cf_rows, co.unit, axis=1, out=B[:p + 2], mode="clip")
+    np.take(x2f, co.x2 + vd.cf_shift.take(co.unit), out=B[p + 2], mode="clip")
+    cells = B[p + 3:].reshape(3, 4, K)
+    np.take(x2f, co.x2 + n * _X2_OF_CELL, out=cells[0], mode="clip")
+    cells[1] = co.missing
+    np.take(yf, co.y + n * _Y_CELL, out=cells[2], mode="clip")
     cells[0::2] *= cells[1]
-    BB = B @ B.T
-    Nx = vd.x2_gram + vd.Kx.T @ BB @ vd.Kx + L[vd.x2_lmap]
-    Ny = vd.y_gram + vd.Ky.T @ (BB * vd.Dy) @ vd.Ky + L[vd.y_lmap]
+    BB = np.empty((C, p + 15, p + 15))
+    segments = co.segments
+    for c, seg in enumerate(segments):
+        np.matmul(B[:, seg], B[:, seg].T, out=BB[c])
+    Nx = vd.x2_gram + vd.Kx.T @ BB @ vd.Kx + L[:, vd.x2_lmap]
+    Ny = vd.y_gram + vd.Ky.T @ (BB * vd.Dy) @ vd.Ky + L[:, vd.y_lmap]
 
-    def rss_x(alpha: np.ndarray) -> float:
-        res = vd.x2 - vd.x2_static @ alpha[:p + 2] - alpha[p + 2:] @ ind
-        cf = B[p + 2] - alpha[:p + 2] @ B[:p + 2]
-        return float(res @ res) + float(cf @ cf)
+    def complier_fit(coef: np.ndarray, rows: slice) -> np.ndarray:
+        # each chain's coef @ B[rows] on its own compliers, as one product
+        # per chain: BLAS treats a vector's last entries apart, so the
+        # product over all units and the product over the compliers can
+        # differ in the last bit at the compliers' end
+        out = np.empty(K)
+        for c, seg in enumerate(segments):
+            np.matmul(coef[c, rows], B[rows, seg], out=out[seg])
+        return out
 
-    def rss_y(beta: np.ndarray) -> float:
-        res = vd.y - vd.y_static @ beta[:p + 5] - beta[p + 5:] @ ind
-        fit = beta[:p + 1] @ B[:p + 1] + (_CELL_TERMS @ beta[p + 2:p + 5])[:, None]
-        cf = (cells[2] - beta[p + 1] * cells[0] - cells[1] * fit).ravel()
-        return float(res @ res) + float(cf @ cf)
+    def rss(static, resp, coef, k, cf):
+        res = resp - row_dot(coef[:, :k], static) - np.matmul(coef[:, None, k:], ind)[:, 0]
+        out = _dots(res)
+        for c, seg in enumerate(segments):
+            v = cf[..., seg].ravel()
+            out[c] += float(v @ v)
+        return out
 
-    return ((Nx[:-1, :-1], Nx[:-1, -1], n + k, rss_x),
-            (Ny[:-1, :-1], Ny[:-1, -1], n + 3 * k, rss_y))
+    def rss_x(alpha: np.ndarray) -> np.ndarray:
+        cf = B[p + 2] - complier_fit(alpha, slice(0, p + 2))
+        return rss(vd.x2_static, vd.x2, alpha, p + 2, cf)
+
+    def rss_y(beta: np.ndarray) -> np.ndarray:
+        # (cells[2] - b * cells[0]) - cells[1] * fit, fit the logit row's
+        # terms plus the receipts' terms, in place: a sum or a product with
+        # its operands swapped is the same float
+        fit = _cell_terms(beta, p).take(co.chain, axis=1)
+        fit += complier_fit(beta, slice(0, p + 1))
+        fit *= cells[1]
+        cf = beta[:, p + 1].take(co.chain) * cells[0]
+        np.subtract(cells[2], cf, out=cf)
+        cf -= fit
+        return rss(vd.y_static, vd.y, beta, p + 5, cf)
+
+    counts = np.array([seg.stop - seg.start for seg in segments])
+    return ((Nx[:, :-1, :-1], Nx[:, :-1, -1], n + counts, rss_x),
+            (Ny[:, :-1, :-1], Ny[:, :-1, -1], n + 3 * counts, rss_y))
 
 
-def _draw_ridge(G: np.ndarray, r: np.ndarray, sigma: float, coef_sd: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """One draw from the normal conditional of a ridge block with G = D'D, r = D'resp."""
-    k = G.shape[0]
-    prec = G / sigma ** 2
-    prec.flat[::k + 1] += 1.0 / coef_sd ** 2
+def _draw_ridge(G: np.ndarray, r: np.ndarray, sigma: np.ndarray, coef_sd: float,
+                z: np.ndarray) -> np.ndarray:
+    """One draw per chain from the normal conditional of a ridge block with
+    G = D'D (C, k, k), r = D'resp (C, k) and noise scales sigma (C,), from
+    standard normals z (C, k)."""
+    C, k = r.shape
+    # each scale squared with Python's float power, which can round
+    # differently from x * x
+    s2 = np.array([s ** 2 for s in sigma.tolist()])
+    prec = G / s2[:, None, None]
+    prec.reshape(C, -1)[:, ::k + 1] += 1.0 / coef_sd ** 2
     try:
         chol = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError as e:
         raise NumericalOverflow(f"coefficient precision matrix not positive definite: {e}")
     # mean + chol'^-1 z, as one solve: chol'^-1 z = prec^-1 chol z
-    z = rng.standard_normal(k)
-    draw = np.linalg.solve(prec, r / sigma ** 2 + chol @ z)
+    rhs = r / s2[:, None] + (chol @ z[:, :, None])[:, :, 0]
+    draw = np.linalg.solve(prec, rhs[:, :, None])[:, :, 0]
     if not np.isfinite(draw).all():
         raise NumericalOverflow("coefficient draw is non-finite")
     return draw
 
 
-def _draw_variance(rss: float, n_rows: int, prior: PriorSpec, rng: np.random.Generator) -> float:
-    """One inverse-gamma draw of a noise variance given the RSS of n_rows rows."""
-    a = prior.scale_shape + n_rows / 2.0
-    b = prior.scale_rate + 0.5 * rss
-    v = 1.0 / rng.gamma(a, 1.0 / b)
-    if not (np.isfinite(v) and v > 0):
+def _draw_variance(rss: np.ndarray, prior: PriorSpec, standard_gamma: np.ndarray) -> np.ndarray:
+    """One inverse-gamma draw per chain of a noise variance given the RSS,
+    from a standard gamma variate of shape prior.scale_shape + n_rows / 2
+    for the block's n_rows rows: the Gamma(shape, 1 / rate) draw is that
+    variate times 1 / rate, as numpy's Generator.gamma computes it."""
+    v = 1.0 / ((1.0 / (prior.scale_rate + 0.5 * rss)) * standard_gamma)
+    if not (np.isfinite(v) & (v > 0)).all():
         raise NumericalOverflow("variance draw is non-finite")
     return v
 
 
 def _gamma_logpost(a: np.ndarray, b: np.ndarray, nt: np.ndarray, at: np.ndarray,
-                   gnt: np.ndarray, gat: np.ndarray, coef_sd: float) -> float:
-    """Logit rows' log likelihood of the labels plus prior; a = U1 @ gnt, b = U1 @ gat."""
+                   gnt: np.ndarray, gat: np.ndarray, coef_sd: float, lse=None):
+    """Logit rows' log likelihood of the labels plus prior, per chain;
+    a = U1 @ gnt, b = U1 @ gat along the last axis, lse = logit_lse(a, b)."""
     picked = np.where(at, b, 0.0)
     np.copyto(picked, a, where=nt)
-    lp = -0.5 * (float(gnt @ gnt) + float(gat @ gat)) / coef_sd ** 2
-    return float(np.subtract(picked, logit_lse(a, b), out=picked).sum()) + lp
+    lp = -0.5 * (_dots(gnt) + _dots(gat)) / coef_sd ** 2
+    if lse is None:
+        lse = logit_lse(a, b)
+    return np.subtract(picked, lse, out=picked).sum(axis=-1) + lp
 
 
 def _adapt_scale(scale: float, accept_prob: float, target: float, t: int) -> float:
@@ -466,56 +701,109 @@ def _adapt_scale(scale: float, accept_prob: float, target: float, t: int) -> flo
     return float(scale * math.exp(gain * (accept_prob - target)))
 
 
+def _metropolis(lp_prop: np.ndarray, lp_cur: np.ndarray, uniform) -> Tuple[np.ndarray, list]:
+    """Per chain accept decisions and acceptance probabilities; uniform(c)
+    gives chain c's uniform.  A chain whose proposal has log posterior -inf
+    is rejected without asking for one."""
+    accept, probs = np.zeros(lp_cur.shape[0], dtype=bool), []
+    for c, (new, cur) in enumerate(zip(lp_prop.tolist(), lp_cur.tolist())):
+        if new == -math.inf:
+            probs.append(0.0)
+            continue
+        probs.append(min(1.0, math.exp(min(0.0, new - cur))))
+        accept[c] = math.log(uniform(c)) < new - cur
+    return accept, probs
+
+
+def _conjugate_variates(rngs, kx: int, ky: int, kg: int, shape_x: np.ndarray,
+                        shape_y: np.ndarray) -> tuple:
+    """Every variate of one conjugate update, each chain's in its stream's
+    order: the intermediate block's normals (C, kx) and standard gamma
+    (shape_x), the outcome block's normals (C, ky) and standard gamma
+    (shape_y), then per logit row its proposal normals (C, kg) and its
+    uniform.  Returns (zx, zy, zg (2, C, kg), standard gammas (2, C),
+    uniforms (2, C))."""
+    C = len(rngs)
+    zx, zy, zg = np.empty((C, kx)), np.empty((C, ky)), np.empty((2, C, kg))
+    sg, u = np.empty((2, C)), np.empty((2, C))
+    for c, (rng, ax, ay) in enumerate(zip(rngs, shape_x.tolist(), shape_y.tolist())):
+        rng.standard_normal(out=zx[c])
+        sg[0, c] = rng.standard_gamma(ax)
+        rng.standard_normal(out=zy[c])
+        sg[1, c] = rng.standard_gamma(ay)
+        for row in (0, 1):
+            rng.standard_normal(out=zg[row, c])
+            u[row, c] = rng.random()
+    return zx, zy, zg, sg, u
+
+
 def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
-                     tuning: _Tuning) -> Theta:
-    th, rng = state.theta, state.rng
-    lab = state.compliance == _AT_NT
+                     tuning: _Tuning) -> Tuple[Theta, tuple]:
+    """One conjugate update of every chain; returns the new theta and its
+    logit columns and their log-sum-exp."""
+    th, rngs, p = state.theta, state.rngs, vd.p
+    lab = state.compliance[:, None, :] == _AT_NT
     (Gx, rx, nx, rss_x), (Gy, ry, ny, rss_y) = _normal_equations(state, lab, vd)
+    zx, zy, zg, sg, u = _conjugate_variates(rngs, p + 4, p + 7, p + 1,
+                                            prior.scale_shape + nx / 2.0,
+                                            prior.scale_shape + ny / 2.0)
 
     # intermediate block: observed cell of every unit plus the imputed
     # counterfactual cell of each complier
-    alpha = _draw_ridge(Gx, rx, th.sigma_x, prior.coef_sd, rng)
-    sigma_x = math.sqrt(_draw_variance(rss_x(alpha), nx, prior, rng))
+    alpha = _draw_ridge(Gx, rx, th.sigma_x, prior.coef_sd, zx)
+    sigma_x = np.sqrt(_draw_variance(rss_x(alpha), prior, sg[0]))
 
     # outcome block: observed cell of every unit plus compliers' three
     # missing cells, each with its matching first-period x2 cell
-    beta = _draw_ridge(Gy, ry, th.sigma_y, prior.coef_sd, rng)
-    sigma_y = math.sqrt(_draw_variance(rss_y(beta), ny, prior, rng))
+    beta = _draw_ridge(Gy, ry, th.sigma_y, prior.coef_sd, zy)
+    sigma_y = np.sqrt(_draw_variance(rss_y(beta), prior, sg[1]))
 
     # multinomial-logit rows (nt, at): one random-walk Metropolis move each;
     # a proposal recomputes only the logit column it moves
-    at, nt = lab
+    at, nt = lab[:, 0], lab[:, 1]
     g = [th.gamma_nt, th.gamma_at]
-    cols = [vd.U1 @ g[0], vd.U1 @ g[1]]
-    lp_cur = _gamma_logpost(*cols, nt, at, *g, prior.coef_sd)
-    if not np.isfinite(lp_cur):
+    logits = _cached(state.logits, th)
+    if logits is None:
+        cols = [row_dot(g[0], vd.U1), row_dot(g[1], vd.U1)]
+        lse = logit_lse(*cols)
+    else:
+        *cols, lse = logits
+    lp_cur = _gamma_logpost(*cols, nt, at, *g, prior.coef_sd, lse)
+    if not np.isfinite(lp_cur).all():
         raise NumericalOverflow("logit-row log posterior is non-finite")
     for row in (0, 1):
-        scale = tuning.gamma_scales[row]
+        scale = tuning.gamma_scales[:, row].copy()
         prop, prop_cols = list(g), list(cols)
-        prop[row] = g[row] + scale * rng.standard_normal(g[row].shape[0])
-        prop_cols[row] = vd.U1 @ prop[row]
-        lp_prop = _gamma_logpost(*prop_cols, nt, at, *prop, prior.coef_sd)
-        if np.isnan(lp_prop):
+        prop[row] = g[row] + scale[:, None] * zg[row]
+        prop_cols[row] = row_dot(prop[row], vd.U1)
+        lse_prop = logit_lse(*prop_cols)
+        lp_prop = _gamma_logpost(*prop_cols, nt, at, *prop, prior.coef_sd, lse_prop)
+        if np.isnan(lp_prop).any():
             raise NumericalOverflow("logit-row proposal log posterior is NaN")
-        accept_prob = min(1.0, math.exp(min(0.0, lp_prop - lp_cur)))
-        if math.log(rng.uniform()) < lp_prop - lp_cur:
-            g, cols, lp_cur = prop, prop_cols, lp_prop
+        accept, probs = _metropolis(lp_prop, lp_cur, u[row].tolist().__getitem__)
+        if accept.any():
+            keep = accept[:, None]
+            g[row] = np.where(keep, prop[row], g[row])
+            cols[row] = np.where(keep, prop_cols[row], cols[row])
+            lse = np.where(keep, lse_prop, lse)
+            lp_cur = np.where(accept, lp_prop, lp_cur)
         if tuning.adapting:
-            tuning.gamma_scales[row] = _adapt_scale(scale, accept_prob, 0.35, tuning.t)
-    return Theta(*g, alpha, sigma_x, beta, sigma_y)
+            tuning.gamma_scales[:, row] = [_adapt_scale(s, a, 0.35, tuning.t)
+                                           for s, a in zip(scale.tolist(), probs)]
+    return Theta(*g, alpha, sigma_x, beta, sigma_y), (*cols, lse)
 
 
-def _marginal_loglik(lw: np.ndarray, admissible: Tuple[np.ndarray, ...]) -> float:
-    """Sum over units of the label-marginalized log likelihood, from the
-    masked log-weight matrix and its admissible rows per type."""
-    m, _, total = _admissible_exp(lw, admissible)
-    return float((m + np.log(total)).sum())
+def _marginal_loglik(lw: np.ndarray, admissible: np.ndarray, buf=None):
+    """Sum over units of the label-marginalized log likelihood, per chain,
+    from the masked log-weight matrix and its admissible entries."""
+    m, _, total = _admissible_exp(lw, admissible, buf)
+    s = np.add(m, np.log(total, out=total), out=total).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarray:
     """Gradient of _marginal_loglik(_log_weights(theta, vd), vd.admissible)
-    in Theta.to_vector() layout.
+    in Theta.to_vector() layout, for a theta without a chain axis.
 
     It is sum_i sum_c r_ic d lw_ic / d theta, with r the normalised label
     weights: a multinomial-logit score (r - pi) U1 for the logit rows, and a
@@ -539,68 +827,92 @@ def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarra
     return np.concatenate(parts)
 
 
+def _sigma_index(p: int) -> int:
+    return 2 * (p + 1) + (p + 4)
+
+
 def _pack_unconstrained(theta: Theta) -> np.ndarray:
+    """(C, d) parameter vectors with both noise scales on the log scale."""
     vec = theta.to_vector()
-    p = theta.p
-    i_sx = 2 * (p + 1) + (p + 4)
-    vec[i_sx] = math.log(theta.sigma_x)
-    vec[-1] = math.log(theta.sigma_y)
+    for i in (_sigma_index(theta.p), -1):
+        vec[:, i] = [math.log(s) for s in vec[:, i].tolist()]
     return vec
 
 
-def _unpack_unconstrained(vec: np.ndarray, p: int) -> Theta:
+def _unpack_unconstrained(vec: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(C, d) vectors back to the Theta scale, and per chain whether the
+    result is a valid Theta row (finite, positive noise scales)."""
     v = vec.copy()
-    i_sx = 2 * (p + 1) + (p + 4)
-    v[i_sx] = math.exp(v[i_sx])
-    v[-1] = math.exp(v[-1])
-    return Theta.from_vector(v, p)
+    ok = np.isfinite(v).all(axis=1)
+    for i in (_sigma_index(p), -1):
+        for c, x in enumerate(v[:, i].tolist()):
+            try:
+                v[c, i] = math.exp(x)
+            except OverflowError:
+                ok[c] = False
+        ok &= v[:, i] > 0
+    return v, ok
 
 
-def _marginal_logpost(theta: Theta, vd: _VectorData,
-                      prior: PriorSpec) -> Tuple[float, np.ndarray]:
-    """Log posterior on the log-sigma scale, and the masked log-weights."""
-    lw = _log_weights(theta, vd)
+def _marginal_logpost(theta: Theta, vd: _VectorData, prior: PriorSpec,
+                      out=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Per chain log posterior on the log-sigma scale, and the masked
+    log-weights, written into out when given."""
+    w = vd.work(theta.gamma_nt.shape[0])
+    lw = _log_weights(theta, vd, out=out, cells=w.cells)
     # change of variables to log sigma adds 2*log(sigma) per noise scale
-    lp = (log_prior(theta, prior)
-          + 2.0 * math.log(theta.sigma_x) + 2.0 * math.log(theta.sigma_y)
-          + _marginal_loglik(lw, vd.admissible))
+    logs = [np.array([math.log(s) for s in sigma.tolist()])
+            for sigma in (theta.sigma_x, theta.sigma_y)]
+    lp = (log_prior(theta, prior) + 2.0 * logs[0] + 2.0 * logs[1]
+          + _marginal_loglik(lw, w.admissible, w.exp))
     return lp, lw
 
 
 def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
-                    tuning: _Tuning) -> Tuple[Theta, float, np.ndarray]:
-    """One Metropolis step; returns the new theta, its log posterior and
-    its log-weights."""
-    th = state.theta
-    rng = state.rng
+                    tuning: _Tuning) -> Tuple[Theta, np.ndarray, np.ndarray]:
+    """One Metropolis step per chain; returns the new theta, its log
+    posteriors and its log-weights.  A chain that rejects keeps its theta
+    row and log-weights bit for bit; when no chain accepts, the theta and
+    the log-weights are the state's own objects."""
+    th, rngs = state.theta, state.rngs
     p = th.p
+    w = vd.work(len(rngs))
     cur = _pack_unconstrained(th)
     cached = state.logweights
     if cached is not None and cached[0] is th:
         _, lp_cur, lw_cur = cached
     else:
-        lp_cur, lw_cur = _marginal_logpost(th, vd, prior)
-    if not np.isfinite(lp_cur):
+        lp_cur, lw_cur = _marginal_logpost(th, vd, prior, _free(w.lw, cached and cached[2]))
+    if not np.isfinite(lp_cur).all():
         raise NumericalOverflow("current marginal log posterior is non-finite")
-    sd = tuning.marg_sd if tuning.marg_sd is not None else np.ones(cur.shape[0])
-    prop_vec = cur + tuning.marg_scale * sd * rng.standard_normal(cur.shape[0])
-    try:
-        prop = _unpack_unconstrained(prop_vec, p)
-        lp_prop, lw_prop = _marginal_logpost(prop, vd, prior)
-    except (OverflowError, FloatingPointError, InvariantViolation):
-        lp_prop = -np.inf
-        prop = None
-    if prop is not None and np.isnan(lp_prop):
-        raise NumericalOverflow("proposal marginal log posterior is NaN")
-    new, lw_new, lp_new = th, lw_cur, lp_cur
-    if lp_prop == -np.inf:
-        accept_prob = 0.0
-    else:
-        accept_prob = min(1.0, math.exp(min(0.0, lp_prop - lp_cur)))
-        if math.log(rng.uniform()) < lp_prop - lp_cur:
-            new, lw_new, lp_new = prop, lw_prop, lp_prop
+    sd = tuning.marg_sd if tuning.marg_sd is not None else np.ones(cur.shape[1])
+    z = np.empty(cur.shape)
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    vec, valid = _unpack_unconstrained(cur + tuning.marg_scale[:, None] * sd * z, p)
+    lp_prop = np.full(len(rngs), -np.inf)
+    if valid.any():
+        # an invalid proposal is evaluated at the current theta and rejected
+        vec[~valid] = th.to_vector()[~valid]
+        prop = Theta.from_vector(vec, p)
+        lp, lw_prop = _marginal_logpost(prop, vd, prior, _free(w.lw, lw_cur))
+        if np.isnan(lp[valid]).any():
+            raise NumericalOverflow("proposal marginal log posterior is NaN")
+        lp_prop[valid] = lp[valid]
+    accept, probs = _metropolis(lp_prop, lp_cur, lambda c: rngs[c].uniform())
+    new, lp_new, lw_new = th, lp_cur, lw_cur
+    if accept.all():
+        new, lp_new, lw_new = prop, lp_prop, lw_prop
+    elif accept.any():
+        new = Theta.from_vector(np.where(accept[:, None], vec, th.to_vector()), p)
+        lp_new = np.where(accept, lp_prop, lp_cur)
+        # type-major: the chain axis is the middle one of (3, C, n)
+        np.copyto(types_first(lw_prop), types_first(lw_cur),
+                  where=~accept[:, None])
+        lw_new = lw_prop
     if tuning.adapting:
-        tuning.marg_scale = _adapt_scale(tuning.marg_scale, accept_prob, 0.234, tuning.t)
+        tuning.marg_scale[:] = [_adapt_scale(s, a, 0.234, tuning.t)
+                                for s, a in zip(tuning.marg_scale.tolist(), probs)]
         # history is read once, at the sd refresh
         if tuning.sd_refresh_at is not None and tuning.t <= tuning.sd_refresh_at:
             tuning.history.append(_pack_unconstrained(new))
@@ -620,11 +932,12 @@ def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: Prio
         raise InvalidConfig(f"theta_update: unknown mode {mode!r}")
     vd = as_vector_data(data)
     if tuning is None:
-        tuning = _Tuning()
+        tuning = _Tuning(n_chains=len(state.rngs))
     if mode == "marginal_mh":
         cache = _theta_marginal(state, vd, prior, tuning)
         return replace(state, theta=cache[0], logweights=cache)
-    return replace(state, theta=_theta_conjugate(state, vd, prior, tuning), logweights=None)
+    theta, logits = _theta_conjugate(state, vd, prior, tuning)
+    return replace(state, theta=theta, logweights=None, logits=(theta, *logits))
 
 
 # ---------------------------------------------------------------------------
@@ -637,55 +950,63 @@ def _uniform_labels(vd: _VectorData, rng: np.random.Generator) -> np.ndarray:
     return _vector_categorical(mask / mask.sum(axis=1, keepdims=True), rng.uniform(size=vd.n))
 
 
-def init_state(data: Union[Dataset, _VectorData], rng: np.random.Generator) -> ChainState:
-    """Starting state: labels uniform over each unit's admissible types,
-    coefficients at their prior means, noise scales at the sample spreads."""
+def init_state(data: Union[Dataset, _VectorData],
+               rngs: Sequence[np.random.Generator]) -> ChainState:
+    """Starting state of one chain per Generator: labels uniform over each
+    unit's admissible types, coefficients at their prior means, noise
+    scales at the sample spreads."""
     vd = as_vector_data(data)
-    codes = _uniform_labels(vd, rng)
-    p = vd.p
+    rngs = tuple(rngs)
+    C, p = len(rngs), vd.p
+    codes = np.stack([_uniform_labels(vd, rng) for rng in rngs])
     sx = max(float(vd.x2.std()), 1e-2)
     sy = max(float(vd.y.std()), 1e-2)
-    theta0 = Theta(np.zeros(p + 1), np.zeros(p + 1), np.zeros(p + 4), sx,
-                   np.zeros(p + 7), sy)
-    state = ChainState(theta0, codes, np.full((vd.n, 2), np.nan),
-                       np.full((vd.n, 4), np.nan), rng)
-    return step_impute(state, vd)
+    theta0 = Theta(np.zeros((C, p + 1)), np.zeros((C, p + 1)), np.zeros((C, p + 4)),
+                   np.full(C, sx), np.zeros((C, p + 7)), np.full(C, sy))
+    return step_impute(ChainState(theta0, codes, None, None, rngs), vd)
 
 
-def _check_state_invariants(state: ChainState, vd: _VectorData) -> None:
-    codes = state.compliance
-    ok = vd.consistent[np.arange(vd.n), codes]
-    if not ok.all():
-        i = int(np.nonzero(~ok)[0][0])
-        raise AssertionError(f"unit {i} carries an inadmissible label")
-    if not np.array_equal(state.x2_cells[np.arange(vd.n), vd.w1], vd.x2):
-        raise AssertionError("an observed x2 cell was modified")
-    if not np.array_equal(state.y_cells[np.arange(vd.n), vd.obs_ycol], vd.y):
-        raise AssertionError("an observed y cell was modified")
-    co = codes == CO
-    if np.isnan(state.x2_cells[co]).any() or np.isnan(state.y_cells[co]).any():
-        raise AssertionError("a complier table has an undefined cell")
+def _check_state_invariants(state: ChainState, vd: _VectorData, chains: Sequence[int]) -> None:
+    rows = np.arange(vd.n)
+    for c, k in enumerate(chains):
+        codes, x2, y = state.compliance[c], state.x2_cells[c], state.y_cells[c]
+        ok = vd.consistent[rows, codes]
+        if not ok.all():
+            i = int(np.nonzero(~ok)[0][0])
+            raise AssertionError(f"chain {k}: unit {i} carries an inadmissible label")
+        if not np.array_equal(x2[rows, vd.w1], vd.x2):
+            raise AssertionError(f"chain {k}: an observed x2 cell was modified")
+        if not np.array_equal(y[rows, vd.obs_ycol], vd.y):
+            raise AssertionError(f"chain {k}: an observed y cell was modified")
+        co = codes == CO
+        if np.isnan(x2[co]).any() or np.isnan(y[co]).any():
+            raise AssertionError(f"chain {k}: a complier table has an undefined cell")
 
 
 def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerConfig,
-              chain_index: int = 0, contrast: Contrast = DEFAULT_CONTRAST,
+              chains: Optional[Sequence[int]] = None, contrast: Contrast = DEFAULT_CONTRAST,
               check_invariants: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run one chain; returns its kept draws as (theta, late, n_compliers)
-    arrays, one row per kept sweep, laid out as FitResult's per chain.
+    """Run the chains with the given indices (default: all cfg.n_chains) in
+    lockstep; returns their kept draws as (theta, late, n_compliers) arrays
+    of shape (chains, draws, d) and (chains, draws), laid out as FitResult's.
 
-    Deterministic in (cfg.seed, chain_index); step errors are re-raised with
-    the failing sweep number attached.
+    Chain k draws from substream(cfg.seed, "chain", k) alone, so its draws
+    are the same whichever chains run beside it.  Step errors are re-raised
+    with the failing sweep number attached.
     """
     if cfg.seed is None:
         raise InvalidConfig("seed: a sampler seed is required")
+    chains = list(range(cfg.n_chains) if chains is None else map(int, chains))
+    if not chains:
+        raise InvalidConfig("chains: at least one chain index is required")
     vd = as_vector_data(data)
-    rng = substream(cfg.seed, "chain", chain_index)
-    state = init_state(vd, rng)
-    tuning = _Tuning(marg_scale=cfg.mh_step_scale,
+    state = init_state(vd, [substream(cfg.seed, "chain", k) for k in chains])
+    C = len(chains)
+    tuning = _Tuning(n_chains=C, marg_scale=cfg.mh_step_scale,
                      sd_refresh_at=max(1, cfg.n_warmup // 2))
-    theta = np.empty((cfg.n_draws, theta_dim(vd.p)))
-    late = np.empty(cfg.n_draws)
-    n_compliers = np.empty(cfg.n_draws, dtype=np.int64)
+    theta = np.empty((C, cfg.n_draws, theta_dim(vd.p)))
+    late = np.empty((C, cfg.n_draws))
+    n_compliers = np.empty((C, cfg.n_draws), dtype=np.int64)
     marginal = cfg.theta_update == "marginal_mh"
     for t in range(cfg.n_warmup + cfg.n_draws):
         tuning.adapting = t < cfg.n_warmup
@@ -699,15 +1020,12 @@ def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerC
         except SeqlateError as e:
             raise type(e)(f"sweep {t + 1}: {e}") from e
         if check_invariants:
-            _check_state_invariants(state, vd)
+            _check_state_invariants(state, vd, chains)
         j = t - cfg.n_warmup
         if j >= 0:
-            theta[j] = state.theta.to_vector()
-            n_compliers[j] = state.n_compliers()
-            try:
-                late[j] = late_draw(state, contrast)
-            except NoCompliersInDraw:
-                late[j] = np.nan
+            theta[:, j] = state.theta.to_vector()
+            n_compliers[:, j] = state.n_compliers()
+            late[:, j] = late_draw(state, contrast)
     return theta, late, n_compliers
 
 
@@ -744,12 +1062,9 @@ class FitResult:
 
 def fit(data: Dataset, prior: PriorSpec, cfg: SamplerConfig,
         contrast: Contrast = DEFAULT_CONTRAST, check_invariants: bool = False) -> FitResult:
-    """Run cfg.n_chains independent chains over their own substreams."""
+    """Run cfg.n_chains chains, each over its own substream, in lockstep."""
     vd = as_vector_data(data)
-    chains = []
-    for k in range(cfg.n_chains):
-        log.info("running chain %d/%d", k + 1, cfg.n_chains)
-        chains.append(run_chain(vd, prior, cfg, chain_index=k, contrast=contrast,
-                                check_invariants=check_invariants))
-    theta, late, n_compliers = map(np.stack, zip(*chains))
+    log.info("running %d chains in lockstep", cfg.n_chains)
+    theta, late, n_compliers = run_chain(vd, prior, cfg, range(cfg.n_chains), contrast=contrast,
+                                         check_invariants=check_invariants)
     return FitResult(theta, late, n_compliers, vd.p, cfg)

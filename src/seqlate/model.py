@@ -23,18 +23,34 @@ from typing import List
 
 import numpy as np
 
-from .domain import AT, CO, NT
 from .errors import DimensionMismatch, InvalidConfig, InvariantViolation
 
 LOG_2PI = math.log(2.0 * math.pi)
+# which of (nt, co, at) carries a stratum loading in the regression means
+_HAS_LOADING = np.array([1.0, 0.0, 1.0])
 
 
-def _check_vector(v, name: str, length: int) -> np.ndarray:
-    arr = np.asarray(v, dtype=float).reshape(-1)
-    if arr.shape[0] != length:
-        raise InvariantViolation(f"{name} must have length {length}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
+def _check_field(v, name: str, shape: tuple) -> np.ndarray:
+    """v as a read-only float array of shape, every entry finite.  An
+    unbatched field (shape of length one) may come in any shape of that size."""
+    arr = np.asarray(v, dtype=float)
+    if len(shape) == 1:
+        arr = arr.reshape(-1)
+    if arr.shape != shape:
+        raise InvariantViolation(f"{name} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
         raise InvariantViolation(f"{name} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
+def _check_scale(v, name: str, lead: tuple):
+    """A noise scale: a float, or a read-only (C,) array for a chain axis."""
+    arr = np.asarray(v, dtype=float)
+    if arr.shape != lead or not (np.isfinite(arr) & (arr > 0)).all():
+        raise InvariantViolation(f"{name} must be positive and finite with shape {lead}, got {v}")
+    if not lead:
+        return float(arr)
     arr.flags.writeable = False
     return arr
 
@@ -47,6 +63,11 @@ class Theta:
     alwaystaker strata (complier is the zero baseline), each length p+1.
     alpha / sigma_x: intermediate-model coefficients and noise scale.
     beta / sigma_y: outcome-model coefficients and noise scale.
+
+    A Theta may carry a leading chain axis: (C, .) coefficient fields and
+    (C,) noise scales, one row per chain, as the sampler runs its chains in
+    lockstep.  gamma_nt decides: two axes mean a chain axis.  Without one,
+    the noise scales are floats.
     """
 
     gamma_nt: np.ndarray
@@ -57,51 +78,50 @@ class Theta:
     sigma_y: float
 
     def __post_init__(self):
-        gnt = np.asarray(self.gamma_nt, dtype=float).reshape(-1)
-        p = gnt.shape[0] - 1
+        gnt = np.asarray(self.gamma_nt, dtype=float)
+        lead = gnt.shape[:1] if gnt.ndim == 2 else ()
+        p = gnt.shape[-1] - 1 if gnt.ndim else 0
         if p < 0:
             raise InvariantViolation("gamma_nt must have at least the intercept entry")
-        object.__setattr__(self, "gamma_nt", _check_vector(gnt, "gamma_nt", p + 1))
-        object.__setattr__(self, "gamma_at", _check_vector(self.gamma_at, "gamma_at", p + 1))
-        object.__setattr__(self, "alpha", _check_vector(self.alpha, "alpha", p + 4))
-        object.__setattr__(self, "beta", _check_vector(self.beta, "beta", p + 7))
-        sx = float(self.sigma_x)
-        sy = float(self.sigma_y)
-        if not (np.isfinite(sx) and sx > 0):
-            raise InvariantViolation(f"sigma_x must be positive and finite, got {self.sigma_x}")
-        if not (np.isfinite(sy) and sy > 0):
-            raise InvariantViolation(f"sigma_y must be positive and finite, got {self.sigma_y}")
-        object.__setattr__(self, "sigma_x", sx)
-        object.__setattr__(self, "sigma_y", sy)
+        for name, v, width in (("gamma_nt", gnt, p + 1), ("gamma_at", self.gamma_at, p + 1),
+                               ("alpha", self.alpha, p + 4), ("beta", self.beta, p + 7)):
+            object.__setattr__(self, name, _check_field(v, name, lead + (width,)))
+        for name in ("sigma_x", "sigma_y"):
+            object.__setattr__(self, name, _check_scale(getattr(self, name), name, lead))
 
     @property
     def p(self) -> int:
-        return self.gamma_nt.shape[0] - 1
+        return self.gamma_nt.shape[-1] - 1
 
     def coefficients(self) -> np.ndarray:
         """All regression-style coefficients, excluding the noise scales."""
-        return np.concatenate([self.gamma_nt, self.gamma_at, self.alpha, self.beta])
+        return np.concatenate([self.gamma_nt, self.gamma_at, self.alpha, self.beta], axis=-1)
 
     def to_vector(self) -> np.ndarray:
+        """The parameters in theta_field_names order, along the last axis."""
+        lead = self.gamma_nt.shape[:-1]
         return np.concatenate([
-            self.gamma_nt, self.gamma_at, self.alpha, [self.sigma_x],
-            self.beta, [self.sigma_y],
-        ])
+            self.gamma_nt, self.gamma_at, self.alpha, np.reshape(self.sigma_x, lead + (1,)),
+            self.beta, np.reshape(self.sigma_y, lead + (1,)),
+        ], axis=-1)
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, p: int) -> "Theta":
-        vec = np.asarray(vec, dtype=float).reshape(-1)
-        if vec.shape[0] != theta_dim(p):
+        """Inverse of to_vector; a (C, d) vec gives a Theta with a chain axis."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.ndim != 2:
+            vec = vec.reshape(-1)
+        if vec.shape[-1] != theta_dim(p):
             raise DimensionMismatch(
-                f"vector length {vec.shape[0]} does not match p={p} (need {theta_dim(p)})"
+                f"vector length {vec.shape[-1]} does not match p={p} (need {theta_dim(p)})"
             )
         k = p + 1
-        gnt, gat = vec[:k], vec[k:2 * k]
+        gnt, gat = vec[..., :k], vec[..., k:2 * k]
         a_end = 2 * k + p + 4
-        alpha = vec[2 * k:a_end]
-        sigma_x = vec[a_end]
-        beta = vec[a_end + 1:a_end + 1 + p + 7]
-        sigma_y = vec[-1]
+        alpha = vec[..., 2 * k:a_end]
+        sigma_x = vec[..., a_end]
+        beta = vec[..., a_end + 1:a_end + 1 + p + 7]
+        sigma_y = vec[..., -1]
         return cls(gnt, gat, alpha, sigma_x, beta, sigma_y)
 
     def to_dict(self) -> dict:
@@ -125,9 +145,9 @@ class Theta:
         return (np.array_equal(self.gamma_nt, other.gamma_nt)
                 and np.array_equal(self.gamma_at, other.gamma_at)
                 and np.array_equal(self.alpha, other.alpha)
-                and self.sigma_x == other.sigma_x
+                and np.array_equal(self.sigma_x, other.sigma_x)
                 and np.array_equal(self.beta, other.beta)
-                and self.sigma_y == other.sigma_y)
+                and np.array_equal(self.sigma_y, other.sigma_y))
 
 
 def theta_dim(p: int) -> int:
@@ -172,23 +192,56 @@ def _invgamma_logpdf(v: float, shape: float, rate: float) -> float:
     return shape * math.log(rate) - math.lgamma(shape) - (shape + 1) * math.log(v) - rate / v
 
 
-def log_prior(theta: Theta, prior: PriorSpec) -> float:
-    """Log prior density: Normal on coefficients, InverseGamma on variances."""
+def log_prior(theta: Theta, prior: PriorSpec):
+    """Log prior density: Normal on coefficients, InverseGamma on variances.
+    A float, or one per chain for a Theta with a chain axis."""
     coefs = theta.coefficients()
-    lp = float(np.sum(_normal_logpdf(coefs, 0.0, prior.coef_sd)))
-    lp += _invgamma_logpdf(theta.sigma_x ** 2, prior.scale_shape, prior.scale_rate)
-    lp += _invgamma_logpdf(theta.sigma_y ** 2, prior.scale_shape, prior.scale_rate)
-    return lp
+    lp = np.sum(_normal_logpdf(coefs, 0.0, prior.coef_sd), axis=-1)
+    ig = [[_invgamma_logpdf(s ** 2, prior.scale_shape, prior.scale_rate)
+           for s in np.atleast_1d(sigma).tolist()] for sigma in (theta.sigma_x, theta.sigma_y)]
+    if lp.ndim == 0:
+        return float(lp) + ig[0][0] + ig[1][0]
+    return lp + ig[0] + ig[1]
 
 
 # ---------------------------------------------------------------------------
 # column kernels shared by the sampler, its score and the enumeration oracle
+#
+# A kernel takes a Theta with or without a chain axis.  Its (..., n, 3)
+# result is type-major in memory, one contiguous (..., n) block per type in
+# (nt, co, at) order: column-major (n, 3) without a chain axis, and a
+# (C, n, 3) view of a (3, C, n) array with one.
 # ---------------------------------------------------------------------------
 
 def logit_design(X1: np.ndarray) -> np.ndarray:
     """Prepend the intercept column: (n, p) -> (n, p+1)."""
     n = X1.shape[0]
     return np.hstack([np.ones((n, 1)), X1])
+
+
+def types_first(a: np.ndarray) -> np.ndarray:
+    """The (3, ..., n) view of a (..., n, 3) array; the array under a
+    type-major one."""
+    return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
+
+
+def types_last(a: np.ndarray) -> np.ndarray:
+    """The (..., n, 3) view of a (3, ..., n) array."""
+    return a.transpose(tuple(range(1, a.ndim)) + (0,))
+
+
+def type_major(lead: tuple, n: int) -> np.ndarray:
+    """An empty (*lead, n, 3) array laid out as the kernels return theirs."""
+    return types_last(np.empty((3,) + tuple(lead) + (n,)))
+
+
+def row_dot(coef: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:
+    """M @ coef for every row of coef: (k,) or (C, k) coefficients against
+    (n, k) rows M give (n,) or (C, n).  Each chain's row is one BLAS
+    matrix-vector product, the same floats as M @ coef[c]."""
+    if out is not None:
+        out = out[..., None, :]
+    return np.matmul(coef[..., None, :], M.T, out=out)[..., 0, :]
 
 
 def logit_lse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,43 +258,81 @@ def logit_lse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add(np.log(total, out=total), m, out=total)
 
 
-def compliance_log_prob_matrix(theta: Theta, U1: np.ndarray) -> np.ndarray:
-    """(n, 3) log stratum probabilities for precomputed logit rows U1,
-    column-major."""
+def compliance_log_prob_matrix(theta: Theta, U1: np.ndarray, out=None,
+                               logits=None) -> np.ndarray:
+    """(..., n, 3) log stratum probabilities for precomputed logit rows U1,
+    type-major; written into out when given.  logits: (U1 @ gamma_nt,
+    U1 @ gamma_at, their logit_lse) when the caller has them."""
     if U1.shape[1] != theta.p + 1:
         raise DimensionMismatch(
             f"logit rows have {U1.shape[1]} columns but theta expects p={theta.p}")
-    a = U1 @ theta.gamma_nt
-    b = U1 @ theta.gamma_at
-    lse = logit_lse(a, b)
-    out = np.empty((U1.shape[0], 3), order="F")
-    np.subtract(a, lse, out=out[:, 0])
-    np.subtract(0.0, lse, out=out[:, 1])
-    np.subtract(b, lse, out=out[:, 2])
+    if logits is None:
+        a = row_dot(theta.gamma_nt, U1)
+        b = row_dot(theta.gamma_at, U1)
+        lse = logit_lse(a, b)
+    else:
+        a, b, lse = logits
+    if out is None:
+        out = type_major(a.shape[:-1], U1.shape[0])
+    np.subtract(a, lse, out=out[..., 0])
+    np.subtract(0.0, lse, out=out[..., 1])
+    np.subtract(b, lse, out=out[..., 2])
     return out
 
 
 def observed_cell_logliks(theta: Theta, X1: np.ndarray, w1: np.ndarray,
-                          w2: np.ndarray, x2: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n, 3) joint log density of the observed (x2, y) cells per candidate type.
+                          w2: np.ndarray, x2: np.ndarray, y: np.ndarray,
+                          out=None, scratch=None) -> np.ndarray:
+    """(..., n, 3) joint log density of the observed (x2, y) cells per
+    candidate type, type-major; written into out when given, with scratch
+    an optional buffer of the same layout.
 
-    Column order matches COMPLIANCE_ORDER and the array is column-major.
-    Consistency with the treatment pattern is NOT applied here; callers
-    mask inadmissible types.
+    Column order matches COMPLIANCE_ORDER.  Consistency with the treatment
+    pattern is NOT applied here; callers mask inadmissible types.  Each
+    column is _normal_logpdf of both cells, the three types evaluated at
+    once on a (3, ..., n) view with the same floats.
     """
     p = theta.p
-    n = X1.shape[0]
-    out = np.empty((n, 3), order="F")
-    base_x = theta.alpha[0] + X1 @ theta.alpha[1:1 + p] + theta.alpha[p + 1] * w1
-    b = theta.beta
-    base_y = (b[0] + X1 @ b[1:1 + p] + b[p + 1] * x2 + b[p + 2] * w1
-              + b[p + 3] * w2 + b[p + 4] * w1 * w2)
-    for code in (NT, CO, AT):
-        at, nt = float(code == AT), float(code == NT)
-        mu_x = base_x + theta.alpha[p + 2] * at + theta.alpha[p + 3] * nt
-        mu_y = base_y + b[p + 5] * at + b[p + 6] * nt
-        out[:, code] = (_normal_logpdf(x2, mu_x, theta.sigma_x)
-                        + _normal_logpdf(y, mu_y, theta.sigma_y))
+    if X1.shape[1] != p:
+        raise DimensionMismatch(f"covariates have {X1.shape[1]} columns but theta expects p={p}")
+    a, b = theta.alpha, theta.beta
+
+    def col(v):    # one value per chain, against the unit axis
+        return np.asarray(v)[..., None]
+
+    def loadings(coef, i_at, i_nt):
+        # (3, ..., 1) stratum loadings of (nt, co, at), the complier's zero;
+        # the parametrization adds each type the other's loading times 0.0,
+        # and a zero added leaves the mean as it is
+        return types_first(coef[..., [i_nt, i_nt, i_at]] * _HAS_LOADING)[..., None]
+
+    base_x = col(a[..., 0]) + row_dot(a[..., 1:1 + p], X1) + col(a[..., p + 1]) * w1
+    base_y = (col(b[..., 0]) + row_dot(b[..., 1:1 + p], X1) + col(b[..., p + 1]) * x2
+              + col(b[..., p + 2]) * w1 + col(b[..., p + 3]) * w2 + col(b[..., p + 4]) * w1 * w2)
+    lead = base_x.shape[:-1]
+    if out is None:
+        out = type_major(lead, X1.shape[0])
+    if scratch is None:
+        scratch = type_major(lead, X1.shape[0])
+
+    def logpdf(v, base, sd, loads, dst):
+        # c - 0.5 * z * z with z = (v - (base + loading)) / sd and
+        # c = -0.5 * log(2 pi) - log(sd); 0.5 * z is exact, so
+        # (0.5 * z) * z = 0.5 * (z * z) unless z * z is subnormal, where c
+        # absorbs both
+        c = -0.5 * LOG_2PI - np.log(sd)
+        np.add(base, loads, out=dst)
+        np.subtract(v, dst, out=dst)
+        np.divide(dst, sd, out=dst)
+        np.multiply(dst, dst, out=dst)
+        np.multiply(0.5, dst, out=dst)
+        return np.subtract(c, dst, out=dst)
+
+    # the (3, ..., n) arrays under the type-major views
+    lx = logpdf(x2, base_x, col(theta.sigma_x), loadings(a, p + 2, p + 3),
+                types_first(out))
+    lx += logpdf(y, base_y, col(theta.sigma_y), loadings(b, p + 5, p + 6),
+                 types_first(scratch))
     return out
 
 

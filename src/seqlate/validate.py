@@ -296,9 +296,8 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     L, diffs = _grid_factors(vd, spec, contrast)
     by_code = [np.ascontiguousarray(L[:, :, c].T) for c in range(3)]
     # exact conditional over labels at each grid point, laid out
-    # (1, type, grid, unit) so one categorical draw covers every grid point
-    label_probs = np.stack([_normalise(L[ki], vd.admissible) for ki in range(k)])
-    label_probs = label_probs.transpose(2, 0, 1)[None]
+    # (1, grid, unit, type) so one categorical draw covers every grid point
+    label_probs = np.stack([_normalise(L[ki], vd.admissible) for ki in range(k)])[None]
     log_w = np.log(spec.weights)
     rng = substream(seed, "grid-gibbs", 0)
 

@@ -197,6 +197,70 @@ def test_fit_summary_uses_multi_chain_ess(sim_dir, tmp_path):
     assert summary["theta"]["beta_0"]["rhat"] == rhat(by_chain)
 
 
+def _fit_warnings(caplog, tmp_path, config_text, *extra):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(config_text)
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")])
+    assert rc == 0
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="seqlate"):
+        rc = main(["fit", "--data", str(tmp_path / "sim" / "dataset.csv"), "--config", str(cfg),
+                   "--out", str(tmp_path / "fit"), *extra])
+    assert rc == 0
+    return [r.getMessage() for r in caplog.records
+            if r.name == "seqlate.cli" and r.levelname == "WARNING"]
+
+
+def test_fit_warns_when_the_chains_disagree(tmp_path, caplog):
+    # two short marginal_mh chains: split R-hat of the complier effect far
+    # above 1.01, and the outputs are those of a run that did not warn
+    config = CONFIG.replace("n_warmup = 40", "n_warmup = 10").replace("n_draws = 60",
+                                                                     "n_draws = 40")
+    warned = _fit_warnings(caplog, tmp_path, config, "--theta-update", "marginal", "--seed", "3")
+    assert any("R-hat" in m and "exceeds 1.01" in m for m in warned), warned
+    summary = json.loads((tmp_path / "fit" / "summary.json").read_text())
+    assert summary["late"]["rhat"] > 1.01
+    draws = (tmp_path / "fit" / "draws.csv").read_bytes()
+    quiet = tmp_path / "quiet"
+    quiet.mkdir()
+    rc = main(["--log-level", "error", "fit", "--data", str(tmp_path / "sim" / "dataset.csv"),
+               "--config", str(tmp_path / "run.ini"), "--out", str(quiet / "fit"),
+               "--theta-update", "marginal", "--seed", "3"])
+    assert rc == 0
+    assert (quiet / "fit" / "draws.csv").read_bytes() == draws
+    assert json.loads((quiet / "fit" / "summary.json").read_text()) == summary
+
+
+def test_fit_warns_on_draws_without_compliers(tmp_path, caplog):
+    # no unit can be a complier when every unit is an always- or nevertaker
+    config = CONFIG.replace("0.2, 0.6, 0.2", "0.5, 0.0, 0.5")
+    warned = _fit_warnings(caplog, tmp_path, config, "--seed", "4")
+    assert any("kept draws had no compliers" in m for m in warned), warned
+
+
+def test_readme_example_fit_does_not_warn(tmp_path, caplog):
+    readme = """\
+[dgp]
+n = 500
+seed = 314159
+compliance_probs = 0.2, 0.6, 0.2
+
+[sampler]
+seed = 2718
+n_chains = 4
+n_warmup = 1000
+n_draws = 2000
+
+[prior]
+coef_sd = 5.0
+scale_shape = 2.0
+scale_rate = 1.0
+"""
+    # at sampler seed 1 the complier effect's split R-hat reads 1.004; at the
+    # config's own seed 2718 it reads 1.012, and fit warns
+    assert _fit_warnings(caplog, tmp_path, readme, "--seed", "1") == []
+
+
 def test_chain_diagnostics_drop_iterations_where_any_chain_is_undefined():
     rng = np.random.default_rng(13)
     mat = rng.standard_normal((3, 40))

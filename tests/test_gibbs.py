@@ -61,6 +61,16 @@ def zero_loading_theta(gamma_nt=(0.0, 0.0), sigma=1.0):
                  np.array([0.1, 0.2, 0.5, 0.3, 0.4, 0.2, 0.0, 0.0]), sigma)
 
 
+def chains_of(theta, k=1):
+    """theta repeated along a leading chain axis of k chains."""
+    return Theta.from_vector(np.tile(theta.to_vector(), (k, 1)), theta.p)
+
+
+def start(vd, seed, chains=(0,)):
+    """init_state over the chain substreams of seed."""
+    return init_state(vd, [substream(seed, "chain", k) for k in chains])
+
+
 def one_unit_dataset(z1, w1, z2, w2):
     return Dataset.from_units((ObservedUnit(np.array([0.3]), z1, w1, 0.6, z2, w2, 1.1),), 1)
 
@@ -130,9 +140,10 @@ def test_vector_data_rejects_impossible_unit():
 def test_step_compliance_respects_admissibility():
     data, _ = simulate_dataset(DgpConfig(n=200, seed=24))
     vd = as_vector_data(data)
-    state = init_state(vd, substream(24, "chain", 0))
+    state = start(vd, 24, chains=(0, 1))
     for _ in range(5):
         state = step_compliance(state, vd)
+        assert state.compliance.shape == (2, vd.n)
         assert vd.consistent[np.arange(vd.n), state.compliance].all()
 
 
@@ -140,19 +151,21 @@ def test_step_impute_bookkeeping():
     data, _ = simulate_dataset(DgpConfig(n=150, seed=25,
                                          compliance_probs=ConstantCompliance((0.3, 0.4, 0.3))))
     vd = as_vector_data(data)
-    state = init_state(vd, substream(25, "chain", 0))
+    state = start(vd, 25, chains=(0, 1, 2))
     state = step_impute(state, vd)
     rows = np.arange(vd.n)
-    # observed cells are copied bit for bit
-    assert np.array_equal(state.x2_cells[rows, vd.w1], vd.x2)
-    assert np.array_equal(state.y_cells[rows, vd.obs_ycol], vd.y)
-    for i in rows:
-        if state.compliance[i] == 1:     # complier: full table
-            assert np.isfinite(state.x2_cells[i]).all()
-            assert np.isfinite(state.y_cells[i]).all()
-        else:                            # nt / at: only the observed cells
-            assert np.isfinite(state.x2_cells[i]).sum() == 1
-            assert np.isfinite(state.y_cells[i]).sum() == 1
+    for c in range(3):
+        x2, y, codes = state.x2_cells[c], state.y_cells[c], state.compliance[c]
+        # observed cells are copied bit for bit
+        assert np.array_equal(x2[rows, vd.w1], vd.x2)
+        assert np.array_equal(y[rows, vd.obs_ycol], vd.y)
+        for i in rows:
+            if codes[i] == 1:                # complier: full table
+                assert np.isfinite(x2[i]).all()
+                assert np.isfinite(y[i]).all()
+            else:                            # nt / at: only the observed cells
+                assert np.isfinite(x2[i]).sum() == 1
+                assert np.isfinite(y[i]).sum() == 1
 
 
 def test_step_impute_is_centered_on_model_means():
@@ -160,23 +173,23 @@ def test_step_impute_is_centered_on_model_means():
                                          compliance_probs=ConstantCompliance((0.0, 1.0, 0.0))))
     vd = as_vector_data(data)
     th = zero_loading_theta(sigma=1e-8)
-    state = init_state(vd, substream(26, "chain", 0))
-    state = ChainState(th, np.full(vd.n, 1, dtype=np.int8), state.x2_cells,
-                       state.y_cells, state.rng)
+    state = start(vd, 26)
+    state = ChainState(chains_of(th), np.full((1, vd.n), 1, dtype=np.int8), state.x2_cells,
+                       state.y_cells, state.rngs)
     state = step_impute(state, vd)
-    p = 1
+    x2_cells, y_cells = state.x2_cells[0], state.y_cells[0]
     for i in range(vd.n):
         w1_mis = 1 - vd.w1[i]
         mu_x = float(th.alpha @ np.concatenate([[1.0], vd.X1[i], [w1_mis, 0.0, 0.0]]))
-        assert state.x2_cells[i, w1_mis] == pytest.approx(mu_x, abs=1e-6)
+        assert x2_cells[i, w1_mis] == pytest.approx(mu_x, abs=1e-6)
         for (a, b) in ((0, 0), (0, 1), (1, 0), (1, 1)):
             col = 2 * a + b
             if col == vd.obs_ycol[i]:
                 continue
-            x2v = state.x2_cells[i, a]
+            x2v = x2_cells[i, a]
             mu_y = float(th.beta @ np.concatenate(
                 [[1.0], vd.X1[i], [x2v, a, b, a * b, 0.0, 0.0]]))
-            assert state.y_cells[i, col] == pytest.approx(mu_y, abs=1e-6)
+            assert y_cells[i, col] == pytest.approx(mu_y, abs=1e-6)
 
 
 def test_late_draw_hand_case():
@@ -185,22 +198,24 @@ def test_late_draw_hand_case():
     y = np.array([[1.0, 0.0, 0.0, 4.0],
                   [0.0, 0.0, 0.0, 1.0],
                   [2.0, np.nan, np.nan, np.nan]])
-    state = ChainState(th, np.array([1, 1, 0], dtype=np.int8), x2, y,
-                       substream(27, "chain", 0))
+    state = ChainState(chains_of(th), np.array([[1, 1, 0]], dtype=np.int8), x2[None],
+                       y[None], (substream(27, "chain", 0),))
     # compliers contribute y(1,1) - y(0,0): (4-1) and (1-0); the nevertaker
     # is excluded
-    assert late_draw(state) == pytest.approx(2.0)
+    assert late_draw(state) == pytest.approx([2.0])
     # y(0,1) - y(0,0): (0-1) and (0-0)
-    assert late_draw(state, contrast=((0, 1), (0, 0))) == pytest.approx(-0.5)
-    state_none = ChainState(th, np.array([0, 0, 2], dtype=np.int8), x2, y, state.rng)
-    with pytest.raises(NoCompliersInDraw):
-        late_draw(state_none)
+    assert late_draw(state, contrast=((0, 1), (0, 0))) == pytest.approx([-0.5])
+    # a chain without compliers gets NaN, its neighbours their own contrast
+    both = ChainState(chains_of(th, 2), np.array([[0, 0, 2], [1, 1, 0]], dtype=np.int8),
+                      np.stack([x2, x2]), np.stack([y, y]), state.rngs * 2)
+    got = late_draw(both)
+    assert np.isnan(got[0]) and got[1] == pytest.approx(2.0)
 
 
 def test_ridge_draw_with_no_rows_recovers_prior():
     rng = substream(28, "ridge-prior", 0)
-    draws = np.array([_draw_ridge(np.zeros((3, 3)), np.zeros(3), 1.0, 5.0, rng)
-                      for _ in range(5000)])
+    draws = np.concatenate([_draw_ridge(np.zeros((1, 3, 3)), np.zeros((1, 3)), np.ones(1), 5.0,
+                                        rng.standard_normal((1, 3))) for _ in range(5000)])
     assert abs(draws.mean()) < 0.25
     assert np.abs(draws.std(axis=0) - 5.0).max() < 0.25
 
@@ -208,7 +223,9 @@ def test_ridge_draw_with_no_rows_recovers_prior():
 def test_variance_draw_with_no_rows_recovers_prior():
     rng = substream(29, "var-prior", 0)
     prior = PriorSpec(scale_shape=2.0, scale_rate=1.0)
-    draws = np.array([_draw_variance(0.0, 0, prior, rng) for _ in range(5000)])
+    # no rows: the standard gamma variate has the prior's shape
+    draws = np.concatenate([_draw_variance(np.zeros(1), prior, rng.standard_gamma(2.0, size=1))
+                            for _ in range(5000)])
     ks = stats.kstest(draws, lambda v: stats.invgamma.cdf(v, 2.0, scale=1.0))
     assert ks.statistic < 0.05
 
@@ -218,7 +235,8 @@ def test_ridge_draw_concentrates_on_least_squares():
     D = rng.normal(size=(2000, 3))
     coef = np.array([1.0, -2.0, 0.5])
     resp = D @ coef + 0.1 * rng.standard_normal(2000)
-    draws = np.array([_draw_ridge(D.T @ D, D.T @ resp, 0.1, 5.0, rng) for _ in range(200)])
+    draws = np.concatenate([_draw_ridge((D.T @ D)[None], (D.T @ resp)[None], np.full(1, 0.1), 5.0,
+                                        rng.standard_normal((1, 3))) for _ in range(200)])
     assert np.abs(draws.mean(axis=0) - coef).max() < 0.02
 
 
@@ -267,13 +285,13 @@ def test_random_walk_metropolis_duplicated_flat_target():
 def test_run_chain_is_deterministic(mode):
     data, _ = simulate_dataset(DgpConfig(n=80, seed=33))
     cfg = SamplerConfig(seed=5, n_chains=1, n_warmup=50, n_draws=60, theta_update=mode)
-    theta1, late1, _ = run_chain(data, PriorSpec(), cfg, chain_index=0)
-    theta2, late2, _ = run_chain(data, PriorSpec(), cfg, chain_index=0)
-    assert theta1.shape[0] == late1.shape[0] == 60
+    theta1, late1, _ = run_chain(data, PriorSpec(), cfg, [0])
+    theta2, late2, _ = run_chain(data, PriorSpec(), cfg, [0])
+    assert theta1.shape[:2] == late1.shape == (1, 60)
     assert np.array_equal(theta1, theta2)
     assert np.array_equal(late1, late2, equal_nan=True)
-    theta3, _, _ = run_chain(data, PriorSpec(), cfg, chain_index=1)
-    assert (theta1 != theta3).any(axis=1).any()
+    theta3, _, _ = run_chain(data, PriorSpec(), cfg, [1])
+    assert (theta1 != theta3).any(axis=-1).any()
 
 
 def test_run_chain_reports_failing_sweep(monkeypatch):
@@ -300,14 +318,14 @@ def test_run_chain_invariants_hold_throughout():
     data, _ = simulate_dataset(DgpConfig(n=60, seed=36))
     cfg = SamplerConfig(seed=7, n_chains=1, n_warmup=30, n_draws=30)
     theta, _, _ = run_chain(data, PriorSpec(), cfg, check_invariants=True)
-    assert np.isfinite(theta[:, theta_field_names(1).index("sigma_y")]).all()
+    assert np.isfinite(theta[..., theta_field_names(1).index("sigma_y")]).all()
 
 
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
 def test_step_theta_changes_theta(mode):
     data, _ = simulate_dataset(DgpConfig(n=50, seed=37))
     vd = as_vector_data(data)
-    state = init_state(vd, substream(37, "chain", 0))
+    state = start(vd, 37)
     moved = False
     for _ in range(20):
         new = step_theta(state, vd, PriorSpec(), mode=mode)
@@ -320,7 +338,7 @@ def test_step_theta_changes_theta(mode):
 def test_step_theta_unknown_mode():
     data, _ = simulate_dataset(DgpConfig(n=10, seed=38))
     vd = as_vector_data(data)
-    state = init_state(vd, substream(38, "chain", 0))
+    state = start(vd, 38)
     with pytest.raises(InvalidConfig):
         step_theta(state, vd, PriorSpec(), mode="hamiltonian")
 
@@ -348,7 +366,7 @@ def test_fit_arrays_equal_hand_driven_sweeps(mode):
     cfg = SamplerConfig(seed=12, n_chains=2, n_warmup=6, n_draws=15, theta_update=mode)
     res = fit(data, PriorSpec(), cfg)
     for c in range(cfg.n_chains):
-        state = init_state(vd, substream(cfg.seed, "chain", c))
+        state = start(vd, cfg.seed, chains=(c,))
         tuning = gibbs._Tuning(marg_scale=cfg.mh_step_scale, sd_refresh_at=cfg.n_warmup // 2)
         for t in range(cfg.n_warmup + cfg.n_draws):
             tuning.adapting, tuning.t = t < cfg.n_warmup, t
@@ -357,10 +375,9 @@ def test_fit_arrays_equal_hand_driven_sweeps(mode):
                 state = step_impute(step_compliance(state, vd), vd)
             j = t - cfg.n_warmup
             if j >= 0:
-                assert np.array_equal(res.theta[c, j], state.theta.to_vector())
-                assert res.n_compliers[c, j] == state.n_compliers()
-                want = late_draw(state) if state.n_compliers() else np.nan
-                assert np.array_equal(res.late[c, j], want, equal_nan=True)
+                assert np.array_equal(res.theta[c, j], state.theta.to_vector()[0])
+                assert res.n_compliers[c, j] == state.n_compliers()[0]
+                assert np.array_equal(res.late[c, j], late_draw(state)[0], equal_nan=True)
         # the marginal history stops at the scale refresh, its one reader
         assert len(tuning.history) == (tuning.sd_refresh_at + 1 if mode == "marginal_mh" else 0)
 
@@ -390,10 +407,10 @@ def test_first_kept_marginal_labels_come_from_the_exact_conditional(monkeypatch)
     original = gibbs.step_compliance
 
     def checked(state, data):
-        u = copy.deepcopy(state.rng).uniform(size=vd.n)
+        u = copy.deepcopy(state.rngs[0]).uniform(size=vd.n)
         out = original(state, data)
         want = gibbs._vector_categorical(compliance_posterior(state.theta, vd), u)
-        seen.append((state.theta.to_vector(), np.array_equal(out.compliance, want)))
+        seen.append((state.theta.to_vector()[0], np.array_equal(out.compliance, want)))
         return out
 
     monkeypatch.setattr(gibbs, "step_compliance", checked)
@@ -401,7 +418,7 @@ def test_first_kept_marginal_labels_come_from_the_exact_conditional(monkeypatch)
                         theta_update="marginal_mh")
     theta, _, _ = run_chain(data, PriorSpec(), cfg)
     assert len(seen) == cfg.n_draws
-    assert np.array_equal(seen[0][0], theta[0])
+    assert np.array_equal(seen[0][0], theta[0, 0])
     assert all(ok for _, ok in seen)
 
 
@@ -425,6 +442,69 @@ def test_fit_result_keeps_only_its_arrays():
     finally:
         tracemalloc.stop()
     assert kept < 1.5 * 2 ** 20
+
+
+@pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
+def test_lockstep_chain_equals_the_chain_run_alone(mode):
+    # chain k of a four-chain lockstep run draws from its own substream
+    # alone, so it is the run over [k] bit for bit
+    data, _ = simulate_dataset(DgpConfig(n=70, seed=53))
+    vd = as_vector_data(data)
+    cfg = SamplerConfig(seed=16, n_chains=4, n_warmup=20, n_draws=30, theta_update=mode)
+    together = run_chain(vd, PriorSpec(), cfg)
+    assert together[0].shape == (4, 30, len(theta_field_names(1)))
+    for k in range(4):
+        alone = run_chain(vd, PriorSpec(), cfg, [k])
+        for a, b in zip(together, alone):
+            assert np.array_equal(a[k], b[0], equal_nan=True)
+
+
+@pytest.mark.parametrize("accept", [(False, True), (True, False), (False, False)])
+def test_marginal_step_keeps_a_rejecting_chain_bit_for_bit(monkeypatch, accept):
+    data, _ = simulate_dataset(DgpConfig(n=60, seed=54))
+    vd = as_vector_data(data)
+    state = step_theta(start(vd, 54, chains=(0, 1)), vd, PriorSpec(), "marginal_mh")
+    old_theta = state.theta.to_vector()
+    _, old_lp, old_lw = state.logweights
+    old_lp, old_lw = old_lp.copy(), old_lw.copy()
+    monkeypatch.setattr(gibbs, "_metropolis",
+                        lambda lp_prop, lp_cur, uniform: (np.array(accept), [0.5, 0.5]))
+    new = step_theta(state, vd, PriorSpec(), "marginal_mh")
+    theta, lp, lw = new.logweights
+    assert theta is new.theta
+    if not any(accept):
+        # the bench's acceptance count reads an unchanged object as a rejection
+        assert new.theta is state.theta and lw is state.logweights[2]
+    for c, took in enumerate(accept):
+        if took:
+            assert (new.theta.to_vector()[c] != old_theta[c]).any()
+            assert np.array_equal(lw[c], gibbs._log_weights(new.theta, vd)[c])
+        else:
+            assert np.array_equal(new.theta.to_vector()[c], old_theta[c])
+            assert np.array_equal(lw[c], old_lw[c])
+            assert lp[c] == old_lp[c]
+    # the state stepped from keeps its own cache
+    assert np.array_equal(state.logweights[2], old_lw)
+
+
+def test_invariant_check_names_the_corrupted_chain(monkeypatch):
+    data, _ = simulate_dataset(DgpConfig(n=40, seed=55))
+    original = gibbs.step_impute
+
+    def corrupt_third(state, vd):
+        out = original(state, vd)
+        out.y_cells[2][0, vd.obs_ycol[0]] += 1.0
+        return out
+
+    monkeypatch.setattr(gibbs, "step_impute", corrupt_third)
+    cfg = SamplerConfig(seed=17, n_chains=4, n_warmup=2, n_draws=2)
+    with pytest.raises(AssertionError, match="^chain 2: an observed y cell was modified$"):
+        run_chain(data, PriorSpec(), cfg, check_invariants=True)
+    # position 2 of the run is chain 7
+    with pytest.raises(AssertionError, match="^chain 7: an observed y cell"):
+        run_chain(data, PriorSpec(), cfg, [5, 6, 7], check_invariants=True)
+    # without the check the corruption passes unseen
+    run_chain(data, PriorSpec(), cfg)
 
 
 def test_sampler_config_validation():
@@ -458,11 +538,11 @@ def test_posterior_concentrates_on_sharp_data():
 # normal equations of the conjugate blocks, and the shared log-weight matrix
 # ---------------------------------------------------------------------------
 
-def _reference_rows(state, vd):
-    """The conjugate blocks' regression rows stacked unit by unit: observed
+def _reference_rows(state, vd, k):
+    """Chain k's conjugate regression rows stacked unit by unit: observed
     rows first, then each complier's counterfactual x2 row, then per y cell
     in (00, 01, 10, 11) order each complier for whom that cell is missing."""
-    c = state.compliance
+    c, x2_cells, y_cells = state.compliance[k], state.x2_cells[k], state.y_cells[k]
     x_rows, x_resp, y_rows, y_resp = [], [], [], []
     for i in range(vd.n):
         at, nt = float(c[i] == 2), float(c[i] == 0)
@@ -475,13 +555,13 @@ def _reference_rows(state, vd):
     for i in co:
         w1_mis = 1 - vd.w1[i]
         x_rows.append([1.0, *vd.X1[i], w1_mis, 0.0, 0.0])
-        x_resp.append(state.x2_cells[i, w1_mis])
+        x_resp.append(x2_cells[i, w1_mis])
     for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
         for i in co:
             if vd.obs_ycol[i] == 2 * a + b:
                 continue
-            y_rows.append([1.0, *vd.X1[i], state.x2_cells[i, a], a, b, a * b, 0.0, 0.0])
-            y_resp.append(state.y_cells[i, 2 * a + b])
+            y_rows.append([1.0, *vd.X1[i], x2_cells[i, a], a, b, a * b, 0.0, 0.0])
+            y_resp.append(y_cells[i, 2 * a + b])
     return ((np.array(x_rows), np.array(x_resp)), (np.array(y_rows), np.array(y_resp)))
 
 
@@ -492,50 +572,60 @@ def _assert_rel(got, want, rtol=1e-10):
 
 
 def _check_normal_equations(state, vd, seed):
-    """G, r, row count and residual sums of squares of both blocks against
-    the stacked rows, at the least-squares coefficients and a random draw."""
-    blocks = gibbs._normal_equations(state, state.compliance == gibbs._AT_NT, vd)
+    """Per chain, G, r, row count and residual sums of squares of both
+    blocks against the stacked rows, at the least-squares coefficients and a
+    random draw, each chain's coefficients beside other rows."""
+    blocks = gibbs._normal_equations(state, state.compliance[:, None] == gibbs._AT_NT, vd)
     rng = np.random.default_rng(seed)
-    for (G, r, n_rows, rss), (D, resp) in zip(blocks, _reference_rows(state, vd)):
-        assert n_rows == len(D)
-        _assert_rel(G, D.T @ D)
-        _assert_rel(r, D.T @ resp)
-        ls = np.linalg.lstsq(D, resp, rcond=None)[0]
-        for coef in (ls, ls + rng.normal(size=ls.shape)):
-            resid = resp - D @ coef
-            _assert_rel(rss(coef), resid @ resid)
+    C = state.compliance.shape[0]
+    for k in range(C):
+        for (G, r, n_rows, rss), (D, resp) in zip(blocks, _reference_rows(state, vd, k)):
+            assert n_rows[k] == len(D)
+            _assert_rel(G[k], D.T @ D)
+            _assert_rel(r[k], D.T @ resp)
+            ls = np.linalg.lstsq(D, resp, rcond=None)[0]
+            for coef in (ls, ls + rng.normal(size=ls.shape)):
+                coefs = rng.normal(size=(C, ls.size))
+                coefs[k] = coef
+                resid = resp - D @ coef
+                _assert_rel(rss(coefs)[k], resid @ resid)
 
 
 @pytest.mark.parametrize("p", [0, 1, 3])
 def test_normal_equations_match_unit_by_unit_rows(p):
     data, _ = simulate_dataset(DgpConfig(n=40, p=p, seed=41))
     vd = as_vector_data(data)
-    state = init_state(vd, substream(41, "chain", 0))
+    state = start(vd, 41, chains=(0, 1, 2))
     for t in range(4):
         state = step_theta(state, vd, PriorSpec())
         state = step_impute(step_compliance(state, vd), vd)
-        assert 0 < state.n_compliers() < vd.n
+        assert ((0 < state.n_compliers()) & (state.n_compliers() < vd.n)).all()
         _check_normal_equations(state, vd, t)
-    # every unit that admits the label is a complier, the others are not
-    codes = np.where(vd.consistent[:, 1], 1, np.where(vd.consistent[:, 0], 0, 2))
-    full = step_impute(replace(state, compliance=codes.astype(np.int8)), vd)
-    assert full.n_compliers() == vd.consistent[:, 1].sum()
-    _check_normal_equations(full, vd, 5)
     # y shifted by 1e4: residuals of order one under responses of order 1e4,
     # where r'r - 2 coef'r + coef'G coef would cancel away the sum of squares
     shifted = as_vector_data(Dataset(data.X1, data.z1, data.w1, data.x2, data.z2,
                                      data.w2, data.y + 1e4))
     _check_normal_equations(replace(state, y_cells=state.y_cells + 1e4), shifted, 6)
+    # in chain 1 every unit that admits the label is a complier, the others
+    # are not; chain 2 has no compliers (the imputation refills the run's
+    # cell tables, which state shares)
+    codes = state.compliance.copy()
+    codes[1] = np.where(vd.consistent[:, 1], 1, np.where(vd.consistent[:, 0], 0, 2))
+    codes[2] = np.where(vd.consistent[:, 0], 0, 2)
+    full = step_impute(replace(state, compliance=codes), vd)
+    assert full.n_compliers()[1] == vd.consistent[:, 1].sum()
+    assert full.n_compliers()[2] == 0
+    _check_normal_equations(full, vd, 5)
 
 
 def test_normal_equations_without_compliers():
     data, _ = simulate_dataset(DgpConfig(
         n=40, p=1, seed=42, compliance_probs=ConstantCompliance((0.5, 0.0, 0.5))))
     vd = as_vector_data(data)
-    codes = np.where(vd.consistent[:, 0], 0, 2).astype(np.int8)
-    state = init_state(vd, substream(42, "chain", 0))
+    codes = np.where(vd.consistent[:, 0], 0, 2).astype(np.int8)[None]
+    state = start(vd, 42)
     state = step_impute(replace(state, compliance=codes), vd)
-    assert state.n_compliers() == 0
+    assert state.n_compliers() == [0]
     _check_normal_equations(state, vd, 0)
     assert np.isfinite(step_theta(state, vd, PriorSpec()).theta.to_vector()).all()
 
@@ -545,44 +635,49 @@ def test_step_theta_reads_cells_in_either_layout():
     # with row-major tables gives the same draw
     data, _ = simulate_dataset(DgpConfig(n=60, seed=42))
     vd = as_vector_data(data)
-    state = init_state(vd, substream(42, "chain", 0))
+    state = start(vd, 42, chains=(0, 1))
     state = step_impute(step_compliance(step_theta(state, vd, PriorSpec()), vd), vd)
-    assert state.x2_cells.flags.f_contiguous and state.y_cells.flags.f_contiguous
+    assert state.x2_cells[1].flags.f_contiguous and state.y_cells[1].flags.f_contiguous
     bare = ChainState(state.theta, state.compliance, np.ascontiguousarray(state.x2_cells),
-                      np.ascontiguousarray(state.y_cells), copy.deepcopy(state.rng))
+                      np.ascontiguousarray(state.y_cells), copy.deepcopy(state.rngs))
     assert step_theta(bare, vd, PriorSpec()).theta == step_theta(state, vd, PriorSpec()).theta
 
 
 def test_step_impute_draws_in_documented_order():
-    # k normals for the compliers' x2 cells, then the missing y cells cell by
-    # cell in (00, 01, 10, 11) order, units ascending within each cell
+    # per chain, from its own stream: k normals for the compliers' x2 cells,
+    # then the missing y cells cell by cell in (00, 01, 10, 11) order, units
+    # ascending within each cell
     data, _ = simulate_dataset(DgpConfig(n=50, p=2, seed=48))
     vd = as_vector_data(data)
-    state = init_state(vd, substream(48, "chain", 0))
+    state = start(vd, 48, chains=(0, 1))
     state = step_compliance(step_theta(state, vd, PriorSpec()), vd)
-    th, co = state.theta, np.flatnonzero(state.compliance == 1)
-    z = iter(copy.deepcopy(state.rng).standard_normal(4 * co.size))
+    streams = copy.deepcopy(state.rngs)
     new = step_impute(state, vd)
-    for i in co:
-        w1_mis = 1 - vd.w1[i]
-        want = float(th.alpha @ [1.0, *vd.X1[i], w1_mis, 0.0, 0.0]) + th.sigma_x * next(z)
-        assert new.x2_cells[i, w1_mis] == pytest.approx(want, rel=1e-12, abs=1e-12)
-    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+    for c in range(2):
+        th = Theta.from_vector(state.theta.to_vector()[c], 2)
+        co = np.flatnonzero(state.compliance[c] == 1)
+        x2_cells, y_cells = new.x2_cells[c], new.y_cells[c]
+        z = iter(streams[c].standard_normal(4 * co.size))
         for i in co:
-            if vd.obs_ycol[i] == 2 * a + b:
-                continue
-            x2v = new.x2_cells[i, a]
-            want = (float(th.beta @ [1.0, *vd.X1[i], x2v, a, b, a * b, 0.0, 0.0])
-                    + th.sigma_y * next(z))
-            assert new.y_cells[i, 2 * a + b] == pytest.approx(want, rel=1e-12, abs=1e-12)
-    assert next(z, None) is None
+            w1_mis = 1 - vd.w1[i]
+            want = float(th.alpha @ [1.0, *vd.X1[i], w1_mis, 0.0, 0.0]) + th.sigma_x * next(z)
+            assert x2_cells[i, w1_mis] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            for i in co:
+                if vd.obs_ycol[i] == 2 * a + b:
+                    continue
+                x2v = x2_cells[i, a]
+                want = (float(th.beta @ [1.0, *vd.X1[i], x2v, a, b, a * b, 0.0, 0.0])
+                        + th.sigma_y * next(z))
+                assert y_cells[i, 2 * a + b] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert next(z, None) is None
 
 
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
 def test_step_theta_returns_a_new_state(mode):
     data, _ = simulate_dataset(DgpConfig(n=50, seed=43))
     vd = as_vector_data(data)
-    state = init_state(vd, substream(43, "chain", 0))
+    state = start(vd, 43)
     old = state.theta
     for _ in range(10):
         new = step_theta(state, vd, PriorSpec(), mode=mode)
@@ -613,7 +708,7 @@ def test_marginal_chain_evaluates_log_weights_once_per_sweep(monkeypatch):
 def test_labels_from_cached_log_weights_equal_the_posterior():
     data, _ = simulate_dataset(DgpConfig(n=120, seed=45))
     vd = as_vector_data(data)
-    state = init_state(vd, substream(45, "chain", 0))
+    state = start(vd, 45)
     tuning = gibbs._Tuning(marg_scale=0.05)
     accepted = rejected = 0
     for _ in range(30):
@@ -625,7 +720,7 @@ def test_labels_from_cached_log_weights_equal_the_posterior():
         probs = compliance_posterior(new.theta, vd)
         assert np.array_equal(gibbs._normalise(lw, vd.admissible), probs)
         # the same uniforms with and without the cached matrix
-        fresh = replace(new, logweights=None, rng=copy.deepcopy(new.rng))
+        fresh = replace(new, logweights=None, rngs=copy.deepcopy(new.rngs))
         labelled = step_compliance(new, vd)
         assert np.array_equal(labelled.compliance, step_compliance(fresh, vd).compliance)
         state = step_impute(labelled, vd)
@@ -635,11 +730,11 @@ def test_labels_from_cached_log_weights_equal_the_posterior():
 def test_stale_log_weights_are_not_used():
     data, _ = simulate_dataset(DgpConfig(n=50, seed=46))
     vd = as_vector_data(data)
-    state = init_state(vd, substream(46, "chain", 0))
+    state = start(vd, 46)
     new = step_theta(state, vd, PriorSpec(), "marginal_mh")
-    other = zero_loading_theta()
-    moved = replace(new, theta=other, rng=copy.deepcopy(new.rng))
-    u = copy.deepcopy(new.rng).uniform(size=vd.n)
+    other = chains_of(zero_loading_theta())
+    moved = replace(new, theta=other, rngs=copy.deepcopy(new.rngs))
+    u = copy.deepcopy(new.rngs[0]).uniform(size=vd.n)
     want = gibbs._vector_categorical(compliance_posterior(other, vd), u)
     assert np.array_equal(step_compliance(moved, vd).compliance, want)
 
@@ -746,7 +841,7 @@ def random_theta(rng, p, gamma_nt0, gamma_at0):
 @given(masked_log_weights())
 @settings(max_examples=300, deadline=None)
 def test_normalise_and_marginal_loglik_match_row_reductions(lw):
-    admissible = tuple(np.flatnonzero(np.isfinite(lw[:, j])) for j in range(3))
+    admissible = np.flatnonzero(np.isfinite(lw.T))
     probs = gibbs._normalise(lw, admissible)
     assert probs.flags.f_contiguous
     assert np.array_equal(probs, ref_normalise(lw))
