@@ -32,8 +32,8 @@ which chains run beside it.  Per-chain products are stacked matrix products
 (one BLAS call per chain row) and everything else is elementwise, so the
 floats are those of the chain run alone.  What differs between chains in
 length, the compliers, sits in flat arrays ordered by chain, then by unit.
-Only the draws, the Metropolis decisions and the reductions over each
-chain's compliers loop over chains.
+Only the draws, the Metropolis decisions, and the products and sums over
+each chain's own compliers loop over chains.
 
 The conjugate blocks regress on every unit's observed row plus the imputed
 cells of each complier without stacking those rows: the observed rows' Gram
@@ -56,7 +56,7 @@ operations in the same order as the row-wise reductions, so the draws do
 not change.  Inadmissible types are masked by adding a precomputed 0 / -inf
 matrix.  A run keeps these matrices, and its cell tables, in buffers
 allocated once per dataset and chain count (_Work), so a sweep at large n
-does not allocate and fault in fresh pages.
+does not allocate and fault in fresh pages for them.
 
 Proposal scales adapt per chain with a decaying Robbins-Monro rule during
 warmup only and freeze afterwards, so kept draws come from a fixed-kernel

@@ -33,9 +33,9 @@ _HAS_LOADING = np.array([1.0, 0.0, 1.0])
 def _check_field(v, name: str, shape: tuple) -> np.ndarray:
     """v as a read-only float array of shape, every entry finite.  An
     unbatched field (shape of length one) may come in any shape of that size."""
+    # a view, so that marking it read-only leaves the caller's array alone
     arr = np.asarray(v, dtype=float)
-    if len(shape) == 1:
-        arr = arr.reshape(-1)
+    arr = arr.reshape(-1) if len(shape) == 1 else arr.view()
     if arr.shape != shape:
         raise InvariantViolation(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -51,6 +51,7 @@ def _check_scale(v, name: str, lead: tuple):
         raise InvariantViolation(f"{name} must be positive and finite with shape {lead}, got {v}")
     if not lead:
         return float(arr)
+    arr = arr.view()
     arr.flags.writeable = False
     return arr
 

@@ -13,7 +13,7 @@ from seqlate.domain import (
     consistent_types,
     realized_treatment,
 )
-from seqlate.errors import DimensionMismatch, InconsistentUnit
+from seqlate.errors import DimensionMismatch, InconsistentUnit, InvariantViolation
 from seqlate.gibbs import _log_weights, _marginal_loglik, as_vector_data, marginal_score
 from seqlate.model import (
     PriorSpec,
@@ -56,6 +56,34 @@ def test_theta_vector_round_trip():
     back = Theta.from_vector(vec, p=2)
     assert back == th
     assert Theta.from_dict(th.to_dict()) == th
+
+
+def test_theta_with_a_chain_axis_holds_one_theta_per_row():
+    rng = substream(60, "chain-axis", 0)
+    rows = [random_theta(rng, p=2) for _ in range(3)]
+    vec = np.stack([th.to_vector() for th in rows])
+    th = Theta.from_vector(vec, 2)
+    assert th.p == 2 and th.gamma_nt.shape == (3, 3) and th.sigma_y.shape == (3,)
+    assert np.array_equal(th.to_vector(), vec)
+    assert th.coefficients().shape == (3, 2 * 3 + 6 + 9)
+    assert list(log_prior(th, PriorSpec())) == [log_prior(r, PriorSpec()) for r in rows]
+    # the kernels give each row the floats they give its theta alone
+    data, _ = simulate_dataset(DgpConfig(n=40, p=2, seed=60))
+    vd = as_vector_data(data)
+    batched = (compliance_log_prob_matrix(th, vd.U1),
+               observed_cell_logliks(th, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y))
+    for c, r in enumerate(rows):
+        assert np.array_equal(batched[0][c], compliance_log_prob_matrix(r, vd.U1))
+        assert np.array_equal(batched[1][c],
+                              observed_cell_logliks(r, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y))
+    # fields are read-only views; the caller's arrays stay writable
+    g = np.zeros((2, 3))
+    th2 = Theta(g, g.copy(), np.zeros((2, 6)), np.ones(2), np.zeros((2, 9)), np.ones(2))
+    assert g.flags.writeable and not th2.gamma_nt.flags.writeable
+    with pytest.raises(InvariantViolation, match="sigma_x"):
+        Theta(g, g, np.zeros((2, 6)), np.array([1.0, -1.0]), np.zeros((2, 9)), np.ones(2))
+    with pytest.raises(InvariantViolation, match="alpha"):
+        Theta(g, g, np.zeros((3, 6)), np.ones(2), np.zeros((2, 9)), np.ones(2))
 
 
 def test_theta_field_names_layout():
