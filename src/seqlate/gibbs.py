@@ -4,24 +4,33 @@ Each sweep has up to three blocks, executed in this order:
 
 1. step_theta: update the parameter vector.  In "conjugate_gibbs" mode the
    regression coefficients and noise variances are drawn from their exact
-   normal / inverse-gamma conditionals given the labels and the imputed
-   cells, and the multinomial-logit rows get a random-walk Metropolis move.
-   In "marginal_mh" mode the full parameter vector takes one random-walk
-   Metropolis step whose target has the labels summed out entirely.
+   normal / inverse-gamma conditionals given the labels, and the
+   multinomial-logit rows get a random-walk Metropolis move given the
+   labels.  In "marginal_mh" mode the full parameter vector takes one
+   random-walk Metropolis step whose target has the labels summed out
+   entirely.
 2. step_compliance: redraw each unit's label from its exact conditional
    given the parameters and that unit's observed record.  Types the
    assignment/receipt pattern rules out get probability exactly zero.
 3. step_impute: rebuild every unit's potential table; observed cells are
    copied, and compliers' missing cells are drawn from the model.
 
-Because the label step conditions only on observed data (the imputations are
-integrated out) and the imputation step redraws every missing cell, the pair
-(2, 3) is one exact blocked draw of (labels, missing cells) given theta, and
-the sweep leaves the joint posterior invariant in both modes.
+The conjugate regressions read each unit's observed row plus its (at, nt)
+label indicators, and no imputed cell.  Given the labels, a complier's
+missing cells are drawn from the model itself, so integrating them out of
+the joint posterior leaves exactly that regression: the update draws from
+p(theta | labels, observed data), a partially collapsed Gibbs step (van Dyk
+& Park 2008).  The label step conditions only on observed data, and the
+imputation redraws every missing cell given (theta, labels), so (2, 3) is
+one exact blocked draw of (labels, missing cells) given theta, and the
+sweep leaves the joint posterior invariant in both modes.
 
-In "marginal_mh" mode the theta chain reads neither labels nor cells, so
-warmup sweeps run step_theta alone; every kept sweep, the first included,
-draws (2, 3) exactly given its theta.  Conjugate warmup runs all three.
+Only late_draw reads the cells, so only kept sweeps impute, in both modes;
+a state's cell tables are None until its first imputation.  The marginal
+theta chain reads neither labels nor cells, so its warmup sweeps run
+step_theta alone; conjugate warmup sweeps draw labels too, which the next
+update reads.  Every kept sweep, the first included, draws (2, 3) exactly
+given its theta.
 
 Chains run in lockstep.  The state carries a leading chain axis: its Theta
 holds (C, .) fields, its labels are (C, n) and its cell tables (C, n, 2) and
@@ -32,17 +41,15 @@ which chains run beside it.  Per-chain products are stacked matrix products
 (one BLAS call per chain row) and everything else is elementwise, so the
 floats are those of the chain run alone.  What differs between chains in
 length, the compliers, sits in flat arrays ordered by chain, then by unit.
-Only the draws, the Metropolis decisions, and the products and sums over
-each chain's own compliers loop over chains.
+Only the draws, the Metropolis decisions, and the means over each chain's
+own compliers loop over chains.
 
-The conjugate blocks regress on every unit's observed row plus the imputed
-cells of each complier without stacking those rows: the observed rows' Gram
-matrices are built once per dataset, and each sweep adds the stratum sums
-and the compliers' terms in closed form (_normal_equations).  In
-"marginal_mh" mode the accepted theta's log posterior and masked
-log-weights travel with the state: the label step normalises the
-log-weights instead of evaluating them again, and the next Metropolis step
-starts from both.
+The conjugate blocks regress without stacking rows: the observed rows'
+Gram matrices are built once per dataset, and each sweep adds the label
+sums in closed form (_normal_equations).  In "marginal_mh" mode the
+accepted theta's log posterior and masked log-weights travel with the
+state: the label step normalises the log-weights instead of evaluating them
+again, and the next Metropolis step starts from both.
 
 The label matrices (log stratum probabilities, observed-cell log densities,
 log-weights, label probabilities) are (C, n, 3) views of (3, C, n) arrays,
@@ -194,7 +201,6 @@ class _VectorData:
         gram = self.obs_cols.T @ self.obs_cols
         self.x2_gram, self.y_gram = gram[np.ix_(x_cols, x_cols)], gram[np.ix_(y_cols, y_cols)]
         self.x2_lmap, self.y_lmap = (_indicator_map(c, p + 7) for c in (x_cols, y_cols))
-        self.Kx, self.Ky, self.Dy = _complier_maps(p)
         # per unit as a complier: [1, x1..., 1 - w1] and its missing y cells
         self.cf_rows = np.vstack([self.U1.T, 1.0 - self.w1f])
         self.y_missing = self.obs_ycol != np.arange(4)[:, None]
@@ -211,15 +217,6 @@ class _VectorData:
         if n_chains not in self._works:
             self._works[n_chains] = _Work(self, n_chains)
         return self._works[n_chains]
-
-    def compliers(self, codes: np.ndarray) -> "_Compliers":
-        """The compliers under labels codes (C, n), built once per label
-        draw: the imputation and the next sweep's normal equations read the
-        same."""
-        w = self.work(codes.shape[0])
-        if w.compliers is None or w.compliers.codes is not codes:
-            w.compliers = _Compliers(codes, self)
-        return w.compliers
 
 
 class _Work:
@@ -246,8 +243,6 @@ class _Work:
         # (C, k, n) arrays
         self.x2 = np.empty((C, 2, n)).transpose(0, 2, 1)
         self.y = np.empty((C, 4, n)).transpose(0, 2, 1)
-        # the compliers of the last label draw, for _VectorData.compliers
-        self.compliers: Optional[_Compliers] = None
 
     @functools.cached_property
     def lw(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -272,24 +267,6 @@ def _indicator_map(cols: List[int], width: int) -> np.ndarray:
     return M
 
 
-def _complier_maps(p: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Kx, Ky, Dy) for B of _normal_equations: a complier's rows are maps K'
-    of its column b, so their Gram matrix is K'(B B' * D)K, D counting the rows
-    a product of two entries shares (three for the logit row [1, x1...], one
-    within a y cell, none across cells)."""
-    m, cells = p + 15, np.arange(4)
-    Kx = np.eye(m + 1)[:m, [*range(p + 2), m, m, p + 2]]
-    Ky = np.zeros((m, p + 8))
-    Ky[:p + 1, :p + 1] = np.eye(p + 1)
-    Ky[p + 3 + cells, p + 1] = Ky[p + 11 + cells, p + 7] = 1.0
-    Ky[p + 7 + cells, p + 2:p + 5] = _CELL_TERMS
-    cell_of = np.r_[np.full(p + 3, -1), cells, cells, cells]
-    Dy = ((cell_of[:, None] == cell_of) & (cell_of >= 0)).astype(float)
-    Dy[:p + 1, p + 3:] = Dy[p + 3:, :p + 1] = 1.0
-    Dy[:p + 1, :p + 1] = 3.0
-    return Kx, Ky, Dy
-
-
 def as_vector_data(data: Union[Dataset, _VectorData]) -> _VectorData:
     return data if isinstance(data, _VectorData) else _VectorData(data)
 
@@ -300,10 +277,12 @@ class ChainState:
 
     theta has a chain axis.  compliance holds (C, n) int8 codes in
     (nt, co, at) order.  x2_cells (C, n, 2) and y_cells (C, n, 4) hold the
-    current potential tables with NaN marking cells the current label leaves
-    undefined; observed cells always carry the dataset values bit for bit.
-    step_impute writes them into its run's buffers, so imputing a state
-    refills the tables of the states that share them.
+    potential tables of the last imputation, None before the first, with NaN
+    marking cells its labels leave undefined; observed cells always carry
+    the dataset values bit for bit.  Only late_draw reads them, and no
+    update of theta or of the labels does.  step_impute writes them into its
+    run's buffers, so imputing a state refills the tables of the states that
+    share them.
     rngs holds one Generator per chain.  logweights is None or (theta, its
     (C,) marginal log posteriors, its masked (C, n, 3) label log-weights),
     left by the marginal_mh update for the label step and the next update.
@@ -314,8 +293,8 @@ class ChainState:
 
     theta: Theta
     compliance: np.ndarray
-    x2_cells: np.ndarray
-    y_cells: np.ndarray
+    x2_cells: Optional[np.ndarray]
+    y_cells: Optional[np.ndarray]
     rngs: Tuple[np.random.Generator, ...]
     logweights: Optional[Tuple[Theta, np.ndarray, np.ndarray]] = None
     logits: Optional[Tuple[Theta, np.ndarray, np.ndarray, np.ndarray]] = None
@@ -326,8 +305,7 @@ class ChainState:
 
 class _Compliers:
     """Every chain's compliers under labels codes (C, n), ordered by chain and
-    then by unit, and the flat indices the sweep blocks read and write their
-    cells by.
+    then by unit, and the flat indices step_impute writes their cells by.
 
     chain, unit and flat (into (C, n)) are (K,); segments[c] slices chain
     c's compliers.  x2 and y are the flat indices of each complier's x2(0)
@@ -339,7 +317,6 @@ class _Compliers:
     def __init__(self, codes: np.ndarray, vd: _VectorData):
         co = codes == CO
         C, n = co.shape
-        self.codes = codes
         counts = co.sum(axis=1)
         bounds = [0] + np.cumsum(counts).tolist()
         self.segments = [slice(s, e) for s, e in zip(bounds[:-1], bounds[1:])]
@@ -494,7 +471,7 @@ def step_impute(state: ChainState, data: Union[Dataset, _VectorData]) -> ChainSt
     x2T, yT = x2_cells.transpose(0, 2, 1), y_cells.transpose(0, 2, 1)
     np.copyto(x2T, vd.x2_cells_obs)
     np.copyto(yT, vd.y_cells_obs)
-    co = vd.compliers(state.compliance)
+    co = _Compliers(state.compliance, vd)
     K = co.unit.size
     if K:
         zx, noise = np.empty(K), np.zeros((4, K))
@@ -572,82 +549,33 @@ def _dots(v: np.ndarray) -> np.ndarray:
     return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
 
 
-def _normal_equations(state: ChainState, lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple]:
+def _normal_equations(lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple]:
     """Per chain (G, r, n_rows, rss) of the intermediate and outcome blocks,
     stacked along a leading chain axis.
 
-    A chain's rows D are every unit's observed row plus each complier's
-    counterfactual x2 row and three missing y rows (with the x2 cell of
-    their first-period receipt), columns [1, x1..., w1, at, nt] and
-    [1, x1..., x2, w1, w2, w1*w2, at, nt]: G = D'D, r = D'resp, and
-    rss(coef) = |resp - D coef|^2 from residual vectors, for (C, .) coef.
+    A chain's rows D are every unit's observed row, columns
+    [1, x1..., w1, at, nt] and [1, x1..., x2, w1, w2, w1*w2, at, nt] with
+    (at, nt) its labels' indicators, and no imputed cell: G = D'D,
+    r = D'resp, n_rows = n, and rss(coef) = |resp - D coef|^2 from residual
+    vectors (not from G and r, whose difference cancels away the sum of
+    squares when responses sit far from zero), for (C, .) coef.
     lab: (C, 2, n) labels == _AT_NT.
     """
-    p, n = vd.p, vd.n
     C = lab.shape[0]
     ind = lab.astype(float)
     L = (ind @ vd.obs_cols).reshape(C, -1)
-    co = vd.compliers(state.compliance)
-    K = co.unit.size
-    # the (C, k, n) cell tables, flat
-    x2f = np.ravel(state.x2_cells.transpose(0, 2, 1))
-    yf = np.ravel(state.y_cells.transpose(0, 2, 1))
-    # per complier [1, x1..., 1 - w1, x2(1 - w1)], then per y cell its paired
-    # x2 cell, whether it is missing, and the y cell, cells zero if observed;
-    # the indices are in range, and mode "clip" lets take fill B without a
-    # checked copy
-    B = np.empty((p + 15, K))
-    np.take(vd.cf_rows, co.unit, axis=1, out=B[:p + 2], mode="clip")
-    np.take(x2f, co.x2 + vd.cf_shift.take(co.unit), out=B[p + 2], mode="clip")
-    cells = B[p + 3:].reshape(3, 4, K)
-    np.take(x2f, co.x2 + n * _X2_OF_CELL, out=cells[0], mode="clip")
-    cells[1] = co.missing
-    np.take(yf, co.y + n * _Y_CELL, out=cells[2], mode="clip")
-    cells[0::2] *= cells[1]
-    BB = np.empty((C, p + 15, p + 15))
-    segments = co.segments
-    for c, seg in enumerate(segments):
-        np.matmul(B[:, seg], B[:, seg].T, out=BB[c])
-    Nx = vd.x2_gram + vd.Kx.T @ BB @ vd.Kx + L[:, vd.x2_lmap]
-    Ny = vd.y_gram + vd.Ky.T @ (BB * vd.Dy) @ vd.Ky + L[:, vd.y_lmap]
 
-    def complier_fit(coef: np.ndarray, rows: slice) -> np.ndarray:
-        # each chain's coef @ B[rows] on its own compliers, as one product
-        # per chain: BLAS treats a vector's last entries apart, so the
-        # product over all units and the product over the compliers can
-        # differ in the last bit at the compliers' end
-        out = np.empty(K)
-        for c, seg in enumerate(segments):
-            np.matmul(coef[c, rows], B[rows, seg], out=out[seg])
-        return out
+    def block(gram, lmap, static, resp):
+        N = gram + L[:, lmap]
+        k = static.shape[1]
 
-    def rss(static, resp, coef, k, cf):
-        res = resp - row_dot(coef[:, :k], static) - np.matmul(coef[:, None, k:], ind)[:, 0]
-        out = _dots(res)
-        for c, seg in enumerate(segments):
-            v = cf[..., seg].ravel()
-            out[c] += float(v @ v)
-        return out
+        def rss(coef: np.ndarray) -> np.ndarray:
+            return _dots(resp - row_dot(coef[:, :k], static)
+                         - np.matmul(coef[:, None, k:], ind)[:, 0])
+        return N[:, :-1, :-1], N[:, :-1, -1], vd.n, rss
 
-    def rss_x(alpha: np.ndarray) -> np.ndarray:
-        cf = B[p + 2] - complier_fit(alpha, slice(0, p + 2))
-        return rss(vd.x2_static, vd.x2, alpha, p + 2, cf)
-
-    def rss_y(beta: np.ndarray) -> np.ndarray:
-        # (cells[2] - b * cells[0]) - cells[1] * fit, fit the logit row's
-        # terms plus the receipts' terms, in place: a sum or a product with
-        # its operands swapped is the same float
-        fit = _cell_terms(beta, p).take(co.chain, axis=1)
-        fit += complier_fit(beta, slice(0, p + 1))
-        fit *= cells[1]
-        cf = beta[:, p + 1].take(co.chain) * cells[0]
-        np.subtract(cells[2], cf, out=cf)
-        cf -= fit
-        return rss(vd.y_static, vd.y, beta, p + 5, cf)
-
-    counts = np.array([seg.stop - seg.start for seg in segments])
-    return ((Nx[:, :-1, :-1], Nx[:, :-1, -1], n + counts, rss_x),
-            (Ny[:, :-1, :-1], Ny[:, :-1, -1], n + 3 * counts, rss_y))
+    return (block(vd.x2_gram, vd.x2_lmap, vd.x2_static, vd.x2),
+            block(vd.y_gram, vd.y_lmap, vd.y_static, vd.y))
 
 
 def _draw_ridge(G: np.ndarray, r: np.ndarray, sigma: np.ndarray, coef_sd: float,
@@ -715,8 +643,8 @@ def _metropolis(lp_prop: np.ndarray, lp_cur: np.ndarray, uniform) -> Tuple[np.nd
     return accept, probs
 
 
-def _conjugate_variates(rngs, kx: int, ky: int, kg: int, shape_x: np.ndarray,
-                        shape_y: np.ndarray) -> tuple:
+def _conjugate_variates(rngs, kx: int, ky: int, kg: int, shape_x: float,
+                        shape_y: float) -> tuple:
     """Every variate of one conjugate update, each chain's in its stream's
     order: the intermediate block's normals (C, kx) and standard gamma
     (shape_x), the outcome block's normals (C, ky) and standard gamma
@@ -726,11 +654,11 @@ def _conjugate_variates(rngs, kx: int, ky: int, kg: int, shape_x: np.ndarray,
     C = len(rngs)
     zx, zy, zg = np.empty((C, kx)), np.empty((C, ky)), np.empty((2, C, kg))
     sg, u = np.empty((2, C)), np.empty((2, C))
-    for c, (rng, ax, ay) in enumerate(zip(rngs, shape_x.tolist(), shape_y.tolist())):
+    for c, rng in enumerate(rngs):
         rng.standard_normal(out=zx[c])
-        sg[0, c] = rng.standard_gamma(ax)
+        sg[0, c] = rng.standard_gamma(shape_x)
         rng.standard_normal(out=zy[c])
-        sg[1, c] = rng.standard_gamma(ay)
+        sg[1, c] = rng.standard_gamma(shape_y)
         for row in (0, 1):
             rng.standard_normal(out=zg[row, c])
             u[row, c] = rng.random()
@@ -743,18 +671,16 @@ def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
     logit columns and their log-sum-exp."""
     th, rngs, p = state.theta, state.rngs, vd.p
     lab = state.compliance[:, None, :] == _AT_NT
-    (Gx, rx, nx, rss_x), (Gy, ry, ny, rss_y) = _normal_equations(state, lab, vd)
+    (Gx, rx, nx, rss_x), (Gy, ry, ny, rss_y) = _normal_equations(lab, vd)
     zx, zy, zg, sg, u = _conjugate_variates(rngs, p + 4, p + 7, p + 1,
                                             prior.scale_shape + nx / 2.0,
                                             prior.scale_shape + ny / 2.0)
 
-    # intermediate block: observed cell of every unit plus the imputed
-    # counterfactual cell of each complier
+    # intermediate block: the observed cell of every unit
     alpha = _draw_ridge(Gx, rx, th.sigma_x, prior.coef_sd, zx)
     sigma_x = np.sqrt(_draw_variance(rss_x(alpha), prior, sg[0]))
 
-    # outcome block: observed cell of every unit plus compliers' three
-    # missing cells, each with its matching first-period x2 cell
+    # outcome block: the observed cell of every unit
     beta = _draw_ridge(Gy, ry, th.sigma_y, prior.coef_sd, zy)
     sigma_y = np.sqrt(_draw_variance(rss_y(beta), prior, sg[1]))
 
@@ -924,7 +850,8 @@ def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
 
 def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: PriorSpec,
                mode: str = "conjugate_gibbs", tuning: Optional[_Tuning] = None) -> ChainState:
-    """Update theta given everything else (or given only data in marginal mode).
+    """Update theta given the labels (or given only data in marginal mode);
+    no mode reads the cell tables.
 
     Returns a new state; the argument keeps its theta.
     """
@@ -954,7 +881,7 @@ def init_state(data: Union[Dataset, _VectorData],
                rngs: Sequence[np.random.Generator]) -> ChainState:
     """Starting state of one chain per Generator: labels uniform over each
     unit's admissible types, coefficients at their prior means, noise
-    scales at the sample spreads."""
+    scales at the sample spreads, and no cell tables."""
     vd = as_vector_data(data)
     rngs = tuple(rngs)
     C, p = len(rngs), vd.p
@@ -963,17 +890,23 @@ def init_state(data: Union[Dataset, _VectorData],
     sy = max(float(vd.y.std()), 1e-2)
     theta0 = Theta(np.zeros((C, p + 1)), np.zeros((C, p + 1)), np.zeros((C, p + 4)),
                    np.full(C, sx), np.zeros((C, p + 7)), np.full(C, sy))
-    return step_impute(ChainState(theta0, codes, None, None, rngs), vd)
+    return ChainState(theta0, codes, None, None, rngs)
 
 
-def _check_state_invariants(state: ChainState, vd: _VectorData, chains: Sequence[int]) -> None:
+def _check_state_invariants(state: ChainState, vd: _VectorData, chains: Sequence[int],
+                            imputed: bool) -> None:
+    """The labels are admissible; if this sweep imputed, the cell tables
+    keep the observed cells and define every complier cell."""
     rows = np.arange(vd.n)
     for c, k in enumerate(chains):
-        codes, x2, y = state.compliance[c], state.x2_cells[c], state.y_cells[c]
+        codes = state.compliance[c]
         ok = vd.consistent[rows, codes]
         if not ok.all():
             i = int(np.nonzero(~ok)[0][0])
             raise AssertionError(f"chain {k}: unit {i} carries an inadmissible label")
+        if not imputed:
+            continue
+        x2, y = state.x2_cells[c], state.y_cells[c]
         if not np.array_equal(x2[rows, vd.w1], vd.x2):
             raise AssertionError(f"chain {k}: an observed x2 cell was modified")
         if not np.array_equal(y[rows, vd.obs_ycol], vd.y):
@@ -1011,16 +944,19 @@ def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerC
     for t in range(cfg.n_warmup + cfg.n_draws):
         tuning.adapting = t < cfg.n_warmup
         tuning.t = t
+        kept = not tuning.adapting
         try:
             state = step_theta(state, vd, prior, cfg.theta_update, tuning)
-            # the marginal theta chain never reads labels or cells
-            if not (marginal and tuning.adapting):
+            # the marginal theta chain never reads labels, and only
+            # late_draw reads the cells
+            if kept or not marginal:
                 state = step_compliance(state, vd)
+            if kept:
                 state = step_impute(state, vd)
         except SeqlateError as e:
             raise type(e)(f"sweep {t + 1}: {e}") from e
         if check_invariants:
-            _check_state_invariants(state, vd, chains)
+            _check_state_invariants(state, vd, chains, kept)
         j = t - cfg.n_warmup
         if j >= 0:
             theta[:, j] = state.theta.to_vector()

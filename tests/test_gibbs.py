@@ -44,7 +44,7 @@ from seqlate.model import (
     theta_field_names,
 )
 from seqlate.rng import substream
-from seqlate.simulate import ConstantCompliance, DgpConfig, simulate_dataset
+from seqlate.simulate import ConstantCompliance, DgpConfig, LogitCompliance, simulate_dataset
 
 # a column kernel producing inf - inf or 0 * inf fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -360,7 +360,7 @@ def test_fit_shapes_and_determinism():
 def test_fit_arrays_equal_hand_driven_sweeps(mode):
     # row j of chain c is kept sweep n_warmup + j of init_state and the
     # steps driven by hand on that chain's substream, adapting during warmup;
-    # marginal warmup sweeps update theta only
+    # only kept sweeps impute, and marginal warmup sweeps update theta only
     data, _ = simulate_dataset(DgpConfig(n=60, seed=49))
     vd = as_vector_data(data)
     cfg = SamplerConfig(seed=12, n_chains=2, n_warmup=6, n_draws=15, theta_update=mode)
@@ -371,8 +371,11 @@ def test_fit_arrays_equal_hand_driven_sweeps(mode):
         for t in range(cfg.n_warmup + cfg.n_draws):
             tuning.adapting, tuning.t = t < cfg.n_warmup, t
             state = step_theta(state, vd, PriorSpec(), mode, tuning)
-            if mode == "conjugate_gibbs" or not tuning.adapting:
-                state = step_impute(step_compliance(state, vd), vd)
+            kept = not tuning.adapting
+            if mode == "conjugate_gibbs" or kept:
+                state = step_compliance(state, vd)
+            if kept:
+                state = step_impute(state, vd)
             j = t - cfg.n_warmup
             if j >= 0:
                 assert np.array_equal(res.theta[c, j], state.theta.to_vector()[0])
@@ -393,14 +396,17 @@ def test_marginal_warmup_updates_theta_only(monkeypatch, mode):
         monkeypatch.setattr(gibbs, name, counted)
     cfg = SamplerConfig(seed=14, n_chains=1, n_warmup=7, n_draws=5, theta_update=mode)
     run_chain(data, PriorSpec(), cfg, check_invariants=True)
-    # init_state imputes once more
-    sweeps = cfg.n_draws if mode == "marginal_mh" else cfg.n_warmup + cfg.n_draws
-    assert calls == {"step_compliance": sweeps, "step_impute": sweeps + 1}
+    # conjugate warmup draws labels, which its next update reads; only kept
+    # sweeps impute, and init_state does not
+    labels = cfg.n_draws if mode == "marginal_mh" else cfg.n_warmup + cfg.n_draws
+    assert calls == {"step_compliance": labels, "step_impute": cfg.n_draws}
 
 
-def test_first_kept_marginal_labels_come_from_the_exact_conditional(monkeypatch):
-    # after theta-only warmup, the first label draw given the kept theta uses
-    # the same uniforms as a draw from compliance_posterior
+@pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
+def test_first_kept_marginal_labels_come_from_the_exact_conditional(monkeypatch, mode):
+    # every label draw, the first kept one included, uses the kept theta and
+    # the same uniforms as a draw from compliance_posterior; after
+    # theta-only marginal warmup the first kept draw is the run's first
     data, _ = simulate_dataset(DgpConfig(n=90, seed=52))
     vd = as_vector_data(data)
     seen = []
@@ -414,11 +420,11 @@ def test_first_kept_marginal_labels_come_from_the_exact_conditional(monkeypatch)
         return out
 
     monkeypatch.setattr(gibbs, "step_compliance", checked)
-    cfg = SamplerConfig(seed=15, n_chains=1, n_warmup=20, n_draws=3,
-                        theta_update="marginal_mh")
+    cfg = SamplerConfig(seed=15, n_chains=1, n_warmup=20, n_draws=3, theta_update=mode)
     theta, _, _ = run_chain(data, PriorSpec(), cfg)
-    assert len(seen) == cfg.n_draws
-    assert np.array_equal(seen[0][0], theta[0, 0])
+    assert len(seen) == cfg.n_draws + (cfg.n_warmup if mode == "conjugate_gibbs" else 0)
+    for j, (kept, _) in enumerate(seen[-cfg.n_draws:]):
+        assert np.array_equal(kept, theta[0, j])
     assert all(ok for _, ok in seen)
 
 
@@ -538,31 +544,16 @@ def test_posterior_concentrates_on_sharp_data():
 # normal equations of the conjugate blocks, and the shared log-weight matrix
 # ---------------------------------------------------------------------------
 
-def _reference_rows(state, vd, k):
-    """Chain k's conjugate regression rows stacked unit by unit: observed
-    rows first, then each complier's counterfactual x2 row, then per y cell
-    in (00, 01, 10, 11) order each complier for whom that cell is missing."""
-    c, x2_cells, y_cells = state.compliance[k], state.x2_cells[k], state.y_cells[k]
-    x_rows, x_resp, y_rows, y_resp = [], [], [], []
+def _reference_rows(codes, vd):
+    """The conjugate regression rows of a chain with labels codes, stacked
+    unit by unit: each unit's observed row and its (at, nt) indicators."""
+    x_rows, y_rows = [], []
     for i in range(vd.n):
-        at, nt = float(c[i] == 2), float(c[i] == 0)
+        at, nt = float(codes[i] == 2), float(codes[i] == 0)
         x_rows.append([1.0, *vd.X1[i], vd.w1[i], at, nt])
-        x_resp.append(vd.x2[i])
         y_rows.append([1.0, *vd.X1[i], vd.x2[i], vd.w1[i], vd.w2[i],
                        vd.w1[i] * vd.w2[i], at, nt])
-        y_resp.append(vd.y[i])
-    co = [i for i in range(vd.n) if c[i] == 1]
-    for i in co:
-        w1_mis = 1 - vd.w1[i]
-        x_rows.append([1.0, *vd.X1[i], w1_mis, 0.0, 0.0])
-        x_resp.append(x2_cells[i, w1_mis])
-    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        for i in co:
-            if vd.obs_ycol[i] == 2 * a + b:
-                continue
-            y_rows.append([1.0, *vd.X1[i], x2_cells[i, a], a, b, a * b, 0.0, 0.0])
-            y_resp.append(y_cells[i, 2 * a + b])
-    return ((np.array(x_rows), np.array(x_resp)), (np.array(y_rows), np.array(y_resp)))
+    return ((np.array(x_rows), vd.x2), (np.array(y_rows), vd.y))
 
 
 def _assert_rel(got, want, rtol=1e-10):
@@ -571,16 +562,17 @@ def _assert_rel(got, want, rtol=1e-10):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-def _check_normal_equations(state, vd, seed):
-    """Per chain, G, r, row count and residual sums of squares of both
-    blocks against the stacked rows, at the least-squares coefficients and a
-    random draw, each chain's coefficients beside other rows."""
-    blocks = gibbs._normal_equations(state, state.compliance[:, None] == gibbs._AT_NT, vd)
+def _check_normal_equations(codes, vd, seed):
+    """Per chain of labels codes (C, n), G, r, row count and residual sums
+    of squares of both blocks against the stacked rows, at the
+    least-squares coefficients and a random draw, each chain's coefficients
+    beside other rows."""
+    blocks = gibbs._normal_equations(codes[:, None] == gibbs._AT_NT, vd)
     rng = np.random.default_rng(seed)
-    C = state.compliance.shape[0]
+    C = codes.shape[0]
     for k in range(C):
-        for (G, r, n_rows, rss), (D, resp) in zip(blocks, _reference_rows(state, vd, k)):
-            assert n_rows[k] == len(D)
+        for (G, r, n_rows, rss), (D, resp) in zip(blocks, _reference_rows(codes[k], vd)):
+            assert n_rows == len(D) == vd.n
             _assert_rel(G[k], D.T @ D)
             _assert_rel(r[k], D.T @ resp)
             ls = np.linalg.lstsq(D, resp, rcond=None)[0]
@@ -597,25 +589,23 @@ def test_normal_equations_match_unit_by_unit_rows(p):
     vd = as_vector_data(data)
     state = start(vd, 41, chains=(0, 1, 2))
     for t in range(4):
-        state = step_theta(state, vd, PriorSpec())
-        state = step_impute(step_compliance(state, vd), vd)
+        state = step_compliance(step_theta(state, vd, PriorSpec()), vd)
         assert ((0 < state.n_compliers()) & (state.n_compliers() < vd.n)).all()
-        _check_normal_equations(state, vd, t)
+        _check_normal_equations(state.compliance, vd, t)
     # y shifted by 1e4: residuals of order one under responses of order 1e4,
     # where r'r - 2 coef'r + coef'G coef would cancel away the sum of squares
     shifted = as_vector_data(Dataset(data.X1, data.z1, data.w1, data.x2, data.z2,
                                      data.w2, data.y + 1e4))
-    _check_normal_equations(replace(state, y_cells=state.y_cells + 1e4), shifted, 6)
+    _check_normal_equations(state.compliance, shifted, 6)
     # in chain 1 every unit that admits the label is a complier, the others
-    # are not; chain 2 has no compliers (the imputation refills the run's
-    # cell tables, which state shares)
+    # are not; chain 2 has no compliers
     codes = state.compliance.copy()
     codes[1] = np.where(vd.consistent[:, 1], 1, np.where(vd.consistent[:, 0], 0, 2))
     codes[2] = np.where(vd.consistent[:, 0], 0, 2)
-    full = step_impute(replace(state, compliance=codes), vd)
+    full = replace(state, compliance=codes)
     assert full.n_compliers()[1] == vd.consistent[:, 1].sum()
     assert full.n_compliers()[2] == 0
-    _check_normal_equations(full, vd, 5)
+    _check_normal_equations(codes, vd, 5)
 
 
 def test_normal_equations_without_compliers():
@@ -623,24 +613,27 @@ def test_normal_equations_without_compliers():
         n=40, p=1, seed=42, compliance_probs=ConstantCompliance((0.5, 0.0, 0.5))))
     vd = as_vector_data(data)
     codes = np.where(vd.consistent[:, 0], 0, 2).astype(np.int8)[None]
-    state = start(vd, 42)
-    state = step_impute(replace(state, compliance=codes), vd)
+    state = replace(start(vd, 42), compliance=codes)
     assert state.n_compliers() == [0]
-    _check_normal_equations(state, vd, 0)
+    _check_normal_equations(codes, vd, 0)
     assert np.isfinite(step_theta(state, vd, PriorSpec()).theta.to_vector()).all()
 
 
-def test_step_theta_reads_cells_in_either_layout():
-    # the sampler keeps its cell tables column-major; a hand-built state
-    # with row-major tables gives the same draw
+def test_step_theta_does_not_read_cells():
+    # either update reads the labels and the observed data only: a state
+    # without cell tables and the same state imputed give the same theta
     data, _ = simulate_dataset(DgpConfig(n=60, seed=42))
     vd = as_vector_data(data)
-    state = start(vd, 42, chains=(0, 1))
-    state = step_impute(step_compliance(step_theta(state, vd, PriorSpec()), vd), vd)
-    assert state.x2_cells[1].flags.f_contiguous and state.y_cells[1].flags.f_contiguous
-    bare = ChainState(state.theta, state.compliance, np.ascontiguousarray(state.x2_cells),
-                      np.ascontiguousarray(state.y_cells), copy.deepcopy(state.rngs))
-    assert step_theta(bare, vd, PriorSpec()).theta == step_theta(state, vd, PriorSpec()).theta
+    state = step_compliance(step_theta(start(vd, 42, chains=(0, 1)), vd, PriorSpec()), vd)
+    assert state.x2_cells is None and state.y_cells is None
+    streams = copy.deepcopy(state.rngs)
+    imputed = replace(step_impute(state, vd), rngs=streams)
+    assert np.isfinite(imputed.y_cells[imputed.compliance == 1]).all()
+    for mode in gibbs.THETA_UPDATE_MODES:
+        bare = replace(state, rngs=copy.deepcopy(streams))
+        with_cells = replace(imputed, rngs=copy.deepcopy(streams))
+        assert (step_theta(bare, vd, PriorSpec(), mode).theta
+                == step_theta(with_cells, vd, PriorSpec(), mode).theta)
 
 
 def test_step_impute_draws_in_documented_order():
@@ -913,3 +906,43 @@ def test_grid_draw_matches_one_row_categorical(weights, trailing_zeros, data):
     u = boundary_uniforms(data.draw, np.cumsum(pk)[None, :])[0]
     want = int(ref_vector_categorical(pk[None, :], np.array([u]))[0])
     assert inverse_cdf_draw(pk, np.array(u)) == want
+
+
+# ---------------------------------------------------------------------------
+# calibration with a covariate
+# ---------------------------------------------------------------------------
+
+@pytest.mark.slow
+def test_conjugate_kernel_is_calibrated_with_a_covariate():
+    # simulation-based calibration at p = 1 with logit compliance: the rank
+    # of each prior draw among its thinned posterior draws is uniform on
+    # 0..99, for the second-period effect and the alwaystaker loading of
+    # the intermediate outcome
+    prior = PriorSpec(coef_sd=1.0, scale_shape=3.0, scale_rate=2.0)
+    n_reps, p = 100, 1
+    rng = substream(515151, "sbc-covariate", 0)
+    names = theta_field_names(p)
+    focal = [names.index("beta_4"), names.index("alpha_3")]
+    ranks = []
+    for _ in range(n_reps):
+        gnt, gat = rng.normal(0, prior.coef_sd, size=(2, p + 1))
+        alpha = rng.normal(0, prior.coef_sd, size=p + 4)
+        beta = rng.normal(0, prior.coef_sd, size=p + 7)
+        sx, sy = np.sqrt(1.0 / rng.gamma(prior.scale_shape, 1.0 / prior.scale_rate, size=2))
+        true_vec = Theta(gnt, gat, alpha, float(sx), beta, float(sy)).to_vector()
+        cfg = DgpConfig(n=80, seed=int(rng.integers(2 ** 63)), p=p,
+                        compliance_probs=LogitCompliance(gnt, gat),
+                        intermediate_coeffs=alpha, intermediate_noise_sd=float(sx),
+                        outcome_coeffs=beta, outcome_noise_sd=float(sy))
+        data, _ = simulate_dataset(cfg)
+        res = fit(data, prior, SamplerConfig(seed=int(rng.integers(2 ** 63)), n_chains=1,
+                                             n_warmup=300, n_draws=500))
+        kept = res.theta[0, 4::5][:99, focal]
+        ranks.append((kept < true_vec[focal]).sum(axis=0))
+    counts = np.stack([np.bincount(r // 10, minlength=10) for r in np.asarray(ranks).T])
+    expected = n_reps / 10
+    chi2 = ((counts - expected) ** 2 / expected).sum(axis=1)
+    print(f"chi-square beta_4 {chi2[0]:.2f}, alpha_3 {chi2[1]:.2f} vs 21.666; "
+          f"bins {counts.tolist()}")
+    # df 9, 0.99 quantile, for each focal parameter
+    assert (chi2 < 21.666).all(), f"chi-square {chi2.tolist()}, bins {counts.tolist()}"
