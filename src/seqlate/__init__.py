@@ -30,7 +30,6 @@ from .errors import (
     InvariantViolation,
     MonotonicityViolation,
     NoCompliers,
-    NoCompliersInDraw,
     NumericalOverflow,
     ParseError,
     SchemaError,
@@ -103,7 +102,6 @@ __all__ = [
     "LogitCompliance",
     "MonotonicityViolation",
     "NoCompliers",
-    "NoCompliersInDraw",
     "NumericalOverflow",
     "ObservedUnit",
     "ParseError",

@@ -27,10 +27,6 @@ class NoCompliers(SeqlateError):
     """An estimand over compliers was requested but the sample has none."""
 
 
-class NoCompliersInDraw(NoCompliers):
-    """A single posterior sweep assigned no units to the complier stratum."""
-
-
 class InvalidConfig(SeqlateError, ValueError):
     """A configuration value violates its documented constraint."""
 

@@ -12,37 +12,46 @@ Each sweep has up to three blocks, executed in this order:
 2. step_compliance: redraw each unit's label from its exact conditional
    given the parameters and that unit's observed record.  Types the
    assignment/receipt pattern rules out get probability exactly zero.
-3. step_impute: rebuild every unit's potential table; observed cells are
-   copied, and compliers' missing cells are drawn from the model.
+3. step_impute: draw each chain's complier effect given theta and the
+   labels.
 
 The conjugate regressions read each unit's observed row plus its (at, nt)
 label indicators, and no imputed cell.  Given the labels, a complier's
 missing cells are drawn from the model itself, so integrating them out of
 the joint posterior leaves exactly that regression: the update draws from
 p(theta | labels, observed data), a partially collapsed Gibbs step (van Dyk
-& Park 2008).  The label step conditions only on observed data, and the
-imputation redraws every missing cell given (theta, labels), so (2, 3) is
-one exact blocked draw of (labels, missing cells) given theta, and the
-sweep leaves the joint posterior invariant in both modes.
+& Park 2008).  The random-walk move of the logit rows scores the labels
+from their per-stratum sums of the logit design, which the regressions
+form anyway, and the log-sum-exp of every unit's logits.
 
-Only late_draw reads the cells, so only kept sweeps impute, in both modes;
-a state's cell tables are None until its first imputation.  The marginal
-theta chain reads neither labels nor cells, so its warmup sweeps run
+The complier effect is the only quantity a fit reports that reads the
+missing cells, and it reads them linearly.  Given theta and the labels the
+missing cells are independent across units and Gaussian, so the effect,
+the mean over the K compliers of y(a) - y(b), is exactly N(mu / K, V / K^2):
+mu sums each complier's contrast with its missing cells at their model
+means, and V sums their noise variances, sigma_y^2 per missing contrast
+cell plus (beta_x2 sigma_x)^2 when the two cells read different imputed x2
+values.  Both are linear in the compliers' sums of [U1, x2, y] within each
+(w1, w2) group, one matrix product per sweep, so step_impute draws the
+effect with one normal per chain and no cell is ever imputed.  The joint
+law of (theta, labels, effect) is that of imputing the cells and averaging
+them, so the sweep leaves the joint posterior invariant in both modes.
+
+Only kept sweeps draw the effect; a state carries none before its first.
+The marginal theta chain reads no labels, so its warmup sweeps run
 step_theta alone; conjugate warmup sweeps draw labels too, which the next
-update reads.  Every kept sweep, the first included, draws (2, 3) exactly
-given its theta.
+update reads.  Every kept sweep, the first included, draws the labels and
+the effect exactly given its theta.
 
 Chains run in lockstep.  The state carries a leading chain axis: its Theta
-holds (C, .) fields, its labels are (C, n) and its cell tables (C, n, 2) and
-(C, n, 4), and every block runs once per sweep for all C chains.  Chain k
+holds (C, .) fields, its labels are (C, n) and its label matrices (C, n, 3),
+and every block runs once per sweep for all C chains.  Chain k
 still draws every variate from its own substream(seed, "chain", k), in the
 order and sizes a chain run alone would, so a chain's draws do not depend on
 which chains run beside it.  Per-chain products are stacked matrix products
 (one BLAS call per chain row) and everything else is elementwise, so the
-floats are those of the chain run alone.  What differs between chains in
-length, the compliers, sits in flat arrays ordered by chain, then by unit.
-Only the draws, the Metropolis decisions, and the means over each chain's
-own compliers loop over chains.
+floats are those of the chain run alone.  Only the draws and the
+Metropolis decisions loop over chains.
 
 The conjugate blocks regress without stacking rows: the observed rows'
 Gram matrices are built once per dataset, and each sweep adds the label
@@ -61,15 +70,15 @@ row by row, which costs tens of nanoseconds per unit, while an elementwise
 pass over a block costs about one.  The block forms perform the same float
 operations in the same order as the row-wise reductions, so the draws do
 not change.  Inadmissible types are masked by adding a precomputed 0 / -inf
-matrix.  A run keeps these matrices, and its cell tables, in buffers
-allocated once per dataset and chain count (_Work), so a sweep at large n
+matrix.  A run keeps these matrices in buffers allocated once per dataset
+and chain count (_Work), so a sweep at large n
 does not allocate and fault in fresh pages for them.
 
 Proposal scales adapt per chain with a decaying Robbins-Monro rule during
 warmup only and freeze afterwards, so kept draws come from a fixed-kernel
 chain.
 
-The run writes each kept sweep's parameter vectors, complier contrasts and
+The run writes each kept sweep's parameter vectors, complier effects and
 complier counts into preallocated (chains, draws) arrays, the layout of a
 FitResult.
 """
@@ -114,12 +123,6 @@ THETA_UPDATE_MODES = ("conjugate_gibbs", "marginal_mh")
 
 # labels[:, None] == _AT_NT gives the (C, 2, n) alwaystaker and nevertaker masks
 _AT_NT = np.array([[AT], [NT]], dtype=np.int8)
-# per y cell in Y_CELLS order, whose x2 cell is x2(w1): its terms (w1, w2, w1*w2)
-_CELL_TERMS = np.array([(a, b, a * b) for a, b in Y_CELLS], dtype=float)
-# per y cell in Y_CELLS order, the x2 cell it pairs with, x2(w1), and its own
-# row, as offsets in units of n in (2, n) and (4, n) cell tables
-_X2_OF_CELL = np.array([[w1] for w1, _ in Y_CELLS])
-_Y_CELL = np.arange(4)[:, None]
 
 
 @dataclass(frozen=True)
@@ -180,30 +183,22 @@ class _VectorData:
         # added to the label log-weights: 0 where admissible, -inf where not
         self.logmask = np.where(consistent, 0.0, -np.inf).copy(order="F")
         self.obs_ycol = 2 * self.w1 + self.w2
-        # observed cells of every unit, the starting point of each imputation,
-        # as (2, n) and (4, n) tables, and the offsets in them of each unit's
-        # counterfactual x2 cell and observed y cell from its first cell
-        rows = np.arange(self.n)
-        self.x2_cells_obs = np.full((2, self.n), np.nan)
-        self.x2_cells_obs[self.w1, rows] = self.x2
-        self.y_cells_obs = np.full((4, self.n), np.nan)
-        self.y_cells_obs[self.obs_ycol, rows] = self.y
-        self.cf_shift = self.n * (1 - self.w1.astype(np.intp))
-        self.obs_shift = self.n * self.obs_ycol.astype(np.intp)
+        # (4, n) masks of the (w1, w2) groups, in Y_CELLS order
+        self.groups = self.obs_ycol == np.arange(4)[:, None]
         # the observed rows' [1, x1..., x2, w1, w2, w1*w2, y, 0], from which
-        # the lists pick each block's columns, the indicators as the zero one
+        # the lists pick each block's columns, the indicators as the zero one;
+        # column-major, so that a run of columns is one contiguous block,
+        # which BLAS reads several times faster than a strided (n, k) slice
         p = self.p
-        self.obs_cols = np.column_stack([self.U1, self.x2, self.w1f, self.w2f,
-                                         self.w1f * self.w2f, self.y, np.zeros(self.n)])
+        self.obs_cols = np.array([*self.U1.T, self.x2, self.w1f, self.w2f,
+                                  self.w1f * self.w2f, self.y, np.zeros(self.n)]).T
         x_cols = [*range(p + 1), p + 2, p + 6, p + 6, p + 1]
         y_cols = [*range(p + 5), p + 6, p + 6, p + 5]
-        self.x2_static, self.y_static = self.obs_cols[:, x_cols[:p + 2]], self.obs_cols[:, :p + 5]
+        self.x2_static = np.asfortranarray(self.obs_cols[:, x_cols[:p + 2]])
+        self.y_static = self.obs_cols[:, :p + 5]
         gram = self.obs_cols.T @ self.obs_cols
         self.x2_gram, self.y_gram = gram[np.ix_(x_cols, x_cols)], gram[np.ix_(y_cols, y_cols)]
         self.x2_lmap, self.y_lmap = (_indicator_map(c, p + 7) for c in (x_cols, y_cols))
-        # per unit as a complier: [1, x1..., 1 - w1] and its missing y cells
-        self.cf_rows = np.vstack([self.U1.T, 1.0 - self.w1f])
-        self.y_missing = self.obs_ycol != np.arange(4)[:, None]
         self._works: Dict[int, _Work] = {}
 
     @functools.cached_property
@@ -228,8 +223,7 @@ class _Work:
     two log-weight matrices a marginal_mh state caches (lw, made on first
     use) alternate: a step writes into the one its input state does not
     hold, so the input stays valid and the state before it is overwritten.
-    x2 and y are the cell tables of every state of the run.  admissible
-    holds the flat indices of the admissible entries of a (3, C, n) block.
+    admissible holds the flat indices of the admissible entries of a (3, C, n) block.
     """
 
     def __init__(self, vd: _VectorData, n_chains: int):
@@ -239,10 +233,6 @@ class _Work:
         self.logw, self.cells = type_major((C,), n), type_major((C,), n)
         # the buffers of _admissible_exp: maxima, and the two above
         self.exp = (np.empty((C, n)), self.cells, self.logw)
-        # the cell tables every imputation refills, as (C, n, k) views of
-        # (C, k, n) arrays
-        self.x2 = np.empty((C, 2, n)).transpose(0, 2, 1)
-        self.y = np.empty((C, 4, n)).transpose(0, 2, 1)
 
     @functools.cached_property
     def lw(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -276,61 +266,26 @@ class ChainState:
     """Mutable-over-sweeps state of C chains run in lockstep.
 
     theta has a chain axis.  compliance holds (C, n) int8 codes in
-    (nt, co, at) order.  x2_cells (C, n, 2) and y_cells (C, n, 4) hold the
-    potential tables of the last imputation, None before the first, with NaN
-    marking cells its labels leave undefined; observed cells always carry
-    the dataset values bit for bit.  Only late_draw reads them, and no
-    update of theta or of the labels does.  step_impute writes them into its
-    run's buffers, so imputing a state refills the tables of the states that
-    share them.
-    rngs holds one Generator per chain.  logweights is None or (theta, its
-    (C,) marginal log posteriors, its masked (C, n, 3) label log-weights),
-    left by the marginal_mh update for the label step and the next update.
-    logits is None or (theta, U1 @ gamma_nt, U1 @ gamma_at, and their
-    log-sum-exp with the complier's zero), each (C, n), left by the
-    conjugate update for the label step and the next update.
+    (nt, co, at) order.  rngs holds one Generator per chain.  logweights is
+    None or (theta, its (C,) marginal log posteriors, its masked (C, n, 3)
+    label log-weights), left by the marginal_mh update for the label step
+    and the next update.  logits is None or (theta, U1 @ gamma_nt,
+    U1 @ gamma_at, and their log-sum-exp with the complier's zero), each
+    (C, n), left by the conjugate update for the label step and the next
+    update.  effect is None before the first kept sweep, then (contrast,
+    the (C,) complier effects step_impute drew for it given theta and the
+    labels, NaN for a chain with no compliers); only late_draw reads it.
     """
 
     theta: Theta
     compliance: np.ndarray
-    x2_cells: Optional[np.ndarray]
-    y_cells: Optional[np.ndarray]
     rngs: Tuple[np.random.Generator, ...]
     logweights: Optional[Tuple[Theta, np.ndarray, np.ndarray]] = None
     logits: Optional[Tuple[Theta, np.ndarray, np.ndarray, np.ndarray]] = None
+    effect: Optional[Tuple[Contrast, np.ndarray]] = None
 
     def n_compliers(self) -> np.ndarray:
         return (self.compliance == CO).sum(axis=-1)
-
-
-class _Compliers:
-    """Every chain's compliers under labels codes (C, n), ordered by chain and
-    then by unit, and the flat indices step_impute writes their cells by.
-
-    chain, unit and flat (into (C, n)) are (K,); segments[c] slices chain
-    c's compliers.  x2 and y are the flat indices of each complier's x2(0)
-    and y(0, 0) cells in (C, 2, n) and (C, 4, n) tables, to which a multiple
-    of n picks another cell.  missing (4, K) marks the y cells a complier
-    did not reveal.
-    """
-
-    def __init__(self, codes: np.ndarray, vd: _VectorData):
-        co = codes == CO
-        C, n = co.shape
-        counts = co.sum(axis=1)
-        bounds = [0] + np.cumsum(counts).tolist()
-        self.segments = [slice(s, e) for s, e in zip(bounds[:-1], bounds[1:])]
-        self.flat = np.flatnonzero(co)
-        self.chain = np.repeat(np.arange(C), counts)
-        self.unit = self.flat - self.chain * n
-        self.x2 = self.chain * (2 * n) + self.unit
-        self.y = self.chain * (4 * n) + self.unit
-        self.missing = vd.y_missing.take(self.unit, axis=1)
-
-
-def _cell_terms(beta: np.ndarray, p: int) -> np.ndarray:
-    """(4, C) receipt terms of each y cell's mean, _CELL_TERMS @ beta[c, p+2:p+5]."""
-    return np.matmul(_CELL_TERMS, beta[:, p + 2:p + 5, None])[..., 0].T
 
 
 def _vector_categorical(probs: np.ndarray, u: np.ndarray, scratch=None) -> np.ndarray:
@@ -451,73 +406,81 @@ def step_compliance(state: ChainState, data: Union[Dataset, _VectorData]) -> Cha
     return replace(state, compliance=codes)
 
 
-def step_impute(state: ChainState, data: Union[Dataset, _VectorData]) -> ChainState:
-    """Rebuild potential tables under the current labels.
+@functools.lru_cache(maxsize=None)
+def _effect_weights(contrast: Contrast) -> np.ndarray:
+    """(11, 4) weights over the (w1, w2) groups, in Y_CELLS order, that turn
+    each group's complier sums of the observed columns into the terms of the
+    complier effect's conditional moments.
 
-    Observed cells are copied from the dataset and never redrawn.  For each
-    complier the counterfactual first-period cell x2(1-w1) is drawn first,
-    then the three missing y cells, each using the x2 cell that shares its
-    first-period receipt.  Nevertakers and alwaystakers have no missing
-    defined cells: their single cell equals the observed record.  Each
-    chain with k compliers draws 4k normals from its own stream: k for the
-    x2 cells, then the y cells in Y_CELLS order, units ascending.
+    For a complier in group (w1, w2), an arm's y cell is observed, or missing
+    and at its model mean with the observed x2 if the arm's first receipt is
+    w1 and with the mean of the imputed x2 otherwise.  Rows sum over the two
+    arms, the treated with sign +1 and the control with -1: 0 observed y;
+    1 missing cells with the observed x2; 2 missing cells; 3 missing cells
+    with the imputed x2, and 4 those times their first receipt; 5-7 missing
+    cells times their (w1, w2, w1*w2) terms.  Then the variance terms: 8 the
+    number of y noises left in the difference (an arm's noise cancels
+    against the other arm's when both read the same cell), 9 the square of
+    row 3, the loading of the imputed x2 noise; and 10 the count.
+    """
+    W = np.zeros((11, 4))
+    for g, (w1, _) in enumerate(Y_CELLS):
+        noise = np.zeros(4)
+        for sign, (a1, a2) in zip((1.0, -1.0), contrast):
+            cell = y_cell_index(a1, a2)
+            if cell == g:
+                W[0, g] += sign
+                continue
+            noise[cell] += sign
+            W[2, g] += sign
+            W[5:8, g] += sign * np.array([a1, a2, a1 * a2])
+            if a1 == w1:
+                W[1, g] += sign
+            else:
+                W[3:5, g] += sign * np.array([1.0, a1])
+        W[8:11, g] = noise @ noise, W[3, g] ** 2, 1.0
+    W.flags.writeable = False
+    return W
+
+
+def step_impute(state: ChainState, data: Union[Dataset, _VectorData],
+                contrast: Contrast = DEFAULT_CONTRAST) -> ChainState:
+    """Draw each chain's complier effect for contrast from its exact
+    conditional given theta and the labels, with one normal from each
+    chain's stream, drawn whether or not the chain has compliers.
+
+    Given (theta, labels) every complier's missing cells are Gaussian and
+    independent of the other compliers', and the effect is linear in them:
+    it is N(mu / K, V / K^2) over the K compliers, mu the sum of their
+    contrasts at the cells' model means and V the sum of the contrasts'
+    noise variances.  Both are linear in the compliers' sums of the
+    observed columns within each (w1, w2) group: one (C, 4, n) @ (n, p + 6)
+    product, weighted by _effect_weights.  NaN for a chain with no compliers.
     """
     vd = as_vector_data(data)
-    n, p = vd.n, vd.p
-    th, rngs = state.theta, state.rngs
-    w = vd.work(len(rngs))
-    x2_cells, y_cells = w.x2, w.y
-    # the (C, k, n) arrays under the views
-    x2T, yT = x2_cells.transpose(0, 2, 1), y_cells.transpose(0, 2, 1)
-    np.copyto(x2T, vd.x2_cells_obs)
-    np.copyto(yT, vd.y_cells_obs)
-    co = _Compliers(state.compliance, vd)
-    K = co.unit.size
-    if K:
-        zx, noise = np.empty(K), np.zeros((4, K))
-        for rng, seg in zip(rngs, co.segments):
-            k = seg.stop - seg.start
-            if k:
-                z = rng.standard_normal(4 * k)
-                zx[seg] = z[:k]
-                noise[:, seg][co.missing[:, seg]] = z[k:]
-        x2f, yf = x2T.reshape(-1), yT.reshape(-1)
-        x2f[co.x2 + vd.cf_shift.take(co.unit)] = (
-            row_dot(th.alpha[:, :p + 2], vd.cf_rows.T).take(co.flat)
-            + th.sigma_x.take(co.chain) * zx)
-        # (4, K): each y cell's mean (x2 slope, then the logit row's terms,
-        # then its receipts' terms) plus its noise, in place: a sum or a
-        # product with its operands swapped is the same float
-        b = th.beta
-        y = x2f.take(co.x2 + n * _X2_OF_CELL)
-        y *= b[:, p + 1].take(co.chain)
-        y += row_dot(b[:, :p + 1], vd.cf_rows[:p + 1].T).take(co.flat)
-        y += _cell_terms(b, p).take(co.chain, axis=1)
-        noise *= th.sigma_y.take(co.chain)
-        y += noise
-        yf[co.y + n * _Y_CELL] = y
-        # the observed cells, overwritten above, back bit for bit
-        yf[co.y + vd.obs_shift.take(co.unit)] = vd.y.take(co.unit)
-    return replace(state, x2_cells=x2_cells, y_cells=y_cells)
+    p, th = vd.p, state.theta
+    co = state.compliance[:, None, :] == CO
+    sums = _effect_weights(contrast) @ ((co & vd.groups).astype(float) @ vd.obs_cols[:, :p + 6])
+    # columns of obs_cols: U1, whose first is the count, x2 and y
+    U, x2, y = slice(0, p + 1), p + 1, p + 5
+    a, b = th.alpha, th.beta
+    b_x2 = b[:, x2]
+    mu = (sums[:, 0, y] + b_x2 * sums[:, 1, x2] + _dots(b[:, U], sums[:, 2, U])
+          + b_x2 * (_dots(a[:, U], sums[:, 3, U]) + a[:, p + 1] * sums[:, 4, 0])
+          + _dots(b[:, p + 2:p + 5], sums[:, 5:8, 0]))
+    var = th.sigma_y ** 2 * sums[:, 8, 0] + (b_x2 * th.sigma_x) ** 2 * sums[:, 9, 0]
+    k = sums[:, 10, 0]
+    z = np.array([rng.standard_normal() for rng in state.rngs])
+    effect = np.divide(mu + np.sqrt(var) * z, k, out=np.full(k.shape, np.nan), where=k > 0)
+    return replace(state, effect=(contrast, effect))
 
 
 def late_draw(state: ChainState, contrast: Contrast = DEFAULT_CONTRAST) -> np.ndarray:
-    """(C,) average treatment contrast over the units each chain currently
-    labels compliers; NaN for a chain with none."""
-    (a1, a2), (b1, b2) = contrast
-    co = state.compliance == CO
-    flat = np.flatnonzero(co)
-    y = state.y_cells
-    # every chain's compliers, chain after chain: the same floats as each
-    # chain's y[co, j]
-    diff = (y[..., y_cell_index(a1, a2)].ravel().take(flat)
-            - y[..., y_cell_index(b1, b2)].ravel().take(flat))
-    bounds = np.cumsum(co.sum(axis=1)).tolist()
-    out = np.full(co.shape[0], np.nan)
-    for c, (s, e) in enumerate(zip([0] + bounds, bounds)):
-        if e > s:
-            out[c] = diff[s:e].mean()
-    return out
+    """(C,) complier effects step_impute last drew for contrast; NaN for a
+    chain with no compliers."""
+    if state.effect is None or state.effect[0] != contrast:
+        raise InvalidConfig(f"contrast: no complier effect was drawn for {contrast}")
+    return state.effect[1]
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +507,16 @@ class _Tuning:
         self.marg_scale = np.array(np.broadcast_to(self.marg_scale, (C,)), dtype=float)
 
 
-def _dots(v: np.ndarray) -> np.ndarray:
-    """v @ v for every row of v (one BLAS dot product each)."""
-    return np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0]
+def _dots(u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+    """u @ v, by default u @ u, for every row (one BLAS dot product each)."""
+    return np.matmul(u[..., None, :], (u if v is None else v)[..., :, None])[..., 0, 0]
 
 
-def _normal_equations(lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple]:
+def _normal_equations(lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple, tuple]:
     """Per chain (G, r, n_rows, rss) of the intermediate and outcome blocks,
-    stacked along a leading chain axis.
+    stacked along a leading chain axis, and the (C, p + 1) sums of U1 over
+    each chain's nevertakers and over its alwaystakers, which score the
+    labels under the logit rows (_gamma_logpost).
 
     A chain's rows D are every unit's observed row, columns
     [1, x1..., w1, at, nt] and [1, x1..., x2, w1, w2, w1*w2, at, nt] with
@@ -561,9 +526,10 @@ def _normal_equations(lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple]:
     squares when responses sit far from zero), for (C, .) coef.
     lab: (C, 2, n) labels == _AT_NT.
     """
-    C = lab.shape[0]
+    C, p = lab.shape[0], vd.p
     ind = lab.astype(float)
-    L = (ind @ vd.obs_cols).reshape(C, -1)
+    sums = ind @ vd.obs_cols
+    L = sums.reshape(C, -1)
 
     def block(gram, lmap, static, resp):
         N = gram + L[:, lmap]
@@ -575,7 +541,8 @@ def _normal_equations(lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple]:
         return N[:, :-1, :-1], N[:, :-1, -1], vd.n, rss
 
     return (block(vd.x2_gram, vd.x2_lmap, vd.x2_static, vd.x2),
-            block(vd.y_gram, vd.y_lmap, vd.y_static, vd.y))
+            block(vd.y_gram, vd.y_lmap, vd.y_static, vd.y),
+            (sums[:, 1, :p + 1], sums[:, 0, :p + 1]))
 
 
 def _draw_ridge(G: np.ndarray, r: np.ndarray, sigma: np.ndarray, coef_sd: float,
@@ -612,16 +579,18 @@ def _draw_variance(rss: np.ndarray, prior: PriorSpec, standard_gamma: np.ndarray
     return v
 
 
-def _gamma_logpost(a: np.ndarray, b: np.ndarray, nt: np.ndarray, at: np.ndarray,
-                   gnt: np.ndarray, gat: np.ndarray, coef_sd: float, lse=None):
-    """Logit rows' log likelihood of the labels plus prior, per chain;
-    a = U1 @ gnt, b = U1 @ gat along the last axis, lse = logit_lse(a, b)."""
-    picked = np.where(at, b, 0.0)
-    np.copyto(picked, a, where=nt)
-    lp = -0.5 * (_dots(gnt) + _dots(gat)) / coef_sd ** 2
-    if lse is None:
-        lse = logit_lse(a, b)
-    return np.subtract(picked, lse, out=picked).sum(axis=-1) + lp
+def _gamma_logpost(gnt: np.ndarray, gat: np.ndarray, sums: tuple, lse: np.ndarray,
+                   coef_sd: float):
+    """Logit rows' log likelihood of the labels plus prior, per chain.
+
+    A nevertaker scores its logit U1 @ gnt, an alwaystaker U1 @ gat and a
+    complier zero, each less its lse = logit_lse(U1 @ gnt, U1 @ gat), so the
+    labels enter only through sums = (U1 summed over the nevertakers, over
+    the alwaystakers): gnt . sums[0] + gat . sums[1] - sum of lse, to which
+    the prior adds -(gnt . gnt + gat . gat) / (2 coef_sd^2), one dot per row.
+    """
+    h = 0.5 / coef_sd ** 2
+    return _dots(gnt, sums[0] - h * gnt) + _dots(gat, sums[1] - h * gat) - lse.sum(axis=-1)
 
 
 def _adapt_scale(scale: float, accept_prob: float, target: float, t: int) -> float:
@@ -671,7 +640,7 @@ def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
     logit columns and their log-sum-exp."""
     th, rngs, p = state.theta, state.rngs, vd.p
     lab = state.compliance[:, None, :] == _AT_NT
-    (Gx, rx, nx, rss_x), (Gy, ry, ny, rss_y) = _normal_equations(lab, vd)
+    (Gx, rx, nx, rss_x), (Gy, ry, ny, rss_y), sums = _normal_equations(lab, vd)
     zx, zy, zg, sg, u = _conjugate_variates(rngs, p + 4, p + 7, p + 1,
                                             prior.scale_shape + nx / 2.0,
                                             prior.scale_shape + ny / 2.0)
@@ -686,7 +655,6 @@ def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
 
     # multinomial-logit rows (nt, at): one random-walk Metropolis move each;
     # a proposal recomputes only the logit column it moves
-    at, nt = lab[:, 0], lab[:, 1]
     g = [th.gamma_nt, th.gamma_at]
     logits = _cached(state.logits, th)
     if logits is None:
@@ -694,7 +662,7 @@ def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
         lse = logit_lse(*cols)
     else:
         *cols, lse = logits
-    lp_cur = _gamma_logpost(*cols, nt, at, *g, prior.coef_sd, lse)
+    lp_cur = _gamma_logpost(*g, sums, lse, prior.coef_sd)
     if not np.isfinite(lp_cur).all():
         raise NumericalOverflow("logit-row log posterior is non-finite")
     for row in (0, 1):
@@ -703,7 +671,7 @@ def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
         prop[row] = g[row] + scale[:, None] * zg[row]
         prop_cols[row] = row_dot(prop[row], vd.U1)
         lse_prop = logit_lse(*prop_cols)
-        lp_prop = _gamma_logpost(*prop_cols, nt, at, *prop, prior.coef_sd, lse_prop)
+        lp_prop = _gamma_logpost(*prop, sums, lse_prop, prior.coef_sd)
         if np.isnan(lp_prop).any():
             raise NumericalOverflow("logit-row proposal log posterior is NaN")
         accept, probs = _metropolis(lp_prop, lp_cur, u[row].tolist().__getitem__)
@@ -851,7 +819,7 @@ def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
 def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: PriorSpec,
                mode: str = "conjugate_gibbs", tuning: Optional[_Tuning] = None) -> ChainState:
     """Update theta given the labels (or given only data in marginal mode);
-    no mode reads the cell tables.
+    no mode reads the complier effect.
 
     Returns a new state; the argument keeps its theta.
     """
@@ -881,7 +849,7 @@ def init_state(data: Union[Dataset, _VectorData],
                rngs: Sequence[np.random.Generator]) -> ChainState:
     """Starting state of one chain per Generator: labels uniform over each
     unit's admissible types, coefficients at their prior means, noise
-    scales at the sample spreads, and no cell tables."""
+    scales at the sample spreads, and no complier effect."""
     vd = as_vector_data(data)
     rngs = tuple(rngs)
     C, p = len(rngs), vd.p
@@ -890,30 +858,21 @@ def init_state(data: Union[Dataset, _VectorData],
     sy = max(float(vd.y.std()), 1e-2)
     theta0 = Theta(np.zeros((C, p + 1)), np.zeros((C, p + 1)), np.zeros((C, p + 4)),
                    np.full(C, sx), np.zeros((C, p + 7)), np.full(C, sy))
-    return ChainState(theta0, codes, None, None, rngs)
+    return ChainState(theta0, codes, rngs)
 
 
-def _check_state_invariants(state: ChainState, vd: _VectorData, chains: Sequence[int],
-                            imputed: bool) -> None:
-    """The labels are admissible; if this sweep imputed, the cell tables
-    keep the observed cells and define every complier cell."""
+def _check_state_invariants(state: ChainState, vd: _VectorData, chains: Sequence[int]) -> None:
+    """The labels are admissible, and a drawn effect is finite exactly for
+    the chains with compliers."""
     rows = np.arange(vd.n)
+    has_compliers = state.n_compliers() > 0
     for c, k in enumerate(chains):
-        codes = state.compliance[c]
-        ok = vd.consistent[rows, codes]
+        ok = vd.consistent[rows, state.compliance[c]]
         if not ok.all():
             i = int(np.nonzero(~ok)[0][0])
             raise AssertionError(f"chain {k}: unit {i} carries an inadmissible label")
-        if not imputed:
-            continue
-        x2, y = state.x2_cells[c], state.y_cells[c]
-        if not np.array_equal(x2[rows, vd.w1], vd.x2):
-            raise AssertionError(f"chain {k}: an observed x2 cell was modified")
-        if not np.array_equal(y[rows, vd.obs_ycol], vd.y):
-            raise AssertionError(f"chain {k}: an observed y cell was modified")
-        co = codes == CO
-        if np.isnan(x2[co]).any() or np.isnan(y[co]).any():
-            raise AssertionError(f"chain {k}: a complier table has an undefined cell")
+        if state.effect is not None and np.isfinite(state.effect[1][c]) != has_compliers[c]:
+            raise AssertionError(f"chain {k}: the complier effect is finite only with compliers")
 
 
 def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerConfig,
@@ -948,15 +907,15 @@ def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerC
         try:
             state = step_theta(state, vd, prior, cfg.theta_update, tuning)
             # the marginal theta chain never reads labels, and only
-            # late_draw reads the cells
+            # late_draw reads the effect
             if kept or not marginal:
                 state = step_compliance(state, vd)
             if kept:
-                state = step_impute(state, vd)
+                state = step_impute(state, vd, contrast)
         except SeqlateError as e:
             raise type(e)(f"sweep {t + 1}: {e}") from e
         if check_invariants:
-            _check_state_invariants(state, vd, chains, kept)
+            _check_state_invariants(state, vd, chains)
         j = t - cfg.n_warmup
         if j >= 0:
             theta[:, j] = state.theta.to_vector()

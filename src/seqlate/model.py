@@ -125,16 +125,6 @@ class Theta:
         sigma_y = vec[..., -1]
         return cls(gnt, gat, alpha, sigma_x, beta, sigma_y)
 
-    def to_dict(self) -> dict:
-        return {
-            "gamma_nt": self.gamma_nt.tolist(),
-            "gamma_at": self.gamma_at.tolist(),
-            "alpha": self.alpha.tolist(),
-            "sigma_x": self.sigma_x,
-            "beta": self.beta.tolist(),
-            "sigma_y": self.sigma_y,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Theta":
         return cls(d["gamma_nt"], d["gamma_at"], d["alpha"], d["sigma_x"],

@@ -91,14 +91,6 @@ class ExactPosterior:
         return float(self.late_values @ self.late_probs)
 
 
-def config_index(codes: Sequence[int]) -> int:
-    """Base-3 encoding of a label configuration, unit 0 most significant."""
-    idx = 0
-    for c in codes:
-        idx = idx * 3 + int(c)
-    return idx
-
-
 def _complier_contrasts(theta: Theta, vd: _VectorData, contrast: Contrast) -> np.ndarray:
     """(n,) contrast at imputation means, were each unit a complier.
 

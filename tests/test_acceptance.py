@@ -145,6 +145,49 @@ def test_criterion_4_simulation_based_calibration():
 
 
 @pytest.mark.slow
+def test_complier_effect_is_calibrated():
+    # simulation-based calibration of the answer itself, beside criterion 4:
+    # with logit compliance at p = 1, the rank of the sample complier effect
+    # among its thinned posterior draws is uniform.  The effect is a function
+    # of the latent labels and cells, so SBC applies to it exactly.  A
+    # replicate whose sample has no complier has no estimand, and a kept draw
+    # whose labels have none has no effect: both are counted and reported,
+    # and only the others are ranked.
+    prior = PriorSpec(coef_sd=1.0, scale_shape=3.0, scale_rate=2.0)
+    n_reps, p = 120, 1
+    rng = substream(616161, "sbc-effect", 0)
+    ranks, no_complier, nan_draws = [], 0, 0
+    for _ in range(n_reps):
+        gnt, gat = rng.normal(0, prior.coef_sd, size=(2, p + 1))
+        alpha = rng.normal(0, prior.coef_sd, size=p + 4)
+        beta = rng.normal(0, prior.coef_sd, size=p + 7)
+        sx, sy = np.sqrt(1.0 / rng.gamma(prior.scale_shape, 1.0 / prior.scale_rate, size=2))
+        cfg = DgpConfig(n=80, seed=int(rng.integers(2 ** 63)), p=p,
+                        compliance_probs=LogitCompliance(gnt, gat),
+                        intermediate_coeffs=alpha, intermediate_noise_sd=float(sx),
+                        outcome_coeffs=beta, outcome_noise_sd=float(sy))
+        sampler_seed = int(rng.integers(2 ** 63))
+        data, truth = simulate_dataset(cfg)
+        if truth.n_co == 0:
+            no_complier += 1
+            continue
+        res = fit(data, prior, SamplerConfig(seed=sampler_seed, n_chains=1,
+                                             n_warmup=300, n_draws=500))
+        kept = res.late[0, 4::5][:99]
+        finite = kept[np.isfinite(kept)]
+        nan_draws += kept.size - finite.size
+        ranks.append(10 * int((finite < truth.true_late).sum()) // (finite.size + 1))
+    counts = np.bincount(ranks, minlength=10)
+    expected = len(ranks) / 10
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    detail = (f"chi-square {chi2:.2f} vs 21.666 (df 9, 0.99 quantile) over {len(ranks)} "
+              f"replicates; {no_complier} without a complier, {nan_draws} kept draws "
+              f"without one; bins {counts.tolist()}")
+    print(f"{'PASS' if chi2 < 21.666 else 'FAIL'} complier effect SBC ({detail})")
+    assert chi2 < 21.666, detail
+
+
+@pytest.mark.slow
 def test_criterion_5_baselines_biased_model_estimate_not():
     n_reps = 50
     pp, at, bayes = [], [], []

@@ -1,4 +1,4 @@
-"""Sampler blocks: exact label conditionals, imputation, kernels, chains."""
+"""Sampler blocks: exact label conditionals, the effect draw, kernels, chains."""
 
 import copy
 import itertools
@@ -13,11 +13,10 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import seqlate.gibbs as gibbs
-from seqlate.domain import ComplianceType, Dataset, ObservedUnit
+from seqlate.domain import DEFAULT_CONTRAST, Y_CELLS, ComplianceType, Dataset, ObservedUnit
 from seqlate.errors import (
     InconsistentUnit,
     InvalidConfig,
-    NoCompliersInDraw,
     NumericalOverflow,
 )
 from seqlate.gibbs import (
@@ -40,11 +39,13 @@ from seqlate.model import (
     Theta,
     compliance_log_prob_matrix,
     inverse_cdf_draw,
+    logit_lse,
     observed_cell_logliks,
     theta_field_names,
 )
 from seqlate.rng import substream
 from seqlate.simulate import ConstantCompliance, DgpConfig, LogitCompliance, simulate_dataset
+from seqlate.validate import _complier_contrasts
 
 # a column kernel producing inf - inf or 0 * inf fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -147,25 +148,88 @@ def test_step_compliance_respects_admissibility():
         assert vd.consistent[np.arange(vd.n), state.compliance].all()
 
 
+def reference_imputations(theta, codes, vd, rng, m, contrast=DEFAULT_CONTRAST):
+    """m complier effects of one chain, each the mean over its compliers of
+    one imputation of their missing cells: the missing x2 cell first, then
+    every missing y cell with the x2 cell that shares its first-period
+    receipt, observed cells as observed.  theta has no chain axis; codes
+    (n,) must hold a complier."""
+    co = np.flatnonzero(codes == 1)
+    k, p = co.size, vd.p
+    a, b = theta.alpha, theta.beta
+    X1, w1, w2 = vd.X1[co], vd.w1[co], vd.w2[co]
+    x2 = np.empty((m, k, 2))
+    for r in (0, 1):
+        mean = a[0] + X1 @ a[1:p + 1] + a[p + 1] * r
+        x2[..., r] = np.where(w1 == r, vd.x2[co],
+                              mean + theta.sigma_x * rng.standard_normal((m, k)))
+    y = np.empty((m, k, 4))
+    for r, s in Y_CELLS:
+        mean = (b[0] + X1 @ b[1:p + 1] + b[p + 1] * x2[..., r] + b[p + 2] * r + b[p + 3] * s
+                + b[p + 4] * r * s)
+        y[..., 2 * r + s] = np.where((w1 == r) & (w2 == s), vd.y[co],
+                                     mean + theta.sigma_y * rng.standard_normal((m, k)))
+    (a1, a2), (b1, b2) = contrast
+    return (y[..., 2 * a1 + a2] - y[..., 2 * b1 + b2]).mean(axis=1)
+
+
+def reference_moments(theta, codes, vd, contrast=DEFAULT_CONTRAST):
+    """Mean and variance of one chain's complier effect given theta (no
+    chain axis) and labels codes (n,), unit by unit: each complier's
+    contrast at its cells' model means, and its noise variance, sigma_y^2
+    per missing y cell of the contrast plus (beta_x2 sigma_x)^2 times the
+    squared difference of the two cells' imputed-x2 indicators."""
+    co = codes == 1
+    k, p = co.sum(), vd.p
+    (a1, a2), (b1, b2) = contrast
+    w1, w2 = vd.w1[co], vd.w2[co]
+    y_noises = ((w1 != a1) | (w2 != a2)).astype(float) + ((w1 != b1) | (w2 != b2))
+    if (a1, a2) == (b1, b2):
+        y_noises[:] = 0.0
+    x2_loading = (w1 != a1).astype(float) - (w1 != b1)
+    var = (theta.sigma_y ** 2 * y_noises
+           + (theta.beta[p + 1] * theta.sigma_x) ** 2 * x2_loading ** 2).sum() / k ** 2
+    return _complier_contrasts(theta, vd, contrast)[co].sum() / k, var
+
+
+def drawn_moments(state, vd, contrast=DEFAULT_CONTRAST):
+    """Per chain, the mean and sd of step_impute's draw, read off two draws
+    from streams whose next normals are known."""
+    effects, normals = [], []
+    for seed in (1, 2):
+        rngs = tuple(substream(seed, "moments", c) for c in range(len(state.rngs)))
+        normals.append([copy.deepcopy(r).standard_normal() for r in rngs])
+        new = step_impute(replace(state, rngs=rngs), vd, contrast)
+        effects.append(late_draw(new, contrast))
+    (e1, e2), (z1, z2) = np.array(effects), np.array(normals)
+    sd = (e1 - e2) / (z1 - z2)
+    return e1 - sd * z1, sd
+
+
 def test_step_impute_bookkeeping():
+    # one normal per chain from its own stream, compliers or not; the effect
+    # is kept with its contrast, NaN for a chain without compliers
     data, _ = simulate_dataset(DgpConfig(n=150, seed=25,
                                          compliance_probs=ConstantCompliance((0.3, 0.4, 0.3))))
     vd = as_vector_data(data)
     state = start(vd, 25, chains=(0, 1, 2))
-    state = step_impute(state, vd)
-    rows = np.arange(vd.n)
-    for c in range(3):
-        x2, y, codes = state.x2_cells[c], state.y_cells[c], state.compliance[c]
-        # observed cells are copied bit for bit
-        assert np.array_equal(x2[rows, vd.w1], vd.x2)
-        assert np.array_equal(y[rows, vd.obs_ycol], vd.y)
-        for i in rows:
-            if codes[i] == 1:                # complier: full table
-                assert np.isfinite(x2[i]).all()
-                assert np.isfinite(y[i]).all()
-            else:                            # nt / at: only the observed cells
-                assert np.isfinite(x2[i]).sum() == 1
-                assert np.isfinite(y[i]).sum() == 1
+    codes = state.compliance.copy()
+    codes[1] = np.where(vd.consistent[:, 0], 0, 2)
+    state = replace(state, compliance=codes)
+    assert state.effect is None
+    with pytest.raises(InvalidConfig, match="contrast"):
+        late_draw(state)
+    streams = copy.deepcopy(state.rngs)
+    new = step_impute(state, vd)
+    for rng, ref in zip(new.rngs, streams):
+        ref.standard_normal()
+        assert rng.bit_generator.state == ref.bit_generator.state
+    got = late_draw(new)
+    assert got.shape == (3,)
+    assert np.isfinite(got[[0, 2]]).all() and np.isnan(got[1])
+    assert new.theta is state.theta and new.compliance is state.compliance
+    with pytest.raises(InvalidConfig, match="contrast"):
+        late_draw(new, ((0, 1), (0, 0)))
 
 
 def test_step_impute_is_centered_on_model_means():
@@ -173,43 +237,84 @@ def test_step_impute_is_centered_on_model_means():
                                          compliance_probs=ConstantCompliance((0.0, 1.0, 0.0))))
     vd = as_vector_data(data)
     th = zero_loading_theta(sigma=1e-8)
-    state = start(vd, 26)
-    state = ChainState(chains_of(th), np.full((1, vd.n), 1, dtype=np.int8), state.x2_cells,
-                       state.y_cells, state.rngs)
-    state = step_impute(state, vd)
-    x2_cells, y_cells = state.x2_cells[0], state.y_cells[0]
+    state = ChainState(chains_of(th), np.full((1, vd.n), 1, dtype=np.int8), start(vd, 26).rngs)
+    got = late_draw(step_impute(state, vd))
+    # every unit a complier: its cells by hand at their model means
+    diffs = []
     for i in range(vd.n):
+        x2 = [0.0, 0.0]
+        x2[vd.w1[i]] = vd.x2[i]
         w1_mis = 1 - vd.w1[i]
-        mu_x = float(th.alpha @ np.concatenate([[1.0], vd.X1[i], [w1_mis, 0.0, 0.0]]))
-        assert x2_cells[i, w1_mis] == pytest.approx(mu_x, abs=1e-6)
-        for (a, b) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            col = 2 * a + b
-            if col == vd.obs_ycol[i]:
-                continue
-            x2v = x2_cells[i, a]
-            mu_y = float(th.beta @ np.concatenate(
-                [[1.0], vd.X1[i], [x2v, a, b, a * b, 0.0, 0.0]]))
-            assert y_cells[i, col] == pytest.approx(mu_y, abs=1e-6)
+        x2[w1_mis] = float(th.alpha @ np.concatenate([[1.0], vd.X1[i], [w1_mis, 0.0, 0.0]]))
+        y = {}
+        for (a, b) in ((0, 0), (1, 1)):
+            y[a, b] = (vd.y[i] if 2 * a + b == vd.obs_ycol[i] else float(th.beta @ np.concatenate(
+                [[1.0], vd.X1[i], [x2[a], a, b, a * b, 0.0, 0.0]])))
+        diffs.append(y[1, 1] - y[0, 0])
+    assert got == pytest.approx([np.mean(diffs)], abs=1e-6)
 
 
 def test_late_draw_hand_case():
-    th = zero_loading_theta()
-    x2 = np.array([[0.0, 1.0], [0.0, 1.0], [0.5, np.nan]])
-    y = np.array([[1.0, 0.0, 0.0, 4.0],
-                  [0.0, 0.0, 0.0, 1.0],
-                  [2.0, np.nan, np.nan, np.nan]])
-    state = ChainState(chains_of(th), np.array([[1, 1, 0]], dtype=np.int8), x2[None],
-                       y[None], (substream(27, "chain", 0),))
-    # compliers contribute y(1,1) - y(0,0): (4-1) and (1-0); the nevertaker
-    # is excluded
-    assert late_draw(state) == pytest.approx([2.0])
-    # y(0,1) - y(0,0): (0-1) and (0-0)
-    assert late_draw(state, contrast=((0, 1), (0, 0))) == pytest.approx([-0.5])
-    # a chain without compliers gets NaN, its neighbours their own contrast
-    both = ChainState(chains_of(th, 2), np.array([[0, 0, 2], [1, 1, 0]], dtype=np.int8),
-                      np.stack([x2, x2]), np.stack([y, y]), state.rngs * 2)
-    got = late_draw(both)
-    assert np.isnan(got[0]) and got[1] == pytest.approx(2.0)
+    # two compliers and a nevertaker, p = 1 with x1 = 0; x2 means alpha_0 +
+    # alpha_w1 w1 = 0.5 + w1, y means 1 + 2 x2 + 0.5 w1 + 0.25 w2 + 0.25 w1 w2
+    data = Dataset(np.zeros((3, 1)), z1=[1, 0, 1], w1=[1, 0, 0], x2=[1.0, 0.0, 3.0],
+                   z2=[1, 0, 0], w2=[1, 0, 0], y=[4.0, 1.0, 7.0])
+    vd = as_vector_data(data)
+    th = Theta(np.zeros(2), np.zeros(2), np.array([0.5, 0.0, 1.0, 0.0, 0.0]), 0.5,
+               np.array([1.0, 0.0, 2.0, 0.5, 0.25, 0.25, 0.0, 0.0]), 0.5)
+    rng = substream(27, "chain", 0)
+    z = copy.deepcopy(rng).standard_normal()
+    state = ChainState(chains_of(th), np.array([[1, 1, 0]], dtype=np.int8), (rng,))
+    # y(1,1) - y(0,0): unit 0 observed 4 against 1 + 2 * 0.5, unit 1 against
+    # observed 1 the mean 1 + 2 * 1.5 + 1; each reads one imputed x2 (loading
+    # 2 * 0.5) and one y noise (0.5)
+    got = late_draw(step_impute(state, vd))
+    assert got == pytest.approx([3.0 + math.sqrt(2 * (0.25 + 1.0)) / 2 * z], rel=1e-12)
+    # y(0,1) - y(0,0): unit 0's two cells read the same imputed x2(0), whose
+    # noise cancels, means 2.25 - 2; unit 1 the mean 1.25 against observed 1
+    contrast = ((0, 1), (0, 0))
+    state = ChainState(chains_of(th), state.compliance, (substream(27, "chain", 0),))
+    got = late_draw(step_impute(state, vd, contrast), contrast)
+    assert got == pytest.approx([0.25 + math.sqrt(3 * 0.25) / 2 * z], rel=1e-12)
+    # a chain without compliers gets NaN, its neighbour its own effect
+    both = ChainState(chains_of(th, 2), np.array([[0, 0, 0], [1, 1, 0]], dtype=np.int8),
+                      (substream(27, "chain", 1), substream(27, "chain", 0)))
+    got = late_draw(step_impute(both, vd))
+    assert np.isnan(got[0]) and got[1] == pytest.approx(3.0 + math.sqrt(2.5) / 2 * z, rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+@pytest.mark.parametrize("contrast", [DEFAULT_CONTRAST, ((1, 1), (1, 0)), ((0, 1), (1, 0))],
+                         ids=["default", "same-first-receipt", "crossed"])
+def test_effect_draw_matches_reference_imputation(p, contrast):
+    # chain 0 holds drawn labels, chain 1 labels every admissible unit a
+    # complier, chain 2 has none; ((1, 1), (1, 0)) reads x2(1) in both arms,
+    # so the imputed x2 noise cancels
+    data, _ = simulate_dataset(DgpConfig(n=60, p=p, seed=56))
+    vd = as_vector_data(data)
+    rng = substream(56, "effect-reference", p)
+    thetas = [random_theta(rng, p, *rng.normal(size=2)) for _ in range(3)]
+    state = replace(start(vd, 56, chains=(0, 1, 2)),
+                    theta=Theta.from_vector(np.stack([th.to_vector() for th in thetas]), p))
+    state = step_compliance(state, vd)
+    codes = state.compliance.copy()
+    codes[1] = np.where(vd.consistent[:, 1], 1, np.where(vd.consistent[:, 0], 0, 2))
+    codes[2] = np.where(vd.consistent[:, 0], 0, 2)
+    state = replace(state, compliance=codes)
+    mean, sd = drawn_moments(state, vd, contrast)
+    assert np.isnan(mean[2]) and np.isnan(sd[2])
+    m = 4000
+    for c in (0, 1):
+        assert (codes[c] == 1).sum() > 5
+        want_mean, want_var = reference_moments(thetas[c], codes[c], vd, contrast)
+        # closed form, unit by unit
+        assert mean[c] == pytest.approx(want_mean, rel=1e-10, abs=1e-10 * abs(vd.y).max())
+        assert sd[c] ** 2 == pytest.approx(want_var, rel=1e-10)
+        # Monte Carlo over m imputations: the mean within 4.5 standard errors,
+        # the variance within 5 standard errors of a Gaussian sample variance
+        draws = reference_imputations(thetas[c], codes[c], vd, rng, m, contrast)
+        assert abs(draws.mean() - mean[c]) < 4.5 * sd[c] / math.sqrt(m)
+        assert abs(draws.var(ddof=1) / sd[c] ** 2 - 1.0) < 5.0 * math.sqrt(2.0 / (m - 1))
 
 
 def test_ridge_draw_with_no_rows_recovers_prior():
@@ -298,13 +403,13 @@ def test_run_chain_reports_failing_sweep(monkeypatch):
     data, _ = simulate_dataset(DgpConfig(n=20, seed=34))
 
     def boom(state, vd):
-        raise NoCompliersInDraw("boom")
+        raise NumericalOverflow("boom")
 
     # step_compliance only runs inside the sweep loop, so the re-raise must
     # carry the sweep number and keep the error type
     monkeypatch.setattr(gibbs, "step_compliance", boom)
     cfg = SamplerConfig(seed=6, n_chains=1, n_warmup=2, n_draws=2)
-    with pytest.raises(NoCompliersInDraw, match="sweep 1: boom"):
+    with pytest.raises(NumericalOverflow, match="sweep 1: boom"):
         run_chain(data, PriorSpec(), cfg)
 
 
@@ -495,19 +600,23 @@ def test_marginal_step_keeps_a_rejecting_chain_bit_for_bit(monkeypatch, accept):
 
 def test_invariant_check_names_the_corrupted_chain(monkeypatch):
     data, _ = simulate_dataset(DgpConfig(n=40, seed=55))
+    vd = as_vector_data(data)
+    # the first unit with an inadmissible type, and that type
+    i = int(np.flatnonzero(~vd.consistent.all(axis=1))[0])
+    bad = int(np.flatnonzero(~vd.consistent[i])[0])
     original = gibbs.step_impute
 
-    def corrupt_third(state, vd):
-        out = original(state, vd)
-        out.y_cells[2][0, vd.obs_ycol[0]] += 1.0
+    def corrupt_third(state, vd, contrast):
+        out = original(state, vd, contrast)
+        out.compliance[2, i] = bad
         return out
 
     monkeypatch.setattr(gibbs, "step_impute", corrupt_third)
     cfg = SamplerConfig(seed=17, n_chains=4, n_warmup=2, n_draws=2)
-    with pytest.raises(AssertionError, match="^chain 2: an observed y cell was modified$"):
+    with pytest.raises(AssertionError, match=f"^chain 2: unit {i} carries an inadmissible label$"):
         run_chain(data, PriorSpec(), cfg, check_invariants=True)
     # position 2 of the run is chain 7
-    with pytest.raises(AssertionError, match="^chain 7: an observed y cell"):
+    with pytest.raises(AssertionError, match=f"^chain 7: unit {i} carries"):
         run_chain(data, PriorSpec(), cfg, [5, 6, 7], check_invariants=True)
     # without the check the corruption passes unseen
     run_chain(data, PriorSpec(), cfg)
@@ -567,10 +676,14 @@ def _check_normal_equations(codes, vd, seed):
     of squares of both blocks against the stacked rows, at the
     least-squares coefficients and a random draw, each chain's coefficients
     beside other rows."""
-    blocks = gibbs._normal_equations(codes[:, None] == gibbs._AT_NT, vd)
+    *blocks, (nt_sums, at_sums) = gibbs._normal_equations(codes[:, None] == gibbs._AT_NT, vd)
     rng = np.random.default_rng(seed)
     C = codes.shape[0]
     for k in range(C):
+        # the logit design summed over each stratum, which scores the labels
+        for got, code in ((nt_sums, 0), (at_sums, 2)):
+            want = vd.U1[codes[k] == code].sum(axis=0)
+            assert np.abs(got[k] - want).max() <= 1e-10 * (1.0 + np.abs(vd.U1).sum())
         for (G, r, n_rows, rss), (D, resp) in zip(blocks, _reference_rows(codes[k], vd)):
             assert n_rows == len(D) == vd.n
             _assert_rel(G[k], D.T @ D)
@@ -617,51 +730,37 @@ def test_normal_equations_without_compliers():
     assert np.isfinite(step_theta(state, vd, PriorSpec()).theta.to_vector()).all()
 
 
-def test_step_theta_does_not_read_cells():
+def test_step_theta_does_not_read_the_effect():
     # either update reads the labels and the observed data only: a state
-    # without cell tables and the same state imputed give the same theta
+    # without a complier effect and the same state with one give the same theta
     data, _ = simulate_dataset(DgpConfig(n=60, seed=42))
     vd = as_vector_data(data)
     state = step_compliance(step_theta(start(vd, 42, chains=(0, 1)), vd, PriorSpec()), vd)
-    assert state.x2_cells is None and state.y_cells is None
+    assert state.effect is None
     streams = copy.deepcopy(state.rngs)
-    imputed = replace(step_impute(state, vd), rngs=streams)
-    assert np.isfinite(imputed.y_cells[imputed.compliance == 1]).all()
+    drawn = replace(step_impute(state, vd), rngs=streams)
+    assert np.isfinite(late_draw(drawn)).all()
     for mode in gibbs.THETA_UPDATE_MODES:
         bare = replace(state, rngs=copy.deepcopy(streams))
-        with_cells = replace(imputed, rngs=copy.deepcopy(streams))
+        with_effect = replace(drawn, rngs=copy.deepcopy(streams))
         assert (step_theta(bare, vd, PriorSpec(), mode).theta
-                == step_theta(with_cells, vd, PriorSpec(), mode).theta)
+                == step_theta(with_effect, vd, PriorSpec(), mode).theta)
 
 
 def test_step_impute_draws_in_documented_order():
-    # per chain, from its own stream: k normals for the compliers' x2 cells,
-    # then the missing y cells cell by cell in (00, 01, 10, 11) order, units
-    # ascending within each cell
+    # per chain, from its own stream, one normal z: the effect is
+    # mean + sd * z with the moments summed unit by unit
     data, _ = simulate_dataset(DgpConfig(n=50, p=2, seed=48))
     vd = as_vector_data(data)
     state = start(vd, 48, chains=(0, 1))
     state = step_compliance(step_theta(state, vd, PriorSpec()), vd)
     streams = copy.deepcopy(state.rngs)
-    new = step_impute(state, vd)
+    got = late_draw(step_impute(state, vd))
     for c in range(2):
         th = Theta.from_vector(state.theta.to_vector()[c], 2)
-        co = np.flatnonzero(state.compliance[c] == 1)
-        x2_cells, y_cells = new.x2_cells[c], new.y_cells[c]
-        z = iter(streams[c].standard_normal(4 * co.size))
-        for i in co:
-            w1_mis = 1 - vd.w1[i]
-            want = float(th.alpha @ [1.0, *vd.X1[i], w1_mis, 0.0, 0.0]) + th.sigma_x * next(z)
-            assert x2_cells[i, w1_mis] == pytest.approx(want, rel=1e-12, abs=1e-12)
-        for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            for i in co:
-                if vd.obs_ycol[i] == 2 * a + b:
-                    continue
-                x2v = x2_cells[i, a]
-                want = (float(th.beta @ [1.0, *vd.X1[i], x2v, a, b, a * b, 0.0, 0.0])
-                        + th.sigma_y * next(z))
-                assert y_cells[i, 2 * a + b] == pytest.approx(want, rel=1e-12, abs=1e-12)
-        assert next(z, None) is None
+        mean, var = reference_moments(th, state.compliance[c], vd)
+        want = mean + math.sqrt(var) * streams[c].standard_normal()
+        assert got[c] == pytest.approx(want, rel=1e-10)
 
 
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
@@ -870,11 +969,14 @@ def test_gamma_logpost_and_log_probs_match_row_reductions(n, p, g_nt, g_at, seed
     lcp = compliance_log_prob_matrix(th, U1)
     assert lcp.flags.f_contiguous
     assert np.array_equal(lcp, ref_compliance_log_prob_matrix(th, U1))
+    # the labels enter through the logit design summed over each stratum
     codes = rng.integers(0, 3, size=n).astype(np.int8)
+    sums = (U1[codes == 0].sum(axis=0), U1[codes == 2].sum(axis=0))
+    lse = logit_lse(U1 @ th.gamma_nt, U1 @ th.gamma_at)
     for coef_sd in (5.0, 0.5):
-        assert (gibbs._gamma_logpost(U1 @ th.gamma_nt, U1 @ th.gamma_at, codes == 0, codes == 2,
-                                     th.gamma_nt, th.gamma_at, coef_sd)
-                == ref_gamma_logpost(th.gamma_nt, th.gamma_at, U1, codes, coef_sd))
+        got = gibbs._gamma_logpost(th.gamma_nt, th.gamma_at, sums, lse, coef_sd)
+        want = ref_gamma_logpost(th.gamma_nt, th.gamma_at, U1, codes, coef_sd)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @given(st.integers(1, 30), st.integers(1, 3), _LOGIT, _LOGIT, st.integers(0, 2 ** 32 - 1))

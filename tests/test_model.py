@@ -55,7 +55,9 @@ def test_theta_vector_round_trip():
     assert vec.shape == (theta_dim(2),)
     back = Theta.from_vector(vec, p=2)
     assert back == th
-    assert Theta.from_dict(th.to_dict()) == th
+    # the golden fixture's layout: each field by name, as plain lists
+    fields = ("gamma_nt", "gamma_at", "alpha", "sigma_x", "beta", "sigma_y")
+    assert Theta.from_dict({k: np.asarray(getattr(th, k)).tolist() for k in fields}) == th
 
 
 def test_theta_with_a_chain_axis_holds_one_theta_per_row():

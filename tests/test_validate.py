@@ -24,7 +24,6 @@ from seqlate.validate import (
     _grid_conditional,
     _grid_factors,
     DiscreteSpec,
-    config_index,
     ess,
     exact_posterior,
     grid_gibbs,
@@ -182,7 +181,20 @@ def test_discrete_spec_validates_weights():
         DiscreteSpec((flat_theta(), flat_theta()), np.array([1.2, -0.2]))
 
 
+def config_index(codes):
+    """Base-3 encoding of a label configuration, unit 0 most significant:
+    the index of the configuration in exact_posterior's joint_probs and in
+    grid_gibbs's config_idx."""
+    idx = 0
+    for c in codes:
+        idx = idx * 3 + int(c)
+    return idx
+
+
 def test_config_index_base_three():
+    # the order itertools.product enumerates configurations in
+    for j, codes in enumerate(itertools.product(range(3), repeat=3)):
+        assert config_index(codes) == j
     assert config_index([0, 0, 0]) == 0
     assert config_index([0, 0, 1]) == 1
     assert config_index([1, 0, 0]) == 9
