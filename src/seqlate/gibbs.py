@@ -406,6 +406,11 @@ def step_compliance(state: ChainState, data: Union[Dataset, _VectorData]) -> Cha
     return replace(state, compliance=codes)
 
 
+def _arms(contrast: Contrast) -> Contrast:
+    """contrast as a tuple of int pairs, whatever sequences it came in."""
+    return tuple((int(a), int(b)) for a, b in contrast)
+
+
 @functools.lru_cache(maxsize=None)
 def _effect_weights(contrast: Contrast) -> np.ndarray:
     """(11, 4) weights over the (w1, w2) groups, in Y_CELLS order, that turn
@@ -458,9 +463,9 @@ def step_impute(state: ChainState, data: Union[Dataset, _VectorData],
     product, weighted by _effect_weights.  NaN for a chain with no compliers.
     """
     vd = as_vector_data(data)
-    p, th = vd.p, state.theta
+    p, th, arms = vd.p, state.theta, _arms(contrast)
     co = state.compliance[:, None, :] == CO
-    sums = _effect_weights(contrast) @ ((co & vd.groups).astype(float) @ vd.obs_cols[:, :p + 6])
+    sums = _effect_weights(arms) @ ((co & vd.groups).astype(float) @ vd.obs_cols[:, :p + 6])
     # columns of obs_cols: U1, whose first is the count, x2 and y
     U, x2, y = slice(0, p + 1), p + 1, p + 5
     a, b = th.alpha, th.beta
@@ -472,13 +477,13 @@ def step_impute(state: ChainState, data: Union[Dataset, _VectorData],
     k = sums[:, 10, 0]
     z = np.array([rng.standard_normal() for rng in state.rngs])
     effect = np.divide(mu + np.sqrt(var) * z, k, out=np.full(k.shape, np.nan), where=k > 0)
-    return replace(state, effect=(contrast, effect))
+    return replace(state, effect=(arms, effect))
 
 
 def late_draw(state: ChainState, contrast: Contrast = DEFAULT_CONTRAST) -> np.ndarray:
     """(C,) complier effects step_impute last drew for contrast; NaN for a
     chain with no compliers."""
-    if state.effect is None or state.effect[0] != contrast:
+    if state.effect is None or state.effect[0] != _arms(contrast):
         raise InvalidConfig(f"contrast: no complier effect was drawn for {contrast}")
     return state.effect[1]
 

@@ -276,6 +276,10 @@ def test_late_draw_hand_case():
     state = ChainState(chains_of(th), state.compliance, (substream(27, "chain", 0),))
     got = late_draw(step_impute(state, vd, contrast), contrast)
     assert got == pytest.approx([0.25 + math.sqrt(3 * 0.25) / 2 * z], rel=1e-12)
+    # the arms may come as any pair of pairs
+    state = ChainState(chains_of(th), state.compliance, (substream(27, "chain", 0),))
+    assert np.array_equal(late_draw(step_impute(state, vd, [[0, 1], [0, 0]]), [(0, 1), (0, 0)]),
+                          got)
     # a chain without compliers gets NaN, its neighbour its own effect
     both = ChainState(chains_of(th, 2), np.array([[0, 0, 0], [1, 1, 0]], dtype=np.int8),
                       (substream(27, "chain", 1), substream(27, "chain", 0)))
