@@ -13,8 +13,6 @@ from .domain import (
     COMPLIANCE_ORDER,
     ComplianceType,
     Dataset,
-    ObservedUnit,
-    PotentialTable,
     Y_CELLS,
     classify_compliance,
     consistent_types,
@@ -72,10 +70,8 @@ from .validate import (
 from .config import RunConfig, emit_config, load_config, parse_config
 from .dataio import (
     read_dataset_csv,
-    read_dataset_json,
     read_truth_json,
     write_dataset_csv,
-    write_dataset_json,
     write_truth_json,
 )
 from .rng import substream
@@ -103,9 +99,7 @@ __all__ = [
     "MonotonicityViolation",
     "NoCompliers",
     "NumericalOverflow",
-    "ObservedUnit",
     "ParseError",
-    "PotentialTable",
     "PriorSpec",
     "RunConfig",
     "SamplerConfig",
@@ -131,7 +125,6 @@ __all__ = [
     "parse_config",
     "per_protocol_estimate",
     "read_dataset_csv",
-    "read_dataset_json",
     "read_truth_json",
     "realized_treatment",
     "rhat",
@@ -144,7 +137,6 @@ __all__ = [
     "true_sample_late",
     "true_sample_sate",
     "write_dataset_csv",
-    "write_dataset_json",
     "write_truth_json",
     "y_cell_index",
 ]

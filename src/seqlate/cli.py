@@ -429,7 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NumericalOverflow as e:
         print(f"error: {e}", file=sys.stderr)
         return _NUMERIC_EXIT
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return _DATA_EXIT
 

@@ -2,7 +2,7 @@
 
 The CSV contract: header ``x1_0,...,x1_{p-1},z1,w1,x2,z2,w2,y``, one row per
 unit, floats rendered with repr so a write/read/write cycle is
-byte-identical.  JSON mirrors use the same flat field names.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from .domain import (
     DEFAULT_CONTRAST,
     Contrast,
     Dataset,
-    PotentialTable,
     invalid_tables,
 )
-from .errors import DataError, InvariantViolation, SchemaError
+from .errors import DataError, SchemaError
 from .simulate import GroundTruth
 
 PathLike = Union[str, Path]
@@ -103,11 +102,6 @@ def _dataset_row(row: List[str], header: List[str], row_num: int) -> List[float]
     return parsed
 
 
-def _dataset(values: array, p: int) -> Dataset:
-    M = np.frombuffer(values, dtype=np.float64).reshape(-1, p + len(_FIXED_COLUMNS))
-    return Dataset(M[:, :p], *(M[:, p + j] for j in range(len(_FIXED_COLUMNS))))
-
-
 def _csv_table(path: Path):
     """Stream a CSV file: first its header, then (1-based row number,
     fields) for each non-empty row, whose field count must match the
@@ -152,41 +146,8 @@ def read_dataset_csv(path: PathLike) -> Dataset:
         values.extend(_dataset_row(row, header, row_num))
     if not values:
         raise SchemaError(f"{path} has a header but no data rows")
-    return _dataset(values, p)
-
-
-def write_dataset_json(data: Dataset, path: PathLike) -> None:
-    header = dataset_header(data.covariate_dim)
-    rows = [dict(zip(header, unit)) for unit in zip(*(c.tolist() for c in _columns(data)))]
-    Path(path).write_text(json.dumps(
-        {"covariate_dim": data.covariate_dim, "units": rows}, indent=2) + "\n")
-
-
-def read_dataset_json(path: PathLike) -> Dataset:
-    path = Path(path)
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "units" not in doc or "covariate_dim" not in doc:
-        raise SchemaError(f"{path}: expected an object with covariate_dim and units")
-    p, rows = doc["covariate_dim"], doc["units"]
-    if isinstance(p, bool) or not isinstance(p, int) or p < 0:
-        raise SchemaError(f"{path}: covariate_dim must be a non-negative integer, "
-                          f"got {p!r:.40}")
-    if not isinstance(rows, list):
-        raise SchemaError(f"{path}: units must be a list")
-    header, values = dataset_header(p), array("d")
-    for row_num, row in enumerate(rows, start=1):
-        if not isinstance(row, dict):
-            raise SchemaError(f"{path}: unit {row_num} must be an object")
-        if len(row) < p + len(_FIXED_COLUMNS):
-            raise SchemaError(f"{path}: unit {row_num} has {len(row)} fields, but "
-                              f"covariate_dim {p} needs {p + len(_FIXED_COLUMNS)}")
-        missing = [k for k in header if k not in row]
-        if missing:
-            raise SchemaError(f"{path}: unit {row_num} is missing {missing}")
-        values.extend(_dataset_row([str(row[k]) for k in header], header, row_num))
-    if not values:
-        raise SchemaError(f"{path} contains no units")
-    return _dataset(values, p)
+    M = np.frombuffer(values, dtype=np.float64).reshape(-1, p + len(_FIXED_COLUMNS))
+    return Dataset(M[:, :p], *(M[:, p + j] for j in range(len(_FIXED_COLUMNS))))
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +249,12 @@ def read_truth_json(path: PathLike) -> GroundTruth:
     except (ValueError, LookupError, TypeError, OverflowError) as e:
         error = e
     # name the first bad unit; a bad table is reported before a bad true_late
-    for unit, rec in enumerate(recs, start=1):
-        cells = _truth_cells(rec, "x2", 2, unit, path), _truth_cells(rec, "y", 4, unit, path)
-        try:
-            PotentialTable(COMPLIANCE_ORDER[codes[unit - 1]], *cells)
-        except InvariantViolation as e:
-            raise SchemaError(f"{path}: unit {unit}: {e}") from None
+    for unit, (code, rec) in enumerate(zip(codes, recs), start=1):
+        cells = _truth_cells(rec, "x2", 2, unit, path) + _truth_cells(rec, "y", 4, unit, path)
+        cells = np.array(cells, dtype=float)     # None becomes NaN
+        if invalid_tables(code, cells[:2], cells[2:]):
+            raise SchemaError(f"{path}: unit {unit}: cells are not the canonical or full "
+                              f"table for {COMPLIANCE_ORDER[code].value}")
     raise error if isinstance(error, SchemaError) else SchemaError(f"{path}: malformed tables")
 
 

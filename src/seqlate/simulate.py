@@ -29,14 +29,12 @@ from .domain import (
     COMPLIANCE_ORDER,
     DEFAULT_CONTRAST,
     NT,
-    ComplianceType,
     Contrast,
     Dataset,
-    PotentialTable,
     Y_CELLS,
     y_cell_index,
 )
-from .errors import InvalidConfig, NoCompliers, TooLarge
+from .errors import InvalidConfig, NoCompliers, TooLarge, UndefinedCell
 from .model import inverse_cdf_draw, logit_design
 from .rng import substream
 
@@ -270,18 +268,6 @@ class GroundTruth:
     def __len__(self) -> int:
         return self.codes.shape[0]
 
-    def table(self, i: int) -> PotentialTable:
-        cells = [None if v != v else v for v in self.x2_cells[i].tolist() + self.y_cells[i].tolist()]
-        return PotentialTable(COMPLIANCE_ORDER[self.codes[i]], cells[:2], cells[2:])
-
-    @property
-    def compliance(self) -> Tuple[ComplianceType, ...]:
-        return tuple(map(COMPLIANCE_ORDER.__getitem__, self.codes.tolist()))
-
-    @property
-    def tables(self) -> Tuple[PotentialTable, ...]:
-        return tuple(map(self.table, range(len(self))))
-
 
 def simulate_dataset(cfg: DgpConfig) -> Tuple[Dataset, GroundTruth]:
     """Generate a dataset and its latent ground truth, deterministically.
@@ -346,12 +332,15 @@ def true_sample_sate(gt: GroundTruth, contrast: Contrast = DEFAULT_CONTRAST) -> 
     """Finite-sample average effect over every unit.
 
     Requires the all-cells diagnostic tables; with canonical tables the
-    needed cells are undefined for noncompliers and UndefinedCell is raised.
+    needed cells are undefined for noncompliers, and UndefinedCell names
+    the first (0-based) unit whose contrast cell is undefined.
     """
     (a1, a2), (b1, b2) = contrast
     treated, control = gt.y_cells[:, y_cell_index(a1, a2)], gt.y_cells[:, y_cell_index(b1, b2)]
     undefined = np.isnan(treated) | np.isnan(control)
     if undefined.any():
-        table = gt.table(int(np.argmax(undefined)))
-        table.y(a1, a2) - table.y(b1, b2)     # raises UndefinedCell
+        i = int(np.argmax(undefined))
+        cell = (a1, a2) if np.isnan(treated[i]) else (b1, b2)
+        raise UndefinedCell(f"unit {i}: y cell (w1={cell[0]}, w2={cell[1]}) is undefined "
+                            f"for a {COMPLIANCE_ORDER[gt.codes[i]].value} unit")
     return float(np.mean(treated - control))

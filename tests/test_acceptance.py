@@ -74,15 +74,12 @@ def test_criterion_2_forbidden_strata_get_exact_zero():
     th = Theta(rng.normal(0, 0.5, 2), rng.normal(0, 0.5, 2),
                rng.normal(0, 0.5, 5), 1.3, rng.normal(0, 0.5, 8), 0.9)
     probs = compliance_posterior(th, data)
-    n_at = n_nt = 0
-    exact = True
-    for i, u in enumerate(data):
-        if (u.z1 == 0 and u.w1 == 1) or (u.z2 == 0 and u.w2 == 1):
-            n_at += 1
-            exact = exact and probs[i].tolist() == [0.0, 0.0, 1.0]
-        if (u.z1 == 1 and u.w1 == 0) or (u.z2 == 1 and u.w2 == 0):
-            n_nt += 1
-            exact = exact and probs[i].tolist() == [1.0, 0.0, 0.0]
+    z1, w1, z2, w2 = data.z1, data.w1, data.z2, data.w2
+    at_certain = ((z1 == 0) & (w1 == 1)) | ((z2 == 0) & (w2 == 1))
+    nt_certain = ((z1 == 1) & (w1 == 0)) | ((z2 == 1) & (w2 == 0))
+    n_at, n_nt = int(at_certain.sum()), int(nt_certain.sum())
+    exact = bool((probs[at_certain] == [0.0, 0.0, 1.0]).all()
+                 and (probs[nt_certain] == [1.0, 0.0, 0.0]).all())
     ok = exact and n_at >= 50 and n_nt >= 50
     _report(2, "certain units get probability exactly one",
             ok, f"{n_at} alwaystaker-certain and {n_nt} nevertaker-certain "

@@ -395,6 +395,23 @@ def test_exit_code_for_missing_file(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    "fit --data {dir} --out {tmp}/f --seed 1",
+    "simulate --config {dir} --out {tmp}/s",
+    "fit --data {data} --out {file} --chains 1 --warmup 1 --draws 1 --seed 1",
+    "compare --data {data} --fit {fit} --out {dir}",
+])
+def test_exit_code_for_unreadable_or_unwritable_path(argv, sim_dir, tmp_path, capsys):
+    (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").write_text("")
+    paths = dict(dir=tmp_path / "a_dir", file=tmp_path / "a_file", tmp=tmp_path,
+                 data=sim_dir / "dataset.csv", fit=_stub_fit(tmp_path / "fit"))
+    rc = main([arg.format(**paths) for arg in argv.split()])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_exit_code_for_empty_dataset(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

@@ -1,4 +1,4 @@
-"""File formats: CSV/JSON datasets, truth sidecars, draw tables."""
+"""File formats: dataset CSV, truth sidecars, draw tables."""
 
 import json
 import math
@@ -11,16 +11,14 @@ from hypothesis import strategies as st
 from seqlate.dataio import (
     dataset_header,
     read_dataset_csv,
-    read_dataset_json,
     read_draws_csv,
     read_truth_json,
     truth_sidecar_path,
     write_dataset_csv,
-    write_dataset_json,
     write_draws_csv,
     write_truth_json,
 )
-from seqlate.domain import Dataset, ObservedUnit
+from seqlate.domain import Dataset
 from seqlate.errors import DataError, SchemaError, SeqlateError
 from seqlate.simulate import ConstantCompliance, DgpConfig, simulate_dataset
 
@@ -43,17 +41,6 @@ def test_csv_round_trip_is_byte_identical(tmp_path):
     back = read_dataset_csv(p1)
     assert back == data
     write_dataset_csv(back, p2)
-    assert p1.read_bytes() == p2.read_bytes()
-
-
-def test_json_round_trip_is_byte_identical(tmp_path):
-    data = sample_dataset(seed=91)
-    p1 = tmp_path / "a.json"
-    p2 = tmp_path / "b.json"
-    write_dataset_json(data, p1)
-    back = read_dataset_json(p1)
-    assert back == data
-    write_dataset_json(back, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -99,18 +86,11 @@ def test_csv_bad_values_name_row_and_column(tmp_path, row, column):
         read_dataset_csv(path)
 
 
-def test_json_missing_field_is_schema_error(tmp_path):
-    path = tmp_path / "missing.json"
-    path.write_text('{"covariate_dim": 1, "units": [{"x1_0": 0.0, "z1": 0}]}')
-    with pytest.raises(SchemaError, match="unit 1"):
-        read_dataset_json(path)
-
-
 def test_json_syntax_error_is_schema_error(tmp_path):
     path = tmp_path / "syntax.json"
     path.write_text("{nope")
-    with pytest.raises(SchemaError):
-        read_dataset_json(path)
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        read_truth_json(path)
 
 
 def test_truth_sidecar_round_trip(tmp_path):
@@ -119,11 +99,12 @@ def test_truth_sidecar_round_trip(tmp_path):
     path = tmp_path / "dataset.truth.json"
     write_truth_json(truth, path)
     back = read_truth_json(path)
-    assert back.compliance == truth.compliance
+    assert np.array_equal(back.codes, truth.codes) and back.codes.dtype == np.int8
     assert back.n_co == truth.n_co
     assert back.true_late == pytest.approx(truth.true_late)
-    for t1, t2 in zip(back.tables, truth.tables):
-        assert t1 == t2
+    # NaN marks the same undefined cells on both sides
+    assert np.array_equal(back.x2_cells, truth.x2_cells, equal_nan=True)
+    assert np.array_equal(back.y_cells, truth.y_cells, equal_nan=True)
 
 
 def test_truth_sidecar_undefined_effect(tmp_path):
@@ -183,17 +164,13 @@ def test_draws_csv_bytes_match_per_value_repr(tmp_path):
 def test_csv_float_fields_survive_round_trip(tmp_path_factory, values):
     # repr of a double parses back to the identical double
     tmp = tmp_path_factory.mktemp("floats")
-    units = tuple(
-        ObservedUnit(np.array([v]), 0, 0, v, 0, 0, v) for v in values
-    )
-    data = Dataset.from_units(units, 1)
+    zeros = np.zeros(len(values), dtype=np.int8)
+    data = Dataset(np.array(values)[:, None], zeros, zeros, values, zeros, zeros, values)
     path = tmp / "f.csv"
     write_dataset_csv(data, path)
     back = read_dataset_csv(path)
-    for orig, unit in zip(values, back):
-        assert unit.x2 == orig
-        assert unit.y == orig
-        assert unit.x1[0] == orig
+    for column in (back.X1[:, 0], back.x2, back.y):
+        assert column.tolist() == values
 
 
 def _truth_doc(tmp_path, n=12, seed=94):
@@ -234,6 +211,14 @@ def test_truth_sidecar_malformed_cells_are_schema_errors(tmp_path, cells):
     path, doc = _truth_doc(tmp_path)
     doc["tables"][0]["x2"] = cells
     with pytest.raises(SchemaError, match="unit 1"):
+        read_truth_json(_rewrite(path, doc))
+
+
+def test_truth_sidecar_misshapen_table_names_its_unit_and_label(tmp_path):
+    path, doc = _truth_doc(tmp_path)
+    # first-period cells of a nevertaker, final cell of an alwaystaker: no label's table
+    doc["tables"][2] = {"x2": [1.0, None], "y": [None, None, None, 1.0]}
+    with pytest.raises(SchemaError, match=f"unit 3: .* table for {doc['compliance'][2]}$"):
         read_truth_json(_rewrite(path, doc))
 
 
@@ -317,35 +302,6 @@ def test_dataset_csv_reader_fuzz_bytes_after_valid_header(tmp_path_factory, blob
     path = tmp_path_factory.mktemp("data") / "dataset.csv"
     path.write_bytes(b"x1_0,z1,w1,x2,z2,w2,y\n0.5,1,1,0.2,0,0,1.5\n" + blob)
     _reads_or_refuses(read_dataset_csv, path)
-
-
-@given(st.binary(max_size=300))
-@settings(max_examples=150, deadline=None)
-def test_dataset_json_reader_fuzz_arbitrary_bytes(tmp_path_factory, blob):
-    path = tmp_path_factory.mktemp("data") / "dataset.json"
-    path.write_bytes(blob)
-    _reads_or_refuses(read_dataset_json, path)
-
-
-_UNIT_KEYS = ["x1_0", "x1_1", "z1", "w1", "x2", "z2", "w2", "y"]
-_UNIT_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
-        st.sampled_from(_UNIT_KEYS), inner, max_size=8),
-    max_leaves=20)
-
-
-@given(st.fixed_dictionaries({
-    "covariate_dim": st.integers(-2, 3) | _UNIT_JSON,
-    "units": st.lists(st.fixed_dictionaries(
-        {k: st.sampled_from([0, 1, 0.5, "1", "x", None]) | _UNIT_JSON
-         for k in _UNIT_KEYS}), max_size=3) | _UNIT_JSON,
-}))
-@settings(max_examples=200, deadline=None)
-def test_dataset_json_reader_fuzz_json_shapes(tmp_path_factory, doc):
-    path = tmp_path_factory.mktemp("data") / "dataset.json"
-    path.write_text(json.dumps(doc))
-    _reads_or_refuses(read_dataset_json, path)
 
 
 def test_draws_reader_memory_stays_near_the_arrays(tmp_path):

@@ -1,26 +1,21 @@
-"""Compliance classification, potential tables, and dataset containers."""
+"""Compliance classification, potential-table shapes, and dataset columns."""
 
 import numpy as np
 import pytest
 
 from seqlate.domain import (
+    COMPLIANCE_CODE,
     COMPLIANCE_ORDER,
     ComplianceType,
     Dataset,
-    ObservedUnit,
-    PotentialTable,
     Y_CELLS,
     classify_compliance,
     consistent_types,
+    invalid_tables,
     realized_treatment,
     y_cell_index,
 )
-from seqlate.errors import (
-    DimensionMismatch,
-    InvariantViolation,
-    MonotonicityViolation,
-    UndefinedCell,
-)
+from seqlate.errors import DimensionMismatch, InvariantViolation, MonotonicityViolation
 
 NT = ComplianceType.NEVERTAKER
 CO = ComplianceType.COMPLIER
@@ -80,19 +75,21 @@ def test_y_cell_index_order():
     assert [y_cell_index(w1, w2) for (w1, w2) in Y_CELLS] == [0, 1, 2, 3]
 
 
+def _invalid(c, x2, y):
+    """invalid_tables on one table, None marking an undefined cell."""
+    cells = np.array(x2 + y, dtype=float)
+    return bool(invalid_tables(np.int8(COMPLIANCE_CODE[c]), cells[:2], cells[2:]))
+
+
 def test_potential_table_canonical_shapes():
-    nt_tab = PotentialTable(NT, (0.1, None), (0.2, None, None, None))
-    at_tab = PotentialTable(AT, (None, 0.3), (None, None, None, 0.4))
-    co_tab = PotentialTable(CO, (0.1, 0.2), (1.0, 2.0, 3.0, 4.0))
-    assert nt_tab.x2(0) == 0.1
-    assert at_tab.y(1, 1) == 0.4
-    assert co_tab.y(0, 1) == 2.0
+    assert not _invalid(NT, (0.1, None), (0.2, None, None, None))
+    assert not _invalid(AT, (None, 0.3), (None, None, None, 0.4))
+    assert not _invalid(CO, (0.1, 0.2), (1.0, 2.0, 3.0, 4.0))
 
 
 def test_potential_table_full_shape_allowed():
-    tab = PotentialTable(NT, (0.1, 0.2), (1.0, 2.0, 3.0, 4.0))
-    assert tab.x2(1) == 0.2
-    assert tab.y(1, 0) == 3.0
+    for c in COMPLIANCE_ORDER:
+        assert not _invalid(c, (0.1, 0.2), (1.0, 2.0, 3.0, 4.0))
 
 
 @pytest.mark.parametrize("c,x2,y", [
@@ -103,61 +100,51 @@ def test_potential_table_full_shape_allowed():
     (CO, (0.1, 0.2), (1.0, None, 3.0, 4.0)),
 ])
 def test_potential_table_rejects_misshapen_cells(c, x2, y):
-    with pytest.raises(InvariantViolation):
-        PotentialTable(c, x2, y)
+    assert _invalid(c, x2, y)
 
 
-def test_potential_table_undefined_cell_raises():
-    tab = PotentialTable(NT, (0.1, None), (0.2, None, None, None))
-    with pytest.raises(UndefinedCell):
-        tab.x2(1)
-    with pytest.raises(UndefinedCell):
-        tab.y(1, 1)
+def _dataset(**columns):
+    cols = dict(X1=np.array([[0.1, -0.2], [0.2, -0.4]]), z1=[0, 1], w1=[0, 1],
+                x2=[0.5, 1.5], z2=[0, 1], w2=[0, 1], y=[1.0, 2.0])
+    return Dataset(**{**cols, **columns})
 
 
-def test_observed_unit_validates_binaries():
-    with pytest.raises(InvariantViolation):
-        ObservedUnit(np.array([0.0]), 2, 0, 0.5, 0, 0, 1.0)
-    with pytest.raises(InvariantViolation):
-        ObservedUnit(np.array([0.0]), 0, 0, np.inf, 0, 0, 1.0)
+def test_dataset_validates_binaries_and_finite_values():
+    with pytest.raises(InvariantViolation, match="unit 0: z1 must be 0 or 1"):
+        _dataset(z1=[2, 1])
+    with pytest.raises(InvariantViolation, match="unit 0: x2 must be finite"):
+        _dataset(x2=[np.inf, 1.5])
 
 
-def test_observed_unit_consistent_types():
-    unit = ObservedUnit(np.array([0.3]), 0, 0, 0.5, 0, 0, 1.0)
-    assert unit.consistent_types() == frozenset({NT, CO})
-
-
-def test_observed_unit_covariates_read_only():
-    unit = ObservedUnit(np.array([0.3]), 0, 0, 0.5, 0, 0, 1.0)
-    with pytest.raises(ValueError):
-        unit.x1[0] = 9.0
+def test_dataset_columns_read_only():
+    data = _dataset()
+    for name, column in data.as_arrays().items():
+        with pytest.raises(ValueError):
+            column[0] = 1
+        assert getattr(data, name) is column
 
 
 def test_dataset_as_arrays_round_trip():
-    units = (
-        ObservedUnit(np.array([0.1, -0.2]), 0, 0, 0.5, 0, 0, 1.0),
-        ObservedUnit(np.array([0.2, -0.4]), 1, 1, 1.5, 1, 1, 2.0),
-        ObservedUnit(np.array([0.3, -0.6]), 0, 1, 2.5, 1, 1, 3.0),
-        ObservedUnit(np.array([0.4, -0.8]), 1, 0, 3.5, 0, 0, 4.0),
-    )
-    data = Dataset.from_units(units, 2)
+    data = Dataset(np.array([[0.1, -0.2], [0.2, -0.4], [0.3, -0.6], [0.4, -0.8]]),
+                   [0, 1, 0, 1], [0, 1, 1, 0], [0.5, 1.5, 2.5, 3.5], [0, 1, 1, 0],
+                   [0, 1, 1, 0], [1.0, 2.0, 3.0, 4.0])
     arr = data.as_arrays()
     assert arr["X1"].shape == (4, 2)
     assert np.array_equal(arr["y"], np.array([1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(arr["z1"], np.array([0, 1, 0, 1]))
+    assert arr["z1"].dtype == np.int8 and arr["x2"].dtype == float
     back = Dataset(**arr)
     assert back == data
 
 
 def test_dataset_rejects_wrong_covariate_dim():
-    unit = ObservedUnit(np.array([0.1]), 0, 0, 0.5, 0, 0, 1.0)
-    with pytest.raises(DimensionMismatch):
-        Dataset.from_units((unit,), 2)
+    # X1 of one dimension, of too many rows, of three dimensions
+    for X1 in (np.zeros(2), np.zeros((3, 1)), np.zeros((2, 1, 1))):
+        with pytest.raises(DimensionMismatch):
+            _dataset(X1=X1)
 
 
 def test_dataset_equality_is_by_value():
-    u1 = ObservedUnit(np.array([0.1]), 0, 0, 0.5, 0, 0, 1.0)
-    u2 = ObservedUnit(np.array([0.1]), 0, 0, 0.5, 0, 0, 1.0)
-    assert Dataset.from_units((u1,), 1) == Dataset.from_units((u2,), 1)
-    u3 = ObservedUnit(np.array([0.1]), 0, 0, 0.5, 0, 0, 1.5)
-    assert Dataset.from_units((u1,), 1) != Dataset.from_units((u3,), 1)
+    assert _dataset() == _dataset()
+    assert _dataset() != _dataset(y=[1.0, 2.5])
+    assert _dataset() != _dataset(X1=np.array([[0.1, -0.2], [0.2, -0.5]]))

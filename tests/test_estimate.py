@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seqlate.domain import Dataset, ObservedUnit
+from seqlate.domain import Dataset
 from seqlate.errors import EmptyArm, TooFewDraws
 from seqlate.estimate import (
     METHODS,
@@ -17,25 +17,14 @@ from seqlate.rng import substream
 from seqlate.simulate import ConstantCompliance, DgpConfig, simulate_dataset
 
 
-def unit(z1, w1, x2, z2, w2, y):
-    return ObservedUnit(np.array([0.0]), z1, w1, x2, z2, w2, y)
-
-
 def hand_dataset():
-    """Four always-assigned-consistent units per arm with known means."""
-    units = (
-        # assigned (1,1), compliers: y around 3
-        unit(1, 1, 0.0, 1, 1, 2.0),
-        unit(1, 1, 0.0, 1, 1, 4.0),
-        # assigned (0,0), compliers: y around 1
-        unit(0, 0, 0.0, 0, 0, 0.5),
-        unit(0, 0, 0.0, 0, 0, 1.5),
-        # assigned (0,0) but treated both periods: alwaystakers
-        unit(0, 1, 0.0, 0, 1, 10.0),
-        # assigned (1,1) but untreated: nevertaker
-        unit(1, 0, 0.0, 1, 0, -10.0),
-    )
-    return Dataset.from_units(units, 1)
+    """Six units with known arm means, one per column entry:
+    compliers assigned (1,1) with y 2 and 4, compliers assigned (0,0) with
+    y 0.5 and 1.5, an alwaystaker assigned (0,0) with y 10 and a
+    nevertaker assigned (1,1) with y -10."""
+    return Dataset(np.zeros((6, 1)), z1=[1, 1, 0, 0, 0, 1], w1=[1, 1, 0, 0, 1, 0],
+                   x2=np.zeros(6), z2=[1, 1, 0, 0, 0, 1], w2=[1, 1, 0, 0, 1, 0],
+                   y=[2.0, 4.0, 0.5, 1.5, 10.0, -10.0])
 
 
 def test_itt_uses_assignment_arms():
@@ -64,12 +53,8 @@ def test_as_treated_groups_by_receipt():
 
 
 def test_custom_arms_select_other_groups():
-    units = (
-        unit(1, 1, 0.0, 0, 0, 5.0),
-        unit(1, 1, 0.0, 0, 0, 7.0),
-        unit(0, 0, 0.0, 0, 0, 1.0),
-    )
-    data = Dataset.from_units(units, 1)
+    data = Dataset(np.zeros((3, 1)), z1=[1, 1, 0], w1=[1, 1, 0], x2=np.zeros(3),
+                   z2=[0, 0, 0], w2=[0, 0, 0], y=[5.0, 7.0, 1.0])
     rep = itt_estimate(data, arms=((1, 0), (0, 0)))
     assert rep.point == pytest.approx(6.0 - 1.0)
 
@@ -86,8 +71,8 @@ def test_full_compliance_collapses_all_baselines():
 
 
 def test_empty_arm_raises():
-    units = (unit(1, 1, 0.0, 1, 1, 2.0), unit(1, 1, 0.0, 1, 1, 3.0))
-    data = Dataset.from_units(units, 1)
+    data = Dataset(np.zeros((2, 1)), z1=[1, 1], w1=[1, 1], x2=np.zeros(2),
+                   z2=[1, 1], w2=[1, 1], y=[2.0, 3.0])
     with pytest.raises(EmptyArm):
         itt_estimate(data)
 

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 import seqlate.gibbs as gibbs
-from seqlate.domain import DEFAULT_CONTRAST, Y_CELLS, ComplianceType, Dataset, ObservedUnit
+from seqlate.domain import DEFAULT_CONTRAST, Y_CELLS, ComplianceType, Dataset
 from seqlate.errors import (
     InconsistentUnit,
     InvalidConfig,
@@ -73,7 +73,7 @@ def start(vd, seed, chains=(0,)):
 
 
 def one_unit_dataset(z1, w1, z2, w2):
-    return Dataset.from_units((ObservedUnit(np.array([0.3]), z1, w1, 0.6, z2, w2, 1.1),), 1)
+    return Dataset(np.array([[0.3]]), [z1], [w1], [0.6], [z2], [w2], [1.1])
 
 
 def test_label_posterior_equal_densities_split_half():
@@ -126,7 +126,7 @@ def test_label_posterior_is_permutation_equivariant():
                    float(rng.uniform(0.5, 2)))
         probs = compliance_posterior(th, data)
         perm = rng.permutation(len(data))
-        data_perm = Dataset.from_units([data.unit(i) for i in perm], 1)
+        data_perm = Dataset(**{k: v[perm] for k, v in data.as_arrays().items()})
         probs_perm = compliance_posterior(th, data_perm)
         assert np.array_equal(probs[perm], probs_perm)
 

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from seqlate.dataio import write_dataset_csv, write_truth_json
-from seqlate.domain import ComplianceType, classify_compliance, realized_treatment
+from seqlate.domain import (
+    COMPLIANCE_CODE,
+    COMPLIANCE_ORDER,
+    ComplianceType,
+    classify_compliance,
+    consistent_types,
+    realized_treatment,
+)
 from seqlate.errors import InvalidConfig, NoCompliers, UndefinedCell
 from seqlate.simulate import (
     ConstantAssignment,
@@ -21,7 +28,6 @@ from seqlate.simulate import (
 
 NT = ComplianceType.NEVERTAKER
 CO = ComplianceType.COMPLIER
-AT = ComplianceType.ALWAYSTAKER
 
 
 def test_simulation_is_deterministic():
@@ -29,7 +35,7 @@ def test_simulation_is_deterministic():
     d1, g1 = simulate_dataset(cfg)
     d2, g2 = simulate_dataset(cfg)
     assert d1 == d2
-    assert g1.compliance == g2.compliance
+    assert np.array_equal(g1.codes, g2.codes)
     assert g1.true_late == g2.true_late
     d3, _ = simulate_dataset(DgpConfig(n=50, seed=124))
     assert d3 != d1
@@ -38,18 +44,16 @@ def test_simulation_is_deterministic():
 def test_all_compliers_track_assignment():
     cfg = DgpConfig(n=40, seed=7, compliance_probs=ConstantCompliance((0.0, 1.0, 0.0)))
     data, gt = simulate_dataset(cfg)
-    assert all(c is CO for c in gt.compliance)
-    for unit in data:
-        assert unit.w1 == unit.z1
-        assert unit.w2 == unit.z2
+    assert (gt.codes == COMPLIANCE_CODE[CO]).all()
+    assert np.array_equal(data.w1, data.z1)
+    assert np.array_equal(data.w2, data.z2)
 
 
 def test_all_nevertakers_never_treated():
     cfg = DgpConfig(n=40, seed=8, compliance_probs=ConstantCompliance((1.0, 0.0, 0.0)))
     data, gt = simulate_dataset(cfg)
-    assert all(c is NT for c in gt.compliance)
-    for unit in data:
-        assert unit.w1 == 0 and unit.w2 == 0
+    assert (gt.codes == COMPLIANCE_CODE[NT]).all()
+    assert not data.w1.any() and not data.w2.any()
     with pytest.raises(NoCompliers):
         true_sample_late(gt)
     assert np.isnan(gt.true_late)
@@ -58,11 +62,13 @@ def test_all_nevertakers_never_treated():
 def test_receipts_match_labels_everywhere():
     cfg = DgpConfig(n=200, seed=9, compliance_probs=ConstantCompliance((0.3, 0.4, 0.3)))
     data, gt = simulate_dataset(cfg)
-    for unit, c in zip(data, gt.compliance):
-        assert unit.w1 == realized_treatment(c, unit.z1)
-        assert unit.w2 == realized_treatment(c, unit.z2)
+    for code, z1, w1, z2, w2 in zip(*(v.tolist() for v in (gt.codes, data.z1, data.w1,
+                                                          data.z2, data.w2))):
+        c = COMPLIANCE_ORDER[code]
+        assert w1 == realized_treatment(c, z1)
+        assert w2 == realized_treatment(c, z2)
         assert c is classify_compliance(realized_treatment(c, 0), realized_treatment(c, 1))
-        assert c in unit.consistent_types()
+        assert c in consistent_types(z1, w1, z2, w2)
 
 
 def test_stratum_and_assignment_frequencies():
@@ -71,11 +77,10 @@ def test_stratum_and_assignment_frequencies():
                     assignment_probs=ConstantAssignment(0.4, 0.7))
     data, gt = simulate_dataset(cfg)
     n = len(data)
-    freq = np.array([sum(1 for c in gt.compliance if c is k) / n
-                     for k in (NT, CO, AT)])
+    freq = np.bincount(gt.codes, minlength=3) / n
     assert np.abs(freq - np.array([0.2, 0.6, 0.2])).max() < 0.01
-    z1 = np.mean([u.z1 for u in data])
-    z2 = np.mean([u.z2 for u in data])
+    z1 = data.z1.mean()
+    z2 = data.z2.mean()
     assert abs(z1 - 0.4) < 0.01
     assert abs(z2 - 0.7) < 0.01
 
@@ -87,8 +92,8 @@ def test_logit_compliance_tracks_covariate():
                     compliance_probs=LogitCompliance(np.array([0.0, 3.0]),
                                                      np.array([0.0, 0.0])))
     data, gt = simulate_dataset(cfg)
-    x1 = np.array([u.x1[0] for u in data])
-    is_nt = np.array([c is NT for c in gt.compliance])
+    x1 = data.X1[:, 0]
+    is_nt = gt.codes == COMPLIANCE_CODE[NT]
     assert is_nt[x1 > 1.0].mean() > 0.7
     assert is_nt[x1 < -1.0].mean() < 0.1
 
@@ -98,9 +103,7 @@ def test_logit_assignment_tracks_covariate():
                     assignment_probs=LogitAssignment(np.array([0.0, 2.5]),
                                                      np.array([0.0, 0.0])))
     data, _ = simulate_dataset(cfg)
-    x1 = np.array([u.x1[0] for u in data])
-    z1 = np.array([u.z1 for u in data])
-    z2 = np.array([u.z2 for u in data])
+    x1, z1, z2 = data.X1[:, 0], data.z1, data.z2
     assert z1[x1 > 1.0].mean() > 0.85
     assert z1[x1 < -1.0].mean() < 0.15
     assert abs(z2.mean() - 0.5) < 0.02
@@ -113,9 +116,9 @@ def test_assignment_flip_keeps_potential_outcomes():
                 all_cells=True)
     _, gt0 = simulate_dataset(DgpConfig(assignment_probs=ConstantAssignment(0.0, 0.0), **base))
     _, gt1 = simulate_dataset(DgpConfig(assignment_probs=ConstantAssignment(1.0, 1.0), **base))
-    assert gt0.compliance == gt1.compliance
-    for t0, t1 in zip(gt0.tables, gt1.tables):
-        assert t0 == t1
+    assert np.array_equal(gt0.codes, gt1.codes)
+    assert np.array_equal(gt0.x2_cells, gt1.x2_cells)
+    assert np.array_equal(gt0.y_cells, gt1.y_cells)
     assert gt0.true_late == gt1.true_late
 
 
@@ -148,7 +151,9 @@ def test_true_sample_late_through_intermediate_channel():
 def test_true_sample_sate_needs_all_cells():
     cfg = DgpConfig(n=20, seed=16, compliance_probs=ConstantCompliance((0.4, 0.2, 0.4)))
     _, gt = simulate_dataset(cfg)
-    with pytest.raises(UndefinedCell):
+    first = int(np.argmax(gt.codes != COMPLIANCE_CODE[CO]))
+    label = COMPLIANCE_ORDER[gt.codes[first]].value
+    with pytest.raises(UndefinedCell, match=f"^unit {first}: .* for a {label} unit$"):
         true_sample_sate(gt)
     cfg_all = DgpConfig(n=20, seed=16, all_cells=True,
                         compliance_probs=ConstantCompliance((0.4, 0.2, 0.4)))

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from seqlate.domain import Dataset, ObservedUnit
+from seqlate.domain import Dataset
 from seqlate.errors import (
     DimensionMismatch,
     InconsistentUnit,
@@ -45,8 +45,11 @@ def flat_theta(sigma=1.0, gamma_nt=0.0, gamma_at=0.0):
                  np.zeros(5), sigma, np.zeros(8), sigma)
 
 
-def unit(z1, w1, z2, w2, x1=0.5, x2=0.1, y=0.2):
-    return ObservedUnit(np.array([x1]), z1, w1, x2, z2, w2, y)
+def histories(z1, w1, z2, w2):
+    """Units with the given assignment and receipt columns, and x1 = 0.5,
+    x2 = 0.1, y = 0.2."""
+    n = len(z1)
+    return Dataset(np.full((n, 1), 0.5), z1, w1, np.full(n, 0.1), z2, w2, np.full(n, 0.2))
 
 
 def test_exact_posterior_is_coherent():
@@ -80,7 +83,7 @@ def test_exact_posterior_matches_committed_golden():
 
 def test_exact_posterior_certain_units_get_sole_type():
     # one alwaystaker-certain unit and one nevertaker-certain unit
-    data = Dataset.from_units((unit(0, 1, 1, 1), unit(1, 0, 0, 0)), 1)
+    data = histories(z1=[0, 1], w1=[1, 0], z2=[1, 0], w2=[1, 0])
     spec = DiscreteSpec((flat_theta(), flat_theta(sigma=2.0)), np.array([0.5, 0.5]))
     post = exact_posterior(data, spec)
     # excluded strata carry literally zero mass; the sole admissible one
@@ -99,7 +102,7 @@ def test_exact_posterior_certain_units_get_sole_type():
 def test_exact_posterior_flat_likelihood_recovers_prior_weights():
     # sigma so large that the data carry no information about theta, with
     # identical stratum models across the grid: theta posterior == weights
-    data = Dataset.from_units((unit(0, 0, 0, 0), unit(1, 1, 1, 1)), 1)
+    data = histories(z1=[0, 1], w1=[0, 1], z2=[0, 1], w2=[0, 1])
     thetas = tuple(flat_theta(sigma=1e6, gamma_nt=g) for g in (0.0, 0.0, 0.0))
     weights = np.array([0.5, 0.3, 0.2])
     post = exact_posterior(data, DiscreteSpec(thetas, weights))
@@ -110,7 +113,7 @@ def test_exact_posterior_permutation_invariance():
     data, spec = load_three_unit_fixture()
     post = exact_posterior(data, spec)
     for perm in ((2, 0, 1), (1, 2, 0), (2, 1, 0)):
-        permuted = Dataset.from_units([data.unit(i) for i in perm], data.covariate_dim)
+        permuted = Dataset(**{k: v[list(perm)] for k, v in data.as_arrays().items()})
         post_p = exact_posterior(permuted, spec)
         rel = abs(post_p.log_evidence - post.log_evidence) / abs(post.log_evidence)
         assert rel < 1e-12
@@ -122,11 +125,11 @@ def test_exact_posterior_permutation_invariance():
 
 def test_exact_posterior_too_large():
     spec = DiscreteSpec((flat_theta(),), np.array([1.0]), max_units=3)
-    data = Dataset.from_units(tuple(unit(0, 0, 0, 0) for _ in range(4)), 1)
+    data = histories(*np.zeros((4, 4), dtype=int))
     with pytest.raises(TooLarge):
         exact_posterior(data, spec)
     tight = DiscreteSpec((flat_theta(),), np.array([1.0]), budget=10)
-    small = Dataset.from_units(tuple(unit(0, 0, 0, 0) for _ in range(3)), 1)
+    small = histories(*np.zeros((4, 3), dtype=int))
     with pytest.raises(TooLarge):
         exact_posterior(small, tight)
 
@@ -161,14 +164,15 @@ def test_complier_contrasts_match_per_unit_imputation_means():
         a, b = th.alpha, th.beta
         for contrast in itertools.permutations(cells, 2):
             got = _complier_contrasts(th, vd, contrast)
-            for i, u in enumerate(data):
+            for i, (x1, obs_w1, obs_x2, obs_w2, obs_y) in enumerate(zip(
+                    data.X1[:, 0], data.w1, data.x2, data.w2, data.y)):
                 def x2_at(w1):
-                    return u.x2 if w1 == u.w1 else a[0] + a[1] * u.x1[0] + a[2] * w1
+                    return obs_x2 if w1 == obs_w1 else a[0] + a[1] * x1 + a[2] * w1
 
                 def y_at(w1, w2):
-                    if (w1, w2) == (u.w1, u.w2):
-                        return u.y
-                    return (b[0] + b[1] * u.x1[0] + b[2] * x2_at(w1) + b[3] * w1
+                    if (w1, w2) == (obs_w1, obs_w2):
+                        return obs_y
+                    return (b[0] + b[1] * x1 + b[2] * x2_at(w1) + b[3] * w1
                             + b[4] * w2 + b[5] * w1 * w2)
                 want = y_at(*contrast[0]) - y_at(*contrast[1])
                 assert got[i] == pytest.approx(want, rel=0.0, abs=1e-12)
