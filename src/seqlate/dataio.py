@@ -3,6 +3,11 @@
 The CSV contract: header ``x1_0,...,x1_{p-1},z1,w1,x2,z2,w2,y``, one row per
 unit, floats rendered with repr so a write/read/write cycle is
 byte-identical.
+
+The simulator's two files are written _CHUNK units at a time, so writing
+holds one chunk's text, not the whole file's.  The truth sidecar's tables
+are decoded straight into one buffer of cells, so reading holds the text and
+that buffer, not an object per cell.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ PathLike = Union[str, Path]
 
 _FIXED_COLUMNS = ("z1", "w1", "x2", "z2", "w2", "y")
 
+# units rendered per write; each file's text is written one chunk at a time
+_CHUNK = 2048
+
 
 def dataset_header(covariate_dim: int) -> List[str]:
     return [f"x1_{j}" for j in range(covariate_dim)] + list(_FIXED_COLUMNS)
@@ -43,17 +51,20 @@ def _columns(data: Dataset) -> List[np.ndarray]:
 
 
 def write_dataset_csv(data: Dataset, path: PathLike) -> None:
-    # repr of each float, str of each 0/1
-    text = [list(map(repr if c.dtype.kind == "f" else str, c.tolist())) for c in _columns(data)]
+    columns = _columns(data)
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset_header(data.covariate_dim))
-        writer.writerows(zip(*text))
+        for start in range(0, len(data), _CHUNK):
+            # repr of each float, str of each 0/1
+            writer.writerows(zip(*[map(repr if c.dtype.kind == "f" else str,
+                                       c[start:start + _CHUNK].tolist()) for c in columns]))
 
 
-def _load_json(path: Path):
+def _load_json(path: Path, object_pairs_hook=None, parse_constant=None):
     try:
-        return json.loads(path.read_text())
+        return json.loads(path.read_text(), object_pairs_hook=object_pairs_hook,
+                          parse_constant=parse_constant)
     except UnicodeDecodeError as e:
         raise SchemaError(f"{path}: not a text file: {e}") from None
     except ValueError as e:
@@ -156,12 +167,23 @@ def read_dataset_csv(path: PathLike) -> Dataset:
 
 _TABLE_JSON = ('{\n      "x2": [\n        %s,\n        %s\n      ],\n'
                '      "y": [\n        %s,\n        %s,\n        %s,\n        %s\n      ]\n    }')
+_ITEM_SEP = ",\n    "
 
 
-def _json_list(items: List[str]) -> str:
-    """A list of rendered JSON values as json.dumps(..., indent=2) lays it
-    out as the value of a top-level key."""
-    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+def _write_json_list(fh, n: int, render) -> None:
+    """Write a list of n items as json.dumps(..., indent=2) lays it out as
+    the value of a top-level key.  render(start, stop) gives the JSON text
+    of items start..stop-1 joined by the item separator; it is called for
+    one chunk of items at a time."""
+    if not n:
+        fh.write("[]")
+        return
+    fh.write("[\n    ")
+    for start in range(0, n, _CHUNK):
+        if start:
+            fh.write(_ITEM_SEP)
+        fh.write(render(start, min(start + _CHUNK, n)))
+    fh.write("\n  ]")
 
 
 def write_truth_json(truth: GroundTruth, path: PathLike) -> None:
@@ -169,21 +191,85 @@ def write_truth_json(truth: GroundTruth, path: PathLike) -> None:
 
     The text is the one json.dumps(doc, indent=2) gives for
     {"compliance": [label, ...], "tables": [{"x2": [...], "y": [...]}, ...],
-    "true_late": float or null, "n_co": int}, with null for undefined cells,
-    rendered straight from the columns.
+    "true_late": float or null, "n_co": int}, with null for undefined cells.
+    It is rendered straight from the columns and written _CHUNK units at a
+    time, so memory stays near one chunk's text whatever the unit count.
     """
     labels = [f'"{c.value}"' for c in COMPLIANCE_ORDER]
-    cells = np.concatenate([truth.x2_cells, truth.y_cells], axis=1).ravel().tolist()
-    cells = [repr(v) if v == v else "null" for v in cells]
-    tables = [_TABLE_JSON % tuple(cells[k:k + 6]) for k in range(0, len(cells), 6)]
+
+    def label_text(start: int, stop: int) -> str:
+        return _ITEM_SEP.join([labels[c] for c in truth.codes[start:stop].tolist()])
+
+    def table_text(start: int, stop: int) -> str:
+        cells = np.concatenate([truth.x2_cells[start:stop], truth.y_cells[start:stop]], axis=1)
+        cells = [repr(v) if v == v else "null" for v in cells.ravel().tolist()]
+        return _ITEM_SEP.join([_TABLE_JSON] * (stop - start)) % tuple(cells)
+
     late = "null" if math.isnan(truth.true_late) else repr(truth.true_late)
-    Path(path).write_text(
-        '{\n  "compliance": ' + _json_list([labels[c] for c in truth.codes.tolist()])
-        + ',\n  "tables": ' + _json_list(tables)
-        + f',\n  "true_late": {late},\n  "n_co": {truth.n_co}\n}}\n')
+    with Path(path).open("w") as fh:
+        fh.write('{\n  "compliance": ')
+        _write_json_list(fh, len(truth), label_text)
+        fh.write(',\n  "tables": ')
+        _write_json_list(fh, len(truth), table_text)
+        fh.write(f',\n  "true_late": {late},\n  "n_co": {truth.n_co}\n}}\n')
 
 
 _LABEL_CODES = {c.value: k for k, c in enumerate(COMPLIANCE_ORDER)}
+_NAN = float("nan")
+
+
+class _Table:
+    """A table that the decoder wrote into the cell buffer as its row-th
+    row.  No JSON value has this type, so no field but a table accepts it."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: int):
+        self.row = row
+
+    def __repr__(self) -> str:
+        return "{'x2': [...], 'y': [...]}"
+
+
+class _NonFinite(float):
+    """NaN or an infinity written as a JSON literal.  Being no plain float,
+    it keeps a table that holds one out of the cell buffer."""
+
+    __slots__ = ()
+
+
+_CELL_TYPES = frozenset({float, int, type(None)})
+
+
+def _table_hook(cells: array):
+    """A json.loads object_pairs_hook.  An object with exactly the keys x2
+    and y, holding a list of 2 and a list of 4 cells that are each a number
+    or null, is appended to cells as one row (NaN for null) and decoded as a
+    _Table; every other object is decoded as a dict."""
+    typed, append_row = _CELL_TYPES.issuperset, cells.fromlist
+
+    def hook(pairs):
+        try:
+            (k0, x2), (k1, y) = pairs
+        except ValueError:
+            return dict(pairs)
+        if k0 != "x2" or k1 != "y":
+            if k0 != "y" or k1 != "x2":
+                return dict(pairs)
+            x2, y = y, x2
+        if type(x2) is list is type(y) and len(x2) == 2 and len(y) == 4:
+            row = x2 + y
+            if typed(map(type, row)):
+                if None in row:
+                    row = [_NAN if v is None else v for v in row]
+                try:
+                    append_row(row)         # all or nothing
+                except OverflowError:       # an integer beyond the float range
+                    return dict(pairs)
+                return _Table(len(cells) // 6 - 1)
+        return dict(pairs)
+
+    return hook
 
 
 def _truth_number(value, what: str, path: Path) -> Optional[float]:
@@ -211,9 +297,18 @@ def _truth_cells(rec, key: str, size: int, unit: int, path: Path) -> list:
 def read_truth_json(path: PathLike) -> GroundTruth:
     """Parse a ground-truth sidecar.  A sidecar that is not the shape
     write_truth_json produces, or whose labels, tables and complier count
-    disagree with each other, raises SchemaError naming the first bad unit."""
+    disagree with each other, raises SchemaError naming the first bad unit.
+
+    The decoder writes every well-formed table straight into one buffer of
+    cells, six per table, so no per-cell objects outlive the decoding of
+    their table.  A table it leaves as a dict (an extra key, say) is checked
+    cell by cell.
+    """
     path = Path(path)
-    doc = _load_json(path)
+    cells = array("d")
+    doc = _load_json(path, _table_hook(cells), _NonFinite)
+    if type(doc) is _Table:     # an object, but without the sidecar's keys
+        doc = {}
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     for key in ("compliance", "tables", "true_late", "n_co"):
@@ -234,28 +329,39 @@ def read_truth_json(path: PathLike) -> GroundTruth:
     if isinstance(n_co, bool) or not isinstance(n_co, int) or n_co != n_labelled:
         raise SchemaError(f"{path}: n_co is {n_co!r:.40} but {n_labelled} units carry "
                           f"the complier label")
-    try:
-        # all cells at once, NaN for null; any fault falls through to the unit-by-unit check
-        x2, y = [rec["x2"] for rec in recs], [rec["y"] for rec in recs]
-        flat = [v for cells in x2 + y for v in cells]
-        x2 = np.array(x2, dtype=float).reshape(len(recs), 2)
-        y = np.array(y, dtype=float).reshape(len(recs), 4)
-        if (not set(map(type, flat)) <= {float, int, type(None)}
-                or np.isfinite(x2).sum() + np.isfinite(y).sum() + flat.count(None) != len(flat)
-                or invalid_tables(codes, x2, y).any()):
-            raise ValueError("a cell or a table is malformed")
-        late = _truth_number(doc["true_late"], "true_late", path)
-        return GroundTruth(codes, x2, y, float("nan") if late is None else late, n_co)
-    except (ValueError, LookupError, TypeError, OverflowError) as e:
-        error = e
-    # name the first bad unit; a bad table is reported before a bad true_late
-    for unit, (code, rec) in enumerate(zip(codes, recs), start=1):
-        cells = _truth_cells(rec, "x2", 2, unit, path) + _truth_cells(rec, "y", 4, unit, path)
-        cells = np.array(cells, dtype=float)     # None becomes NaN
-        if invalid_tables(code, cells[:2], cells[2:]):
-            raise SchemaError(f"{path}: unit {unit}: cells are not the canonical or full "
-                              f"table for {COMPLIANCE_ORDER[code].value}")
-    raise error if isinstance(error, SchemaError) else SchemaError(f"{path}: malformed tables")
+    # each unit's row of the buffer, up to the first unit whose cells are malformed
+    rows, error = [], None
+    for unit, rec in enumerate(recs, start=1):
+        if type(rec) is _Table:
+            rows.append(rec.row)
+            continue
+        try:
+            row = _truth_cells(rec, "x2", 2, unit, path) + _truth_cells(rec, "y", 4, unit, path)
+        except SchemaError as e:
+            error = e
+            break
+        rows.append(len(cells) // 6)
+        cells.fromlist([_NAN if v is None else v for v in row])
+    rows = np.array(rows, dtype=np.intp)
+    table = np.frombuffer(cells, dtype=np.float64).reshape(-1, 6)
+    x2, y = table[rows, :2], table[rows, 2:]
+    # a number literal beyond the float range decodes to an infinite cell;
+    # that, or a misshapen table, is reported before a later unit's
+    # malformed cells or a bad true_late
+    bad = (np.isinf(x2).any(axis=1) | np.isinf(y).any(axis=1)
+           | invalid_tables(codes[:len(rows)], x2, y))
+    if bad.any():
+        unit = int(bad.argmax())
+        for key, row in (("x2", x2[unit]), ("y", y[unit])):
+            # raises for an infinite cell as the cell-by-cell check does; NaN is null here
+            _truth_cells({key: [None if v != v else v for v in row.tolist()]},
+                         key, len(row), unit + 1, path)
+        raise SchemaError(f"{path}: unit {unit + 1}: cells are not the canonical or full "
+                          f"table for {COMPLIANCE_ORDER[codes[unit]].value}")
+    if error is not None:
+        raise error
+    late = _truth_number(doc["true_late"], "true_late", path)
+    return GroundTruth(codes, x2, y, _NAN if late is None else late, n_co)
 
 
 def read_summary_contrast(path: PathLike) -> Contrast:
