@@ -6,8 +6,9 @@ byte-identical.
 
 The simulator's two files are written _CHUNK units at a time, so writing
 holds one chunk's text, not the whole file's.  The truth sidecar's tables
-are decoded straight into one buffer of cells, so reading holds the text and
-that buffer, not an object per cell.
+are decoded into two buffers of cells, _TABLE_QUEUE tables at a time, so
+reading holds the text, those buffers and a queue's cell objects, not an
+object per cell of the file.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import csv
 import json
 import math
 from array import array
+from itertools import chain
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -38,6 +40,8 @@ _FIXED_COLUMNS = ("z1", "w1", "x2", "z2", "w2", "y")
 
 # units rendered per write; each file's text is written one chunk at a time
 _CHUNK = 2048
+# tables whose cells the truth reader checks and writes at once
+_TABLE_QUEUE = 256
 
 
 def dataset_header(covariate_dim: int) -> List[str]:
@@ -219,13 +223,11 @@ _NAN = float("nan")
 
 
 class _Table:
-    """A table that the decoder wrote into the cell buffer as its row-th
-    row.  No JSON value has this type, so no field but a table accepts it."""
+    """An object with exactly the keys x2 and y, decoded into a row of the
+    cell buffers.  No JSON value has this type, so no field but a table
+    accepts it."""
 
-    __slots__ = ("row",)
-
-    def __init__(self, row: int):
-        self.row = row
+    __slots__ = ()
 
     def __repr__(self) -> str:
         return "{'x2': [...], 'y': [...]}"
@@ -233,7 +235,7 @@ class _Table:
 
 class _NonFinite(float):
     """NaN or an infinity written as a JSON literal.  Being no plain float,
-    it keeps a table that holds one out of the cell buffer."""
+    it keeps a table that holds one out of the cell buffers."""
 
     __slots__ = ()
 
@@ -241,35 +243,81 @@ class _NonFinite(float):
 _CELL_TYPES = frozenset({float, int, type(None)})
 
 
-def _table_hook(cells: array):
-    """A json.loads object_pairs_hook.  An object with exactly the keys x2
-    and y, holding a list of 2 and a list of 4 cells that are each a number
-    or null, is appended to cells as one row (NaN for null) and decoded as a
-    _Table; every other object is decoded as a dict."""
-    typed, append_row = _CELL_TYPES.issuperset, cells.fromlist
+def _flat_cells(lists: list, size: int) -> Optional[array]:
+    """The cells of lists, each a list of size finite numbers or nulls, in
+    one array with NaN for null; None if any is not such a list."""
+    if set(map(type, lists)) != {list} or set(map(len, lists)) != {size}:
+        return None
+    cells = list(chain.from_iterable(lists))
+    if not _CELL_TYPES.issuperset(map(type, cells)):
+        return None
+    try:
+        cells = array("d", [_NAN if v is None else v for v in cells])
+    except OverflowError:       # an integer beyond the float range
+        return None
+    # a number literal beyond the float range (1e999) decodes to infinity
+    return None if np.isinf(cells).any() else cells
+
+
+def _table_decoder():
+    """A json.loads object_pairs_hook, and a function that returns what it
+    decoded once json.loads is done.
+
+    The hook decodes each object with exactly the keys x2 and y, in either
+    order, as a _Table, and every other object as a dict.  Each table gets
+    the next row of two cell buffers: its cells are checked and written
+    _TABLE_QUEUE tables at a time, NaN for null.  A table whose cells are not a
+    list of 2 and a list of 4 finite numbers or nulls gets a row of NaN and
+    is kept, keyed by its row, as the dict to check cell by cell in its
+    place.  The function returns the (rows, 2) and (rows, 4) cells, the
+    _Tables in row order and those dicts.
+    """
+    x2_cells, y_cells, tables, loose = array("d"), array("d"), [], {}
+    x2s, ys = [], []    # the cell lists of the tables not yet written
+
+    def write(x2_lists: list, y_lists: list) -> bool:
+        x2, y = _flat_cells(x2_lists, 2), _flat_cells(y_lists, 4)
+        if x2 is None or y is None:
+            return False
+        x2_cells.extend(x2)
+        y_cells.extend(y)
+        return True
+
+    def flush() -> None:
+        if not write(x2s, ys):
+            for row, (x2, y) in enumerate(zip(x2s, ys), start=len(tables) - len(x2s)):
+                if not write([x2], [y]):
+                    x2_cells.fromlist([_NAN] * 2)
+                    y_cells.fromlist([_NAN] * 4)
+                    loose[row] = {"x2": x2, "y": y}
+        x2s.clear()
+        ys.clear()
 
     def hook(pairs):
-        try:
-            (k0, x2), (k1, y) = pairs
-        except ValueError:
-            return dict(pairs)
-        if k0 != "x2" or k1 != "y":
-            if k0 != "y" or k1 != "x2":
+        if len(pairs) == 2:
+            (k0, v0), (k1, v1) = pairs
+            if k0 == "x2" and k1 == "y":
+                x2s.append(v0)
+                ys.append(v1)
+            elif k0 == "y" and k1 == "x2":
+                x2s.append(v1)
+                ys.append(v0)
+            else:
                 return dict(pairs)
-            x2, y = y, x2
-        if type(x2) is list is type(y) and len(x2) == 2 and len(y) == 4:
-            row = x2 + y
-            if typed(map(type, row)):
-                if None in row:
-                    row = [_NAN if v is None else v for v in row]
-                try:
-                    append_row(row)         # all or nothing
-                except OverflowError:       # an integer beyond the float range
-                    return dict(pairs)
-                return _Table(len(cells) // 6 - 1)
+            table = _Table()
+            tables.append(table)
+            if len(x2s) == _TABLE_QUEUE:
+                flush()
+            return table
         return dict(pairs)
 
-    return hook
+    def finish():
+        if x2s:
+            flush()
+        return (np.frombuffer(x2_cells, dtype=np.float64).reshape(-1, 2),
+                np.frombuffer(y_cells, dtype=np.float64).reshape(-1, 4), tables, loose)
+
+    return hook, finish
 
 
 def _truth_number(value, what: str, path: Path) -> Optional[float]:
@@ -299,14 +347,15 @@ def read_truth_json(path: PathLike) -> GroundTruth:
     write_truth_json produces, or whose labels, tables and complier count
     disagree with each other, raises SchemaError naming the first bad unit.
 
-    The decoder writes every well-formed table straight into one buffer of
-    cells, six per table, so no per-cell objects outlive the decoding of
-    their table.  A table it leaves as a dict (an extra key, say) is checked
-    cell by cell.
+    The decoder keeps no per-cell objects beyond _TABLE_QUEUE tables: it
+    writes their cells into two buffers that many tables at a time, and
+    decodes each table as a marker.  A table that is not in the buffers (an
+    extra key, say, or a cell that is no number) is checked cell by cell.
     """
     path = Path(path)
-    cells = array("d")
-    doc = _load_json(path, _table_hook(cells), _NonFinite)
+    hook, finish = _table_decoder()
+    doc = _load_json(path, hook, _NonFinite)
+    x2_cells, y_cells, tables, loose = finish()
     if type(doc) is _Table:     # an object, but without the sidecar's keys
         doc = {}
     if not isinstance(doc, dict):
@@ -319,49 +368,49 @@ def read_truth_json(path: PathLike) -> GroundTruth:
         raise SchemaError(f"{path}: compliance and tables must be lists")
     if len(recs) != len(labels):
         raise SchemaError(f"{path}: {len(recs)} tables for {len(labels)} compliance labels")
-    codes = [_LABEL_CODES.get(v) if isinstance(v, str) else None for v in labels]
-    if None in codes:
-        unit = codes.index(None)
+    try:    # get gives None for an unknown label, which array rejects, and raises for a list
+        codes = np.frombuffer(array("b", map(_LABEL_CODES.get, labels)), dtype=np.int8)
+    except TypeError:
+        unit = [isinstance(v, str) and v in _LABEL_CODES for v in labels].index(False)
         raise SchemaError(f"{path}: unit {unit + 1}: unknown compliance label "
-                          f"{labels[unit]!r:.40}")
-    codes = np.array(codes, dtype=np.int8)
+                          f"{labels[unit]!r:.40}") from None
     n_labelled = int((codes == CO).sum())
     if isinstance(n_co, bool) or not isinstance(n_co, int) or n_co != n_labelled:
         raise SchemaError(f"{path}: n_co is {n_co!r:.40} but {n_labelled} units carry "
                           f"the complier label")
-    # each unit's row of the buffer, up to the first unit whose cells are malformed
-    rows, error = [], None
-    for unit, rec in enumerate(recs, start=1):
-        if type(rec) is _Table:
-            rows.append(rec.row)
-            continue
-        try:
-            row = _truth_cells(rec, "x2", 2, unit, path) + _truth_cells(rec, "y", 4, unit, path)
-        except SchemaError as e:
-            error = e
-            break
-        rows.append(len(cells) // 6)
-        cells.fromlist([_NAN if v is None else v for v in row])
-    rows = np.array(rows, dtype=np.intp)
-    table = np.frombuffer(cells, dtype=np.float64).reshape(-1, 6)
-    x2, y = table[rows, :2], table[rows, 2:]
-    # a number literal beyond the float range decodes to an infinite cell;
-    # that, or a misshapen table, is reported before a later unit's
-    # malformed cells or a bad true_late
-    bad = (np.isinf(x2).any(axis=1) | np.isinf(y).any(axis=1)
-           | invalid_tables(codes[:len(rows)], x2, y))
+    error = None
+    # write_truth_json's tables are the buffers' rows in order; otherwise
+    # gather each unit's row, up to the first unit whose cells are malformed
+    if loose or recs != tables:
+        row_of = {table: row for row, table in enumerate(tables)}
+        rows, dicts = [], []
+        for unit, rec in enumerate(recs, start=1):
+            if type(rec) is _Table:
+                if row_of[rec] not in loose:
+                    rows.append(row_of[rec])
+                    continue
+                rec = loose[row_of[rec]]
+            try:
+                dicts.append(_truth_cells(rec, "x2", 2, unit, path)
+                             + _truth_cells(rec, "y", 4, unit, path))
+            except SchemaError as e:
+                error = e
+                break
+            rows.append(len(x2_cells) + len(dicts) - 1)
+        dicts = np.array(dicts, dtype=np.float64).reshape(-1, 6)     # NaN for None
+        x2_cells = np.concatenate([x2_cells, dicts[:, :2]])[rows]
+        y_cells = np.concatenate([y_cells, dicts[:, 2:]])[rows]
+    # a misshapen table is reported before a later unit's malformed cells
+    # or a bad true_late
+    bad = invalid_tables(codes[:len(x2_cells)], x2_cells, y_cells)
     if bad.any():
         unit = int(bad.argmax())
-        for key, row in (("x2", x2[unit]), ("y", y[unit])):
-            # raises for an infinite cell as the cell-by-cell check does; NaN is null here
-            _truth_cells({key: [None if v != v else v for v in row.tolist()]},
-                         key, len(row), unit + 1, path)
         raise SchemaError(f"{path}: unit {unit + 1}: cells are not the canonical or full "
                           f"table for {COMPLIANCE_ORDER[codes[unit]].value}")
     if error is not None:
         raise error
     late = _truth_number(doc["true_late"], "true_late", path)
-    return GroundTruth(codes, x2, y, _NAN if late is None else late, n_co)
+    return GroundTruth(codes, x2_cells, y_cells, _NAN if late is None else late, n_co)
 
 
 def read_summary_contrast(path: PathLike) -> Contrast:

@@ -117,13 +117,17 @@ CANONICAL_X2_MASK = np.array([[1, 0], [1, 1], [0, 1]], dtype=bool)
 CANONICAL_Y_MASK = np.array([[1, 0, 0, 0], [1, 1, 1, 1], [0, 0, 0, 1]], dtype=bool)
 
 
+# a table's defined cells as bits: x2 cells in bits 0-1, y cells in bits 2-5
+_X2_BITS, _Y_BITS = np.array([1, 2]), np.array([4, 8, 16, 32])
+_CANONICAL_BITS = CANONICAL_X2_MASK @ _X2_BITS + CANONICAL_Y_MASK @ _Y_BITS
+_FULL_BITS = 63
+
+
 def invalid_tables(codes: np.ndarray, x2_cells: np.ndarray, y_cells: np.ndarray) -> np.ndarray:
     """Per row: whether its defined (non-NaN) cells are neither the canonical
     nor the full table for its label code."""
-    def_x2, def_y = ~np.isnan(x2_cells), ~np.isnan(y_cells)
-    canonical = ((def_x2 == CANONICAL_X2_MASK[codes]).all(axis=-1)
-                 & (def_y == CANONICAL_Y_MASK[codes]).all(axis=-1))
-    return ~(canonical | (def_x2.all(axis=-1) & def_y.all(axis=-1)))
+    defined = ~np.isnan(x2_cells) @ _X2_BITS + ~np.isnan(y_cells) @ _Y_BITS
+    return (defined != _CANONICAL_BITS[codes]) & (defined != _FULL_BITS)
 
 
 _COLUMNS = ("X1", "z1", "w1", "x2", "z2", "w2", "y")
