@@ -11,7 +11,7 @@ Each sweep has up to three blocks, executed in this order:
    entirely.
 2. step_compliance: redraw each unit's label from its exact conditional
    given the parameters and that unit's observed record.  Types the
-   assignment/receipt pattern rules out get probability exactly zero.
+   assignment/receipt pattern rules out are never drawn.
 3. step_impute: draw each chain's complier effect given theta and the
    labels.
 
@@ -56,22 +56,22 @@ Metropolis decisions loop over chains.
 The conjugate blocks regress without stacking rows: the observed rows'
 Gram matrices are built once per dataset, and each sweep adds the label
 sums in closed form (_normal_equations).  In "marginal_mh" mode the
-accepted theta's log posterior and masked log-weights travel with the
-state: the label step normalises the log-weights instead of evaluating them
-again, and the next Metropolis step starts from both.
+accepted theta's log posterior and log-weights travel with the state: the
+label step draws from the log-weights instead of evaluating them again, and
+the next Metropolis step starts from both.
 
 The label matrices (log stratum probabilities, observed-cell log densities,
-log-weights, label probabilities) are (C, n, 3) views of (3, C, n) arrays,
-one contiguous (C, n) block per type in (nt, co, at) order, and every
-per-unit reduction over the three types is written as elementwise
-operations on those blocks: a three-way maximum, the sum (c0 + c1) + c2, the
-running sums of an inverse-CDF draw.  numpy reduces along a length-3 axis
-row by row, which costs tens of nanoseconds per unit, while an elementwise
-pass over a block costs about one.  The block forms perform the same float
-operations in the same order as the row-wise reductions, so the draws do
-not change.  Inadmissible types are masked by adding a precomputed 0 / -inf
-matrix.  A run keeps these matrices in buffers allocated once per dataset
-and chain count (_Work), so a sweep at large n
+log-weights) are (C, n, 3) views of (3, C, n) arrays, one contiguous (C, n)
+block per type in (nt, co, at) order.  Monotonicity rules out defiers, so no
+unit admits both nt and at: each admits one type or the adjacent pair
+{nt, co} or {co, at} (Imbens & Rubin 1997).  A one-type unit's label is its
+lower code and its marginal likelihood that type's log-weight; a two-type
+unit's pair is gathered by precomputed flat indices, reduced to m = their
+maximum, e = exp(lw - m) and e_lower + e_upper, and takes the upper code iff
+p_lower = e_lower / (e_lower + e_upper) is at or below its uniform.  These
+are the floats of the row-wise reductions over all three types, whose
+inadmissible terms are exact zeros.  A run keeps the matrices in buffers
+allocated once per dataset and chain count (_Work), so a sweep at large n
 does not allocate and fault in fresh pages for them.
 
 Proposal scales adapt per chain with a decaying Robbins-Monro rule during
@@ -180,8 +180,9 @@ class _VectorData:
                 f"w2={self.w2[i]}) admits no compliance type"
             )
         self.consistent = consistent
-        # added to the label log-weights: 0 where admissible, -inf where not
-        self.logmask = np.where(consistent, 0.0, -np.inf).copy(order="F")
+        # a unit admits its lowest admissible code and at most the next one
+        self.low = consistent.argmax(axis=1).astype(np.int8)
+        self.two = np.flatnonzero(consistent.sum(axis=1) == 2)
         self.obs_ycol = 2 * self.w1 + self.w2
         # (4, n) masks of the (w1, w2) groups, in Y_CELLS order
         self.groups = self.obs_ycol == np.arange(4)[:, None]
@@ -201,12 +202,6 @@ class _VectorData:
         self.x2_lmap, self.y_lmap = (_indicator_map(c, p + 7) for c in (x_cols, y_cols))
         self._works: Dict[int, _Work] = {}
 
-    @functools.cached_property
-    def admissible(self) -> np.ndarray:
-        """The (type, unit) entries admitting a label, the only ones
-        _normalise exponentiates, as flat indices into a (3, n) block."""
-        return np.flatnonzero(self.consistent.T)
-
     def work(self, n_chains: int) -> "_Work":
         """The buffers of a lockstep run of n_chains chains on this dataset."""
         if n_chains not in self._works:
@@ -215,24 +210,26 @@ class _VectorData:
 
 
 class _Work:
-    """Buffers reused sweep after sweep by C chains on one dataset.
+    """Buffers and indices reused sweep after sweep by C chains on one dataset.
 
     Label matrices are (C, n, 3) views of (3, C, n) arrays: logw takes the
-    log-weights the label step evaluates and then the label probabilities,
-    cells the observed-cell densities, and both serve _admissible_exp.  The
-    two log-weight matrices a marginal_mh state caches (lw, made on first
-    use) alternate: a step writes into the one its input state does not
-    hold, so the input stays valid and the state before it is overwritten.
-    admissible holds the flat indices of the admissible entries of a (3, C, n) block.
+    log-weights the label step evaluates, cells the observed-cell densities
+    and then the label step's uniforms.  The two log-weight matrices a
+    marginal_mh state caches (lw, made on first use) alternate: a step
+    writes into the one its input state does not hold, so the input stays
+    valid and the state before it is overwritten.  low (C, n) and pairs
+    (2, C, len(two)) are flat indices into a (3, C, n) block, or for one
+    chain a (3, n) one: every unit's lower type, each two-type unit's lower
+    and upper type.
     """
 
     def __init__(self, vd: _VectorData, n_chains: int):
         C, n = n_chains, vd.n
         self.shape = (C, n)
-        self.admissible = np.flatnonzero(np.broadcast_to(vd.consistent.T[:, None], (3, C, n)))
+        self.low = vd.low.astype(np.intp) * (C * n) + np.arange(C * n).reshape(C, n)
+        lower = self.low[:, vd.two]
+        self.pairs = np.stack([lower, lower + C * n])
         self.logw, self.cells = type_major((C,), n), type_major((C,), n)
-        # the buffers of _admissible_exp: maxima, and the two above
-        self.exp = (np.empty((C, n)), self.cells, self.logw)
 
     @functools.cached_property
     def lw(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -267,8 +264,8 @@ class ChainState:
 
     theta has a chain axis.  compliance holds (C, n) int8 codes in
     (nt, co, at) order.  rngs holds one Generator per chain.  logweights is
-    None or (theta, its (C,) marginal log posteriors, its masked (C, n, 3)
-    label log-weights), left by the marginal_mh update for the label step
+    None or (theta, its (C,) marginal log posteriors, its (C, n, 3) label
+    log-weights), left by the marginal_mh update for the label step
     and the next update.  logits is None or (theta, U1 @ gamma_nt,
     U1 @ gamma_at, and their log-sum-exp with the complier's zero), each
     (C, n), left by the conjugate update for the label step and the next
@@ -288,25 +285,6 @@ class ChainState:
         return (self.compliance == CO).sum(axis=-1)
 
 
-def _vector_categorical(probs: np.ndarray, u: np.ndarray, scratch=None) -> np.ndarray:
-    """Inverse-CDF draws from probability vectors along the last axis of
-    probs, which has length three.
-
-    A row's draw is the number of its running sums p0, p0 + p1,
-    (p0 + p1) + p2 at or below u, capped at its last positive entry, so a
-    zero-probability type is never selected.  Every row must hold a positive
-    entry.  Type j is probs[..., j], which broadcasts against u, so
-    (1, k, n, 3) probabilities and (s, 1, n) uniforms give (s, k, n) draws.
-    scratch, if given, holds the running sums.
-    """
-    p0, p1, p2 = probs[..., 0], probs[..., 1], probs[..., 2]
-    c = np.add(p0, p1, out=scratch)
-    idx = (p0 <= u).view(np.int8) + (c <= u).view(np.int8)
-    idx += (np.add(c, p2, out=c) <= u).view(np.int8)
-    lastpos = np.where(p2 > 0.0, np.int8(2), (p1 > 0.0).view(np.int8))
-    return np.minimum(idx, lastpos, out=idx)
-
-
 def _cached(cache: Optional[tuple], theta: Theta) -> Optional[tuple]:
     """A state's cache without its key, if it was left for theta."""
     return cache[1:] if cache is not None and cache[0] is theta else None
@@ -314,8 +292,8 @@ def _cached(cache: Optional[tuple], theta: Theta) -> Optional[tuple]:
 
 def _log_weights(theta: Theta, vd: _VectorData, out=None, cells=None,
                  logits=None) -> np.ndarray:
-    """(..., n, 3) unnormalised log label weights, type-major; inadmissible
-    types get -inf.  out and cells: optional type-major buffers for the
+    """(..., n, 3) unnormalised log label weights, type-major, of every type,
+    admissible or not.  out and cells: optional type-major buffers for the
     result and for the observed-cell densities (out is their scratch until
     the stratum probabilities fill it); logits: theta's logit columns and
     their log-sum-exp, if known."""
@@ -323,62 +301,31 @@ def _log_weights(theta: Theta, vd: _VectorData, out=None, cells=None,
                                   out=cells, scratch=out)
     lw = compliance_log_prob_matrix(theta, vd.U1, out=out, logits=logits)
     lw += cells
-    lw += vd.logmask
     return lw
 
 
-def _admissible_exp(lw: np.ndarray, admissible: np.ndarray, buf=None) -> tuple:
-    """(m, e, total) for lw (..., n, 3) that is -inf outside the entries
-    admissible (flat indices into the (3, ..., n) view of lw): the maxima
-    over types, the type-major exp(lw - m) and its sums (e0 + e1) + e2.
-
-    exp runs at the admissible entries only, all types in one call; the
-    others get 0.0 without paying for exp(-inf), several times slower than
-    exp of a finite float.  buf, if given, is a _Work's (m, cells, logw),
-    used in turn: m for the maxima, cells for the gathered entries and then
-    the sums, logw (which may hold lw) for the gathered maxima and then e.
-    """
-    lw3 = types_first(lw)
-    if buf is None:
-        m, g, h, e, total = np.empty(lw3.shape[1:]), None, None, None, None
-    else:
-        m, cells, e = buf
-        size = admissible.size
-        cells, e = types_first(cells), types_first(e)
-        g, h, total = cells.reshape(-1)[:size], e.reshape(-1)[:size], cells[0]
-    np.maximum(lw3[0], lw3[1], out=m)
-    np.maximum(m, lw3[2], out=m)
-    x = np.take(lw3.reshape(-1), admissible, out=g, mode="clip")
-    x -= np.take(m.reshape(-1), admissible % m.size, out=h, mode="clip")
-    if e is None:
-        e = np.zeros(lw3.shape)
-    else:
-        e.fill(0.0)
-    e.reshape(-1)[admissible] = np.exp(x, out=x)
-    total = np.add(e[0], e[1], out=total)
-    total += e[2]
-    return m, types_last(e), total
+def _pair_exp(lw: np.ndarray, pairs: np.ndarray) -> tuple:
+    """(m, e, total) of the two-type units' log-weights in lw (..., n, 3),
+    whose (lower, upper) entries pairs indexes in the flat (3, ..., n) view
+    of lw: the larger of each pair, the (2, ..., len(two)) exp(lw - m) and
+    their sums e_lower + e_upper."""
+    g = np.take(types_first(lw).reshape(-1), pairs)
+    m = np.maximum(g[0], g[1])
+    e = np.exp(np.subtract(g, m, out=g), out=g)
+    return m, e, np.add(e[0], e[1])
 
 
-def _normalise(lw: np.ndarray, admissible: np.ndarray, buf=None) -> np.ndarray:
-    """Normalised exp(lw) over the last axis, type-major, for lw -inf
-    outside admissible."""
-    _, e, total = _admissible_exp(lw, admissible, buf)
-    return np.divide(e, total[..., None], out=e)
-
-
-def compliance_posterior(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarray:
-    """(..., n, 3) exact conditional label probabilities given theta, with
-    theta's chain axis, if any, leading.
-
-    Per unit, the weight of stratum c is the product of the two treatment
-    point masses, the stratum probability, and the observed-cell densities;
-    strata with a zero treatment factor get probability exactly 0.0.
-    """
-    vd = as_vector_data(data)
-    lw = _log_weights(theta, vd)
-    chains = lw.shape[:-2]
-    return _normalise(lw, vd.work(chains[0]).admissible if chains else vd.admissible)
+def _draw_labels(vd: _VectorData, p_lower, u: np.ndarray) -> np.ndarray:
+    """int8 labels from uniforms u (..., n): each unit's lower admissible
+    code, the upper one at a two-type unit where p_lower (..., len(two)),
+    its lower type's probability, is at or below its uniform; p_lower
+    broadcasts against u, so (k, .) probabilities and (s, 1, n) uniforms
+    give (s, k, n) labels."""
+    upper = p_lower <= u[..., vd.two]
+    codes = np.empty(upper.shape[:-1] + (vd.n,), dtype=np.int8)
+    codes[...] = vd.low
+    codes[..., vd.two] += upper
+    return codes
 
 
 def step_compliance(state: ChainState, data: Union[Dataset, _VectorData]) -> ChainState:
@@ -396,14 +343,12 @@ def step_compliance(state: ChainState, data: Union[Dataset, _VectorData]) -> Cha
     else:
         lw = _log_weights(state.theta, vd, out=w.logw, cells=w.cells,
                           logits=_cached(state.logits, state.theta))
-    probs = _normalise(lw, w.admissible, w.exp)
-    # the maxima and the sums, no longer needed, take the categorical's
-    # running sums and the uniforms
-    m, u = w.exp[0], types_first(w.cells)[0]
+    _, e, total = _pair_exp(lw, w.pairs)
+    # the observed-cell densities, no longer needed, take the uniforms
+    u = types_first(w.cells)[0]
     for rng, row in zip(state.rngs, u):
         rng.random(out=row)
-    codes = _vector_categorical(probs, u, m)
-    return replace(state, compliance=codes)
+    return replace(state, compliance=_draw_labels(vd, np.divide(e[0], total, out=total), u))
 
 
 def _arms(contrast: Contrast) -> Contrast:
@@ -692,17 +637,21 @@ def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
     return Theta(*g, alpha, sigma_x, beta, sigma_y), (*cols, lse)
 
 
-def _marginal_loglik(lw: np.ndarray, admissible: np.ndarray, buf=None):
-    """Sum over units of the label-marginalized log likelihood, per chain,
-    from the masked log-weight matrix and its admissible entries."""
-    m, _, total = _admissible_exp(lw, admissible, buf)
-    s = np.add(m, np.log(total, out=total), out=total).sum(axis=-1)
-    return float(s) if s.ndim == 0 else s
+def _marginal_loglik(lw: np.ndarray, vd: _VectorData):
+    """Sum over units of the label-marginalized log likelihood from the
+    log-weights lw (..., n, 3), per chain for a chain axis: a one-type
+    unit's log-weight, a two-type unit's m + log(e_lower + e_upper)."""
+    w = vd.work(lw.shape[0] if lw.ndim == 3 else 1)
+    s = np.take(types_first(lw).reshape(-1), w.low)
+    m, _, total = _pair_exp(lw, w.pairs)
+    s[:, vd.two] = np.add(m, np.log(total, out=total), out=total)
+    s = s.sum(axis=-1)
+    return s if lw.ndim == 3 else float(s[0])
 
 
 def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarray:
-    """Gradient of _marginal_loglik(_log_weights(theta, vd), vd.admissible)
-    in Theta.to_vector() layout, for a theta without a chain axis.
+    """Gradient of _marginal_loglik(_log_weights(theta, vd), vd) in
+    Theta.to_vector() layout, for a theta without a chain axis.
 
     It is sum_i sum_c r_ic d lw_ic / d theta, with r the normalised label
     weights: a multinomial-logit score (r - pi) U1 for the logit rows, and a
@@ -711,7 +660,12 @@ def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarra
     nevertaker) indicators.
     """
     vd = as_vector_data(data)
-    r = _normalise(_log_weights(theta, vd), vd.admissible)
+    w = vd.work(1)
+    _, e, total = _pair_exp(_log_weights(theta, vd), w.pairs)
+    r = np.zeros(3 * vd.n)
+    r[w.low] = 1.0
+    r[w.pairs] = e / total
+    r = types_last(r.reshape(3, vd.n))
     pc = np.exp(compliance_log_prob_matrix(theta, vd.U1))
     parts = [vd.U1.T @ (r[:, NT] - pc[:, NT]), vd.U1.T @ (r[:, AT] - pc[:, AT])]
     for static, resp, coef, sigma in ((vd.x2_static, vd.x2, theta.alpha, theta.sigma_x),
@@ -755,15 +709,15 @@ def _unpack_unconstrained(vec: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarr
 
 def _marginal_logpost(theta: Theta, vd: _VectorData, prior: PriorSpec,
                       out=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Per chain log posterior on the log-sigma scale, and the masked
-    log-weights, written into out when given."""
+    """Per chain log posterior on the log-sigma scale, and the log-weights,
+    written into out when given."""
     w = vd.work(theta.gamma_nt.shape[0])
     lw = _log_weights(theta, vd, out=out, cells=w.cells)
     # change of variables to log sigma adds 2*log(sigma) per noise scale
     logs = [np.array([math.log(s) for s in sigma.tolist()])
             for sigma in (theta.sigma_x, theta.sigma_y)]
     lp = (log_prior(theta, prior) + 2.0 * logs[0] + 2.0 * logs[1]
-          + _marginal_loglik(lw, w.admissible, w.exp))
+          + _marginal_loglik(lw, vd))
     return lp, lw
 
 
@@ -846,8 +800,7 @@ def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: Prio
 
 def _uniform_labels(vd: _VectorData, rng: np.random.Generator) -> np.ndarray:
     """Labels drawn uniformly over each unit's admissible types, from n uniforms."""
-    mask = vd.consistent.astype(float)
-    return _vector_categorical(mask / mask.sum(axis=1, keepdims=True), rng.uniform(size=vd.n))
+    return _draw_labels(vd, 0.5, rng.uniform(size=vd.n))
 
 
 def init_state(data: Union[Dataset, _VectorData],

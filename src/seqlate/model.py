@@ -279,7 +279,7 @@ def observed_cell_logliks(theta: Theta, X1: np.ndarray, w1: np.ndarray,
     an optional buffer of the same layout.
 
     Column order matches COMPLIANCE_ORDER.  Consistency with the treatment
-    pattern is NOT applied here; callers mask inadmissible types.  Each
+    pattern is NOT applied here; callers read admissible types only.  Each
     column is _normal_logpdf of both cells, the three types evaluated at
     once on a (3, ..., n) view with the same floats.
     """

@@ -30,7 +30,7 @@ import numpy as np
 
 from .domain import CO, DEFAULT_CONTRAST, Contrast, Dataset, y_cell_index
 from .errors import InvalidConfig, InvariantViolation, TooFewDraws, TooLarge
-from .gibbs import _VectorData, _normalise, _uniform_labels, _vector_categorical, as_vector_data
+from .gibbs import _VectorData, _draw_labels, _pair_exp, _uniform_labels, as_vector_data
 # the kernels are called through this module's own names, not through
 # gibbs._log_weights, so that counting the sampler's calls leaves these out
 from .model import Theta, compliance_log_prob_matrix, inverse_cdf_draw, observed_cell_logliks
@@ -129,7 +129,7 @@ def _grid_factors(vd: _VectorData, spec: DiscreteSpec,
     for ki, th in enumerate(spec.thetas):
         lw = compliance_log_prob_matrix(th, vd.U1)
         lw = lw + observed_cell_logliks(th, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y)
-        L[ki] = lw + vd.logmask
+        L[ki] = np.where(vd.consistent, lw, -np.inf)
         diffs[ki] = _complier_contrasts(th, vd, contrast)
     return L, diffs
 
@@ -287,9 +287,10 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     # the same five-factor tensor the enumerator sums over
     L, diffs = _grid_factors(vd, spec, contrast)
     by_code = [np.ascontiguousarray(L[:, :, c].T) for c in range(3)]
-    # exact conditional over labels at each grid point, laid out
-    # (1, grid, unit, type) so one categorical draw covers every grid point
-    label_probs = np.stack([_normalise(L[ki], vd.admissible) for ki in range(k)])[None]
+    # each two-type unit's lower-type probability at every grid point, the
+    # grid axis as the chain axis, so one label draw covers every grid point
+    _, e, total = _pair_exp(L, vd.work(k).pairs)
+    p_lower = e[0] / total
     log_w = np.log(spec.weights)
     rng = substream(seed, "grid-gibbs", 0)
 
@@ -304,7 +305,7 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
         size = stop - start
         u = rng.uniform(size=(size, n + 1))
         # (sweep, grid index, unit) labels and (sweep, grid index) configurations
-        at_k = _vector_categorical(label_probs, u[:, None, 1:])
+        at_k = _draw_labels(vd, p_lower, u[:, None, 1:])
         configs = at_k @ powers
         # the grid conditional after each configuration the next sweep can
         # start from: the block's but the last sweep's, then the carried one

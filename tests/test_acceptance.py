@@ -18,13 +18,14 @@ from seqlate.cli import main as cli_main
 from seqlate.domain import Dataset
 from seqlate.estimate import itt_estimate, per_protocol_estimate, as_treated_estimate
 from seqlate.gibbs import (
+    ChainState,
     SamplerConfig,
     _log_weights,
     _marginal_loglik,
     as_vector_data,
-    compliance_posterior,
     fit,
     marginal_score,
+    step_compliance,
 )
 from seqlate.model import PriorSpec, Theta, theta_field_names
 from seqlate.rng import substream
@@ -42,6 +43,8 @@ from seqlate.validate import (
     rhat,
     total_variation,
 )
+
+from label_reference import label_posterior
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -73,13 +76,20 @@ def test_criterion_2_forbidden_strata_get_exact_zero():
     rng = substream(271828, "criterion2-theta", 0)
     th = Theta(rng.normal(0, 0.5, 2), rng.normal(0, 0.5, 2),
                rng.normal(0, 0.5, 5), 1.3, rng.normal(0, 0.5, 8), 0.9)
-    probs = compliance_posterior(th, data)
+    probs = label_posterior(th, data)
     z1, w1, z2, w2 = data.z1, data.w1, data.z2, data.w2
     at_certain = ((z1 == 0) & (w1 == 1)) | ((z2 == 0) & (w2 == 1))
     nt_certain = ((z1 == 1) & (w1 == 0)) | ((z2 == 1) & (w2 == 0))
     n_at, n_nt = int(at_certain.sum()), int(nt_certain.sum())
+    # the sampler draws their one admissible type, whatever the uniforms
+    vd = as_vector_data(data)
+    chains = Theta.from_vector(np.tile(th.to_vector(), (4, 1)), 1)
+    state = ChainState(chains, np.tile(vd.low, (4, 1)),
+                       tuple(substream(271828, "criterion2-labels", k) for k in range(4)))
+    labels = step_compliance(state, vd).compliance
     exact = bool((probs[at_certain] == [0.0, 0.0, 1.0]).all()
-                 and (probs[nt_certain] == [1.0, 0.0, 0.0]).all())
+                 and (probs[nt_certain] == [1.0, 0.0, 0.0]).all()
+                 and (labels[:, at_certain] == 2).all() and (labels[:, nt_certain] == 0).all())
     ok = exact and n_at >= 50 and n_nt >= 50
     _report(2, "certain units get probability exactly one",
             ok, f"{n_at} alwaystaker-certain and {n_nt} nevertaker-certain "
@@ -299,9 +309,8 @@ def test_criterion_9_analytic_gradient_matches_finite_differences():
             hi, lo = vec.copy(), vec.copy()
             hi[j] += h
             lo[j] -= h
-            fd[j] = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 1), vd), vd.admissible)
-                     - _marginal_loglik(_log_weights(Theta.from_vector(lo, 1), vd), vd.admissible)
-                     ) / (2 * h)
+            fd[j] = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 1), vd), vd)
+                     - _marginal_loglik(_log_weights(Theta.from_vector(lo, 1), vd), vd)) / (2 * h)
         rel = float(np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12))
         worst = max(worst, rel)
     ok = worst < 1e-4

@@ -1,7 +1,6 @@
 """Sampler blocks: exact label conditionals, the effect draw, kernels, chains."""
 
 import copy
-import itertools
 import math
 from dataclasses import replace
 
@@ -25,7 +24,6 @@ from seqlate.gibbs import (
     _draw_ridge,
     _draw_variance,
     as_vector_data,
-    compliance_posterior,
     fit,
     init_state,
     late_draw,
@@ -46,6 +44,15 @@ from seqlate.model import (
 from seqlate.rng import substream
 from seqlate.simulate import ConstantCompliance, DgpConfig, LogitCompliance, simulate_dataset
 from seqlate.validate import _complier_contrasts
+
+from label_reference import (
+    label_posterior,
+    ref_compliance_log_prob_matrix,
+    ref_log_weights,
+    ref_marginal_loglik,
+    ref_normalise,
+    ref_vector_categorical,
+)
 
 # a column kernel producing inf - inf or 0 * inf fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -79,7 +86,7 @@ def one_unit_dataset(z1, w1, z2, w2):
 def test_label_posterior_equal_densities_split_half():
     # nevertaker and complier explain an untreated control unit equally well
     # when the stratum probabilities are uniform: exactly (0.5, 0.5, 0)
-    probs = compliance_posterior(zero_loading_theta(), one_unit_dataset(0, 0, 0, 0))
+    probs = label_posterior(zero_loading_theta(), one_unit_dataset(0, 0, 0, 0))
     assert probs[0, 2] == 0.0
     assert probs[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert probs[0, 1] == pytest.approx(0.5, abs=1e-15)
@@ -89,7 +96,7 @@ def test_label_posterior_prior_odds_carry_through():
     # nevertaker prior odds 1:3 against the complier, equal densities:
     # posterior must be (0.25, 0.75, 0)
     th = zero_loading_theta(gamma_nt=(np.log(1.0 / 3.0), 0.0))
-    probs = compliance_posterior(th, one_unit_dataset(0, 0, 0, 0))
+    probs = label_posterior(th, one_unit_dataset(0, 0, 0, 0))
     assert probs[0, 2] == 0.0
     assert probs[0, 0] == pytest.approx(0.25, abs=1e-12)
     assert probs[0, 1] == pytest.approx(0.75, abs=1e-12)
@@ -102,17 +109,17 @@ def test_label_posterior_certain_units_are_exact():
                    float(rng.uniform(0.5, 2)), rng.normal(size=8),
                    float(rng.uniform(0.5, 2)))
         # treated while assigned control in period 1: alwaystaker for sure
-        probs = compliance_posterior(th, one_unit_dataset(0, 1, 1, 1))
+        probs = label_posterior(th, one_unit_dataset(0, 1, 1, 1))
         assert probs[0].tolist() == [0.0, 0.0, 1.0]
         # untreated while assigned treatment in period 2: nevertaker for sure
-        probs = compliance_posterior(th, one_unit_dataset(0, 0, 1, 0))
+        probs = label_posterior(th, one_unit_dataset(0, 0, 1, 0))
         assert probs[0].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_label_posterior_rows_sum_to_one():
     data, _ = simulate_dataset(DgpConfig(n=100, seed=22))
     th = zero_loading_theta()
-    probs = compliance_posterior(th, data)
+    probs = label_posterior(th, data)
     assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert probs.min() >= 0.0
 
@@ -124,10 +131,10 @@ def test_label_posterior_is_permutation_equivariant():
         th = Theta(rng.normal(size=2), rng.normal(size=2), rng.normal(size=5),
                    float(rng.uniform(0.5, 2)), rng.normal(size=8),
                    float(rng.uniform(0.5, 2)))
-        probs = compliance_posterior(th, data)
+        probs = label_posterior(th, data)
         perm = rng.permutation(len(data))
         data_perm = Dataset(**{k: v[perm] for k, v in data.as_arrays().items()})
-        probs_perm = compliance_posterior(th, data_perm)
+        probs_perm = label_posterior(th, data_perm)
         assert np.array_equal(probs[perm], probs_perm)
 
 
@@ -514,7 +521,7 @@ def test_marginal_warmup_updates_theta_only(monkeypatch, mode):
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
 def test_first_kept_marginal_labels_come_from_the_exact_conditional(monkeypatch, mode):
     # every label draw, the first kept one included, uses the kept theta and
-    # the same uniforms as a draw from compliance_posterior; after
+    # the same uniforms as a row-wise draw from the exact conditional; after
     # theta-only marginal warmup the first kept draw is the run's first
     data, _ = simulate_dataset(DgpConfig(n=90, seed=52))
     vd = as_vector_data(data)
@@ -524,8 +531,8 @@ def test_first_kept_marginal_labels_come_from_the_exact_conditional(monkeypatch,
     def checked(state, data):
         u = copy.deepcopy(state.rngs[0]).uniform(size=vd.n)
         out = original(state, data)
-        want = gibbs._vector_categorical(compliance_posterior(state.theta, vd), u)
-        seen.append((state.theta.to_vector()[0], np.array_equal(out.compliance, want)))
+        want = ref_vector_categorical(label_posterior(state.theta, vd)[0], u)
+        seen.append((state.theta.to_vector()[0], np.array_equal(out.compliance[0], want)))
         return out
 
     monkeypatch.setattr(gibbs, "step_compliance", checked)
@@ -811,8 +818,9 @@ def test_labels_from_cached_log_weights_equal_the_posterior():
         rejected += new.theta is state.theta
         cached_theta, _, lw = new.logweights
         assert cached_theta is new.theta
-        probs = compliance_posterior(new.theta, vd)
-        assert np.array_equal(gibbs._normalise(lw, vd.admissible), probs)
+        # the cached matrix holds the exact conditional at the admissible types
+        admissible = np.where(vd.consistent, lw[0], -np.inf)
+        assert np.array_equal(ref_normalise(admissible), label_posterior(new.theta, vd)[0])
         # the same uniforms with and without the cached matrix
         fresh = replace(new, logweights=None, rngs=copy.deepcopy(new.rngs))
         labelled = step_compliance(new, vd)
@@ -829,8 +837,8 @@ def test_stale_log_weights_are_not_used():
     other = chains_of(zero_loading_theta())
     moved = replace(new, theta=other, rngs=copy.deepcopy(new.rngs))
     u = copy.deepcopy(new.rngs[0]).uniform(size=vd.n)
-    want = gibbs._vector_categorical(compliance_posterior(other, vd), u)
-    assert np.array_equal(step_compliance(moved, vd).compliance, want)
+    want = ref_vector_categorical(label_posterior(other, vd)[0], u)
+    assert np.array_equal(step_compliance(moved, vd).compliance[0], want)
 
 
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
@@ -845,37 +853,9 @@ def test_invariant_checks_do_not_change_draws(mode):
 
 
 # ---------------------------------------------------------------------------
-# column kernels against the row-wise reductions over (n, 3) they replaced;
-# the two must give the same floats
+# column kernels and the two-type label layer against the row-wise reductions
+# over (n, 3) of label_reference; the two must give the same floats
 # ---------------------------------------------------------------------------
-
-def ref_compliance_log_prob_matrix(theta, U1):
-    n = U1.shape[0]
-    logits = np.column_stack([U1 @ theta.gamma_nt, np.zeros(n), U1 @ theta.gamma_at])
-    m = logits.max(axis=1, keepdims=True)
-    lse = m + np.log(np.exp(logits - m).sum(axis=1, keepdims=True))
-    return logits - lse
-
-
-def ref_log_weights(theta, vd):
-    lw = ref_compliance_log_prob_matrix(theta, vd.U1)
-    lw = lw + np.ascontiguousarray(
-        observed_cell_logliks(theta, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y))
-    lw[~vd.consistent] = -np.inf
-    return lw
-
-
-def ref_normalise(lw):
-    m = lw.max(axis=1, keepdims=True)
-    w = np.exp(lw - m)
-    return w / w.sum(axis=1, keepdims=True)
-
-
-def ref_marginal_loglik(lw):
-    m = lw.max(axis=1)
-    tot = m + np.log(np.exp(lw - m[:, None]).sum(axis=1))
-    return float(tot.sum())
-
 
 def ref_gamma_logpost(gnt, gat, U1, codes, coef_sd):
     n = U1.shape[0]
@@ -889,28 +869,40 @@ def ref_gamma_logpost(gnt, gat, U1, codes, coef_sd):
     return ll + lp
 
 
-def ref_vector_categorical(probs, u):
-    cum = np.cumsum(probs, axis=1)
-    idx = (cum <= u[:, None]).sum(axis=1)
-    lastpos = probs.shape[1] - 1 - np.argmax((probs > 0.0)[:, ::-1], axis=1)
-    return np.minimum(idx, lastpos).astype(np.int8)
-
-
-# every nonempty set of admissible types, as a row mask over (nt, co, at)
-_ADMISSIBLE = [m for m in itertools.product([False, True], repeat=3) if any(m)]
+# (z1, z2), (w1, w2) of the five admissible sets data can produce: {nt},
+# {co}, {at}, {nt, co} and {co, at}.  Admitting nt needs w = (0, 0) and
+# admitting at w = (1, 1), so no unit admits {nt, at} or {nt, co, at}, and
+# _VectorData refuses a unit that admits no type.
+_PATTERNS = [((1, 1), (0, 0)), ((0, 1), (0, 1)), ((0, 0), (1, 1)),
+             ((0, 0), (0, 0)), ((1, 1), (1, 1))]
 _LOG_WEIGHT = (st.floats(-745.0, 745.0)
                | st.sampled_from([-709.5, -700.0, -0.0, 0.0, 1e-300, 700.0, 709.5]))
 _LOGIT = st.floats(-720.0, 720.0) | st.sampled_from([-700.0, 0.0, 700.0])
 
 
+def patterned_data(patterns):
+    """The column view of units whose admissible sets are _PATTERNS[k] for
+    k in patterns."""
+    (z1, z2), (w1, w2) = np.array([_PATTERNS[k] for k in patterns]).transpose(1, 2, 0)
+    n = len(patterns)
+    return as_vector_data(Dataset(np.zeros((n, 1)), z1, w1, np.zeros(n), z2, w2, np.zeros(n)))
+
+
+def lower_probs(vd, probs):
+    """The two-type units' lower-type probabilities in (n, 3) probs."""
+    return probs[vd.two, vd.low[vd.two]]
+
+
 @st.composite
-def masked_log_weights(draw, max_rows=25):
-    """(n, 3) log-weights, -inf where a row's type is inadmissible, in C or
-    F layout; rows with a single admissible type included."""
+def log_weights_of_data(draw, max_rows=25):
+    """Units with drawn admissible sets, rows with a single type included;
+    their (n, 3) log-weights in C or F layout, drawn at the inadmissible
+    types too; and those log-weights with -inf at the inadmissible types."""
     n = draw(st.integers(1, max_rows))
+    vd = patterned_data(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
     vals = draw(hnp.arrays(np.float64, (n, 3), elements=_LOG_WEIGHT))
-    mask = np.array(draw(st.lists(st.sampled_from(_ADMISSIBLE), min_size=n, max_size=n)))
-    return np.array(np.where(mask, vals, -np.inf), order=draw(st.sampled_from("CF")))
+    lw = np.array(vals, order=draw(st.sampled_from("CF")))
+    return vd, lw, np.where(vd.consistent, lw, -np.inf)
 
 
 def boundary_uniforms(draw, cum):
@@ -932,36 +924,48 @@ def random_theta(rng, p, gamma_nt0, gamma_at0):
                  rng.normal(size=p + 7), float(rng.uniform(0.3, 3.0)))
 
 
-@given(masked_log_weights())
+@given(log_weights_of_data())
 @settings(max_examples=300, deadline=None)
-def test_normalise_and_marginal_loglik_match_row_reductions(lw):
-    admissible = np.flatnonzero(np.isfinite(lw.T))
-    probs = gibbs._normalise(lw, admissible)
-    assert probs.flags.f_contiguous
-    assert np.array_equal(probs, ref_normalise(lw))
-    assert gibbs._marginal_loglik(lw, admissible) == ref_marginal_loglik(lw)
+def test_pair_weights_and_marginal_loglik_match_row_reductions(case):
+    vd, lw, masked = case
+    probs = ref_normalise(masked)
+    _, e, total = gibbs._pair_exp(lw, vd.work(1).pairs)
+    assert np.array_equal(e[0, 0] / total[0], lower_probs(vd, probs))
+    assert np.array_equal(e[1, 0] / total[0], probs[vd.two, vd.low[vd.two] + 1])
+    # a one-type unit's sole type has probability exactly one, so its draw
+    # is its lower type and its marginal that type's log-weight
+    one = np.setdiff1d(np.arange(vd.n), vd.two)
+    assert (probs[one, vd.low[one]] == 1.0).all()
+    assert gibbs._marginal_loglik(lw, vd) == ref_marginal_loglik(masked)
 
 
-@given(masked_log_weights(), st.data())
+@given(log_weights_of_data(), st.data())
 @settings(max_examples=300, deadline=None)
-def test_vector_categorical_matches_row_cumsum(lw, data):
-    # masked types are zero-probability columns, trailing ones included
-    probs = ref_normalise(lw)
-    u = boundary_uniforms(data.draw, np.cumsum(probs, axis=1))
+def test_label_draw_matches_row_cumsum(case, data):
+    # inadmissible types are zero-probability columns of the row-wise
+    # draw, trailing ones included; the uniforms lie in [0, 1) as the
+    # sampler's do, where p_lower is exactly 1.0 if the upper weight
+    # underflows, so that type is never drawn, as the row-wise cap ensures
+    vd, _, masked = case
+    probs = ref_normalise(masked)
+    u = np.minimum(boundary_uniforms(data.draw, np.cumsum(probs, axis=1)), np.nextafter(1.0, 0.0))
     want = ref_vector_categorical(probs, u)
-    for layout in (probs, np.asfortranarray(probs)):
-        got = gibbs._vector_categorical(layout, u)
-        assert got.dtype == np.int8
-        assert np.array_equal(got, want)
-    assert (probs[np.arange(probs.shape[0]), want] > 0.0).all()
+    got = gibbs._draw_labels(vd, lower_probs(vd, probs), u)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, want)
+    assert vd.consistent[np.arange(vd.n), got].all()
 
 
-def test_vector_categorical_hand_rows():
-    probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0],
-                      [0.0, 0.5, 0.5], [0.25, 0.5, 0.25], [0.5, 0.5, 0.0]])
-    u = np.array([0.999, 0.0, 0.5, 0.5, 0.75, 1.0])
-    assert np.array_equal(gibbs._vector_categorical(probs, u), ref_vector_categorical(probs, u))
-    assert gibbs._vector_categorical(probs, u).tolist() == [0, 2, 1, 2, 2, 1]
+def test_label_draw_hand_rows():
+    # {nt}, {at}, {nt, co}, {co, at}, {co}, {nt, co}, {co, at}: a two-type
+    # unit takes its upper type iff its lower type's probability <= u
+    vd = patterned_data([0, 2, 3, 4, 1, 3, 4])
+    probs = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5],
+                      [0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.5, 0.5]])
+    u = np.array([0.999, 0.0, 0.5, 0.5, 0.75, np.nextafter(1.0, 0.0), np.nextafter(0.5, 0.0)])
+    got = gibbs._draw_labels(vd, lower_probs(vd, probs), u)
+    assert np.array_equal(got, ref_vector_categorical(probs, u))
+    assert got.tolist() == [0, 2, 1, 2, 1, 1, 1]
 
 
 @given(st.integers(1, 40), st.integers(1, 3), _LOGIT, _LOGIT, st.integers(0, 2 ** 32 - 1))
@@ -994,10 +998,10 @@ def test_log_weights_match_row_reductions(n, p, g_nt, g_at, seed):
     lw = gibbs._log_weights(th, vd)
     assert lw.flags.f_contiguous
     want = ref_log_weights(th, vd)
-    assert np.array_equal(lw, want)
-    assert (np.isneginf(lw) == ~vd.consistent).all()
-    assert np.array_equal(gibbs._normalise(lw, vd.admissible), ref_normalise(want))
-    assert gibbs._marginal_loglik(lw, vd.admissible) == ref_marginal_loglik(want)
+    assert np.array_equal(lw[vd.consistent], want[vd.consistent])
+    _, e, total = gibbs._pair_exp(lw, vd.work(1).pairs)
+    assert np.array_equal(e[0, 0] / total[0], lower_probs(vd, ref_normalise(want)))
+    assert gibbs._marginal_loglik(lw, vd) == ref_marginal_loglik(want)
 
 
 @given(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=12),

@@ -14,7 +14,14 @@ from seqlate.domain import (
     realized_treatment,
 )
 from seqlate.errors import DimensionMismatch, InconsistentUnit, InvariantViolation
-from seqlate.gibbs import _log_weights, _marginal_loglik, as_vector_data, marginal_score
+from seqlate.gibbs import (
+    ChainState,
+    _log_weights,
+    _marginal_loglik,
+    as_vector_data,
+    marginal_score,
+    step_compliance,
+)
 from seqlate.model import (
     PriorSpec,
     Theta,
@@ -151,8 +158,16 @@ def test_admissibility_mask_matches_consistent_types(z1, w1, z2, w2):
         with pytest.raises(InconsistentUnit):
             as_vector_data(data)
         return
-    got = as_vector_data(data).consistent[0]
-    assert {c for c, ok in zip(COMPLIANCE_ORDER, got) if ok} == want
+    vd = as_vector_data(data)
+    got = {c for c, ok in zip(COMPLIANCE_ORDER, vd.consistent[0]) if ok}
+    assert got == want
+    # the sampler's form: the lower admissible code, and the upper one for
+    # a unit in two; no unit admits both nt and at, so every set is {low}
+    # or {low, low + 1}, the latter holding co
+    assert vd.two.tolist() in ([], [0])
+    low, two = int(vd.low[0]), vd.two.size
+    assert got == {COMPLIANCE_ORDER[c] for c in range(low, low + 1 + two)}
+    assert not two or CO in got
 
 
 def test_cell_logliks_match_scipy():
@@ -186,7 +201,7 @@ def test_unit_marginal_matches_longdouble_brute_force():
         w1, w2 = realized_treatment(c_true, z1), realized_treatment(c_true, z2)
         x1, x2, y = float(rng.normal()), float(rng.normal()), float(rng.normal())
         unit = as_vector_data(one_unit([x1], z1, w1, x2, z2, w2, y))
-        got = _marginal_loglik(_log_weights(th, unit), unit.admissible)
+        got = _marginal_loglik(_log_weights(th, unit), unit)
         a, b = th.alpha.astype(ld), th.beta.astype(ld)
         logits = [th.gamma_nt.astype(ld) @ [ld(1), ld(x1)], ld(0),
                   th.gamma_at.astype(ld) @ [ld(1), ld(x1)]]
@@ -208,20 +223,28 @@ def test_unit_marginal_matches_longdouble_brute_force():
 
 
 def test_marginal_gives_excluded_strata_no_weight():
-    # every type a unit's receipts rule out has log-weight exactly -inf, so
+    # no reader reads the log-weight of a type a unit's receipts rule out:
+    # raised to 700 it moves neither the marginal nor the drawn labels, and
     # an assigned-control unit that took treatment in both periods is an
-    # alwaystaker for certain and its marginal is the alwaystaker term alone
+    # alwaystaker for certain, whose marginal is the alwaystaker term alone
     vd = as_vector_data(simulate_dataset(DgpConfig(n=200, seed=16))[0])
     unit = as_vector_data(one_unit([0.2], 0, 1, 0.4, 1, 1, 1.0))
     rng = substream(16, "excluded-strata", 0)
     for th in (random_theta(rng), random_theta(rng, scale=3.0)):
-        lw = _log_weights(th, vd)
-        assert np.all(lw[~vd.consistent] == -np.inf)
-        assert np.all(np.isfinite(lw[vd.consistent]))
+        chain = Theta.from_vector(th.to_vector()[None], th.p)
+        lw = _log_weights(chain, vd)
+        assert np.all(np.isfinite(lw[0, vd.consistent]))
+        raised = lw.copy()
+        raised[0, ~vd.consistent] = 700.0
+        assert _marginal_loglik(raised, vd) == _marginal_loglik(lw, vd)
+        labels = [step_compliance(ChainState(chain, vd.low[None], (substream(16, "chain", 0),),
+                                             logweights=(chain, None, w)), vd).compliance
+                  for w in (lw, raised)]
+        assert np.array_equal(labels[0], labels[1])
         at_term = (compliance_log_prob_matrix(th, unit.U1)
                    + observed_cell_logliks(th, unit.X1, unit.w1f, unit.w2f,
                                            unit.x2, unit.y))[0, AT_CODE]
-        assert _marginal_loglik(_log_weights(th, unit), unit.admissible) == at_term
+        assert _marginal_loglik(_log_weights(th, unit), unit) == at_term
 
 
 def test_log_prior_matches_scipy():
@@ -263,7 +286,6 @@ def test_marginal_gradient_matches_finite_differences():
         lo, hi = vec.copy(), vec.copy()
         lo[j] -= eps
         hi[j] += eps
-        fd = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 3), vd), vd.admissible)
-              - _marginal_loglik(_log_weights(Theta.from_vector(lo, 3), vd), vd.admissible)
-              ) / (2 * eps)
+        fd = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 3), vd), vd)
+              - _marginal_loglik(_log_weights(Theta.from_vector(lo, 3), vd), vd)) / (2 * eps)
         assert grad[j] == pytest.approx(fd, abs=1e-5)

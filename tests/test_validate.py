@@ -14,7 +14,7 @@ from seqlate.errors import (
     TooFewDraws,
     TooLarge,
 )
-from seqlate.gibbs import _normalise, _vector_categorical, as_vector_data, compliance_posterior
+from seqlate.gibbs import as_vector_data, marginal_score
 from seqlate.model import Theta
 from seqlate.rng import substream
 from seqlate.simulate import DgpConfig, simulate_dataset
@@ -34,6 +34,8 @@ from seqlate.validate import (
     run_validation_suite,
     total_variation,
 )
+
+from label_reference import ref_normalise, ref_vector_categorical
 
 
 # a column kernel producing inf - inf or 0 * inf fails the test instead of warning
@@ -141,7 +143,7 @@ def test_exact_posterior_rejects_unit_no_type_explains():
         exact_posterior(data, DiscreteSpec((flat_theta(),), np.array([1.0])))
 
 
-@pytest.mark.parametrize("entry", ["exact_posterior", "grid_gibbs", "compliance_posterior"])
+@pytest.mark.parametrize("entry", ["exact_posterior", "grid_gibbs", "marginal_score"])
 def test_covariate_dimension_mismatch_is_clean(entry):
     data, _ = load_three_unit_fixture()
     assert data.covariate_dim == 1
@@ -149,7 +151,7 @@ def test_covariate_dimension_mismatch_is_clean(entry):
     spec = DiscreteSpec((th,), np.array([1.0]))
     calls = {"exact_posterior": lambda: exact_posterior(data, spec),
              "grid_gibbs": lambda: grid_gibbs(data, spec, 10, 1),
-             "compliance_posterior": lambda: compliance_posterior(th, data)}
+             "marginal_score": lambda: marginal_score(th, data)}
     with pytest.raises(DimensionMismatch, match="p=2"):
         calls[entry]()
 
@@ -236,15 +238,16 @@ def one_sweep_grid_conditional(L, log_w, codes):
 
 
 def reference_grid_gibbs(data, spec, n_sweeps, seed, contrast=((1, 1), (0, 0))):
-    """The grid chain one sweep at a time: the trace grid_gibbs must reproduce."""
+    """The grid chain one sweep at a time, its labels drawn row by row over
+    all three types: the trace grid_gibbs must reproduce."""
     vd = as_vector_data(data)
     n, k = vd.n, len(spec.thetas)
     L, diffs = _grid_factors(vd, spec, contrast)
-    label_probs = [_normalise(L[ki], vd.admissible) for ki in range(k)]
+    label_probs = [ref_normalise(L[ki]) for ki in range(k)]
     log_w = np.log(spec.weights)
     rng = substream(seed, "grid-gibbs", 0)
     mask = vd.consistent.astype(float)
-    codes = _vector_categorical(mask / mask.sum(axis=1, keepdims=True), rng.uniform(size=n))
+    codes = ref_vector_categorical(mask / mask.sum(axis=1, keepdims=True), rng.uniform(size=n))
     powers = 3 ** np.arange(n - 1, -1, -1)
     theta_idx = np.empty(n_sweeps, dtype=np.int64)
     config_idx = np.empty(n_sweeps, dtype=np.int64)
@@ -254,7 +257,7 @@ def reference_grid_gibbs(data, spec, n_sweeps, seed, contrast=((1, 1), (0, 0))):
         last = k - 1 - int(np.argmax(pk[::-1] > 0.0))
         u = rng.uniform(size=1)[0]
         ki = min(int(np.searchsorted(np.cumsum(pk), u, side="right")), last)
-        codes = _vector_categorical(label_probs[ki], rng.uniform(size=n))
+        codes = ref_vector_categorical(label_probs[ki], rng.uniform(size=n))
         theta_idx[s] = ki
         config_idx[s] = int(codes @ powers)
         co = codes == 1
