@@ -60,19 +60,19 @@ accepted theta's log posterior and log-weights travel with the state: the
 label step draws from the log-weights instead of evaluating them again, and
 the next Metropolis step starts from both.
 
-The label matrices (log stratum probabilities, observed-cell log densities,
-log-weights) are (C, n, 3) views of (3, C, n) arrays, one contiguous (C, n)
-block per type in (nt, co, at) order.  Monotonicity rules out defiers, so no
-unit admits both nt and at: each admits one type or the adjacent pair
+Monotonicity rules out defiers, so each unit admits one type or the pair
 {nt, co} or {co, at} (Imbens & Rubin 1997).  A one-type unit's label is its
-lower code and its marginal likelihood that type's log-weight; a two-type
-unit's pair is gathered by precomputed flat indices, reduced to m = their
-maximum, e = exp(lw - m) and e_lower + e_upper, and takes the upper code iff
-p_lower = e_lower / (e_lower + e_upper) is at or below its uniform.  These
-are the floats of the row-wise reductions over all three types, whose
-inadmissible terms are exact zeros.  A run keeps the matrices in buffers
-allocated once per dataset and chain count (_Work), so a sweep at large n
-does not allocate and fault in fresh pages for them.
+lower code, written without evaluating any density, and its marginal
+likelihood that type's log-weight.  The label matrices are type-major:
+(C, n, 3) views of (3, C, n) arrays in (nt, co, at) order where every unit
+is evaluated at every type (marginal_mh, marginal_score, the validation
+oracles), and in the conjugate label step (C, m, 2) views of (2, C, m)
+arrays of the m two-type units' (lower, upper) types.  A pair is reduced to
+m = its maximum, e = exp(lw - m) and e_lower + e_upper, and takes the upper
+code iff p_lower = e_lower / (e_lower + e_upper) is at or below its uniform:
+the floats of the row-wise reductions over all three types, whose
+inadmissible terms are exact zeros.  The buffers are allocated once per
+dataset and chain count (_Work), so a sweep does not fault in fresh pages.
 
 Proposal scales adapt per chain with a decaying Robbins-Monro rule during
 warmup only and freeze afterwards, so kept draws come from a fixed-kernel
@@ -89,6 +89,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -101,6 +102,7 @@ from .errors import (
     SeqlateError,
 )
 from .model import (
+    EVERY_TYPE,
     PriorSpec,
     Theta,
     compliance_log_prob_matrix,
@@ -160,6 +162,8 @@ class SamplerConfig:
 class _VectorData:
     """Column view of a dataset plus precomputed masks the sweeps reuse."""
 
+    layout = EVERY_TYPE    # the density kernels read every unit at every type
+
     def __init__(self, data: Dataset):
         self.n = len(data)
         self.p = data.covariate_dim
@@ -180,9 +184,11 @@ class _VectorData:
                 f"w2={self.w2[i]}) admits no compliance type"
             )
         self.consistent = consistent
-        # a unit admits its lowest admissible code and at most the next one
+        # a unit admits its lowest admissible code and at most the next one;
+        # two lists the two-type units, the {nt, co} ones before the {co, at}
         self.low = consistent.argmax(axis=1).astype(np.int8)
-        self.two = np.flatnonzero(consistent.sum(axis=1) == 2)
+        pair = np.where(consistent.sum(axis=1) == 2, self.low, -1)
+        self.two = np.concatenate([np.flatnonzero(pair == NT), np.flatnonzero(pair == CO)])
         self.obs_ycol = 2 * self.w1 + self.w2
         # (4, n) masks of the (w1, w2) groups, in Y_CELLS order
         self.groups = self.obs_ycol == np.arange(4)[:, None]
@@ -202,6 +208,14 @@ class _VectorData:
         self.x2_lmap, self.y_lmap = (_indicator_map(c, p + 7) for c in (x_cols, y_cols))
         self._works: Dict[int, _Work] = {}
 
+    @functools.cached_property
+    def pair_units(self) -> SimpleNamespace:
+        """The two-type units' columns and the kernel layout of their pairs."""
+        nt_co = int((self.low[self.two] == NT).sum())
+        return SimpleNamespace(
+            layout=((slice(0, nt_co), slice(NT, CO + 1)), (slice(nt_co, None), slice(CO, AT + 1))),
+            **{k: getattr(self, k)[self.two] for k in ("U1", "X1", "w1f", "w2f", "x2", "y")})
+
     def work(self, n_chains: int) -> "_Work":
         """The buffers of a lockstep run of n_chains chains on this dataset."""
         if n_chains not in self._works:
@@ -212,24 +226,43 @@ class _VectorData:
 class _Work:
     """Buffers and indices reused sweep after sweep by C chains on one dataset.
 
-    Label matrices are (C, n, 3) views of (3, C, n) arrays: logw takes the
-    log-weights the label step evaluates, cells the observed-cell densities
-    and then the label step's uniforms.  The two log-weight matrices a
-    marginal_mh state caches (lw, made on first use) alternate: a step
-    writes into the one its input state does not hold, so the input stays
-    valid and the state before it is overwritten.  low (C, n) and pairs
-    (2, C, len(two)) are flat indices into a (3, C, n) block, or for one
-    chain a (3, n) one: every unit's lower type, each two-type unit's lower
-    and upper type.
+    The label step draws from the (C, n) uniforms u; two holds the flat
+    indices of the two-type units in a (C, n) array, lower their lower codes
+    and codes every unit's.  Made on first use: pair, the two-type units'
+    (lower, upper) log-weights and cell densities, (C, m, 2) views of
+    (2, C, m) arrays; cells, every unit's at every type, a (C, n, 3) view of
+    a (3, C, n) array, as are the two log-weight matrices a marginal_mh state
+    caches (lw), which alternate, so that a step's input stays valid.  low
+    (C, n) and pairs (2, C, m) are flat indices into a (3, C, n) block, or a
+    (3, n) one for one chain: every unit's lower type, each pair's types.
     """
 
     def __init__(self, vd: _VectorData, n_chains: int):
         C, n = n_chains, vd.n
         self.shape = (C, n)
-        self.low = vd.low.astype(np.intp) * (C * n) + np.arange(C * n).reshape(C, n)
-        lower = self.low[:, vd.two]
-        self.pairs = np.stack([lower, lower + C * n])
-        self.logw, self.cells = type_major((C,), n), type_major((C,), n)
+        self.two = vd.two + n * np.arange(C)[:, None]
+        self.codes = np.tile(vd.low, (C, 1))
+        self.lower = np.take(self.codes, self.two)
+        self.u = np.empty((C, n))
+
+    @functools.cached_property
+    def pair(self) -> Tuple[np.ndarray, np.ndarray]:
+        C, m = self.two.shape
+        return type_major((C,), m, 2), type_major((C,), m, 2)
+
+    @functools.cached_property
+    def low(self) -> np.ndarray:
+        size = self.codes.size
+        return self.codes.astype(np.intp) * size + np.arange(size).reshape(self.shape)
+
+    @functools.cached_property
+    def pairs(self) -> np.ndarray:
+        lower = np.take(self.low, self.two)
+        return np.stack([lower, lower + self.low.size])
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        return type_major(self.shape[:1], self.shape[1])
 
     @functools.cached_property
     def lw(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -290,26 +323,27 @@ def _cached(cache: Optional[tuple], theta: Theta) -> Optional[tuple]:
     return cache[1:] if cache is not None and cache[0] is theta else None
 
 
-def _log_weights(theta: Theta, vd: _VectorData, out=None, cells=None,
-                 logits=None) -> np.ndarray:
-    """(..., n, 3) unnormalised log label weights, type-major, of every type,
-    admissible or not.  out and cells: optional type-major buffers for the
+def _log_weights(theta: Theta, vd, out=None, cells=None, logits=None) -> np.ndarray:
+    """(..., n, k) unnormalised log label weights, type-major, of the units
+    and types of vd: a _VectorData's, every type, admissible or not, or its
+    pair_units'.  out and cells: optional type-major buffers for the
     result and for the observed-cell densities (out is their scratch until
-    the stratum probabilities fill it); logits: theta's logit columns and
-    their log-sum-exp, if known."""
+    the stratum probabilities fill it); logits: theta's logit columns at
+    those units and their log-sum-exp, if known."""
     cells = observed_cell_logliks(theta, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y,
-                                  out=cells, scratch=out)
-    lw = compliance_log_prob_matrix(theta, vd.U1, out=out, logits=logits)
+                                  out=cells, scratch=out, layout=vd.layout)
+    lw = compliance_log_prob_matrix(theta, vd.U1, out=out, logits=logits, layout=vd.layout)
     lw += cells
     return lw
 
 
-def _pair_exp(lw: np.ndarray, pairs: np.ndarray) -> tuple:
-    """(m, e, total) of the two-type units' log-weights in lw (..., n, 3),
-    whose (lower, upper) entries pairs indexes in the flat (3, ..., n) view
-    of lw: the larger of each pair, the (2, ..., len(two)) exp(lw - m) and
-    their sums e_lower + e_upper."""
-    g = np.take(types_first(lw).reshape(-1), pairs)
+def _pair_exp(lw: np.ndarray, pairs: Optional[np.ndarray] = None) -> tuple:
+    """(m, e, total) of the two-type units' (lower, upper) log-weights: the
+    larger of each pair, the (2, ..., len(two)) exp(lw - m) and their sums
+    e_lower + e_upper.  The pairs are lw's entries at pairs, flat indices
+    into the (3, ..., n) view of three-type log-weights lw (..., n, 3), or
+    without pairs lw itself, a (2, ..., len(two)) array that e overwrites."""
+    g = lw if pairs is None else np.take(types_first(lw).reshape(-1), pairs)
     m = np.maximum(g[0], g[1])
     e = np.exp(np.subtract(g, m, out=g), out=g)
     return m, e, np.add(e[0], e[1])
@@ -332,23 +366,26 @@ def step_compliance(state: ChainState, data: Union[Dataset, _VectorData]) -> Cha
     """Redraw every label of every chain from its exact conditional given
     theta and data, from n uniforms of each chain's stream.
 
-    Reuses the log-weight matrix, or else the logit columns, the state
-    carries for its theta, if any.
+    Reads the two-type units' pairs from the log-weight matrix the state
+    carries for its theta, if any, else evaluates them alone.
     """
     vd = as_vector_data(data)
     w = vd.work(len(state.rngs))
     cached = _cached(state.logweights, state.theta)
     if cached is not None:
-        lw = cached[1]
+        _, e, total = _pair_exp(cached[1], w.pairs)
     else:
-        lw = _log_weights(state.theta, vd, out=w.logw, cells=w.cells,
-                          logits=_cached(state.logits, state.theta))
-    _, e, total = _pair_exp(lw, w.pairs)
-    # the observed-cell densities, no longer needed, take the uniforms
-    u = types_first(w.cells)[0]
-    for rng, row in zip(state.rngs, u):
+        logits = _cached(state.logits, state.theta)
+        if logits is not None:
+            logits = [np.take(col, w.two) for col in logits]
+        lw = _log_weights(state.theta, vd.pair_units, *w.pair, logits=logits)
+        _, e, total = _pair_exp(types_first(lw))
+    for rng, row in zip(state.rngs, w.u):
         rng.random(out=row)
-    return replace(state, compliance=_draw_labels(vd, np.divide(e[0], total, out=total), u))
+    # each unit's lower code, the upper one where p_lower <= u
+    codes = w.codes.copy()
+    np.put(codes, w.two, w.lower + (np.divide(e[0], total, out=total) <= np.take(w.u, w.two)))
+    return replace(state, compliance=codes)
 
 
 def _arms(contrast: Contrast) -> Contrast:
@@ -644,7 +681,7 @@ def _marginal_loglik(lw: np.ndarray, vd: _VectorData):
     w = vd.work(lw.shape[0] if lw.ndim == 3 else 1)
     s = np.take(types_first(lw).reshape(-1), w.low)
     m, _, total = _pair_exp(lw, w.pairs)
-    s[:, vd.two] = np.add(m, np.log(total, out=total), out=total)
+    np.put(s, w.two, np.add(m, np.log(total, out=total), out=total))
     s = s.sum(axis=-1)
     return s if lw.ndim == 3 else float(s[0])
 

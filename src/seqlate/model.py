@@ -23,6 +23,7 @@ from typing import List
 
 import numpy as np
 
+from .domain import AT, NT
 from .errors import DimensionMismatch, InvalidConfig, InvariantViolation
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -198,11 +199,16 @@ def log_prior(theta: Theta, prior: PriorSpec):
 # ---------------------------------------------------------------------------
 # column kernels shared by the sampler, its score and the enumeration oracle
 #
-# A kernel takes a Theta with or without a chain axis.  Its (..., n, 3)
-# result is type-major in memory, one contiguous (..., n) block per type in
-# (nt, co, at) order: column-major (n, 3) without a chain axis, and a
-# (C, n, 3) view of a (3, C, n) array with one.
+# A kernel takes a Theta with or without a chain axis.  Its (..., n, k)
+# result is type-major, one contiguous (..., n) block per row: column-major
+# (n, k) without a chain axis, a (C, n, k) view of a (k, C, n) array with
+# one.  Its layout is (units, types) slices: over consecutive segments of
+# the unit axis, the k adjacent type codes of the rows.  EVERY_TYPE is the
+# three-type form; two-type units at (lower, upper) take two segments.
 # ---------------------------------------------------------------------------
+
+EVERY_TYPE = ((slice(None), slice(NT, AT + 1)),)
+
 
 def logit_design(X1: np.ndarray) -> np.ndarray:
     """Prepend the intercept column: (n, p) -> (n, p+1)."""
@@ -221,9 +227,9 @@ def types_last(a: np.ndarray) -> np.ndarray:
     return a.transpose(tuple(range(1, a.ndim)) + (0,))
 
 
-def type_major(lead: tuple, n: int) -> np.ndarray:
-    """An empty (*lead, n, 3) array laid out as the kernels return theirs."""
-    return types_last(np.empty((3,) + tuple(lead) + (n,)))
+def type_major(lead: tuple, n: int, rows: int = 3) -> np.ndarray:
+    """An empty (*lead, n, rows) array laid out as the kernels return theirs."""
+    return types_last(np.empty((rows,) + tuple(lead) + (n,)))
 
 
 def row_dot(coef: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:
@@ -250,10 +256,11 @@ def logit_lse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def compliance_log_prob_matrix(theta: Theta, U1: np.ndarray, out=None,
-                               logits=None) -> np.ndarray:
-    """(..., n, 3) log stratum probabilities for precomputed logit rows U1,
-    type-major; written into out when given.  logits: (U1 @ gamma_nt,
-    U1 @ gamma_at, their logit_lse) when the caller has them."""
+                               logits=None, layout=EVERY_TYPE) -> np.ndarray:
+    """(..., n, k) log stratum probabilities for precomputed logit rows U1
+    at the k types of layout, type-major; written into out when given.
+    logits: (U1 @ gamma_nt, U1 @ gamma_at, their logit_lse) when the caller
+    has them."""
     if U1.shape[1] != theta.p + 1:
         raise DimensionMismatch(
             f"logit rows have {U1.shape[1]} columns but theta expects p={theta.p}")
@@ -264,24 +271,24 @@ def compliance_log_prob_matrix(theta: Theta, U1: np.ndarray, out=None,
     else:
         a, b, lse = logits
     if out is None:
-        out = type_major(a.shape[:-1], U1.shape[0])
-    np.subtract(a, lse, out=out[..., 0])
-    np.subtract(0.0, lse, out=out[..., 1])
-    np.subtract(b, lse, out=out[..., 2])
+        out = type_major(a.shape[:-1], U1.shape[0], len(range(3)[layout[0][1]]))
+    for units, types in layout:
+        for row, logit in enumerate((a[..., units], 0.0, b[..., units])[types]):
+            np.subtract(logit, lse[..., units], out=out[..., units, row])
     return out
 
 
 def observed_cell_logliks(theta: Theta, X1: np.ndarray, w1: np.ndarray,
                           w2: np.ndarray, x2: np.ndarray, y: np.ndarray,
-                          out=None, scratch=None) -> np.ndarray:
-    """(..., n, 3) joint log density of the observed (x2, y) cells per
-    candidate type, type-major; written into out when given, with scratch
+                          out=None, scratch=None, layout=EVERY_TYPE) -> np.ndarray:
+    """(..., n, k) joint log density of the observed (x2, y) cells at the k
+    types of layout, type-major; written into out when given, with scratch
     an optional buffer of the same layout.
 
-    Column order matches COMPLIANCE_ORDER.  Consistency with the treatment
-    pattern is NOT applied here; callers read admissible types only.  Each
-    column is _normal_logpdf of both cells, the three types evaluated at
-    once on a (3, ..., n) view with the same floats.
+    Consistency with the treatment pattern is NOT applied here; callers
+    read admissible types only.  Each column is _normal_logpdf of both
+    cells, the k types evaluated at once on a (k, ..., n) view, so a unit's
+    entry is the same float whatever layout evaluates it.
     """
     p = theta.p
     if X1.shape[1] != p:
@@ -291,39 +298,35 @@ def observed_cell_logliks(theta: Theta, X1: np.ndarray, w1: np.ndarray,
     def col(v):    # one value per chain, against the unit axis
         return np.asarray(v)[..., None]
 
-    def loadings(coef, i_at, i_nt):
-        # (3, ..., 1) stratum loadings of (nt, co, at), the complier's zero;
-        # the parametrization adds each type the other's loading times 0.0,
-        # and a zero added leaves the mean as it is
-        return types_first(coef[..., [i_nt, i_nt, i_at]] * _HAS_LOADING)[..., None]
-
     base_x = col(a[..., 0]) + row_dot(a[..., 1:1 + p], X1) + col(a[..., p + 1]) * w1
     base_y = (col(b[..., 0]) + row_dot(b[..., 1:1 + p], X1) + col(b[..., p + 1]) * x2
               + col(b[..., p + 2]) * w1 + col(b[..., p + 3]) * w2 + col(b[..., p + 4]) * w1 * w2)
-    lead = base_x.shape[:-1]
+    lead, n, k = base_x.shape[:-1], X1.shape[0], len(range(3)[layout[0][1]])
     if out is None:
-        out = type_major(lead, X1.shape[0])
+        out = type_major(lead, n, k)
     if scratch is None:
-        scratch = type_major(lead, X1.shape[0])
+        scratch = type_major(lead, n, k)
 
-    def logpdf(v, base, sd, loads, dst):
+    def logpdf(v, base, sd, coef, i_at, i_nt, dst):
         # c - 0.5 * z * z with z = (v - (base + loading)) / sd and
         # c = -0.5 * log(2 pi) - log(sd); 0.5 * z is exact, so
         # (0.5 * z) * z = 0.5 * (z * z) unless z * z is subnormal, where c
-        # absorbs both
+        # absorbs both.  The (3, ..., 1) stratum loadings of (nt, co, at)
+        # hold the complier's zero: the parametrization adds each type the
+        # other's loading times 0.0, and a zero added leaves the mean as it is
+        loads = types_first(coef[..., [i_nt, i_nt, i_at]] * _HAS_LOADING)[..., None]
+        for units, types in layout:
+            np.add(base[..., units], loads[types], out=dst[..., units])
         c = -0.5 * LOG_2PI - np.log(sd)
-        np.add(base, loads, out=dst)
         np.subtract(v, dst, out=dst)
         np.divide(dst, sd, out=dst)
         np.multiply(dst, dst, out=dst)
         np.multiply(0.5, dst, out=dst)
         return np.subtract(c, dst, out=dst)
 
-    # the (3, ..., n) arrays under the type-major views
-    lx = logpdf(x2, base_x, col(theta.sigma_x), loadings(a, p + 2, p + 3),
-                types_first(out))
-    lx += logpdf(y, base_y, col(theta.sigma_y), loadings(b, p + 5, p + 6),
-                 types_first(scratch))
+    # the (k, ..., n) arrays under the type-major views
+    lx = logpdf(x2, base_x, col(theta.sigma_x), a, p + 2, p + 3, types_first(out))
+    lx += logpdf(y, base_y, col(theta.sigma_y), b, p + 5, p + 6, types_first(scratch))
     return out
 
 

@@ -39,6 +39,7 @@ from seqlate.model import (
     inverse_cdf_draw,
     logit_lse,
     observed_cell_logliks,
+    row_dot,
     theta_field_names,
 )
 from seqlate.rng import substream
@@ -806,6 +807,49 @@ def test_marginal_chain_evaluates_log_weights_once_per_sweep(monkeypatch):
     assert len(calls) <= k + 1
 
 
+def test_conjugate_chain_evaluates_each_density_at_the_pairs_once_per_sweep(monkeypatch):
+    # the sampler calls each kernel through gibbs once per sweep, on the
+    # two-type units' columns only
+    data, _ = simulate_dataset(DgpConfig(n=80, seed=44))
+    rows = {"compliance_log_prob_matrix": [], "observed_cell_logliks": []}
+
+    def counted(name, original):
+        def kernel(theta, cols, *args, **kwargs):
+            rows[name].append(cols.shape[0])
+            return original(theta, cols, *args, **kwargs)
+        return kernel
+
+    for name in rows:
+        monkeypatch.setattr(gibbs, name, counted(name, getattr(gibbs, name)))
+    k = 60
+    cfg = SamplerConfig(seed=10, n_chains=2, n_warmup=k // 2, n_draws=k // 2)
+    run_chain(data, PriorSpec(), cfg)
+    m = as_vector_data(data).two.size
+    assert 0 < m < 80
+    assert rows == {name: [m] * k for name in rows}
+
+
+def test_conjugate_labels_from_the_pairs_equal_the_posterior():
+    # a 4-chain logit-compliance state, with the conjugate update's logit
+    # columns cached and without them
+    gnt, gat = np.array([-1.0, 0.5, -0.3, 0.2]), np.array([-1.2, -0.4, 0.3, 0.5])
+    data, _ = simulate_dataset(DgpConfig(n=400, seed=48, p=3,
+                                         compliance_probs=LogitCompliance(gnt, gat)))
+    vd = as_vector_data(data)
+    state = start(vd, 48, chains=range(4))
+    for _ in range(3):
+        state = step_compliance(step_theta(state, vd, PriorSpec()), vd)
+    new = step_theta(state, vd, PriorSpec())
+    assert new.logits[0] is new.theta
+    probs = label_posterior(new.theta, vd)
+    for cached in (new, replace(new, logits=None)):
+        peek = copy.deepcopy(cached.rngs)
+        got = step_compliance(replace(cached, rngs=copy.deepcopy(cached.rngs)), vd).compliance
+        for c in range(4):
+            want = ref_vector_categorical(probs[c], peek[c].random(vd.n))
+            assert np.array_equal(got[c], want)
+
+
 def test_labels_from_cached_log_weights_equal_the_posterior():
     data, _ = simulate_dataset(DgpConfig(n=120, seed=45))
     vd = as_vector_data(data)
@@ -880,12 +924,16 @@ _LOG_WEIGHT = (st.floats(-745.0, 745.0)
 _LOGIT = st.floats(-720.0, 720.0) | st.sampled_from([-700.0, 0.0, 700.0])
 
 
-def patterned_data(patterns):
+def patterned_data(patterns, p=1, rng=None):
     """The column view of units whose admissible sets are _PATTERNS[k] for
-    k in patterns."""
+    k in patterns, with p covariates; covariates and cells are zeros, or
+    standard normals from rng."""
     (z1, z2), (w1, w2) = np.array([_PATTERNS[k] for k in patterns]).transpose(1, 2, 0)
     n = len(patterns)
-    return as_vector_data(Dataset(np.zeros((n, 1)), z1, w1, np.zeros(n), z2, w2, np.zeros(n)))
+    draw = np.zeros if rng is None else rng.normal
+    return as_vector_data(Dataset(draw(size=(n, p)) if rng else np.zeros((n, p)), z1, w1,
+                                  draw(size=n) if rng else np.zeros(n), z2, w2,
+                                  draw(size=n) if rng else np.zeros(n)))
 
 
 def lower_probs(vd, probs):
@@ -1002,6 +1050,39 @@ def test_log_weights_match_row_reductions(n, p, g_nt, g_at, seed):
     _, e, total = gibbs._pair_exp(lw, vd.work(1).pairs)
     assert np.array_equal(e[0, 0] / total[0], lower_probs(vd, ref_normalise(want)))
     assert gibbs._marginal_loglik(lw, vd) == ref_marginal_loglik(want)
+
+
+# the admissible sets of the units: no two-type unit, {nt, co} ones only,
+# {co, at} ones only, and both
+@pytest.mark.parametrize("sets", [(0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 3, 4)])
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("chains", [1, 4])
+def test_pair_form_equals_the_three_type_form_at_admissible_entries(sets, p, chains):
+    rng = np.random.default_rng(1000 * len(sets) + 10 * p + chains)
+    vd = patterned_data(rng.choice(sets, size=257).tolist(), p, rng)
+    th = Theta.from_vector(np.stack([random_theta(rng, p, *rng.normal(size=2)).to_vector()
+                                     for _ in range(chains)]), p)
+    lower = vd.low[vd.two]
+    # the {nt, co} units first, so each row of the pairs is two segments
+    assert (np.diff(lower) >= 0).all() and np.isin(lower, [0, 1]).all()
+    assert sorted(vd.two.tolist()) == np.flatnonzero(vd.consistent.sum(axis=1) == 2).tolist()
+
+    def at_pairs(m):
+        return np.stack([m[:, vd.two, lower], m[:, vd.two, lower + 1]], axis=-1)
+
+    u = vd.pair_units
+    a, b = row_dot(th.gamma_nt, vd.U1), row_dot(th.gamma_at, vd.U1)
+    logits = (a, b, logit_lse(a, b))
+    three = {"cells": observed_cell_logliks(th, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y),
+             "probs": compliance_log_prob_matrix(th, vd.U1),
+             "weights": gibbs._log_weights(th, vd, logits=logits)}
+    pair = {"cells": observed_cell_logliks(th, u.X1, u.w1f, u.w2f, u.x2, u.y, layout=u.layout),
+            "probs": compliance_log_prob_matrix(th, u.U1, layout=u.layout),
+            "weights": gibbs._log_weights(th, u, logits=[v[:, vd.two] for v in logits])}
+    for name, got in pair.items():
+        assert got.shape == (chains, vd.two.size, 2)
+        assert np.array_equal(got, at_pairs(three[name])), name
+    assert np.array_equal(gibbs._log_weights(th, u), pair["weights"])
 
 
 @given(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=12),
