@@ -930,10 +930,10 @@ def patterned_data(patterns, p=1, rng=None):
     standard normals from rng."""
     (z1, z2), (w1, w2) = np.array([_PATTERNS[k] for k in patterns]).transpose(1, 2, 0)
     n = len(patterns)
-    draw = np.zeros if rng is None else rng.normal
-    return as_vector_data(Dataset(draw(size=(n, p)) if rng else np.zeros((n, p)), z1, w1,
-                                  draw(size=n) if rng else np.zeros(n), z2, w2,
-                                  draw(size=n) if rng else np.zeros(n)))
+
+    def col(*shape):
+        return np.zeros(shape) if rng is None else rng.normal(size=shape)
+    return as_vector_data(Dataset(col(n, p), z1, w1, col(n), z2, w2, col(n)))
 
 
 def lower_probs(vd, probs):
