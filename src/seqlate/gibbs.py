@@ -44,7 +44,7 @@ update reads.  Every kept sweep, the first included, draws the labels and
 the effect exactly given its theta.
 
 Chains run in lockstep.  The state carries a leading chain axis: its Theta
-holds (C, .) fields, its labels are (C, n) and its label matrices (C, n, 3),
+holds (C, .) fields, its labels are (C, n) and its label blocks (C, ., 2),
 and every block runs once per sweep for all C chains.  Chain k
 still draws every variate from its own substream(seed, "chain", k), in the
 order and sizes a chain run alone would, so a chain's draws do not depend on
@@ -56,23 +56,26 @@ Metropolis decisions loop over chains.
 The conjugate blocks regress without stacking rows: the observed rows'
 Gram matrices are built once per dataset, and each sweep adds the label
 sums in closed form (_normal_equations).  In "marginal_mh" mode the
-accepted theta's log posterior and log-weights travel with the state: the
-label step draws from the log-weights instead of evaluating them again, and
-the next Metropolis step starts from both.
+accepted theta's log posterior and the two-type units' lower-type
+probabilities travel with the state: the label step draws from those
+instead of evaluating any density, and the next Metropolis step starts from
+both.
 
 Monotonicity rules out defiers, so each unit admits one type or the pair
 {nt, co} or {co, at} (Imbens & Rubin 1997).  A one-type unit's label is its
 lower code, written without evaluating any density, and its marginal
-likelihood that type's log-weight.  The label matrices are type-major:
-(C, n, 3) views of (3, C, n) arrays in (nt, co, at) order where every unit
-is evaluated at every type (marginal_mh, marginal_score, the validation
-oracles), and in the conjugate label step (C, m, 2) views of (2, C, m)
-arrays of the m two-type units' (lower, upper) types.  A pair is reduced to
-m = its maximum, e = exp(lw - m) and e_lower + e_upper, and takes the upper
-code iff p_lower = e_lower / (e_lower + e_upper) is at or below its uniform:
-the floats of the row-wise reductions over all three types, whose
-inadmissible terms are exact zeros.  The buffers are allocated once per
-dataset and chain count (_Work), so a sweep does not fault in fresh pages.
+likelihood that type's log-weight.  The densities are evaluated at two
+types per unit, into type-major (C, ., 2) views of (2, C, .) blocks: the
+columns are gathered once in the admissible order (the units admitting
+{nt}, {co}, {nt, co}, {co, at}, {at}), the first three groups taken at
+(nt, co) and the rest at (co, at).  marginal_mh evaluates every unit; the
+conjugate label step and marginal_score only the m two-type units, a slice
+of that order.  A pair is reduced to m = its maximum, e = exp(lw - m) and
+e_lower + e_upper, and takes the upper code iff p_lower = e_lower /
+(e_lower + e_upper) is at or below its uniform: the floats of the row-wise
+reductions over all three types, whose inadmissible terms are exact zeros.
+The blocks are allocated once per dataset and chain count (_Work), so a
+sweep does not fault in fresh pages.
 
 Proposal scales adapt per chain with a decaying Robbins-Monro rule during
 warmup only and freeze afterwards, so kept draws come from a fixed-kernel
@@ -102,7 +105,6 @@ from .errors import (
     SeqlateError,
 )
 from .model import (
-    EVERY_TYPE,
     PriorSpec,
     Theta,
     compliance_log_prob_matrix,
@@ -115,7 +117,6 @@ from .model import (
     theta_field_names,
     type_major,
     types_first,
-    types_last,
 )
 from .rng import substream
 
@@ -162,8 +163,6 @@ class SamplerConfig:
 class _VectorData:
     """Column view of a dataset plus precomputed masks the sweeps reuse."""
 
-    layout = EVERY_TYPE    # the density kernels read every unit at every type
-
     def __init__(self, data: Dataset):
         self.n = len(data)
         self.p = data.covariate_dim
@@ -184,11 +183,21 @@ class _VectorData:
                 f"w2={self.w2[i]}) admits no compliance type"
             )
         self.consistent = consistent
-        # a unit admits its lowest admissible code and at most the next one;
-        # two lists the two-type units, the {nt, co} ones before the {co, at}
+        # a unit admits its lowest admissible code and at most the next one.
+        # The admissible order: the units admitting {nt}, {co}, {nt, co},
+        # {co, at} and {at}, each group in unit order.  two, its two-type
+        # units, is a slice of it; a two-type block evaluates the units
+        # before split at (nt, co), the rest at (co, at), and a one-type
+        # unit's type is its lower row for the first n_nt, else its upper
         self.low = consistent.argmax(axis=1).astype(np.int8)
-        pair = np.where(consistent.sum(axis=1) == 2, self.low, -1)
-        self.two = np.concatenate([np.flatnonzero(pair == NT), np.flatnonzero(pair == CO)])
+        one = consistent.sum(axis=1) == 1
+        groups = [np.flatnonzero((one == alone) & (self.low == t))
+                  for alone, t in ((True, NT), (True, CO), (False, NT), (False, CO), (True, AT))]
+        self.order = np.concatenate(groups)
+        self.rank = np.argsort(self.order)
+        self.n_nt, start, self.split, stop = np.cumsum([g.size for g in groups[:4]]).tolist()
+        self.two_slice = slice(start, stop)
+        self.two = self.order[self.two_slice]
         self.obs_ycol = 2 * self.w1 + self.w2
         # (4, n) masks of the (w1, w2) groups, in Y_CELLS order
         self.groups = self.obs_ycol == np.arange(4)[:, None]
@@ -209,12 +218,14 @@ class _VectorData:
         self._works: Dict[int, _Work] = {}
 
     @functools.cached_property
+    def admissible(self) -> SimpleNamespace:
+        """Every unit's kernel columns, gathered in the admissible order."""
+        return _at_two_types(self, self.order, self.split)
+
+    @functools.cached_property
     def pair_units(self) -> SimpleNamespace:
-        """The two-type units' columns and the kernel layout of their pairs."""
-        nt_co = int((self.low[self.two] == NT).sum())
-        return SimpleNamespace(
-            layout=((slice(0, nt_co), slice(NT, CO + 1)), (slice(nt_co, None), slice(CO, AT + 1))),
-            **{k: getattr(self, k)[self.two] for k in ("U1", "X1", "w1f", "w2f", "x2", "y")})
+        """The two-type units' columns: views of admissible's, at their pairs."""
+        return _at_two_types(self.admissible, self.two_slice, self.split - self.two_slice.start)
 
     def work(self, n_chains: int) -> "_Work":
         """The buffers of a lockstep run of n_chains chains on this dataset."""
@@ -223,23 +234,28 @@ class _VectorData:
         return self._works[n_chains]
 
 
+def _at_two_types(cols, units, split: int) -> SimpleNamespace:
+    """The kernel columns of cols at units, and the layout that evaluates
+    them at (nt, co) before split and at (co, at) from there on."""
+    return SimpleNamespace(
+        layout=((slice(0, split), slice(NT, CO + 1)), (slice(split, None), slice(CO, AT + 1))),
+        **{k: getattr(cols, k)[units] for k in ("U1", "X1", "w1f", "w2f", "x2", "y")})
+
+
 class _Work:
     """Buffers and indices reused sweep after sweep by C chains on one dataset.
 
     The label step draws from the (C, n) uniforms u; two holds the flat
     indices of the two-type units in a (C, n) array, lower their lower codes
-    and codes every unit's.  Made on first use: pair, the two-type units'
-    (lower, upper) log-weights and cell densities, (C, m, 2) views of
-    (2, C, m) arrays; cells, every unit's at every type, a (C, n, 3) view of
-    a (3, C, n) array, as are the two log-weight matrices a marginal_mh state
-    caches (lw), which alternate, so that a step's input stays valid.  low
-    (C, n) and pairs (2, C, m) are flat indices into a (3, C, n) block, or a
-    (3, n) one for one chain: every unit's lower type, each pair's types.
+    and codes every unit's.  Made on first use, each a log-weight and a
+    cell-density buffer, (C, ., 2) views of (2, C, .) arrays: pair, the m
+    two-type units' for the conjugate label step, and block, every unit's
+    at its two types of the admissible layout for marginal_mh.  Contiguous
+    pair buffers time faster than slices of block at large n.
     """
 
     def __init__(self, vd: _VectorData, n_chains: int):
         C, n = n_chains, vd.n
-        self.shape = (C, n)
         self.two = vd.two + n * np.arange(C)[:, None]
         self.codes = np.tile(vd.low, (C, 1))
         self.lower = np.take(self.codes, self.two)
@@ -251,28 +267,9 @@ class _Work:
         return type_major((C,), m, 2), type_major((C,), m, 2)
 
     @functools.cached_property
-    def low(self) -> np.ndarray:
-        size = self.codes.size
-        return self.codes.astype(np.intp) * size + np.arange(size).reshape(self.shape)
-
-    @functools.cached_property
-    def pairs(self) -> np.ndarray:
-        lower = np.take(self.low, self.two)
-        return np.stack([lower, lower + self.low.size])
-
-    @functools.cached_property
-    def cells(self) -> np.ndarray:
-        return type_major(self.shape[:1], self.shape[1])
-
-    @functools.cached_property
-    def lw(self) -> Tuple[np.ndarray, np.ndarray]:
-        C, n = self.shape
-        return type_major((C,), n), type_major((C,), n)
-
-
-def _free(pair: tuple, held) -> np.ndarray:
-    """The buffer of pair that held is not."""
-    return pair[1] if held is pair[0] else pair[0]
+    def block(self) -> Tuple[np.ndarray, np.ndarray]:
+        C, n = self.u.shape
+        return type_major((C,), n, 2), type_major((C,), n, 2)
 
 
 def _indicator_map(cols: List[int], width: int) -> np.ndarray:
@@ -297,14 +294,15 @@ class ChainState:
 
     theta has a chain axis.  compliance holds (C, n) int8 codes in
     (nt, co, at) order.  rngs holds one Generator per chain.  logweights is
-    None or (theta, its (C,) marginal log posteriors, its (C, n, 3) label
-    log-weights), left by the marginal_mh update for the label step
-    and the next update.  logits is None or (theta, U1 @ gamma_nt,
-    U1 @ gamma_at, and their log-sum-exp with the complier's zero), each
-    (C, n), left by the conjugate update for the label step and the next
-    update.  effect is None before the first kept sweep, then (contrast,
-    the (C,) complier effects step_impute drew for it given theta and the
-    labels, NaN for a chain with no compliers); only late_draw reads it.
+    None or (theta, its (C,) marginal log posteriors, its (C, len(two))
+    lower-type probabilities of the two-type units), left by the
+    marginal_mh update for the label step and the next update.  logits is
+    None or (theta, U1 @ gamma_nt, U1 @ gamma_at, and their log-sum-exp
+    with the complier's zero), each (C, n), left by the conjugate update for
+    the label step and the next update.  effect is None before the first
+    kept sweep, then (contrast, the (C,) complier effects step_impute drew
+    for it given theta and the labels, NaN for a chain with no compliers);
+    only late_draw reads it.
     """
 
     theta: Theta
@@ -323,27 +321,24 @@ def _cached(cache: Optional[tuple], theta: Theta) -> Optional[tuple]:
     return cache[1:] if cache is not None and cache[0] is theta else None
 
 
-def _log_weights(theta: Theta, vd, out=None, cells=None, logits=None) -> np.ndarray:
-    """(..., n, k) unnormalised log label weights, type-major, of the units
-    and types of vd: a _VectorData's, every type, admissible or not, or its
-    pair_units'.  out and cells: optional type-major buffers for the
-    result and for the observed-cell densities (out is their scratch until
-    the stratum probabilities fill it); logits: theta's logit columns at
-    those units and their log-sum-exp, if known."""
-    cells = observed_cell_logliks(theta, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y,
-                                  out=cells, scratch=out, layout=vd.layout)
-    lw = compliance_log_prob_matrix(theta, vd.U1, out=out, logits=logits, layout=vd.layout)
+def _log_weights(theta: Theta, cols, out=None, cells=None, logits=None) -> np.ndarray:
+    """(..., n, 2) unnormalised log label weights, type-major, of the units
+    and types of cols: a _VectorData's admissible or pair_units columns.
+    out and cells: optional type-major buffers for the result and for the
+    observed-cell densities (out is their scratch until the stratum
+    probabilities fill it); logits: theta's logit columns at those units and
+    their log-sum-exp, if known."""
+    cells = observed_cell_logliks(theta, cols.X1, cols.w1f, cols.w2f, cols.x2, cols.y,
+                                  out=cells, scratch=out, layout=cols.layout)
+    lw = compliance_log_prob_matrix(theta, cols.U1, out=out, logits=logits, layout=cols.layout)
     lw += cells
     return lw
 
 
-def _pair_exp(lw: np.ndarray, pairs: Optional[np.ndarray] = None) -> tuple:
-    """(m, e, total) of the two-type units' (lower, upper) log-weights: the
-    larger of each pair, the (2, ..., len(two)) exp(lw - m) and their sums
-    e_lower + e_upper.  The pairs are lw's entries at pairs, flat indices
-    into the (3, ..., n) view of three-type log-weights lw (..., n, 3), or
-    without pairs lw itself, a (2, ..., len(two)) array that e overwrites."""
-    g = lw if pairs is None else np.take(types_first(lw).reshape(-1), pairs)
+def _pair_exp(g: np.ndarray) -> tuple:
+    """(m, e, total) of the two-type units' (lower, upper) log-weights g
+    (2, ..., m), which e overwrites: the larger of each pair, exp(g - m) and
+    the sums e_lower + e_upper."""
     m = np.maximum(g[0], g[1])
     e = np.exp(np.subtract(g, m, out=g), out=g)
     return m, e, np.add(e[0], e[1])
@@ -366,25 +361,26 @@ def step_compliance(state: ChainState, data: Union[Dataset, _VectorData]) -> Cha
     """Redraw every label of every chain from its exact conditional given
     theta and data, from n uniforms of each chain's stream.
 
-    Reads the two-type units' pairs from the log-weight matrix the state
-    carries for its theta, if any, else evaluates them alone.
+    Reads the two-type units' lower-type probabilities the state carries for
+    its theta, if any, else evaluates their pairs alone.
     """
     vd = as_vector_data(data)
     w = vd.work(len(state.rngs))
     cached = _cached(state.logweights, state.theta)
     if cached is not None:
-        _, e, total = _pair_exp(cached[1], w.pairs)
+        p_lower = cached[1]
     else:
         logits = _cached(state.logits, state.theta)
         if logits is not None:
             logits = [np.take(col, w.two) for col in logits]
         lw = _log_weights(state.theta, vd.pair_units, *w.pair, logits=logits)
         _, e, total = _pair_exp(types_first(lw))
+        p_lower = np.divide(e[0], total, out=total)
     for rng, row in zip(state.rngs, w.u):
         rng.random(out=row)
     # each unit's lower code, the upper one where p_lower <= u
     codes = w.codes.copy()
-    np.put(codes, w.two, w.lower + (np.divide(e[0], total, out=total) <= np.take(w.u, w.two)))
+    np.put(codes, w.two, w.lower + (p_lower <= np.take(w.u, w.two)))
     return replace(state, compliance=codes)
 
 
@@ -674,21 +670,25 @@ def _theta_conjugate(state: ChainState, vd: _VectorData, prior: PriorSpec,
     return Theta(*g, alpha, sigma_x, beta, sigma_y), (*cols, lse)
 
 
-def _marginal_loglik(lw: np.ndarray, vd: _VectorData):
-    """Sum over units of the label-marginalized log likelihood from the
-    log-weights lw (..., n, 3), per chain for a chain axis: a one-type
-    unit's log-weight, a two-type unit's m + log(e_lower + e_upper)."""
-    w = vd.work(lw.shape[0] if lw.ndim == 3 else 1)
-    s = np.take(types_first(lw).reshape(-1), w.low)
-    m, _, total = _pair_exp(lw, w.pairs)
-    np.put(s, w.two, np.add(m, np.log(total, out=total), out=total))
-    s = s.sum(axis=-1)
-    return s if lw.ndim == 3 else float(s[0])
+def _marginal_loglik(lw: np.ndarray, vd: _VectorData) -> tuple:
+    """Sum over units of the label-marginalized log likelihood, per chain
+    for a chain axis, and the two-type units' lower-type probabilities
+    (..., len(two)), from the log-weights lw (..., n, 2) of vd.admissible,
+    whose pair entries it overwrites.  A one-type unit adds its type's
+    log-weight, a two-type unit m + log(e_lower + e_upper), summed in unit
+    order."""
+    g = types_first(lw)
+    m, e, total = _pair_exp(g[..., vd.two_slice])
+    p_lower = e[0] / total
+    s = np.concatenate([g[0, ..., :vd.n_nt], g[1, ..., vd.n_nt:]], axis=-1)
+    s[..., vd.two_slice] = np.add(m, np.log(total, out=total), out=total)
+    s = np.take(s, vd.rank, axis=-1).sum(axis=-1)
+    return (s if s.ndim else float(s)), p_lower
 
 
 def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarray:
-    """Gradient of _marginal_loglik(_log_weights(theta, vd), vd) in
-    Theta.to_vector() layout, for a theta without a chain axis.
+    """Gradient of the label-marginalized log likelihood (_marginal_loglik)
+    in Theta.to_vector() layout, for a theta without a chain axis.
 
     It is sum_i sum_c r_ic d lw_ic / d theta, with r the normalised label
     weights: a multinomial-logit score (r - pi) U1 for the logit rows, and a
@@ -697,12 +697,10 @@ def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarra
     nevertaker) indicators.
     """
     vd = as_vector_data(data)
-    w = vd.work(1)
-    _, e, total = _pair_exp(_log_weights(theta, vd), w.pairs)
-    r = np.zeros(3 * vd.n)
-    r[w.low] = 1.0
-    r[w.pairs] = e / total
-    r = types_last(r.reshape(3, vd.n))
+    _, e, total = _pair_exp(types_first(_log_weights(theta, vd.pair_units)))
+    r = np.zeros((vd.n, 3))
+    r[np.arange(vd.n), vd.low] = 1.0
+    r[vd.two, vd.low[vd.two] + np.array([[0], [1]])] = e / total
     pc = np.exp(compliance_log_prob_matrix(theta, vd.U1))
     parts = [vd.U1.T @ (r[:, NT] - pc[:, NT]), vd.U1.T @ (r[:, AT] - pc[:, AT])]
     for static, resp, coef, sigma in ((vd.x2_static, vd.x2, theta.alpha, theta.sigma_x),
@@ -731,48 +729,47 @@ def _pack_unconstrained(theta: Theta) -> np.ndarray:
 
 def _unpack_unconstrained(vec: np.ndarray, p: int) -> Tuple[np.ndarray, np.ndarray]:
     """(C, d) vectors back to the Theta scale, and per chain whether the
-    result is a valid Theta row (finite, positive noise scales)."""
+    result is a valid Theta row: finite, with noise scales s whose variance
+    s ** 2 and its reciprocal are finite positive floats.  Outside that
+    range log_prior's Python float power overflows or its inverse-gamma
+    term is -inf, so such a proposal is rejected without being evaluated."""
     v = vec.copy()
     ok = np.isfinite(v).all(axis=1)
     for i in (_sigma_index(p), -1):
         for c, x in enumerate(v[:, i].tolist()):
             try:
-                v[c, i] = math.exp(x)
-            except OverflowError:
+                s = math.exp(x)
+                ok[c] &= math.isfinite(1.0 / s ** 2)
+                v[c, i] = s
+            except (OverflowError, ZeroDivisionError):
                 ok[c] = False
-        ok &= v[:, i] > 0
     return v, ok
 
 
-def _marginal_logpost(theta: Theta, vd: _VectorData, prior: PriorSpec,
-                      out=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Per chain log posterior on the log-sigma scale, and the log-weights,
-    written into out when given."""
-    w = vd.work(theta.gamma_nt.shape[0])
-    lw = _log_weights(theta, vd, out=out, cells=w.cells)
+def _marginal_logpost(theta: Theta, vd: _VectorData,
+                      prior: PriorSpec) -> Tuple[np.ndarray, np.ndarray]:
+    """Per chain log posterior on the log-sigma scale, and the two-type
+    units' lower-type probabilities (C, len(two))."""
+    lw = _log_weights(theta, vd.admissible, *vd.work(theta.gamma_nt.shape[0]).block)
+    loglik, p_lower = _marginal_loglik(lw, vd)
     # change of variables to log sigma adds 2*log(sigma) per noise scale
     logs = [np.array([math.log(s) for s in sigma.tolist()])
             for sigma in (theta.sigma_x, theta.sigma_y)]
-    lp = (log_prior(theta, prior) + 2.0 * logs[0] + 2.0 * logs[1]
-          + _marginal_loglik(lw, vd))
-    return lp, lw
+    lp = log_prior(theta, prior) + 2.0 * logs[0] + 2.0 * logs[1] + loglik
+    return lp, p_lower
 
 
 def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
                     tuning: _Tuning) -> Tuple[Theta, np.ndarray, np.ndarray]:
     """One Metropolis step per chain; returns the new theta, its log
-    posteriors and its log-weights.  A chain that rejects keeps its theta
-    row and log-weights bit for bit; when no chain accepts, the theta and
-    the log-weights are the state's own objects."""
+    posteriors and its lower-type probabilities.  A chain that rejects keeps
+    its theta row and probabilities bit for bit; when no chain accepts, the
+    theta and the probabilities are the state's own objects."""
     th, rngs = state.theta, state.rngs
     p = th.p
-    w = vd.work(len(rngs))
     cur = _pack_unconstrained(th)
-    cached = state.logweights
-    if cached is not None and cached[0] is th:
-        _, lp_cur, lw_cur = cached
-    else:
-        lp_cur, lw_cur = _marginal_logpost(th, vd, prior, _free(w.lw, cached and cached[2]))
+    cached = _cached(state.logweights, th)
+    lp_cur, pl_cur = cached if cached is not None else _marginal_logpost(th, vd, prior)
     if not np.isfinite(lp_cur).all():
         raise NumericalOverflow("current marginal log posterior is non-finite")
     sd = tuning.marg_sd if tuning.marg_sd is not None else np.ones(cur.shape[1])
@@ -785,21 +782,18 @@ def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
         # an invalid proposal is evaluated at the current theta and rejected
         vec[~valid] = th.to_vector()[~valid]
         prop = Theta.from_vector(vec, p)
-        lp, lw_prop = _marginal_logpost(prop, vd, prior, _free(w.lw, lw_cur))
+        lp, pl_prop = _marginal_logpost(prop, vd, prior)
         if np.isnan(lp[valid]).any():
             raise NumericalOverflow("proposal marginal log posterior is NaN")
         lp_prop[valid] = lp[valid]
     accept, probs = _metropolis(lp_prop, lp_cur, lambda c: rngs[c].uniform())
-    new, lp_new, lw_new = th, lp_cur, lw_cur
+    new, lp_new, pl_new = th, lp_cur, pl_cur
     if accept.all():
-        new, lp_new, lw_new = prop, lp_prop, lw_prop
+        new, lp_new, pl_new = prop, lp_prop, pl_prop
     elif accept.any():
         new = Theta.from_vector(np.where(accept[:, None], vec, th.to_vector()), p)
         lp_new = np.where(accept, lp_prop, lp_cur)
-        # type-major: the chain axis is the middle one of (3, C, n)
-        np.copyto(types_first(lw_prop), types_first(lw_cur),
-                  where=~accept[:, None])
-        lw_new = lw_prop
+        pl_new = np.where(accept[:, None], pl_prop, pl_cur)
     if tuning.adapting:
         tuning.marg_scale[:] = [_adapt_scale(s, a, 0.234, tuning.t)
                                 for s, a in zip(tuning.marg_scale.tolist(), probs)]
@@ -809,7 +803,7 @@ def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
             if tuning.t == tuning.sd_refresh_at:
                 sd_new = np.asarray(tuning.history).std(axis=0, ddof=0)
                 tuning.marg_sd = np.maximum(sd_new, 1e-3)
-    return new, lp_new, lw_new
+    return new, lp_new, pl_new
 
 
 def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: PriorSpec,

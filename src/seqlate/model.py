@@ -6,7 +6,7 @@ covariates with the complier as reference category.  The intermediate
 outcome is linear in (x1, w1, stratum indicators) with Gaussian noise, and
 the final outcome is linear in (x1, x2, w1, w2, w1*w2, stratum indicators)
 with Gaussian noise.  All likelihood code works on the log scale, over
-whole (n, 3) columns of units by candidate type.
+whole (n, k) columns of units by candidate type.
 
 Design-row layouts (fixed everywhere, including the simulator):
 
@@ -217,19 +217,15 @@ def logit_design(X1: np.ndarray) -> np.ndarray:
 
 
 def types_first(a: np.ndarray) -> np.ndarray:
-    """The (3, ..., n) view of a (..., n, 3) array; the array under a
+    """The (k, ..., n) view of a (..., n, k) array; the array under a
     type-major one."""
     return a.transpose((a.ndim - 1,) + tuple(range(a.ndim - 1)))
 
 
-def types_last(a: np.ndarray) -> np.ndarray:
-    """The (..., n, 3) view of a (3, ..., n) array."""
-    return a.transpose(tuple(range(1, a.ndim)) + (0,))
-
-
-def type_major(lead: tuple, n: int, rows: int = 3) -> np.ndarray:
-    """An empty (*lead, n, rows) array laid out as the kernels return theirs."""
-    return types_last(np.empty((rows,) + tuple(lead) + (n,)))
+def type_major(lead: tuple, n: int, rows: int) -> np.ndarray:
+    """An empty (*lead, n, rows) array laid out as the kernels return
+    theirs: the (..., n, rows) view of a (rows, ..., n) array."""
+    return np.moveaxis(np.empty((rows,) + tuple(lead) + (n,)), 0, -1)
 
 
 def row_dot(coef: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:

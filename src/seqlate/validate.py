@@ -289,7 +289,8 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     by_code = [np.ascontiguousarray(L[:, :, c].T) for c in range(3)]
     # each two-type unit's lower-type probability at every grid point, the
     # grid axis as the chain axis, so one label draw covers every grid point
-    _, e, total = _pair_exp(L, vd.work(k).pairs)
+    lower = vd.low[vd.two]
+    _, e, total = _pair_exp(np.stack([L[:, vd.two, lower], L[:, vd.two, lower + 1]]))
     p_lower = e[0] / total
     log_w = np.log(spec.weights)
     rng = substream(seed, "grid-gibbs", 0)

@@ -42,6 +42,18 @@ def ref_marginal_loglik(lw):
     return float(tot.sum())
 
 
+def ref_admissible_block(m, consistent):
+    """The (..., n, 3) matrix m at the two types of each unit's row of the
+    admissible block, (..., n, 2): the units admitting {nt}, {co}, {nt, co},
+    {co, at} and {at}, each group in unit order, the first three groups at
+    (nt, co) and the last two at (co, at)."""
+    sets = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    groups = [np.flatnonzero((consistent == s).all(axis=1)) for s in sets]
+    order = np.concatenate(groups)
+    first = np.where(np.arange(order.size) < sum(g.size for g in groups[:3]), 0, 1)
+    return np.stack([m[..., order, first], m[..., order, first + 1]], axis=-1)
+
+
 def ref_vector_categorical(probs, u):
     """Per row, the number of running sums at or below u, capped at the
     last positive entry."""

@@ -309,8 +309,9 @@ def test_criterion_9_analytic_gradient_matches_finite_differences():
             hi, lo = vec.copy(), vec.copy()
             hi[j] += h
             lo[j] -= h
-            fd[j] = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 1), vd), vd)
-                     - _marginal_loglik(_log_weights(Theta.from_vector(lo, 1), vd), vd)) / (2 * h)
+            fd[j] = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 1), vd.admissible), vd)[0]
+                     - _marginal_loglik(_log_weights(Theta.from_vector(lo, 1), vd.admissible),
+                                        vd)[0]) / (2 * h)
         rel = float(np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12))
         worst = max(worst, rel)
     ok = worst < 1e-4

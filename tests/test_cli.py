@@ -97,6 +97,20 @@ def test_fit_marginal_kernel_alias(sim_dir, tmp_path):
     assert summary["theta_update"] == "marginal_mh"
 
 
+def test_fit_marginal_survives_proposals_outside_the_prior_support(tmp_path, capsys):
+    # at step scale 1000 some proposals put a noise scale where its square
+    # overflows or underflows; they are rejected and the fit completes
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[dgp]\nn = 60\nseed = 3\n")
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", str(cfg), "--out", str(sim)]) == 0
+    rc = main(["fit", "--data", str(sim / "dataset.csv"), "--config", str(cfg),
+               "--out", str(tmp_path / "fit"), "--chains", "2", "--warmup", "0",
+               "--draws", "20", "--seed", "1", "--theta-update", "marginal",
+               "--mh-step-scale", "1000"])
+    assert rc == 0, capsys.readouterr().err
+
+
 def test_compare_emits_table_with_bias(sim_dir, tmp_path, capsys):
     fit_dir = tmp_path / "fit"
     main(["fit", "--data", str(sim_dir / "dataset.csv"), "--out", str(fit_dir),

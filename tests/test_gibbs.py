@@ -41,6 +41,7 @@ from seqlate.model import (
     observed_cell_logliks,
     row_dot,
     theta_field_names,
+    types_first,
 )
 from seqlate.rng import substream
 from seqlate.simulate import ConstantCompliance, DgpConfig, LogitCompliance, simulate_dataset
@@ -48,6 +49,7 @@ from seqlate.validate import _complier_contrasts
 
 from label_reference import (
     label_posterior,
+    ref_admissible_block,
     ref_compliance_log_prob_matrix,
     ref_log_weights,
     ref_marginal_loglik,
@@ -588,26 +590,52 @@ def test_marginal_step_keeps_a_rejecting_chain_bit_for_bit(monkeypatch, accept):
     vd = as_vector_data(data)
     state = step_theta(start(vd, 54, chains=(0, 1)), vd, PriorSpec(), "marginal_mh")
     old_theta = state.theta.to_vector()
-    _, old_lp, old_lw = state.logweights
-    old_lp, old_lw = old_lp.copy(), old_lw.copy()
+    _, old_lp, old_pl = state.logweights
+    old_lp, old_pl = old_lp.copy(), old_pl.copy()
     monkeypatch.setattr(gibbs, "_metropolis",
                         lambda lp_prop, lp_cur, uniform: (np.array(accept), [0.5, 0.5]))
     new = step_theta(state, vd, PriorSpec(), "marginal_mh")
-    theta, lp, lw = new.logweights
+    theta, lp, pl = new.logweights
     assert theta is new.theta
+    assert pl.shape == (2, vd.two.size)
     if not any(accept):
         # the bench's acceptance count reads an unchanged object as a rejection
-        assert new.theta is state.theta and lw is state.logweights[2]
+        assert new.theta is state.theta and pl is state.logweights[2]
     for c, took in enumerate(accept):
         if took:
             assert (new.theta.to_vector()[c] != old_theta[c]).any()
-            assert np.array_equal(lw[c], gibbs._log_weights(new.theta, vd)[c])
+            assert np.array_equal(pl[c], gibbs._marginal_logpost(new.theta, vd, PriorSpec())[1][c])
         else:
             assert np.array_equal(new.theta.to_vector()[c], old_theta[c])
-            assert np.array_equal(lw[c], old_lw[c])
+            assert np.array_equal(pl[c], old_pl[c])
             assert lp[c] == old_lp[c]
     # the state stepped from keeps its own cache
-    assert np.array_equal(state.logweights[2], old_lw)
+    assert np.array_equal(state.logweights[2], old_pl)
+
+
+@pytest.mark.parametrize("log_sigma", [400.0, -480.0, 800.0])
+def test_marginal_step_rejects_a_scale_outside_the_prior_support(log_sigma):
+    # chain 0 proposes log sigma_x = log_sigma, where the variance overflows
+    # (400), underflows to zero (-480) or the scale itself overflows (800):
+    # it keeps its theta and cache and draws no uniform, and chain 1 steps
+    # as usual
+    data, _ = simulate_dataset(DgpConfig(n=60, seed=3))
+    vd = as_vector_data(data)
+    state = step_theta(start(vd, 3, chains=(0, 1)), vd, PriorSpec(), "marginal_mh")
+    cur = gibbs._pack_unconstrained(state.theta)
+    i = gibbs._sigma_index(1)
+    peek = copy.deepcopy(state.rngs)
+    z = np.stack([rng.standard_normal(cur.shape[1]) for rng in peek])
+    tuning = gibbs._Tuning(n_chains=2, marg_scale=[(log_sigma - cur[0, i]) / z[0, i], 0.05])
+    tuning.marg_sd = np.ones(cur.shape[1])
+    tuning.marg_sd[:i], tuning.marg_sd[i + 1:] = 0.0, 0.0
+    new = step_theta(state, vd, PriorSpec(), "marginal_mh", tuning)
+    assert np.array_equal(new.theta.to_vector()[0], state.theta.to_vector()[0])
+    assert new.logweights[1][0] == state.logweights[1][0]
+    assert np.array_equal(new.logweights[2][0], state.logweights[2][0])
+    peek[1].uniform()
+    for rng, want in zip(new.rngs, peek):
+        assert rng.bit_generator.state == want.bit_generator.state
 
 
 def test_invariant_check_names_the_corrupted_chain(monkeypatch):
@@ -807,6 +835,40 @@ def test_marginal_chain_evaluates_log_weights_once_per_sweep(monkeypatch):
     assert len(calls) <= k + 1
 
 
+def test_marginal_chain_evaluates_every_unit_at_two_types_once_per_sweep(monkeypatch):
+    # the sampler calls each kernel through gibbs once for the starting
+    # theta and once per sweep, on every unit at two types; the label step
+    # reads the cached probabilities and calls none
+    data, _ = simulate_dataset(DgpConfig(n=80, seed=44))
+    shapes = {"compliance_log_prob_matrix": [], "observed_cell_logliks": []}
+
+    def counted(name, original):
+        def kernel(theta, cols, *args, **kwargs):
+            out = original(theta, cols, *args, **kwargs)
+            shapes[name].append(out.shape)
+            return out
+        return kernel
+
+    for name in shapes:
+        monkeypatch.setattr(gibbs, name, counted(name, getattr(gibbs, name)))
+    label_calls = []
+    step = gibbs.step_compliance
+
+    def label_step(state, vd):
+        before = sum(map(len, shapes.values()))
+        out = step(state, vd)
+        label_calls.append(sum(map(len, shapes.values())) - before)
+        return out
+
+    monkeypatch.setattr(gibbs, "step_compliance", label_step)
+    k = 60
+    cfg = SamplerConfig(seed=10, n_chains=2, n_warmup=k // 2, n_draws=k // 2,
+                        theta_update="marginal_mh")
+    run_chain(data, PriorSpec(), cfg)
+    assert shapes == {name: [(2, 80, 2)] * (k + 1) for name in shapes}
+    assert label_calls == [0] * (k // 2)
+
+
 def test_conjugate_chain_evaluates_each_density_at_the_pairs_once_per_sweep(monkeypatch):
     # the sampler calls each kernel through gibbs once per sweep, on the
     # two-type units' columns only
@@ -860,12 +922,11 @@ def test_labels_from_cached_log_weights_equal_the_posterior():
         new = step_theta(state, vd, PriorSpec(), "marginal_mh", tuning)
         accepted += new.theta is not state.theta
         rejected += new.theta is state.theta
-        cached_theta, _, lw = new.logweights
+        cached_theta, _, p_lower = new.logweights
         assert cached_theta is new.theta
-        # the cached matrix holds the exact conditional at the admissible types
-        admissible = np.where(vd.consistent, lw[0], -np.inf)
-        assert np.array_equal(ref_normalise(admissible), label_posterior(new.theta, vd)[0])
-        # the same uniforms with and without the cached matrix
+        # the cache holds the exact conditional of the two-type units
+        assert np.array_equal(p_lower[0], lower_probs(vd, label_posterior(new.theta, vd)[0]))
+        # the same uniforms with and without the cached probabilities
         fresh = replace(new, logweights=None, rngs=copy.deepcopy(new.rngs))
         labelled = step_compliance(new, vd)
         assert np.array_equal(labelled.compliance, step_compliance(fresh, vd).compliance)
@@ -977,14 +1038,18 @@ def random_theta(rng, p, gamma_nt0, gamma_at0):
 def test_pair_weights_and_marginal_loglik_match_row_reductions(case):
     vd, lw, masked = case
     probs = ref_normalise(masked)
-    _, e, total = gibbs._pair_exp(lw, vd.work(1).pairs)
-    assert np.array_equal(e[0, 0] / total[0], lower_probs(vd, probs))
-    assert np.array_equal(e[1, 0] / total[0], probs[vd.two, vd.low[vd.two] + 1])
+    block = np.array(ref_admissible_block(lw, vd.consistent),
+                     order="F" if lw.flags.f_contiguous else "C")
+    _, e, total = gibbs._pair_exp(types_first(block.copy())[:, vd.two_slice])
+    assert np.array_equal(e[0] / total, lower_probs(vd, probs))
+    assert np.array_equal(e[1] / total, probs[vd.two, vd.low[vd.two] + 1])
     # a one-type unit's sole type has probability exactly one, so its draw
     # is its lower type and its marginal that type's log-weight
     one = np.setdiff1d(np.arange(vd.n), vd.two)
     assert (probs[one, vd.low[one]] == 1.0).all()
-    assert gibbs._marginal_loglik(lw, vd) == ref_marginal_loglik(masked)
+    loglik, p_lower = gibbs._marginal_loglik(block, vd)
+    assert loglik == ref_marginal_loglik(masked)
+    assert np.array_equal(p_lower, lower_probs(vd, probs))
 
 
 @given(log_weights_of_data(), st.data())
@@ -1043,13 +1108,14 @@ def test_log_weights_match_row_reductions(n, p, g_nt, g_at, seed):
     th = random_theta(np.random.default_rng(seed), p, g_nt, g_at)
     cells = observed_cell_logliks(th, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y)
     assert cells.flags.f_contiguous
-    lw = gibbs._log_weights(th, vd)
+    lw = gibbs._log_weights(th, vd.admissible)
     assert lw.flags.f_contiguous
     want = ref_log_weights(th, vd)
-    assert np.array_equal(lw[vd.consistent], want[vd.consistent])
-    _, e, total = gibbs._pair_exp(lw, vd.work(1).pairs)
-    assert np.array_equal(e[0, 0] / total[0], lower_probs(vd, ref_normalise(want)))
-    assert gibbs._marginal_loglik(lw, vd) == ref_marginal_loglik(want)
+    ok = ref_admissible_block(vd.consistent, vd.consistent)
+    assert np.array_equal(lw[ok], ref_admissible_block(want, vd.consistent)[ok])
+    loglik, p_lower = gibbs._marginal_loglik(lw, vd)
+    assert np.array_equal(p_lower, lower_probs(vd, ref_normalise(want)))
+    assert loglik == ref_marginal_loglik(want)
 
 
 # the admissible sets of the units: no two-type unit, {nt, co} ones only,
@@ -1070,19 +1136,34 @@ def test_pair_form_equals_the_three_type_form_at_admissible_entries(sets, p, cha
     def at_pairs(m):
         return np.stack([m[:, vd.two, lower], m[:, vd.two, lower + 1]], axis=-1)
 
-    u = vd.pair_units
+    full, u = vd.admissible, vd.pair_units
     a, b = row_dot(th.gamma_nt, vd.U1), row_dot(th.gamma_at, vd.U1)
     logits = (a, b, logit_lse(a, b))
     three = {"cells": observed_cell_logliks(th, vd.X1, vd.w1f, vd.w2f, vd.x2, vd.y),
-             "probs": compliance_log_prob_matrix(th, vd.U1),
-             "weights": gibbs._log_weights(th, vd, logits=logits)}
+             "probs": compliance_log_prob_matrix(th, vd.U1)}
+    three["weights"] = compliance_log_prob_matrix(th, vd.U1, logits=logits) + three["cells"]
+    block = {"cells": observed_cell_logliks(th, full.X1, full.w1f, full.w2f, full.x2, full.y,
+                                            layout=full.layout),
+             "probs": compliance_log_prob_matrix(th, full.U1, layout=full.layout),
+             "weights": gibbs._log_weights(th, full, logits=[v[:, vd.order] for v in logits])}
     pair = {"cells": observed_cell_logliks(th, u.X1, u.w1f, u.w2f, u.x2, u.y, layout=u.layout),
             "probs": compliance_log_prob_matrix(th, u.U1, layout=u.layout),
             "weights": gibbs._log_weights(th, u, logits=[v[:, vd.two] for v in logits])}
     for name, got in pair.items():
+        assert block[name].shape == (chains, vd.n, 2)
+        assert np.array_equal(block[name], ref_admissible_block(three[name], vd.consistent)), name
         assert got.shape == (chains, vd.two.size, 2)
         assert np.array_equal(got, at_pairs(three[name])), name
     assert np.array_equal(gibbs._log_weights(th, u), pair["weights"])
+    assert np.array_equal(gibbs._log_weights(th, full), block["weights"])
+    # every admissible type of a unit is one of its two in the block, and
+    # the two-type units' columns are a slice of the admissible gather
+    ok = ref_admissible_block(vd.consistent, vd.consistent)
+    assert np.array_equal(ok.sum(axis=-1), vd.consistent.sum(axis=1)[vd.order])
+    assert np.array_equal(vd.order[vd.two_slice], vd.two)
+    for name in ("U1", "X1", "w1f", "w2f", "x2", "y"):
+        col = getattr(u, name)
+        assert col.size == 0 or np.shares_memory(col, getattr(full, name)), name
 
 
 @given(st.lists(st.floats(0.0, 1.0) | st.just(0.0), min_size=1, max_size=12),

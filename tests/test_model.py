@@ -35,6 +35,8 @@ from seqlate.model import (
 from seqlate.rng import substream
 from seqlate.simulate import DgpConfig, simulate_dataset
 
+from label_reference import ref_admissible_block
+
 # a column kernel producing inf - inf or 0 * inf fails the test instead of warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -201,7 +203,7 @@ def test_unit_marginal_matches_longdouble_brute_force():
         w1, w2 = realized_treatment(c_true, z1), realized_treatment(c_true, z2)
         x1, x2, y = float(rng.normal()), float(rng.normal()), float(rng.normal())
         unit = as_vector_data(one_unit([x1], z1, w1, x2, z2, w2, y))
-        got = _marginal_loglik(_log_weights(th, unit), unit)
+        got = _marginal_loglik(_log_weights(th, unit.admissible), unit)[0]
         a, b = th.alpha.astype(ld), th.beta.astype(ld)
         logits = [th.gamma_nt.astype(ld) @ [ld(1), ld(x1)], ld(0),
                   th.gamma_at.astype(ld) @ [ld(1), ld(x1)]]
@@ -224,27 +226,31 @@ def test_unit_marginal_matches_longdouble_brute_force():
 
 def test_marginal_gives_excluded_strata_no_weight():
     # no reader reads the log-weight of a type a unit's receipts rule out:
-    # raised to 700 it moves neither the marginal nor the drawn labels, and
-    # an assigned-control unit that took treatment in both periods is an
+    # a one-type unit's other row of the admissible block raised to 700
+    # moves neither the marginal nor the drawn labels, and an
+    # assigned-control unit that took treatment in both periods is an
     # alwaystaker for certain, whose marginal is the alwaystaker term alone
     vd = as_vector_data(simulate_dataset(DgpConfig(n=200, seed=16))[0])
     unit = as_vector_data(one_unit([0.2], 0, 1, 0.4, 1, 1, 1.0))
     rng = substream(16, "excluded-strata", 0)
+    ok = ref_admissible_block(vd.consistent, vd.consistent)
+    assert (~ok).any() and ok.any(axis=-1).all()
     for th in (random_theta(rng), random_theta(rng, scale=3.0)):
         chain = Theta.from_vector(th.to_vector()[None], th.p)
-        lw = _log_weights(chain, vd)
-        assert np.all(np.isfinite(lw[0, vd.consistent]))
+        lw = _log_weights(chain, vd.admissible).copy()
+        assert np.all(np.isfinite(lw[0, ok]))
         raised = lw.copy()
-        raised[0, ~vd.consistent] = 700.0
-        assert _marginal_loglik(raised, vd) == _marginal_loglik(lw, vd)
+        raised[0, ~ok] = 700.0
+        (got, p_lower), (want, p_want) = (_marginal_loglik(w.copy(), vd) for w in (raised, lw))
+        assert got == want and np.array_equal(p_lower, p_want)
         labels = [step_compliance(ChainState(chain, vd.low[None], (substream(16, "chain", 0),),
-                                             logweights=(chain, None, w)), vd).compliance
-                  for w in (lw, raised)]
+                                             logweights=(chain, None, p)), vd).compliance
+                  for p in (p_want, p_lower)]
         assert np.array_equal(labels[0], labels[1])
         at_term = (compliance_log_prob_matrix(th, unit.U1)
                    + observed_cell_logliks(th, unit.X1, unit.w1f, unit.w2f,
                                            unit.x2, unit.y))[0, AT_CODE]
-        assert _marginal_loglik(_log_weights(th, unit), unit) == at_term
+        assert _marginal_loglik(_log_weights(th, unit.admissible), unit)[0] == at_term
 
 
 def test_log_prior_matches_scipy():
@@ -286,6 +292,7 @@ def test_marginal_gradient_matches_finite_differences():
         lo, hi = vec.copy(), vec.copy()
         lo[j] -= eps
         hi[j] += eps
-        fd = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 3), vd), vd)
-              - _marginal_loglik(_log_weights(Theta.from_vector(lo, 3), vd), vd)) / (2 * eps)
+        fd = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 3), vd.admissible), vd)[0]
+              - _marginal_loglik(_log_weights(Theta.from_vector(lo, 3), vd.admissible), vd)[0]
+              ) / (2 * eps)
         assert grad[j] == pytest.approx(fd, abs=1e-5)
