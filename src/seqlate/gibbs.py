@@ -74,8 +74,10 @@ of that order.  A pair is reduced to m = its maximum, e = exp(lw - m) and
 e_lower + e_upper, and takes the upper code iff p_lower = e_lower /
 (e_lower + e_upper) is at or below its uniform: the floats of the row-wise
 reductions over all three types, whose inadmissible terms are exact zeros.
-The blocks are allocated once per dataset and chain count (_Work), so a
-sweep does not fault in fresh pages.
+Every label, whether the label step, init_state or the grid sampler draws
+it, is written by _draw_labels.  The label step's uniforms and the blocks
+are allocated once per dataset and chain count (_Work), so a sweep does not
+fault in fresh pages.
 
 Proposal scales adapt per chain with a decaying Robbins-Monro rule during
 warmup only and freeze afterwards, so kept draws come from a fixed-kernel
@@ -108,6 +110,7 @@ from .model import (
     PriorSpec,
     Theta,
     compliance_log_prob_matrix,
+    dots,
     logit_design,
     log_prior,
     logit_lse,
@@ -198,6 +201,7 @@ class _VectorData:
         self.n_nt, start, self.split, stop = np.cumsum([g.size for g in groups[:4]]).tolist()
         self.two_slice = slice(start, stop)
         self.two = self.order[self.two_slice]
+        self.low_two = self.low[self.two]
         self.obs_ycol = 2 * self.w1 + self.w2
         # (4, n) masks of the (w1, w2) groups, in Y_CELLS order
         self.groups = self.obs_ycol == np.arange(4)[:, None]
@@ -243,28 +247,24 @@ def _at_two_types(cols, units, split: int) -> SimpleNamespace:
 
 
 class _Work:
-    """Buffers and indices reused sweep after sweep by C chains on one dataset.
+    """Buffers reused sweep after sweep by C chains on one dataset.
 
-    The label step draws from the (C, n) uniforms u; two holds the flat
-    indices of the two-type units in a (C, n) array, lower their lower codes
-    and codes every unit's.  Made on first use, each a log-weight and a
-    cell-density buffer, (C, ., 2) views of (2, C, .) arrays: pair, the m
-    two-type units' for the conjugate label step, and block, every unit's
-    at its two types of the admissible layout for marginal_mh.  Contiguous
-    pair buffers time faster than slices of block at large n.
+    The label step draws into the (C, n) uniforms u.  Made on first use,
+    each a log-weight and a cell-density buffer, (C, ., 2) views of
+    (2, C, .) arrays: pair, the m two-type units' for the conjugate label
+    step, and block, every unit's at its two types of the admissible layout
+    for marginal_mh.  Contiguous pair buffers time faster than slices of
+    block.
     """
 
     def __init__(self, vd: _VectorData, n_chains: int):
-        C, n = n_chains, vd.n
-        self.two = vd.two + n * np.arange(C)[:, None]
-        self.codes = np.tile(vd.low, (C, 1))
-        self.lower = np.take(self.codes, self.two)
-        self.u = np.empty((C, n))
+        self.m = vd.two.size
+        self.u = np.empty((n_chains, vd.n))
 
     @functools.cached_property
     def pair(self) -> Tuple[np.ndarray, np.ndarray]:
-        C, m = self.two.shape
-        return type_major((C,), m, 2), type_major((C,), m, 2)
+        C = self.u.shape[0]
+        return type_major((C,), self.m, 2), type_major((C,), self.m, 2)
 
     @functools.cached_property
     def block(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -338,22 +338,27 @@ def _log_weights(theta: Theta, cols, out=None, cells=None, logits=None) -> np.nd
 def _pair_exp(g: np.ndarray) -> tuple:
     """(m, e, total) of the two-type units' (lower, upper) log-weights g
     (2, ..., m), which e overwrites: the larger of each pair, exp(g - m) and
-    the sums e_lower + e_upper."""
-    m = np.maximum(g[0], g[1])
-    e = np.exp(np.subtract(g, m, out=g), out=g)
+    the sums e_lower + e_upper.  A pair of -inf log-weights keeps m = -inf
+    but takes e = (1, 0), so that its m + log(total) is -inf, not NaN."""
+    shift = m = np.maximum(g[0], g[1])
+    dead = m == -np.inf
+    if dead.any():
+        g[0][dead], shift = 0.0, np.where(dead, 0.0, m)
+    e = np.exp(np.subtract(g, shift, out=g), out=g)
     return m, e, np.add(e[0], e[1])
 
 
 def _draw_labels(vd: _VectorData, p_lower, u: np.ndarray) -> np.ndarray:
-    """int8 labels from uniforms u (..., n): each unit's lower admissible
-    code, the upper one at a two-type unit where p_lower (..., len(two)),
-    its lower type's probability, is at or below its uniform; p_lower
-    broadcasts against u, so (k, .) probabilities and (s, 1, n) uniforms
-    give (s, k, n) labels."""
-    upper = p_lower <= u[..., vd.two]
+    """int8 labels from uniforms u (..., n), the one place a label is
+    written: each unit's lower admissible code, the upper one at a two-type
+    unit where p_lower (..., len(two)), its lower type's probability, is at
+    or below its uniform.  p_lower broadcasts against u, so (k, .)
+    probabilities and (s, 1, n) uniforms give (s, k, n) labels; a dataset
+    without two-type units takes (..., 0) probabilities."""
+    upper = p_lower <= np.take(u, vd.two, axis=-1)
     codes = np.empty(upper.shape[:-1] + (vd.n,), dtype=np.int8)
     codes[...] = vd.low
-    codes[..., vd.two] += upper
+    codes[..., vd.two] = vd.low_two + upper
     return codes
 
 
@@ -372,16 +377,13 @@ def step_compliance(state: ChainState, data: Union[Dataset, _VectorData]) -> Cha
     else:
         logits = _cached(state.logits, state.theta)
         if logits is not None:
-            logits = [np.take(col, w.two) for col in logits]
+            logits = [np.take(col, vd.two, axis=-1) for col in logits]
         lw = _log_weights(state.theta, vd.pair_units, *w.pair, logits=logits)
         _, e, total = _pair_exp(types_first(lw))
         p_lower = np.divide(e[0], total, out=total)
     for rng, row in zip(state.rngs, w.u):
         rng.random(out=row)
-    # each unit's lower code, the upper one where p_lower <= u
-    codes = w.codes.copy()
-    np.put(codes, w.two, w.lower + (p_lower <= np.take(w.u, w.two)))
-    return replace(state, compliance=codes)
+    return replace(state, compliance=_draw_labels(vd, p_lower, w.u))
 
 
 def _arms(contrast: Contrast) -> Contrast:
@@ -448,9 +450,9 @@ def step_impute(state: ChainState, data: Union[Dataset, _VectorData],
     U, x2, y = slice(0, p + 1), p + 1, p + 5
     a, b = th.alpha, th.beta
     b_x2 = b[:, x2]
-    mu = (sums[:, 0, y] + b_x2 * sums[:, 1, x2] + _dots(b[:, U], sums[:, 2, U])
-          + b_x2 * (_dots(a[:, U], sums[:, 3, U]) + a[:, p + 1] * sums[:, 4, 0])
-          + _dots(b[:, p + 2:p + 5], sums[:, 5:8, 0]))
+    mu = (sums[:, 0, y] + b_x2 * sums[:, 1, x2] + dots(b[:, U], sums[:, 2, U])
+          + b_x2 * (dots(a[:, U], sums[:, 3, U]) + a[:, p + 1] * sums[:, 4, 0])
+          + dots(b[:, p + 2:p + 5], sums[:, 5:8, 0]))
     var = th.sigma_y ** 2 * sums[:, 8, 0] + (b_x2 * th.sigma_x) ** 2 * sums[:, 9, 0]
     k = sums[:, 10, 0]
     z = np.array([rng.standard_normal() for rng in state.rngs])
@@ -490,11 +492,6 @@ class _Tuning:
         self.marg_scale = np.array(np.broadcast_to(self.marg_scale, (C,)), dtype=float)
 
 
-def _dots(u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
-    """u @ v, by default u @ u, for every row (one BLAS dot product each)."""
-    return np.matmul(u[..., None, :], (u if v is None else v)[..., :, None])[..., 0, 0]
-
-
 def _normal_equations(lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple, tuple]:
     """Per chain (G, r, n_rows, rss) of the intermediate and outcome blocks,
     stacked along a leading chain axis, and the (C, p + 1) sums of U1 over
@@ -519,8 +516,8 @@ def _normal_equations(lab: np.ndarray, vd: _VectorData) -> Tuple[tuple, tuple, t
         k = static.shape[1]
 
         def rss(coef: np.ndarray) -> np.ndarray:
-            return _dots(resp - row_dot(coef[:, :k], static)
-                         - np.matmul(coef[:, None, k:], ind)[:, 0])
+            return dots(resp - row_dot(coef[:, :k], static)
+                        - np.matmul(coef[:, None, k:], ind)[:, 0])
         return N[:, :-1, :-1], N[:, :-1, -1], vd.n, rss
 
     return (block(vd.x2_gram, vd.x2_lmap, vd.x2_static, vd.x2),
@@ -573,7 +570,7 @@ def _gamma_logpost(gnt: np.ndarray, gat: np.ndarray, sums: tuple, lse: np.ndarra
     the prior adds -(gnt . gnt + gat . gat) / (2 coef_sd^2), one dot per row.
     """
     h = 0.5 / coef_sd ** 2
-    return _dots(gnt, sums[0] - h * gnt) + _dots(gat, sums[1] - h * gat) - lse.sum(axis=-1)
+    return dots(gnt, sums[0] - h * gnt) + dots(gat, sums[1] - h * gat) - lse.sum(axis=-1)
 
 
 def _adapt_scale(scale: float, accept_prob: float, target: float, t: int) -> float:
@@ -700,7 +697,7 @@ def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarra
     _, e, total = _pair_exp(types_first(_log_weights(theta, vd.pair_units)))
     r = np.zeros((vd.n, 3))
     r[np.arange(vd.n), vd.low] = 1.0
-    r[vd.two, vd.low[vd.two] + np.array([[0], [1]])] = e / total
+    r[vd.two, vd.low_two + np.array([[0], [1]])] = e / total
     pc = np.exp(compliance_log_prob_matrix(theta, vd.U1))
     parts = [vd.U1.T @ (r[:, NT] - pc[:, NT]), vd.U1.T @ (r[:, AT] - pc[:, AT])]
     for static, resp, coef, sigma in ((vd.x2_static, vd.x2, theta.alpha, theta.sigma_x),
@@ -829,11 +826,6 @@ def step_theta(state: ChainState, data: Union[Dataset, _VectorData], prior: Prio
 # chain driver
 # ---------------------------------------------------------------------------
 
-def _uniform_labels(vd: _VectorData, rng: np.random.Generator) -> np.ndarray:
-    """Labels drawn uniformly over each unit's admissible types, from n uniforms."""
-    return _draw_labels(vd, 0.5, rng.uniform(size=vd.n))
-
-
 def init_state(data: Union[Dataset, _VectorData],
                rngs: Sequence[np.random.Generator]) -> ChainState:
     """Starting state of one chain per Generator: labels uniform over each
@@ -842,7 +834,7 @@ def init_state(data: Union[Dataset, _VectorData],
     vd = as_vector_data(data)
     rngs = tuple(rngs)
     C, p = len(rngs), vd.p
-    codes = np.stack([_uniform_labels(vd, rng) for rng in rngs])
+    codes = np.stack([_draw_labels(vd, 0.5, rng.uniform(size=vd.n)) for rng in rngs])
     sx = max(float(vd.x2.std()), 1e-2)
     sy = max(float(vd.y.std()), 1e-2)
     theta0 = Theta(np.zeros((C, p + 1)), np.zeros((C, p + 1)), np.zeros((C, p + 4)),
@@ -850,39 +842,22 @@ def init_state(data: Union[Dataset, _VectorData],
     return ChainState(theta0, codes, rngs)
 
 
-def _check_state_invariants(state: ChainState, vd: _VectorData, chains: Sequence[int]) -> None:
-    """The labels are admissible, and a drawn effect is finite exactly for
-    the chains with compliers."""
-    rows = np.arange(vd.n)
-    has_compliers = state.n_compliers() > 0
-    for c, k in enumerate(chains):
-        ok = vd.consistent[rows, state.compliance[c]]
-        if not ok.all():
-            i = int(np.nonzero(~ok)[0][0])
-            raise AssertionError(f"chain {k}: unit {i} carries an inadmissible label")
-        if state.effect is not None and np.isfinite(state.effect[1][c]) != has_compliers[c]:
-            raise AssertionError(f"chain {k}: the complier effect is finite only with compliers")
-
-
 def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerConfig,
-              chains: Optional[Sequence[int]] = None, contrast: Contrast = DEFAULT_CONTRAST,
-              check_invariants: bool = False) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run the chains with the given indices (default: all cfg.n_chains) in
-    lockstep; returns their kept draws as (theta, late, n_compliers) arrays
-    of shape (chains, draws, d) and (chains, draws), laid out as FitResult's.
+              contrast: Contrast = DEFAULT_CONTRAST) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run cfg.n_chains chains in lockstep; returns their kept draws as
+    (theta, late, n_compliers) arrays of shape (chains, draws, d) and
+    (chains, draws), laid out as FitResult's.
 
     Chain k draws from substream(cfg.seed, "chain", k) alone, so its draws
-    are the same whichever chains run beside it.  Step errors are re-raised
-    with the failing sweep number attached.
+    are those of init_state and the steps driven on that substream by
+    itself.  Step errors are re-raised with the failing sweep number
+    attached.
     """
     if cfg.seed is None:
         raise InvalidConfig("seed: a sampler seed is required")
-    chains = list(range(cfg.n_chains) if chains is None else map(int, chains))
-    if not chains:
-        raise InvalidConfig("chains: at least one chain index is required")
     vd = as_vector_data(data)
-    state = init_state(vd, [substream(cfg.seed, "chain", k) for k in chains])
-    C = len(chains)
+    C = cfg.n_chains
+    state = init_state(vd, [substream(cfg.seed, "chain", k) for k in range(C)])
     tuning = _Tuning(n_chains=C, marg_scale=cfg.mh_step_scale,
                      sd_refresh_at=max(1, cfg.n_warmup // 2))
     theta = np.empty((C, cfg.n_draws, theta_dim(vd.p)))
@@ -903,8 +878,6 @@ def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerC
                 state = step_impute(state, vd, contrast)
         except SeqlateError as e:
             raise type(e)(f"sweep {t + 1}: {e}") from e
-        if check_invariants:
-            _check_state_invariants(state, vd, chains)
         j = t - cfg.n_warmup
         if j >= 0:
             theta[:, j] = state.theta.to_vector()
@@ -945,10 +918,9 @@ class FitResult:
 
 
 def fit(data: Dataset, prior: PriorSpec, cfg: SamplerConfig,
-        contrast: Contrast = DEFAULT_CONTRAST, check_invariants: bool = False) -> FitResult:
-    """Run cfg.n_chains chains, each over its own substream, in lockstep."""
+        contrast: Contrast = DEFAULT_CONTRAST) -> FitResult:
+    """Run cfg.n_chains chains, each over its own substream, in lockstep
+    (run_chain), and hold their kept draws in a FitResult."""
     vd = as_vector_data(data)
     log.info("running %d chains in lockstep", cfg.n_chains)
-    theta, late, n_compliers = run_chain(vd, prior, cfg, range(cfg.n_chains), contrast=contrast,
-                                         check_invariants=check_invariants)
-    return FitResult(theta, late, n_compliers, vd.p, cfg)
+    return FitResult(*run_chain(vd, prior, cfg, contrast), vd.p, cfg)

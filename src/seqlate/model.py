@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -228,13 +228,19 @@ def type_major(lead: tuple, n: int, rows: int) -> np.ndarray:
     return np.moveaxis(np.empty((rows,) + tuple(lead) + (n,)), 0, -1)
 
 
-def row_dot(coef: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:
+def row_dot(coef: np.ndarray, M: np.ndarray) -> np.ndarray:
     """M @ coef for every row of coef: (k,) or (C, k) coefficients against
     (n, k) rows M give (n,) or (C, n).  Each chain's row is one BLAS
     matrix-vector product, the same floats as M @ coef[c]."""
-    if out is not None:
-        out = out[..., None, :]
-    return np.matmul(coef[..., None, :], M.T, out=out)[..., 0, :]
+    return np.matmul(coef[..., None, :], M.T)[..., 0, :]
+
+
+def dots(u: np.ndarray, v: Optional[np.ndarray] = None) -> np.ndarray:
+    """u @ v, by default u @ u, for every row of u and v, broadcast against
+    each other: one BLAS dot product each, rounded exactly as the 1-d
+    product of the two rows is (X @ a, einsum and (X * a).sum(1) may differ
+    from it in the last bit)."""
+    return np.matmul(u[..., None, :], (u if v is None else v)[..., :, None])[..., 0, 0]
 
 
 def logit_lse(a: np.ndarray, b: np.ndarray) -> np.ndarray:

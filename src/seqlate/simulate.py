@@ -35,7 +35,7 @@ from .domain import (
     y_cell_index,
 )
 from .errors import InvalidConfig, NoCompliers, TooLarge, UndefinedCell
-from .model import inverse_cdf_draw, logit_design
+from .model import dots, inverse_cdf_draw, logit_design
 from .rng import substream
 
 
@@ -54,12 +54,6 @@ def _set_logit_rows(spec, names: Tuple[str, str], key: str) -> None:
 
 def _same_rows(a, b, *names: str) -> bool:
     return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in names)
-
-
-def _row_dot(X: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """x @ a for every row x of X, rounded exactly as that 1-d product is
-    (X @ a, einsum and (X * a).sum(1) may differ from it in the last bit)."""
-    return (X[:, None, :] @ a[:, None])[:, 0, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +96,7 @@ class LogitCompliance:
 
     def stratum_probs(self, X1: np.ndarray) -> np.ndarray:
         U = logit_design(X1)
-        l_nt, l_at = _row_dot(U, self.gamma_nt), _row_dot(U, self.gamma_at)
+        l_nt, l_at = dots(U, self.gamma_nt), dots(U, self.gamma_at)
         m = np.maximum(np.maximum(l_nt, 0.0), l_at)
         w = np.column_stack([np.exp(l_nt - m), np.exp(0.0 - m), np.exp(l_at - m)])
         # summed left to right, as the sum of a length-3 row is
@@ -152,7 +146,7 @@ class LogitAssignment:
 
     def assignment_probs(self, X1: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         U = logit_design(X1)
-        return tuple(1.0 / (1.0 + np.exp(-_row_dot(U, c))) for c in (self.coef_z1, self.coef_z2))
+        return tuple(1.0 / (1.0 + np.exp(-dots(U, c))) for c in (self.coef_z1, self.coef_z2))
 
     def __eq__(self, other):
         return isinstance(other, LogitAssignment) and _same_rows(self, other, "coef_z1", "coef_z2")
@@ -298,7 +292,7 @@ def simulate_dataset(cfg: DgpConfig) -> Tuple[Dataset, GroundTruth]:
     w2 = np.where(co, z2, at).astype(np.int8)
 
     atf, ntf = at.astype(float), (codes == NT).astype(float)
-    dot_a, dot_b = _row_dot(X1, alpha[1:1 + p]), _row_dot(X1, beta[1:1 + p])
+    dot_a, dot_b = dots(X1, alpha[1:1 + p]), dots(X1, beta[1:1 + p])
     x2_cells = np.empty((n, 2))
     for w in (0, 1):
         mu = alpha[0] + dot_a + alpha[p + 1] * w + alpha[p + 2] * atf + alpha[p + 3] * ntf

@@ -30,7 +30,7 @@ import numpy as np
 
 from .domain import CO, DEFAULT_CONTRAST, Contrast, Dataset, y_cell_index
 from .errors import InvalidConfig, InvariantViolation, TooFewDraws, TooLarge
-from .gibbs import _VectorData, _draw_labels, _pair_exp, _uniform_labels, as_vector_data
+from .gibbs import _VectorData, _draw_labels, _pair_exp, as_vector_data
 # the kernels are called through this module's own names, not through
 # gibbs._log_weights, so that counting the sampler's calls leaves these out
 from .model import Theta, compliance_log_prob_matrix, inverse_cdf_draw, observed_cell_logliks
@@ -289,13 +289,13 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     by_code = [np.ascontiguousarray(L[:, :, c].T) for c in range(3)]
     # each two-type unit's lower-type probability at every grid point, the
     # grid axis as the chain axis, so one label draw covers every grid point
-    lower = vd.low[vd.two]
-    _, e, total = _pair_exp(np.stack([L[:, vd.two, lower], L[:, vd.two, lower + 1]]))
+    _, e, total = _pair_exp(np.stack([L[:, vd.two, vd.low_two], L[:, vd.two, vd.low_two + 1]]))
     p_lower = e[0] / total
     log_w = np.log(spec.weights)
     rng = substream(seed, "grid-gibbs", 0)
 
-    codes = _uniform_labels(vd, rng)
+    # labels uniform over each unit's admissible types, as init_state's
+    codes = _draw_labels(vd, 0.5, rng.uniform(size=n))
     powers = 3 ** np.arange(n - 1, -1, -1)
     theta_idx = np.empty(n_sweeps, dtype=np.int64)
     config_idx = np.empty(n_sweeps, dtype=np.int64)

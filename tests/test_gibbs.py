@@ -82,6 +82,53 @@ def start(vd, seed, chains=(0,)):
     return init_state(vd, [substream(seed, "chain", k) for k in chains])
 
 
+def drive_alone(vd, cfg, chain):
+    """Chain `chain` of cfg driven alone by hand: init_state over its
+    substream, then the steps run_chain runs, adapting during warmup; only
+    kept sweeps impute, and marginal warmup sweeps update theta only.
+    Returns its kept (theta, late, n_compliers) as run_chain's arrays of
+    one chain, and its tuning."""
+    state = start(vd, cfg.seed, chains=(chain,))
+    tuning = gibbs._Tuning(marg_scale=cfg.mh_step_scale, sd_refresh_at=max(1, cfg.n_warmup // 2))
+    kept_rows = []
+    for t in range(cfg.n_warmup + cfg.n_draws):
+        tuning.adapting, tuning.t = t < cfg.n_warmup, t
+        state = step_theta(state, vd, PriorSpec(), cfg.theta_update, tuning)
+        kept = not tuning.adapting
+        if cfg.theta_update == "conjugate_gibbs" or kept:
+            state = step_compliance(state, vd)
+        if kept:
+            state = step_impute(state, vd)
+            kept_rows.append((state.theta.to_vector()[0], late_draw(state)[0],
+                              state.n_compliers()[0]))
+    return tuple(np.array([col]) for col in zip(*kept_rows)), tuning
+
+
+def check_invariants(monkeypatch):
+    """Make gibbs.step_impute, which every kept sweep runs, assert after the
+    sweep that every label is admissible and that the complier effect is
+    finite exactly for the chains with compliers, naming a chain by its
+    position.  Returns the list of states it checked."""
+    original, checked = gibbs.step_impute, []
+
+    def step(state, data, contrast=DEFAULT_CONTRAST):
+        out = original(state, data, contrast)
+        vd = as_vector_data(data)
+        ok = vd.consistent[np.arange(vd.n), out.compliance]
+        finite = np.isfinite(late_draw(out, contrast))
+        for c, has_compliers in enumerate((out.n_compliers() > 0).tolist()):
+            if not ok[c].all():
+                i = int(np.flatnonzero(~ok[c])[0])
+                raise AssertionError(f"chain {c}: unit {i} carries an inadmissible label")
+            if finite[c] != has_compliers:
+                raise AssertionError(f"chain {c}: the complier effect is finite only with compliers")
+        checked.append(out)
+        return out
+
+    monkeypatch.setattr(gibbs, "step_impute", step)
+    return checked
+
+
 def one_unit_dataset(z1, w1, z2, w2):
     return Dataset(np.array([[0.3]]), [z1], [w1], [0.6], [z2], [w2], [1.1])
 
@@ -403,13 +450,18 @@ def test_random_walk_metropolis_duplicated_flat_target():
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
 def test_run_chain_is_deterministic(mode):
     data, _ = simulate_dataset(DgpConfig(n=80, seed=33))
+    vd = as_vector_data(data)
     cfg = SamplerConfig(seed=5, n_chains=1, n_warmup=50, n_draws=60, theta_update=mode)
-    theta1, late1, _ = run_chain(data, PriorSpec(), cfg, [0])
-    theta2, late2, _ = run_chain(data, PriorSpec(), cfg, [0])
+    theta1, late1, _ = run_chain(data, PriorSpec(), cfg)
+    theta2, late2, _ = run_chain(data, PriorSpec(), cfg)
     assert theta1.shape[:2] == late1.shape == (1, 60)
     assert np.array_equal(theta1, theta2)
     assert np.array_equal(late1, late2, equal_nan=True)
-    theta3, _, _ = run_chain(data, PriorSpec(), cfg, [1])
+    # the run is chain 0 driven alone; chain 1 of the same seed differs
+    (theta0, late0, _), _ = drive_alone(vd, cfg, 0)
+    assert np.array_equal(theta1, theta0)
+    assert np.array_equal(late1, late0, equal_nan=True)
+    (theta3, _, _), _ = drive_alone(vd, cfg, 1)
     assert (theta1 != theta3).any(axis=-1).any()
 
 
@@ -433,10 +485,12 @@ def test_run_chain_requires_seed():
         run_chain(data, PriorSpec(), SamplerConfig(seed=None, n_warmup=1, n_draws=1))
 
 
-def test_run_chain_invariants_hold_throughout():
+def test_run_chain_invariants_hold_throughout(monkeypatch):
     data, _ = simulate_dataset(DgpConfig(n=60, seed=36))
     cfg = SamplerConfig(seed=7, n_chains=1, n_warmup=30, n_draws=30)
-    theta, _, _ = run_chain(data, PriorSpec(), cfg, check_invariants=True)
+    checked = check_invariants(monkeypatch)
+    theta, _, _ = run_chain(data, PriorSpec(), cfg)
+    assert len(checked) == cfg.n_draws
     assert np.isfinite(theta[..., theta_field_names(1).index("sigma_y")]).all()
 
 
@@ -477,29 +531,15 @@ def test_fit_shapes_and_determinism():
 
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
 def test_fit_arrays_equal_hand_driven_sweeps(mode):
-    # row j of chain c is kept sweep n_warmup + j of init_state and the
-    # steps driven by hand on that chain's substream, adapting during warmup;
-    # only kept sweeps impute, and marginal warmup sweeps update theta only
+    # row j of chain c is kept sweep n_warmup + j of chain c driven alone
     data, _ = simulate_dataset(DgpConfig(n=60, seed=49))
     vd = as_vector_data(data)
     cfg = SamplerConfig(seed=12, n_chains=2, n_warmup=6, n_draws=15, theta_update=mode)
     res = fit(data, PriorSpec(), cfg)
     for c in range(cfg.n_chains):
-        state = start(vd, cfg.seed, chains=(c,))
-        tuning = gibbs._Tuning(marg_scale=cfg.mh_step_scale, sd_refresh_at=cfg.n_warmup // 2)
-        for t in range(cfg.n_warmup + cfg.n_draws):
-            tuning.adapting, tuning.t = t < cfg.n_warmup, t
-            state = step_theta(state, vd, PriorSpec(), mode, tuning)
-            kept = not tuning.adapting
-            if mode == "conjugate_gibbs" or kept:
-                state = step_compliance(state, vd)
-            if kept:
-                state = step_impute(state, vd)
-            j = t - cfg.n_warmup
-            if j >= 0:
-                assert np.array_equal(res.theta[c, j], state.theta.to_vector()[0])
-                assert res.n_compliers[c, j] == state.n_compliers()[0]
-                assert np.array_equal(res.late[c, j], late_draw(state)[0], equal_nan=True)
+        alone, tuning = drive_alone(vd, cfg, c)
+        for got, want in zip((res.theta, res.late, res.n_compliers), alone):
+            assert np.array_equal(got[c], want[0], equal_nan=True)
         # the marginal history stops at the scale refresh, its one reader
         assert len(tuning.history) == (tuning.sd_refresh_at + 1 if mode == "marginal_mh" else 0)
 
@@ -513,8 +553,10 @@ def test_marginal_warmup_updates_theta_only(monkeypatch, mode):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(gibbs, name, counted)
+    checked = check_invariants(monkeypatch)
     cfg = SamplerConfig(seed=14, n_chains=1, n_warmup=7, n_draws=5, theta_update=mode)
-    run_chain(data, PriorSpec(), cfg, check_invariants=True)
+    run_chain(data, PriorSpec(), cfg)
+    assert len(checked) == cfg.n_draws
     # conjugate warmup draws labels, which its next update reads; only kept
     # sweeps impute, and init_state does not
     labels = cfg.n_draws if mode == "marginal_mh" else cfg.n_warmup + cfg.n_draws
@@ -572,14 +614,14 @@ def test_fit_result_keeps_only_its_arrays():
 @pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
 def test_lockstep_chain_equals_the_chain_run_alone(mode):
     # chain k of a four-chain lockstep run draws from its own substream
-    # alone, so it is the run over [k] bit for bit
+    # alone, so it is chain k driven alone bit for bit
     data, _ = simulate_dataset(DgpConfig(n=70, seed=53))
     vd = as_vector_data(data)
     cfg = SamplerConfig(seed=16, n_chains=4, n_warmup=20, n_draws=30, theta_update=mode)
     together = run_chain(vd, PriorSpec(), cfg)
     assert together[0].shape == (4, 30, len(theta_field_names(1)))
     for k in range(4):
-        alone = run_chain(vd, PriorSpec(), cfg, [k])
+        alone, _ = drive_alone(vd, cfg, k)
         for a, b in zip(together, alone):
             assert np.array_equal(a[k], b[0], equal_nan=True)
 
@@ -613,12 +655,10 @@ def test_marginal_step_keeps_a_rejecting_chain_bit_for_bit(monkeypatch, accept):
     assert np.array_equal(state.logweights[2], old_pl)
 
 
-@pytest.mark.parametrize("log_sigma", [400.0, -480.0, 800.0])
-def test_marginal_step_rejects_a_scale_outside_the_prior_support(log_sigma):
-    # chain 0 proposes log sigma_x = log_sigma, where the variance overflows
-    # (400), underflows to zero (-480) or the scale itself overflows (800):
-    # it keeps its theta and cache and draws no uniform, and chain 1 steps
-    # as usual
+def assert_rejected_unseen(log_sigma):
+    """Chain 0 of a two-chain marginal step on the [dgp] n = 60, seed = 3
+    data proposes log sigma_x = log_sigma and keeps its theta and cache
+    without drawing a uniform, and chain 1 steps as usual."""
     data, _ = simulate_dataset(DgpConfig(n=60, seed=3))
     vd = as_vector_data(data)
     state = step_theta(start(vd, 3, chains=(0, 1)), vd, PriorSpec(), "marginal_mh")
@@ -638,6 +678,27 @@ def test_marginal_step_rejects_a_scale_outside_the_prior_support(log_sigma):
         assert rng.bit_generator.state == want.bit_generator.state
 
 
+@pytest.mark.parametrize("log_sigma", [400.0, -480.0, 800.0])
+def test_marginal_step_rejects_a_scale_outside_the_prior_support(log_sigma):
+    # the variance overflows (400), underflows to zero (-480) or the scale
+    # itself overflows (800)
+    assert_rejected_unseen(log_sigma)
+
+
+def test_marginal_step_rejects_a_proposal_of_zero_likelihood():
+    # at log sigma_x = -354 the variance, its reciprocal and the log prior
+    # are finite, but z * z overflows at both types of a two-type unit: its
+    # pair term is -inf, not -inf - -inf, so the log posterior is -inf and
+    # the proposal is rejected like one outside the prior support
+    vd = as_vector_data(simulate_dataset(DgpConfig(n=60, seed=3))[0])
+    v = start(vd, 3).theta.to_vector()
+    v[0, gibbs._sigma_index(1)] = math.exp(-354.0)
+    with np.errstate(over="ignore"):
+        lp, _ = gibbs._marginal_logpost(Theta.from_vector(v, 1), vd, PriorSpec())
+        assert lp.tolist() == [-math.inf]
+        assert_rejected_unseen(-354.0)
+
+
 def test_invariant_check_names_the_corrupted_chain(monkeypatch):
     data, _ = simulate_dataset(DgpConfig(n=40, seed=55))
     vd = as_vector_data(data)
@@ -653,13 +714,11 @@ def test_invariant_check_names_the_corrupted_chain(monkeypatch):
 
     monkeypatch.setattr(gibbs, "step_impute", corrupt_third)
     cfg = SamplerConfig(seed=17, n_chains=4, n_warmup=2, n_draws=2)
-    with pytest.raises(AssertionError, match=f"^chain 2: unit {i} carries an inadmissible label$"):
-        run_chain(data, PriorSpec(), cfg, check_invariants=True)
-    # position 2 of the run is chain 7
-    with pytest.raises(AssertionError, match=f"^chain 7: unit {i} carries"):
-        run_chain(data, PriorSpec(), cfg, [5, 6, 7], check_invariants=True)
     # without the check the corruption passes unseen
     run_chain(data, PriorSpec(), cfg)
+    check_invariants(monkeypatch)
+    with pytest.raises(AssertionError, match=f"^chain 2: unit {i} carries an inadmissible label$"):
+        run_chain(data, PriorSpec(), cfg)
 
 
 def test_sampler_config_validation():
@@ -946,17 +1005,6 @@ def test_stale_log_weights_are_not_used():
     assert np.array_equal(step_compliance(moved, vd).compliance[0], want)
 
 
-@pytest.mark.parametrize("mode", ["conjugate_gibbs", "marginal_mh"])
-def test_invariant_checks_do_not_change_draws(mode):
-    data, _ = simulate_dataset(DgpConfig(n=70, seed=47))
-    cfg = SamplerConfig(seed=11, n_chains=1, n_warmup=30, n_draws=40, theta_update=mode)
-    (theta_a, late_a, n_co_a) = run_chain(data, PriorSpec(), cfg)
-    (theta_b, late_b, n_co_b) = run_chain(data, PriorSpec(), cfg, check_invariants=True)
-    assert np.array_equal(theta_a, theta_b)
-    assert np.array_equal(n_co_a, n_co_b)
-    assert np.array_equal(late_a, late_b, equal_nan=True)
-
-
 # ---------------------------------------------------------------------------
 # column kernels and the two-type label layer against the row-wise reductions
 # over (n, 3) of label_reference; the two must give the same floats
@@ -999,7 +1047,7 @@ def patterned_data(patterns, p=1, rng=None):
 
 def lower_probs(vd, probs):
     """The two-type units' lower-type probabilities in (n, 3) probs."""
-    return probs[vd.two, vd.low[vd.two]]
+    return probs[..., vd.two, vd.low_two]
 
 
 @st.composite
@@ -1079,6 +1127,42 @@ def test_label_draw_hand_rows():
     got = gibbs._draw_labels(vd, lower_probs(vd, probs), u)
     assert np.array_equal(got, ref_vector_categorical(probs, u))
     assert got.tolist() == [0, 2, 1, 2, 1, 1, 1]
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_label_draw_without_two_type_units(lead):
+    # m = 0, with and without a chain axis: (..., 0) probabilities, and
+    # every unit takes its sole type
+    vd = patterned_data([0, 2, 1, 0, 2])
+    assert vd.two.size == 0
+    u = np.random.default_rng(6).uniform(size=lead + (vd.n,))
+    got = gibbs._draw_labels(vd, np.zeros(lead + (0,)), u)
+    assert got.dtype == np.int8 and got.shape == lead + (vd.n,)
+    probs = vd.consistent.astype(float)
+    for row, ur in zip(got.reshape(-1, vd.n), u.reshape(-1, vd.n)):
+        assert np.array_equal(row, ref_vector_categorical(probs, ur))
+    assert got.tolist() == np.broadcast_to([0, 2, 1, 0, 2], got.shape).tolist()
+
+
+def test_label_draw_broadcasts_grid_probabilities_against_sweep_uniforms():
+    # grid_gibbs's shapes: (k, m) probabilities, one row per grid point,
+    # against (s, 1, n) uniforms give (s, k, n) labels, entry (j, i) the
+    # draw at grid point i from sweep j's uniforms; sweep 0's uniforms tie
+    # grid point 0's lower-type probabilities, so those units draw upper
+    vd = patterned_data([0, 3, 4, 1, 3, 2, 4])
+    rng = np.random.default_rng(7)
+    k, s = 3, 4
+    weights = rng.uniform(0.05, 1.0, size=(k, vd.n, 3)) * vd.consistent
+    probs = weights / weights.sum(axis=-1, keepdims=True)
+    p_lower = lower_probs(vd, probs)
+    u = rng.uniform(size=(s, 1, vd.n))
+    u[0, 0, vd.two] = p_lower[0]
+    got = gibbs._draw_labels(vd, p_lower, u)
+    assert got.dtype == np.int8 and got.shape == (s, k, vd.n)
+    for j in range(s):
+        for i in range(k):
+            assert np.array_equal(got[j, i], ref_vector_categorical(probs[i], u[j, 0]))
+    assert np.array_equal(got[0, 0, vd.two], vd.low_two + 1)
 
 
 @given(st.integers(1, 40), st.integers(1, 3), _LOGIT, _LOGIT, st.integers(0, 2 ** 32 - 1))

@@ -15,6 +15,7 @@ from seqlate.domain import (
     realized_treatment,
 )
 from seqlate.errors import InvalidConfig, NoCompliers, UndefinedCell
+from seqlate.model import dots
 from seqlate.simulate import (
     ConstantAssignment,
     ConstantCompliance,
@@ -268,11 +269,10 @@ def test_simulated_files_are_pinned(name, tmp_path):
 
 @pytest.mark.parametrize("p", range(6))
 def test_batched_row_dot_matches_per_row_dot(p):
-    # the simulator's per-unit x1 @ a, computed for all rows at once; plain
+    # model.dots, the simulator's per-unit x1 @ a for all rows at once; plain
     # X @ a, einsum and (X * a).sum(1) may round differently in the last bit
     rng = np.random.default_rng(p)
     X = rng.standard_normal((500, p))
     a = rng.standard_normal(p) * 3.0
     want = np.array([x @ a for x in X])
-    got = (X[:, None, :] @ a[:, None])[:, 0, 0]
-    assert np.array_equal(got, want)
+    assert np.array_equal(dots(X, a), want)
