@@ -77,6 +77,10 @@ _THETA_UPDATE_ALIASES = {
     "marginal_mh": "marginal_mh",
 }
 
+# the fit flags (argparse dests) that override a SamplerConfig field
+_SAMPLER_FLAGS = {"chains": "n_chains", "draws": "n_draws", "warmup": "n_warmup",
+                  "theta_update": "theta_update", "mh_step_scale": "mh_step_scale"}
+
 
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
@@ -199,17 +203,10 @@ def _cmd_fit(args) -> int:
         sampler, prior = cfg.sampler, cfg.prior
     else:
         sampler, prior = SamplerConfig(), PriorSpec()
-    overrides: Dict[str, object] = {}
-    if args.chains is not None:
-        overrides["n_chains"] = args.chains
-    if args.draws is not None:
-        overrides["n_draws"] = args.draws
-    if args.warmup is not None:
-        overrides["n_warmup"] = args.warmup
+    overrides = {field: getattr(args, flag) for flag, field in _SAMPLER_FLAGS.items()
+                 if getattr(args, flag) is not None}
     if args.theta_update is not None:
         overrides["theta_update"] = _THETA_UPDATE_ALIASES[args.theta_update]
-    if args.mh_step_scale is not None:
-        overrides["mh_step_scale"] = args.mh_step_scale
     seed = _resolve_seed(args.seed, sampler.seed)
     overrides["seed"] = seed
     sampler = dataclasses.replace(sampler, **overrides)
@@ -420,18 +417,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except _USAGE_ERRORS as e:
+    except (*_USAGE_ERRORS, *_DATA_ERRORS, NumericalOverflow, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return _USAGE_EXIT
-    except _DATA_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _DATA_EXIT
-    except NumericalOverflow as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _NUMERIC_EXIT
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _DATA_EXIT
+        return (_USAGE_EXIT if isinstance(e, _USAGE_ERRORS)
+                else _NUMERIC_EXIT if isinstance(e, NumericalOverflow) else _DATA_EXIT)
 
 
 def entry() -> None:

@@ -105,6 +105,7 @@ from .errors import (
     InvalidConfig,
     NumericalOverflow,
     SeqlateError,
+    TooLarge,
 )
 from .model import (
     PriorSpec,
@@ -747,8 +748,11 @@ def _marginal_logpost(theta: Theta, vd: _VectorData,
                       prior: PriorSpec) -> Tuple[np.ndarray, np.ndarray]:
     """Per chain log posterior on the log-sigma scale, and the two-type
     units' lower-type probabilities (C, len(two))."""
-    lw = _log_weights(theta, vd.admissible, *vd.work(theta.gamma_nt.shape[0]).block)
-    loglik, p_lower = _marginal_loglik(lw, vd)
+    # a noise scale so small that z * z overflows has likelihood zero, and
+    # -inf is then the exact log posterior
+    with np.errstate(over="ignore"):
+        lw = _log_weights(theta, vd.admissible, *vd.work(theta.gamma_nt.shape[0]).block)
+        loglik, p_lower = _marginal_loglik(lw, vd)
     # change of variables to log sigma adds 2*log(sigma) per noise scale
     logs = [np.array([math.log(s) for s in sigma.tolist()])
             for sigma in (theta.sigma_x, theta.sigma_y)]
@@ -851,18 +855,21 @@ def run_chain(data: Union[Dataset, _VectorData], prior: PriorSpec, cfg: SamplerC
     Chain k draws from substream(cfg.seed, "chain", k) alone, so its draws
     are those of init_state and the steps driven on that substream by
     itself.  Step errors are re-raised with the failing sweep number
-    attached.
+    attached; output arrays too large to allocate raise TooLarge.
     """
     if cfg.seed is None:
         raise InvalidConfig("seed: a sampler seed is required")
     vd = as_vector_data(data)
     C = cfg.n_chains
+    try:
+        theta = np.empty((C, cfg.n_draws, theta_dim(vd.p)))
+        late = np.empty((C, cfg.n_draws))
+        n_compliers = np.empty((C, cfg.n_draws), dtype=np.int64)
+    except (MemoryError, ValueError):
+        raise TooLarge(f"{C} chains of {cfg.n_draws} kept draws do not fit in memory") from None
     state = init_state(vd, [substream(cfg.seed, "chain", k) for k in range(C)])
     tuning = _Tuning(n_chains=C, marg_scale=cfg.mh_step_scale,
                      sd_refresh_at=max(1, cfg.n_warmup // 2))
-    theta = np.empty((C, cfg.n_draws, theta_dim(vd.p)))
-    late = np.empty((C, cfg.n_draws))
-    n_compliers = np.empty((C, cfg.n_draws), dtype=np.int64)
     marginal = cfg.theta_update == "marginal_mh"
     for t in range(cfg.n_warmup + cfg.n_draws):
         tuning.adapting = t < cfg.n_warmup

@@ -274,9 +274,10 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     running sums over the grid run along a contiguous last axis of length
     k, as in one sweep, so numpy adds the same terms in the same order.
 
-    Raises InvalidConfig for fewer than one sweep, and TooLarge when
-    3**n * len(grid) exceeds int64, which the base-3 configuration index
-    and the (grid index, labels) key are stored in.
+    Raises InvalidConfig for fewer than one sweep, and TooLarge when the
+    trace of n_sweeps cannot be allocated or 3**n * len(grid) exceeds
+    int64, which the base-3 configuration index and the (grid index,
+    labels) key are stored in.
     """
     if n_sweeps < 1:
         raise InvalidConfig(f"n_sweeps: must be >= 1, got {n_sweeps}")
@@ -297,9 +298,12 @@ def grid_gibbs(data: Dataset, spec: DiscreteSpec, n_sweeps: int, seed: int,
     # labels uniform over each unit's admissible types, as init_state's
     codes = _draw_labels(vd, 0.5, rng.uniform(size=n))
     powers = 3 ** np.arange(n - 1, -1, -1)
-    theta_idx = np.empty(n_sweeps, dtype=np.int64)
-    config_idx = np.empty(n_sweeps, dtype=np.int64)
-    late = np.empty(n_sweeps)
+    try:
+        theta_idx = np.empty(n_sweeps, dtype=np.int64)
+        config_idx = np.empty(n_sweeps, dtype=np.int64)
+        late = np.empty(n_sweeps)
+    except (MemoryError, ValueError):
+        raise TooLarge(f"n_sweeps: a trace of {n_sweeps} sweeps does not fit in memory") from None
     block = _grid_block_len(k, n)
     for start in range(0, n_sweeps, block):
         stop = min(start + block, n_sweeps)

@@ -458,3 +458,21 @@ def test_simulate_too_large_to_allocate_is_a_data_error(tmp_path, capsys):
     cfg.write_text("[dgp]\nn = 1000000000000000\nseed = 1\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 3
     assert "do not fit in memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--draws", "--chains"])
+def test_fit_too_large_to_allocate_is_a_data_error(sim_dir, tmp_path, capsys, flag):
+    # 10**20 exceeds numpy's largest array dimension, so the output arrays
+    # are refused at once, before any chain is built
+    rc = main(["fit", "--data", str(sim_dir / "dataset.csv"), "--out", str(tmp_path / "fit"),
+               "--seed", "1", flag, str(10 ** 20)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and "do not fit in memory" in err
+
+
+def test_validate_too_many_sweeps_to_allocate_is_a_data_error(capsys):
+    rc = main(["validate", "--sweeps", str(10 ** 20)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: n_sweeps: ") and "does not fit in memory" in err

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqlate.config import (
-    _DGP_KEYS,
-    _PRIOR_KEYS,
-    _SAMPLER_KEYS,
-    emit_config,
-    load_config,
-    parse_config,
-)
+from seqlate.config import _SECTIONS, emit_config, load_config, parse_config
 from seqlate.errors import InvalidConfig, ParseError, SeqlateError, UnknownKey
 from seqlate.simulate import (
     ConstantAssignment,
@@ -138,6 +131,46 @@ def test_emit_round_trip_with_logit_specs():
     assert again == cfg
 
 
+# a logit design with every dgp value written out, as emit_config renders it
+LOGIT_EMITTED = """\
+[dgp]
+n = 10
+seed = 1
+p = 2
+compliance_probs = logit: 0.4 -0.3 0.1 | -0.2 0.1 0.05
+assignment_probs = logit: 0.0 1.0 -0.5 | 0.5 -0.5 0.25
+intermediate_coeffs = 0.5 0.3 0.3 1.0 0.5 -0.5
+intermediate_noise_sd = 1.0
+outcome_coeffs = 0.0 0.3 0.3 0.5 0.4 0.6 0.3 0.8 -0.8
+outcome_noise_sd = 1.0
+all_cells = true
+
+[sampler]
+n_chains = 4
+n_warmup = 1000
+n_draws = 2000
+theta_update = conjugate_gibbs
+mh_step_scale = 0.2
+
+[prior]
+coef_sd = 5.0
+scale_shape = 2.0
+scale_rate = 1.0
+"""
+
+
+@pytest.mark.parametrize("text,emitted", [
+    (FULL, FULL),
+    ("[dgp]\nn = 10\nseed = 1\np = 2\nall_cells = true\n"
+     "compliance_probs = logit: 0.4 -0.3 0.1 | -0.2 0.1 0.05\n"
+     "assignment_probs = logit: 0 1 -0.5 | 0.5 -0.5 0.25\n", LOGIT_EMITTED),
+], ids=["full", "logit"])
+def test_emitted_bytes(text, emitted):
+    # the literal text of effective_config.ini, key order and number format
+    # included; a config without a sampler seed emits no seed line
+    assert emit_config(parse_config(text)) == emitted
+
+
 def test_load_config_reads_files(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(FULL)
@@ -167,7 +200,8 @@ _VALUES = st.sampled_from(["1", "0", "-3", "2.5", "nan", "inf", "1e400", "9" * 3
 
 @given(st.dictionaries(
     st.sampled_from(["dgp", "sampler", "prior", "other"]),
-    st.dictionaries(st.sampled_from(sorted(set(_DGP_KEYS + _SAMPLER_KEYS + _PRIOR_KEYS))),
+    st.dictionaries(st.sampled_from(sorted({key for _, keys in _SECTIONS.values()
+                                            for key in keys})),
                     _VALUES, max_size=6),
     max_size=3))
 @settings(max_examples=200, deadline=None)

@@ -688,15 +688,15 @@ def test_marginal_step_rejects_a_scale_outside_the_prior_support(log_sigma):
 def test_marginal_step_rejects_a_proposal_of_zero_likelihood():
     # at log sigma_x = -354 the variance, its reciprocal and the log prior
     # are finite, but z * z overflows at both types of a two-type unit: its
-    # pair term is -inf, not -inf - -inf, so the log posterior is -inf and
-    # the proposal is rejected like one outside the prior support
+    # pair term is -inf, not -inf - -inf, so the log posterior is -inf, with
+    # no overflow warning, and the proposal is rejected like one outside the
+    # prior support
     vd = as_vector_data(simulate_dataset(DgpConfig(n=60, seed=3))[0])
     v = start(vd, 3).theta.to_vector()
     v[0, gibbs._sigma_index(1)] = math.exp(-354.0)
-    with np.errstate(over="ignore"):
-        lp, _ = gibbs._marginal_logpost(Theta.from_vector(v, 1), vd, PriorSpec())
-        assert lp.tolist() == [-math.inf]
-        assert_rejected_unseen(-354.0)
+    lp, _ = gibbs._marginal_logpost(Theta.from_vector(v, 1), vd, PriorSpec())
+    assert lp.tolist() == [-math.inf]
+    assert_rejected_unseen(-354.0)
 
 
 def test_invariant_check_names_the_corrupted_chain(monkeypatch):
