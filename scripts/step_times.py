@@ -4,11 +4,13 @@
 For each workload of bench/run.py (dgp seed 3, sampler seed 4) it simulates
 the dataset, starts the workload's chains and runs ten sweeps of its kernel,
 then calls step_theta, step_compliance, step_impute and _marginal_logpost
-over and over on the states a sweep hands each of them, untraced and with
-one BLAS thread, and prints the median per-call time in microseconds over
-seven rounds.  The label step reads the cache its kernel's theta update
-leaves, as in a fit.  It checks nothing itself; compare two checkouts by
-running each one's copy back to back.
+over and over on the states a sweep hands each of them, and marginal_score
+on the last state's theta with the lower-type probabilities
+_marginal_logpost returns for it, computed once outside the timed call.
+Every call is untraced and runs with one BLAS thread; it prints the median
+per-call time in microseconds over seven rounds.  The label step reads the
+cache its kernel's theta update leaves, as in a fit.  It checks nothing
+itself; compare two checkouts by running each one's copy back to back.
 
 Usage: python scripts/step_times.py
 """
@@ -24,7 +26,7 @@ from fit_digests import bench_workloads
 ROOT = Path(__file__).resolve().parents[1]
 ROUNDS = 7
 ROUND_SECONDS = 0.05
-STEPS = ("step_theta", "step_compliance", "step_impute", "_marginal_logpost")
+STEPS = ("step_theta", "step_compliance", "step_impute", "_marginal_logpost", "marginal_score")
 
 
 def median_us(call) -> float:
@@ -58,11 +60,13 @@ def step_times(text: str) -> list:
         updated = gibbs.step_theta(state, vd, prior, sampler.theta_update, tuning)
         labelled = gibbs.step_compliance(updated, vd)
         state = gibbs.step_impute(labelled, vd)
+    p_lower = gibbs._marginal_logpost(state.theta, vd, prior)[1]
     calls = {
         "step_theta": lambda: gibbs.step_theta(state, vd, prior, sampler.theta_update, tuning),
         "step_compliance": lambda: gibbs.step_compliance(updated, vd),
         "step_impute": lambda: gibbs.step_impute(labelled, vd),
         "_marginal_logpost": lambda: gibbs._marginal_logpost(state.theta, vd, prior),
+        "marginal_score": lambda: gibbs.marginal_score(state.theta, vd, p_lower),
     }
     return [vd.n, sampler.n_chains, sampler.theta_update] + [median_us(calls[s]) for s in STEPS]
 

@@ -59,7 +59,7 @@ sums in closed form (_normal_equations).  In "marginal_mh" mode the
 accepted theta's log posterior and the two-type units' lower-type
 probabilities travel with the state: the label step draws from those
 instead of evaluating any density, and the next Metropolis step starts from
-both.
+both.  marginal_score reads the probabilities too and evaluates no density.
 
 Monotonicity rules out defiers, so each unit admits one type or the pair
 {nt, co} or {co, at} (Imbens & Rubin 1997).  A one-type unit's label is its
@@ -68,12 +68,12 @@ likelihood that type's log-weight.  The densities are evaluated at two
 types per unit, into type-major (C, ., 2) views of (2, C, .) blocks: the
 columns are gathered once in the admissible order (the units admitting
 {nt}, {co}, {nt, co}, {co, at}, {at}), the first three groups taken at
-(nt, co) and the rest at (co, at).  marginal_mh evaluates every unit; the
-conjugate label step and marginal_score only the m two-type units, a slice
-of that order.  A pair is reduced to m = its maximum, e = exp(lw - m) and
-e_lower + e_upper, and takes the upper code iff p_lower = e_lower /
-(e_lower + e_upper) is at or below its uniform: the floats of the row-wise
-reductions over all three types, whose inadmissible terms are exact zeros.
+(nt, co) and the rest at (co, at).  marginal_mh evaluates every unit, the
+conjugate label step only the m two-type units, a slice of that order.  A
+pair is reduced to m = its maximum, e = exp(lw - m) and e_lower + e_upper,
+and takes the upper code iff p_lower = e_lower / (e_lower + e_upper) is at
+or below its uniform: the floats of the row-wise reductions over all three
+types, whose inadmissible terms are exact zeros.
 Every label, whether the label step, init_state or the grid sampler draws
 it, is written by _draw_labels.  The label step's uniforms and the blocks
 are allocated once per dataset and chain count (_Work), so a sweep does not
@@ -101,6 +101,7 @@ import numpy as np
 
 from .domain import AT, CO, DEFAULT_CONTRAST, NT, Contrast, Dataset, Y_CELLS, y_cell_index
 from .errors import (
+    DimensionMismatch,
     InconsistentUnit,
     InvalidConfig,
     NumericalOverflow,
@@ -684,33 +685,33 @@ def _marginal_loglik(lw: np.ndarray, vd: _VectorData) -> tuple:
     return (s if s.ndim else float(s)), p_lower
 
 
-def marginal_score(theta: Theta, data: Union[Dataset, _VectorData]) -> np.ndarray:
-    """Gradient of the label-marginalized log likelihood (_marginal_loglik)
-    in Theta.to_vector() layout, for a theta without a chain axis.
-
-    It is sum_i sum_c r_ic d lw_ic / d theta, with r the normalised label
-    weights: a multinomial-logit score (r - pi) U1 for the logit rows, and a
-    Gaussian regression score for each of the two regression blocks, whose
-    type-c design row is the static row followed by the (alwaystaker,
-    nevertaker) indicators.
-    """
-    vd = as_vector_data(data)
-    _, e, total = _pair_exp(types_first(_log_weights(theta, vd.pair_units)))
-    r = np.zeros((vd.n, 3))
-    r[np.arange(vd.n), vd.low] = 1.0
-    r[vd.two, vd.low_two + np.array([[0], [1]])] = e / total
-    pc = np.exp(compliance_log_prob_matrix(theta, vd.U1))
-    parts = [vd.U1.T @ (r[:, NT] - pc[:, NT]), vd.U1.T @ (r[:, AT] - pc[:, AT])]
+def marginal_score(theta: Theta, vd: _VectorData, p_lower: np.ndarray) -> np.ndarray:
+    """(C, d) gradient, in Theta.to_vector() layout, of the label-marginalized
+    log likelihood at a chain-axis theta.  It evaluates no label density: r,
+    the (at, nt) label weights, is one-hot at a one-type unit and (p_lower,
+    1 - p_lower) on a pair, from the lower-type probabilities p_lower
+    (C, len(two)) _marginal_logpost returns, the (nt, co) pairs first in
+    two, so r_nt r_at = 0.  The (nt, at) logit rows score (r - pi) U1; a
+    regression block its static row against res0 - r_nt l_nt - r_at l_at,
+    res0 = resp - static coef, each loading l its type's residual and the
+    noise scale the three weighted squared residuals."""
+    if theta.p != vd.p:
+        raise DimensionMismatch(f"covariates have {vd.p} columns but theta expects p={theta.p}")
+    q, r = vd.split - vd.two_slice.start, np.empty((len(p_lower), 2, vd.n))
+    r[:] = vd.low == _AT_NT
+    r[:, 1, vd.two[:q]], r[:, 0, vd.two[q:]] = p_lower[:, :q], 1.0 - p_lower[:, q:]
+    nt, at = row_dot(theta.gamma_nt, vd.U1), row_dot(theta.gamma_at, vd.U1)
+    pi = np.exp(np.stack([at, nt], axis=1) - logit_lse(nt, at)[:, None])
+    parts, r_co = [np.matmul(r - pi, vd.U1)[:, ::-1].reshape(len(r), -1)], 1.0 - r.sum(axis=1)
     for static, resp, coef, sigma in ((vd.x2_static, vd.x2, theta.alpha, theta.sigma_x),
                                       (vd.y_static, vd.y, theta.beta, theta.sigma_y)):
-        k = static.shape[1]
-        # (n, 3) residuals; the indicator terms of (nt, co, at) are (coef[k+1], 0, coef[k])
-        res = (resp - static @ coef[:k])[:, None] - np.array([coef[k + 1], 0.0, coef[k]])
-        wres = r * res
-        parts += [static.T @ wres.sum(axis=1) / sigma ** 2,
-                  np.array([wres[:, AT].sum(), wres[:, NT].sum()]) / sigma ** 2,
-                  [float((wres * res).sum()) / sigma ** 3 - vd.n / sigma]]
-    return np.concatenate(parts)
+        # coef ends with the (at, nt) loadings; e holds their types' residuals
+        load, res0 = coef[:, -2:, None], resp - row_dot(coef[:, :-2], static)
+        e, s2 = res0[:, None] - load, sigma[:, None] ** 2
+        sq = dots(r_co * res0, res0) + dots(r * e, e).sum(axis=1)
+        parts += [np.matmul((res0 - (r * load).sum(axis=1))[:, None, :], static)[:, 0] / s2,
+                  dots(r, e) / s2, (sq / sigma ** 3 - vd.n / sigma)[:, None]]
+    return np.concatenate(parts, axis=1)
 
 
 def _sigma_index(p: int) -> int:
@@ -766,8 +767,7 @@ def _theta_marginal(state: ChainState, vd: _VectorData, prior: PriorSpec,
     posteriors and its lower-type probabilities.  A chain that rejects keeps
     its theta row and probabilities bit for bit; when no chain accepts, the
     theta and the probabilities are the state's own objects."""
-    th, rngs = state.theta, state.rngs
-    p = th.p
+    th, rngs, p = state.theta, state.rngs, state.theta.p
     cur = _pack_unconstrained(th)
     cached = _cached(state.logweights, th)
     lp_cur, pl_cur = cached if cached is not None else _marginal_logpost(th, vd, prior)

@@ -207,7 +207,12 @@ class DgpConfig:
         for key, default, extra in (("intermediate_coeffs", default_intermediate_coeffs, 4),
                                     ("outcome_coeffs", default_outcome_coeffs, 7)):
             v = getattr(self, key)
-            v = default(self.p) if v is None else np.array(v, dtype=float)
+            if v is None:
+                try:
+                    v = default(self.p)
+                except (MemoryError, OverflowError):
+                    raise TooLarge(f"p: {key} of length p+{extra} does not fit in memory") from None
+            v = np.array(v, dtype=float)
             if v.shape != (self.p + extra,):
                 raise InvalidConfig(f"{key}: must have length p+{extra}={self.p + extra}, "
                                     f"got {v.shape[0]}")

@@ -460,6 +460,17 @@ def test_simulate_too_large_to_allocate_is_a_data_error(tmp_path, capsys):
     assert "do not fit in memory" in capsys.readouterr().err
 
 
+def test_simulate_too_many_covariates_is_a_data_error(tmp_path, capsys):
+    # p = 10**30 overflows the length of the default coefficient vectors at
+    # once, without touching memory
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text(f"[dgp]\nn = 12\nseed = 0\np = {10 ** 30}\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: p: ") and "does not fit in memory" in err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag", ["--draws", "--chains"])
 def test_fit_too_large_to_allocate_is_a_data_error(sim_dir, tmp_path, capsys, flag):
     # 10**20 exceeds numpy's largest array dimension, so the output arrays

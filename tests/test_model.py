@@ -18,6 +18,7 @@ from seqlate.gibbs import (
     ChainState,
     _log_weights,
     _marginal_loglik,
+    _marginal_logpost,
     as_vector_data,
     marginal_score,
     step_compliance,
@@ -278,21 +279,63 @@ def test_log_prior_coef_sd_doubling_at_origin():
     assert lp1 - lp2 == pytest.approx(n_coef * np.log(2.0), abs=1e-10)
 
 
-def test_marginal_gradient_matches_finite_differences():
-    # p = 3 and many units: every block of the score, beyond criterion 9's
-    # one-unit, p = 1 points
-    data, _ = simulate_dataset(DgpConfig(n=200, seed=17, p=3))
-    vd = as_vector_data(data)
-    rng = substream(16, "grad-fd", 0)
-    th = random_theta(rng, p=3, scale=0.5)
-    grad = marginal_score(th, vd)
+def assert_score_matches_finite_differences(vd, th, eps=1e-6, tol=1e-5):
+    """marginal_score at th, as a one-chain theta, against central finite
+    differences of the label-marginalized log likelihood."""
     vec = th.to_vector()
-    eps = 1e-6
+    one = Theta.from_vector(vec[None], th.p)
+    grad = marginal_score(one, vd, _marginal_logpost(one, vd, PriorSpec())[1])
+    assert grad.shape == (1, vec.shape[0])
+
+    def loglik(v):
+        return _marginal_loglik(_log_weights(Theta.from_vector(v, th.p), vd.admissible), vd)[0]
+
     for j in range(vec.shape[0]):
         lo, hi = vec.copy(), vec.copy()
         lo[j] -= eps
         hi[j] += eps
-        fd = (_marginal_loglik(_log_weights(Theta.from_vector(hi, 3), vd.admissible), vd)[0]
-              - _marginal_loglik(_log_weights(Theta.from_vector(lo, 3), vd.admissible), vd)[0]
-              ) / (2 * eps)
-        assert grad[j] == pytest.approx(fd, abs=1e-5)
+        assert grad[0, j] == pytest.approx((loglik(hi) - loglik(lo)) / (2 * eps), abs=tol)
+
+
+def test_marginal_gradient_matches_finite_differences():
+    # p = 3 and many units: every block of the score, beyond criterion 9's
+    # one-unit, p = 1 points
+    data, _ = simulate_dataset(DgpConfig(n=200, seed=17, p=3))
+    rng = substream(16, "grad-fd", 0)
+    assert_score_matches_finite_differences(as_vector_data(data),
+                                            random_theta(rng, p=3, scale=0.5))
+
+
+def test_marginal_gradient_without_covariates_matches_finite_differences():
+    data, _ = simulate_dataset(DgpConfig(n=200, seed=18, p=0))
+    rng = substream(16, "grad-fd-p0", 0)
+    assert_score_matches_finite_differences(as_vector_data(data),
+                                            random_theta(rng, p=0, scale=0.5))
+
+
+def test_marginal_gradient_without_two_type_units_matches_finite_differences():
+    # every (z1, w1, z2, w2) pattern that admits exactly one type: w = (0, 0)
+    # off z = (0, 0) is a nevertaker, w = (1, 1) off z = (1, 1) an
+    # alwaystaker, and w = z at (0, 1) or (1, 0) a complier
+    z1, w1, z2, w2 = np.array([(1, 0, 0, 0), (0, 0, 1, 0), (1, 0, 1, 0), (0, 0, 1, 1),
+                               (1, 1, 0, 0), (0, 1, 0, 1), (1, 1, 0, 1), (0, 1, 1, 1)]).T
+    rng = substream(16, "grad-fd-one-type", 0)
+    n = z1.size
+    vd = as_vector_data(Dataset(rng.normal(size=(n, 1)), z1, w1, rng.normal(size=n),
+                                z2, w2, rng.normal(size=n)))
+    assert vd.two.size == 0 and set(vd.low.tolist()) == {0, 1, 2}
+    assert_score_matches_finite_differences(vd, random_theta(rng, scale=0.5))
+
+
+def test_marginal_score_rows_equal_each_chain_scored_alone():
+    data, _ = simulate_dataset(DgpConfig(n=300, seed=19, p=2))
+    vd = as_vector_data(data)
+    rng = substream(16, "score-lockstep", 0)
+    vecs = np.stack([random_theta(rng, p=2).to_vector() for _ in range(3)])
+    th = Theta.from_vector(vecs, 2)
+    p_lower = _marginal_logpost(th, vd, PriorSpec())[1]
+    score = marginal_score(th, vd, p_lower)
+    assert score.shape == vecs.shape
+    for c in range(3):
+        alone = marginal_score(Theta.from_vector(vecs[c:c + 1], 2), vd, p_lower[c:c + 1])
+        assert np.array_equal(score[c], alone[0])

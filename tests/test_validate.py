@@ -149,9 +149,11 @@ def test_covariate_dimension_mismatch_is_clean(entry):
     assert data.covariate_dim == 1
     th = Theta(np.zeros(3), np.zeros(3), np.zeros(6), 1.0, np.zeros(9), 1.0)
     spec = DiscreteSpec((th,), np.array([1.0]))
+    vd = as_vector_data(data)
     calls = {"exact_posterior": lambda: exact_posterior(data, spec),
              "grid_gibbs": lambda: grid_gibbs(data, spec, 10, 1),
-             "marginal_score": lambda: marginal_score(th, data)}
+             "marginal_score": lambda: marginal_score(
+                 Theta.from_vector(th.to_vector()[None], 2), vd, np.zeros((1, vd.two.size)))}
     with pytest.raises(DimensionMismatch, match="p=2"):
         calls[entry]()
 
