@@ -8,7 +8,9 @@ The simulator's two files are written _CHUNK units at a time, so writing
 holds one chunk's text, not the whole file's.  The truth sidecar's tables
 are decoded into two buffers of cells, _TABLE_QUEUE tables at a time, so
 reading holds the text, those buffers and a queue's cell objects, not an
-object per cell of the file.
+object per cell of the file.  The CSV readers check and convert _PARSE_ROWS
+rows at once, and parse a chunk that fails a check again row by row, so an
+error names the same row and column as a row-by-row reader.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import math
 from array import array
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -42,6 +45,8 @@ _FIXED_COLUMNS = ("z1", "w1", "x2", "z2", "w2", "y")
 _CHUNK = 2048
 # tables whose cells the truth reader checks and writes at once
 _TABLE_QUEUE = 256
+# CSV rows the readers check and convert at once
+_PARSE_ROWS = 256
 
 
 def dataset_header(covariate_dim: int) -> List[str]:
@@ -55,14 +60,15 @@ def _columns(data: Dataset) -> List[np.ndarray]:
 
 
 def write_dataset_csv(data: Dataset, path: PathLike) -> None:
+    """Rows of repr of each float and %d of each 0/1, joined by "," and ended
+    by "\\r\\n": csv.writer's bytes, as no field needs quoting."""
     columns = _columns(data)
+    row = ",".join(["%r" if c.dtype.kind == "f" else "%d" for c in columns]) + "\r\n"
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(dataset_header(data.covariate_dim))
+        fh.write(",".join(dataset_header(data.covariate_dim)) + "\r\n")
         for start in range(0, len(data), _CHUNK):
-            # repr of each float, str of each 0/1
-            writer.writerows(zip(*[map(repr if c.dtype.kind == "f" else str,
-                                       c[start:start + _CHUNK].tolist()) for c in columns]))
+            chunk = np.column_stack([c[start:start + _CHUNK] for c in columns])
+            fh.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def _load_json(path: Path, object_pairs_hook=None, parse_constant=None):
@@ -78,7 +84,7 @@ def _load_json(path: Path, object_pairs_hook=None, parse_constant=None):
         raise SchemaError(f"{path}: JSON nested too deeply") from None
 
 
-_BINARY = ("0", "1")
+_BINARY = frozenset({"0", "1"})
 
 
 def _parse_binary(text: str, column: str, row: int) -> int:
@@ -97,30 +103,12 @@ def _parse_float(text: str, column: str, row: int) -> float:
     return v
 
 
-def _dataset_row(row: List[str], header: List[str], row_num: int) -> List[float]:
-    """The fields of one dataset row as floats; DataError names the first
-    field that is not a 0/1 text in a binary column or a finite number."""
-    p = len(row) - len(_FIXED_COLUMNS)
-    try:
-        parsed = list(map(float, row))
-        # a non-finite sum may also be an overflow of finite fields
-        ok = (row[p] in _BINARY and row[p + 1] in _BINARY and row[p + 3] in _BINARY
-              and row[p + 4] in _BINARY and math.isfinite(sum(parsed)))
-    except ValueError:
-        ok = False
-    if not ok:
-        for j, text in enumerate(row):
-            if j in (p, p + 1, p + 3, p + 4):
-                _parse_binary(text, header[j], row_num)
-            else:
-                _parse_float(text, header[j], row_num)
-    return parsed
-
-
 def _csv_table(path: Path):
-    """Stream a CSV file: first its header, then (1-based row number,
-    fields) for each non-empty row, whose field count must match the
-    header's.  A file that is not text or not CSV raises SchemaError."""
+    """Stream a CSV file: first its header, then lists of up to _PARSE_ROWS
+    (1-based row number, fields) pairs for the non-empty rows.  A file that
+    is not text or not CSV, or a row whose field count is not the header's,
+    raises SchemaError after the rows before it, to be checked first."""
+    rows, error = [], None
     try:
         with path.open(newline="") as fh:
             reader = csv.reader(fh)
@@ -133,21 +121,29 @@ def _csv_table(path: Path):
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise SchemaError(
+                    error = SchemaError(
                         f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
-                yield row_num, row
+                    break
+                rows.append((row_num, row))
+                if len(rows) == _PARSE_ROWS:
+                    yield rows
+                    rows = []
     except csv.Error as e:
-        raise SchemaError(f"{path}: {e}") from None
+        error = SchemaError(f"{path}: {e}")
     except UnicodeDecodeError as e:
-        raise SchemaError(f"{path}: not a text file: {e}") from None
+        error = SchemaError(f"{path}: not a text file: {e}")
+    if rows:
+        yield rows
+    if error is not None:
+        raise error
 
 
 def read_dataset_csv(path: PathLike) -> Dataset:
     """Parse a dataset table; malformed structure raises SchemaError and
     malformed values raise DataError naming the 1-based data row.
 
-    Fields are parsed as they are read into one typed buffer, so memory
-    stays near the size of the returned columns.
+    Fields are parsed _PARSE_ROWS rows at a time into one typed buffer, so
+    memory stays near the size of the returned columns.
     """
     path = Path(path)
     table = _csv_table(path)
@@ -156,12 +152,24 @@ def read_dataset_csv(path: PathLike) -> Dataset:
     if p < 0 or header != dataset_header(p):
         raise SchemaError(f"{path}: header {header!r} does not match x1_0..x1_{{p-1}},"
                           + ",".join(_FIXED_COLUMNS))
+    binary = (p, p + 1, p + 3, p + 4)
     values = array("d")
-    for row_num, row in table:
-        values.extend(_dataset_row(row, header, row_num))
+    for rows in table:
+        fields = list(chain.from_iterable(map(itemgetter(1), rows)))
+        try:
+            chunk = array("d", map(float, fields))
+            ok = ({*chain.from_iterable(fields[j::len(header)] for j in binary)} <= _BINARY
+                  and np.isfinite(chunk).all())
+        except ValueError:
+            ok = False
+        if not ok:      # parsed row by row, so DataError names the first bad field
+            chunk = [_parse_binary(text, header[j], row_num) if j in binary
+                     else _parse_float(text, header[j], row_num)
+                     for row_num, row in rows for j, text in enumerate(row)]
+        values.extend(chunk)
     if not values:
         raise SchemaError(f"{path} has a header but no data rows")
-    M = np.frombuffer(values, dtype=np.float64).reshape(-1, p + len(_FIXED_COLUMNS))
+    M = np.frombuffer(values, dtype=np.float64).reshape(-1, len(header))
     return Dataset(M[:, :p], *(M[:, p + j] for j in range(len(_FIXED_COLUMNS))))
 
 
@@ -475,8 +483,8 @@ def _blank_row(row: List[str]) -> bool:
 def read_draws_csv(path: PathLike) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]:
     """Returns (theta_names, chain ids, contrast draws with NaN gaps, theta matrix).
 
-    Rows are parsed as they are read into typed buffers, so memory stays
-    near the size of the returned arrays.
+    Rows are parsed _PARSE_ROWS at a time into typed buffers, so memory
+    stays near the size of the returned arrays.
     """
     path = Path(path)
     chains, lates, thetas = array("q"), array("d"), array("d")
@@ -485,14 +493,34 @@ def read_draws_csv(path: PathLike) -> Tuple[List[str], np.ndarray, np.ndarray, n
     if header[:3] != ["iter", "chain", "late"]:
         raise SchemaError(f"{path}: header must start with iter,chain,late")
     names = header[3:]
-    for row_num, row in table:
-        _parse_int(row[0], "iter", row_num, path)
-        chain = _parse_int(row[1], "chain", row_num, path)
-        if not -2 ** 63 <= chain < 2 ** 63:
-            raise SchemaError(f"{path}: row {row_num}: chain id out of range: {row[1]!r:.40}")
-        chains.append(chain)
-        lates.append(float("nan") if row[2] == "" else _parse_float(row[2], "late", row_num))
-        thetas.extend([_parse_float(v, names[j], row_num) for j, v in enumerate(row[3:])])
+    k = 1 + len(names)      # the late and parameter fields of a row
+    for rows in table:
+        fields = list(chain.from_iterable(map(itemgetter(1), rows)))
+        iters, ids = fields[0::k + 2], fields[1::k + 2]
+        del fields[0::k + 2], fields[0::k + 1]      # the iter fields, then the chain fields
+        late_texts = fields[0::k]
+        fields[0::k] = [text or "nan" for text in late_texts]
+        try:
+            set(map(int, iters))                # ValueError for a field int() rejects
+            ids = array("q", map(int, ids))     # OverflowError for an id out of range
+            M = np.frombuffer(array("d", map(float, fields))).reshape(-1, k)
+            # the only non-finite values are those of empty late fields
+            ok = M.size - np.count_nonzero(np.isfinite(M)) == late_texts.count("")
+        except (ValueError, OverflowError):
+            ok = False
+        if ok:
+            chains.extend(ids)
+            lates.frombytes(M[:, 0].tobytes())
+            thetas.frombytes(M[:, 1:].tobytes())
+            continue
+        for row_num, row in rows:   # row by row, so the error names the first bad field
+            _parse_int(row[0], "iter", row_num, path)
+            chain_id = _parse_int(row[1], "chain", row_num, path)
+            if not -2 ** 63 <= chain_id < 2 ** 63:
+                raise SchemaError(f"{path}: row {row_num}: chain id out of range: {row[1]!r:.40}")
+            chains.append(chain_id)
+            lates.append(_NAN if row[2] == "" else _parse_float(row[2], "late", row_num))
+            thetas.extend([_parse_float(v, names[j], row_num) for j, v in enumerate(row[3:])])
     theta = np.frombuffer(thetas, dtype=np.float64)
     return (names, np.frombuffer(chains, dtype=np.int64), np.frombuffer(lates, dtype=np.float64),
             theta.reshape(len(chains), len(names)) if chains else theta)

@@ -6,6 +6,9 @@ substreams.  The derivation is: hash the label with SHA-256, take the first
 (seed, label_key, index).  Two substreams with different labels or indices
 are statistically independent, and the mapping is stable across platforms
 and processes.
+
+The triple is fed to SeedSequence as the 32-bit words it splits it into
+itself, those of (seed, label_key) cached, so the entropy pool is the same.
 """
 
 import functools
@@ -16,10 +19,19 @@ import numpy as np
 from .errors import InvalidConfig
 
 
+def _words(n: int) -> list:
+    """The 32-bit words of a non-negative integer, least significant first."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
 @functools.lru_cache(maxsize=64)
-def _label_key(label: str) -> int:
-    """First 8 bytes of the label's SHA-256 as a little-endian integer."""
-    return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
+def _prefix_words(seed: int, label: str) -> list:
+    """The words of seed, then of the label's key: its SHA-256's first 8 bytes."""
+    key = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
+    return _words(seed) + _words(key)
 
 
 def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
@@ -38,5 +50,5 @@ def substream(seed: int, label: str, index: int = 0) -> np.random.Generator:
         raise InvalidConfig(f"seed: must be a 64-bit unsigned integer, got {seed}")
     if index < 0:
         raise InvalidConfig(f"index: must be non-negative, got {index}")
-    ss = np.random.SeedSequence([int(seed), _label_key(label), int(index)])
-    return np.random.default_rng(ss)
+    entropy = np.array(_prefix_words(int(seed), label) + _words(int(index)), dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -280,13 +280,13 @@ def simulate_dataset(cfg: DgpConfig) -> Tuple[Dataset, GroundTruth]:
         X1, u_c, eps, u_z = np.empty((n, p)), np.empty(n), np.empty((n, 6)), np.empty((n, 2))
     except (MemoryError, ValueError):
         raise TooLarge(f"n: {n} units do not fit in memory") from None
-    for i in range(n):
+    for i, x, e, u in zip(range(n), X1, eps, u_z):
         g = substream(cfg.seed, "unit", i)
         # random() draws what uniform() would: 0.0 + 1.0 * u is u
-        g.standard_normal(out=X1[i])
+        g.standard_normal(out=x)
         u_c[i] = g.random()
-        g.standard_normal(out=eps[i])         # 2 x2 cells, then 4 y cells
-        g.random(out=u_z[i])
+        g.standard_normal(out=e)         # 2 x2 cells, then 4 y cells
+        g.random(out=u)
 
     codes = inverse_cdf_draw(cfg.compliance_probs.stratum_probs(X1), u_c).astype(np.int8)
     pi1, pi2 = cfg.assignment_probs.assignment_probs(X1)

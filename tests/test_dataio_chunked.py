@@ -1,6 +1,6 @@
-"""The simulator's files in chunks and the truth reader's cell buffer:
-byte layout of the chunked writers, agreement of the reader with the
-whole-document reader it replaced, and the memory each step takes."""
+"""The simulator's files in chunks, the truth reader's cell buffer and the
+CSV readers' parse chunks: byte layout of the chunked writers, agreement of
+each reader with the reader it replaced, and the memory each step takes."""
 
 import csv
 import io
@@ -16,12 +16,20 @@ from hypothesis import strategies as st
 
 from seqlate.dataio import (
     _CHUNK,
+    _FIXED_COLUMNS,
     _LABEL_CODES,
+    _PARSE_ROWS,
     _TABLE_QUEUE,
+    _blank_row,
     _load_json,
+    _parse_binary,
+    _parse_float,
+    _parse_int,
     _truth_cells,
     _truth_number,
     dataset_header,
+    read_dataset_csv,
+    read_draws_csv,
     read_truth_json,
     write_dataset_csv,
     write_truth_json,
@@ -34,7 +42,7 @@ from seqlate.domain import (
     Dataset,
     invalid_tables,
 )
-from seqlate.errors import SchemaError
+from seqlate.errors import DataError, SchemaError, SeqlateError
 from seqlate.simulate import ConstantCompliance, DgpConfig, GroundTruth, simulate_dataset
 
 
@@ -368,6 +376,254 @@ def test_truth_reader_agrees_across_chunks(tmp_path, faults):
     _assert_readers_agree(path)
     if not faults:
         assert np.array_equal(read_truth_json(path).y_cells, truth.y_cells, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
+# CSV readers: differential check against the row-by-row readers
+# ---------------------------------------------------------------------------
+
+def _reference_csv_table(path):
+    """_csv_table as it was before the parse chunks: the header, then each
+    (row number, fields) pair as it is read."""
+    try:
+        with path.open(newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if _blank_row(header) and all(_blank_row(row) for row in reader):
+                raise SchemaError(f"{path} is empty")
+            yield header
+            for row_num, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise SchemaError(
+                        f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
+                yield row_num, row
+    except csv.Error as e:
+        raise SchemaError(f"{path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not a text file: {e}") from None
+
+
+def _reference_dataset_row(row, header, row_num):
+    p = len(row) - len(_FIXED_COLUMNS)
+    try:
+        parsed = list(map(float, row))
+        # a non-finite sum may also be an overflow of finite fields
+        ok = (row[p] in ("0", "1") and row[p + 1] in ("0", "1") and row[p + 3] in ("0", "1")
+              and row[p + 4] in ("0", "1") and math.isfinite(sum(parsed)))
+    except ValueError:
+        ok = False
+    if not ok:
+        for j, text in enumerate(row):
+            if j in (p, p + 1, p + 3, p + 4):
+                _parse_binary(text, header[j], row_num)
+            else:
+                _parse_float(text, header[j], row_num)
+    return parsed
+
+
+def _reference_read_dataset_csv(path):
+    """read_dataset_csv as it was before the parse chunks: each row parsed
+    as it is read, with a check of the whole row first."""
+    table = _reference_csv_table(path)
+    header = [h.strip() for h in next(table)]
+    p = len(header) - len(_FIXED_COLUMNS)
+    if p < 0 or header != dataset_header(p):
+        raise SchemaError(f"{path}: header {header!r} does not match x1_0..x1_{{p-1}},"
+                          + ",".join(_FIXED_COLUMNS))
+    values = []
+    for row_num, row in table:
+        values.extend(_reference_dataset_row(row, header, row_num))
+    if not values:
+        raise SchemaError(f"{path} has a header but no data rows")
+    M = np.array(values, dtype=np.float64).reshape(-1, p + len(_FIXED_COLUMNS))
+    return Dataset(M[:, :p], *(M[:, p + j] for j in range(len(_FIXED_COLUMNS))))
+
+
+def _reference_read_draws_csv(path):
+    """read_draws_csv as it was before the parse chunks: each row parsed
+    as it is read."""
+    chains, lates, thetas = [], [], []
+    table = _reference_csv_table(path)
+    header = next(table)
+    if header[:3] != ["iter", "chain", "late"]:
+        raise SchemaError(f"{path}: header must start with iter,chain,late")
+    names = header[3:]
+    for row_num, row in table:
+        _parse_int(row[0], "iter", row_num, path)
+        chain = _parse_int(row[1], "chain", row_num, path)
+        if not -2 ** 63 <= chain < 2 ** 63:
+            raise SchemaError(f"{path}: row {row_num}: chain id out of range: {row[1]!r:.40}")
+        chains.append(chain)
+        lates.append(float("nan") if row[2] == "" else _parse_float(row[2], "late", row_num))
+        thetas.extend([_parse_float(v, names[j], row_num) for j, v in enumerate(row[3:])])
+    theta = np.array(thetas, dtype=np.float64)
+    return (names, np.array(chains, dtype=np.int64), np.array(lates, dtype=np.float64),
+            theta.reshape(len(chains), len(names)) if chains else theta)
+
+
+def _csv_outcome(reader, path):
+    """What a reader returns, or its error's type and message."""
+    try:
+        return reader(path)
+    except SeqlateError as e:
+        return type(e), str(e)
+
+
+def _assert_csv_readers_agree(path, reader, reference):
+    got, want = _csv_outcome(reader, path), _csv_outcome(reference, path)
+    if isinstance(want, Dataset) or isinstance(want[0], type) or isinstance(got[0], type):
+        assert got == want
+    else:
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+# field texts a parse chunk must judge as float() and int() do, one kind per
+# column; "1e308" is finite, but two in a row overflow a row's sum
+_BINARY_TEXTS = ["1.0", "01", " 1", "1 ", "2", "", '"1"', "1_0", "１", "true"]
+_FLOAT_TEXTS = ["nan", "NaN", "1e999", "-inf", "abc", "", " ", " 1.5", "2.5 ", "1_0", "1__0",
+                "١٢.٥", "1e308", "-1e308", '"0.25"', '"1,5"', "0x10"]
+_INT_TEXTS = ["1.5", " 7", "1_0", "٣", "", "x", "+4", "9" * 400, "9" * 5000, '"3"']
+_CHAIN_TEXTS = _INT_TEXTS + ["99999999999999999999", "9223372036854775808",
+                             "-9223372036854775808", "-1"]
+# faults of a whole row
+_ROW_FAULTS = ["short", "long", "blank", "not utf-8"]
+
+
+def _render(rows, faults):
+    """The bytes of a CSV file of rows (lists of field texts, the first the
+    header) with each (row, column, text) fault applied to a data row, the
+    text a field's or one of _ROW_FAULTS."""
+    rows = [list(row) for row in rows]
+    blank_before = set()
+    for row, column, text in faults:
+        fields = rows[row + 1]
+        if text == "short":
+            del fields[column % len(fields)]
+        elif text == "long":
+            fields.append("0")
+        elif text == "blank":
+            blank_before.add(row + 1)
+        elif text == "not utf-8":
+            fields[column % len(fields)] = "\udcff"
+        else:
+            fields[column % len(fields)] = text
+    lines = [("\r\n" if i in blank_before else "") + ",".join(fields) + "\r\n"
+             for i, fields in enumerate(rows)]
+    return "".join(lines).encode("utf-8", "surrogateescape")
+
+
+@st.composite
+def _faults(draw, n_rows, column_texts):
+    """Up to three faults at random rows of a file of n_rows data rows, each
+    a text from its column's kinds or a row fault."""
+    faults = []
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.integers(0, n_rows - 1))
+        column = draw(st.integers(0, len(column_texts) - 1))
+        kinds = column_texts[column] + _ROW_FAULTS
+        faults.append((row, column, draw(st.sampled_from(kinds))))
+    return faults
+
+
+@st.composite
+def _dataset_files(draw):
+    """A dataset CSV of 1 to 3 parse chunks, with faults."""
+    p = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 3 * _PARSE_ROWS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    binary = {p, p + 1, p + 3, p + 4}
+    k = p + len(_FIXED_COLUMNS)
+    columns = [rng.integers(0, 2, n).astype(str).tolist() if j in binary
+               else list(map(repr, rng.normal(size=n).tolist())) for j in range(k)]
+    texts = [_BINARY_TEXTS if j in binary else _FLOAT_TEXTS for j in range(k)]
+    return _render([dataset_header(p)] + [list(r) for r in zip(*columns)],
+                   draw(_faults(n, texts)))
+
+
+@st.composite
+def _draws_files(draw):
+    """A draws CSV of 1 to 3 parse chunks, with faults; a few late fields
+    empty."""
+    d = draw(st.integers(0, 3))
+    n = draw(st.integers(1, 3 * _PARSE_ROWS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lates = [repr(v) if v > -1.5 else "" for v in rng.normal(size=n).tolist()]
+    columns = ([list(map(str, range(1, n + 1))), rng.integers(0, 4, n).astype(str).tolist(),
+                lates] + [list(map(repr, rng.normal(size=n).tolist())) for _ in range(d)])
+    texts = [_INT_TEXTS, _CHAIN_TEXTS, _FLOAT_TEXTS] + [_FLOAT_TEXTS] * d
+    header = ["iter", "chain", "late"] + [f"theta_{j}" for j in range(d)]
+    return _render([header] + [list(r) for r in zip(*columns)], draw(_faults(n, texts)))
+
+
+@given(_dataset_files())
+@settings(max_examples=200, deadline=None)
+def test_dataset_reader_agrees_with_row_by_row_reader(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("data") / "dataset.csv"
+    path.write_bytes(blob)
+    _assert_csv_readers_agree(path, read_dataset_csv, _reference_read_dataset_csv)
+
+
+@given(_draws_files())
+@settings(max_examples=200, deadline=None)
+def test_draws_reader_agrees_with_row_by_row_reader(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("draws") / "draws.csv"
+    path.write_bytes(blob)
+    _assert_csv_readers_agree(path, read_draws_csv, _reference_read_draws_csv)
+
+
+# per file kind: its header, a good and a bad row, its reader and the reference
+_CSV_KINDS = {
+    "dataset": (dataset_header(1), "0.5,1,0,0.25,1,1,-1.5", "0.5,1,0,oops,1,1,-1.5",
+                read_dataset_csv, _reference_read_dataset_csv),
+    "draws": (["iter", "chain", "late", "b"], "1,0,0.5,1.5", "1,0,0.5,oops",
+              read_draws_csv, _reference_read_draws_csv),
+}
+
+
+@pytest.mark.parametrize("row", [1, _PARSE_ROWS - 5, _PARSE_ROWS - 2, _PARSE_ROWS + 3])
+@pytest.mark.parametrize("kind", sorted(_CSV_KINDS))
+def test_csv_readers_report_a_bad_value_before_a_later_rows_field_count(tmp_path, kind, row):
+    # row + 5 is in row's parse chunk, or in the next one for row = _PARSE_ROWS - 2
+    header, good, bad, reader, reference = _CSV_KINDS[kind]
+    lines = [",".join(header)] + [good] * (2 * _PARSE_ROWS)
+    lines[row], lines[row + 5] = bad, good + ",0"
+    path = tmp_path / f"{kind}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=rf"^row {row}: column (x2|b) is not a number"):
+        reader(path)
+    _assert_csv_readers_agree(path, reader, reference)
+    # the other way round, the field count comes first
+    lines[row], lines[row + 5] = good + ",0", bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError, match=rf"row {row} has {len(header) + 1} fields"):
+        reader(path)
+
+
+@pytest.mark.parametrize("rows", [
+    ["1e308,1,0,1e308,1,1,1e308"],              # finite fields, an infinite row sum
+    ["١.5,1,0,1_0,1,1, 2.5 "],
+    ["0.5,1,0,0.25,1,1,-1.5"] * (_PARSE_ROWS - 1) + ["0.5,1,0,0.25,1,1,1e999"],
+], ids=["overflowing sum", "float() texts", "inf at a chunk's end"])
+def test_dataset_reader_agrees_on_float_texts(tmp_path, rows):
+    path = tmp_path / "dataset.csv"
+    path.write_text(",".join(dataset_header(1)) + "\n" + "\n".join(rows) + "\n")
+    _assert_csv_readers_agree(path, read_dataset_csv, _reference_read_dataset_csv)
+
+
+def test_dataset_reader_memory_stays_near_the_columns(tmp_path):
+    # the row-by-row reader peaked at 2.29 MiB on this file; a parse chunk
+    # may hold at most 0.5 MiB more
+    data, _ = _large_sample()
+    path = tmp_path / "dataset.csv"
+    write_dataset_csv(data, path)
+    back, peak = _traced_peak(read_dataset_csv, path)
+    assert peak <= 2.29 * 2 ** 20 + 0.5 * 2 ** 20
+    assert back == data
 
 
 # ---------------------------------------------------------------------------

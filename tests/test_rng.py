@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqlate.errors import InvalidConfig
 from seqlate.rng import substream
@@ -29,6 +31,44 @@ def test_substream_matches_hand_built_seed_sequence():
     want = np.random.default_rng(np.random.SeedSequence([42, key, 3])).standard_normal(5)
     for _ in range(2):
         assert np.array_equal(substream(42, "unit", 3).standard_normal(5), want)
+
+
+def _reference(seed, label, index):
+    """The generator SeedSequence([seed, key, index]) seeds."""
+    key = int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "little")
+    return np.random.default_rng(np.random.SeedSequence([seed, key, index]))
+
+
+def _assert_same_stream(got, want):
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.integers(0, 2 ** 63, size=4), want.integers(0, 2 ** 63, size=4))
+
+
+# the values where an integer gains a 32-bit word
+_WORD_EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("label", ["unit", "chain", "", "größe ✓"])
+@pytest.mark.parametrize("index", _WORD_EDGES + [2 ** 40, 2 ** 64, 2 ** 96 + 3])
+@pytest.mark.parametrize("seed", _WORD_EDGES)
+def test_substream_draws_what_the_seed_sequence_of_the_triple_draws(seed, label, index):
+    _assert_same_stream(substream(seed, label, index), _reference(seed, label, index))
+
+
+@given(st.integers(0, 2 ** 64 - 1), st.text(max_size=8), st.integers(0, 2 ** 128))
+@settings(max_examples=300, deadline=None)
+def test_substream_matches_the_seed_sequence_of_the_triple_over_all_inputs(seed, label, index):
+    _assert_same_stream(substream(seed, label, index), _reference(seed, label, index))
+
+
+def test_substream_calls_return_independent_generators():
+    a, b = substream(42, "unit", 3), substream(42, "unit", 3)
+    assert a is not b and a.bit_generator is not b.bit_generator
+    first = a.standard_normal(5)
+    assert np.array_equal(b.standard_normal(5), first)
+    assert not np.array_equal(a.standard_normal(5), first)
+    # a third call starts afresh, whatever the first two drew
+    assert np.array_equal(substream(42, "unit", 3).standard_normal(5), first)
 
 
 def test_substream_validates_inputs():
