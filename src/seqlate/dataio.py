@@ -8,9 +8,10 @@ The simulator's two files are written _CHUNK units at a time, so writing
 holds one chunk's text, not the whole file's.  The truth sidecar's tables
 are decoded into two buffers of cells, _TABLE_QUEUE tables at a time, so
 reading holds the text, those buffers and a queue's cell objects, not an
-object per cell of the file.  The CSV readers check and convert _PARSE_ROWS
-rows at once, and parse a chunk that fails a check again row by row, so an
-error names the same row and column as a row-by-row reader.
+object per cell of the file.  The CSV readers check and convert rows of
+_PARSE_FIELDS fields in all at once, and parse a chunk that fails a check
+again row by row, so an error names the same row and column as a row-by-row
+reader.
 """
 
 from __future__ import annotations
@@ -45,8 +46,9 @@ _FIXED_COLUMNS = ("z1", "w1", "x2", "z2", "w2", "y")
 _CHUNK = 2048
 # tables whose cells the truth reader checks and writes at once
 _TABLE_QUEUE = 256
-# CSV rows the readers check and convert at once
-_PARSE_ROWS = 256
+# fields of the CSV rows the readers check and convert at once: 256 rows of
+# the large-n dataset, 104 of the readme's draws table
+_PARSE_FIELDS = 2304
 
 
 def dataset_header(covariate_dim: int) -> List[str]:
@@ -104,8 +106,9 @@ def _parse_float(text: str, column: str, row: int) -> float:
 
 
 def _csv_table(path: Path):
-    """Stream a CSV file: first its header, then lists of up to _PARSE_ROWS
-    (1-based row number, fields) pairs for the non-empty rows.  A file that
+    """Stream a CSV file: first its header, then lists of (1-based row
+    number, fields) pairs for the non-empty rows, of up to _PARSE_FIELDS
+    fields in all.  A file that
     is not text or not CSV, or a row whose field count is not the header's,
     raises SchemaError after the rows before it, to be checked first."""
     rows, error = [], None
@@ -117,6 +120,7 @@ def _csv_table(path: Path):
             if _blank_row(header) and all(_blank_row(row) for row in reader):
                 raise SchemaError(f"{path} is empty")
             yield header
+            chunk_rows = max(1, _PARSE_FIELDS // (len(header) or 1))
             for row_num, row in enumerate(reader, start=1):
                 if not row:
                     continue
@@ -125,7 +129,7 @@ def _csv_table(path: Path):
                         f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}")
                     break
                 rows.append((row_num, row))
-                if len(rows) == _PARSE_ROWS:
+                if len(rows) == chunk_rows:
                     yield rows
                     rows = []
     except csv.Error as e:
@@ -142,7 +146,7 @@ def read_dataset_csv(path: PathLike) -> Dataset:
     """Parse a dataset table; malformed structure raises SchemaError and
     malformed values raise DataError naming the 1-based data row.
 
-    Fields are parsed _PARSE_ROWS rows at a time into one typed buffer, so
+    Fields are parsed _PARSE_FIELDS at a time into one typed buffer, so
     memory stays near the size of the returned columns.
     """
     path = Path(path)
@@ -483,8 +487,8 @@ def _blank_row(row: List[str]) -> bool:
 def read_draws_csv(path: PathLike) -> Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]:
     """Returns (theta_names, chain ids, contrast draws with NaN gaps, theta matrix).
 
-    Rows are parsed _PARSE_ROWS at a time into typed buffers, so memory
-    stays near the size of the returned arrays.
+    Rows are parsed _PARSE_FIELDS fields at a time into typed buffers, so
+    memory stays near the size of the returned arrays.
     """
     path = Path(path)
     chains, lates, thetas = array("q"), array("d"), array("d")

@@ -18,7 +18,7 @@ from seqlate.dataio import (
     _CHUNK,
     _FIXED_COLUMNS,
     _LABEL_CODES,
-    _PARSE_ROWS,
+    _PARSE_FIELDS,
     _TABLE_QUEUE,
     _blank_row,
     _load_json,
@@ -32,6 +32,7 @@ from seqlate.dataio import (
     read_draws_csv,
     read_truth_json,
     write_dataset_csv,
+    write_draws_csv,
     write_truth_json,
 )
 from seqlate.domain import (
@@ -530,11 +531,16 @@ def _faults(draw, n_rows, column_texts):
     return faults
 
 
+def _chunk_rows(width):
+    """The rows of a parse chunk of a CSV file of width fields per row."""
+    return _PARSE_FIELDS // width
+
+
 @st.composite
 def _dataset_files(draw):
     """A dataset CSV of 1 to 3 parse chunks, with faults."""
     p = draw(st.integers(0, 2))
-    n = draw(st.integers(1, 3 * _PARSE_ROWS))
+    n = draw(st.integers(1, 3 * _chunk_rows(p + len(_FIXED_COLUMNS))))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     binary = {p, p + 1, p + 3, p + 4}
     k = p + len(_FIXED_COLUMNS)
@@ -550,7 +556,7 @@ def _draws_files(draw):
     """A draws CSV of 1 to 3 parse chunks, with faults; a few late fields
     empty."""
     d = draw(st.integers(0, 3))
-    n = draw(st.integers(1, 3 * _PARSE_ROWS))
+    n = draw(st.integers(1, 3 * _chunk_rows(3 + d)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     lates = [repr(v) if v > -1.5 else "" for v in rng.normal(size=n).tolist()]
     columns = ([list(map(str, range(1, n + 1))), rng.integers(0, 4, n).astype(str).tolist(),
@@ -585,12 +591,15 @@ _CSV_KINDS = {
 }
 
 
-@pytest.mark.parametrize("row", [1, _PARSE_ROWS - 5, _PARSE_ROWS - 2, _PARSE_ROWS + 3])
+@pytest.mark.parametrize("offset", [None, -5, -2, 3])
 @pytest.mark.parametrize("kind", sorted(_CSV_KINDS))
-def test_csv_readers_report_a_bad_value_before_a_later_rows_field_count(tmp_path, kind, row):
-    # row + 5 is in row's parse chunk, or in the next one for row = _PARSE_ROWS - 2
+def test_csv_readers_report_a_bad_value_before_a_later_rows_field_count(tmp_path, kind, offset):
+    # row 1, or row offset from the end of the first parse chunk; row + 5 is
+    # in row's chunk, or in the next one for offset -2
     header, good, bad, reader, reference = _CSV_KINDS[kind]
-    lines = [",".join(header)] + [good] * (2 * _PARSE_ROWS)
+    rows = _chunk_rows(len(header))
+    row = 1 if offset is None else rows + offset
+    lines = [",".join(header)] + [good] * (2 * rows)
     lines[row], lines[row + 5] = bad, good + ",0"
     path = tmp_path / f"{kind}.csv"
     path.write_text("\n".join(lines) + "\n")
@@ -607,7 +616,7 @@ def test_csv_readers_report_a_bad_value_before_a_later_rows_field_count(tmp_path
 @pytest.mark.parametrize("rows", [
     ["1e308,1,0,1e308,1,1,1e308"],              # finite fields, an infinite row sum
     ["١.5,1,0,1_0,1,1, 2.5 "],
-    ["0.5,1,0,0.25,1,1,-1.5"] * (_PARSE_ROWS - 1) + ["0.5,1,0,0.25,1,1,1e999"],
+    ["0.5,1,0,0.25,1,1,-1.5"] * (_chunk_rows(7) - 1) + ["0.5,1,0,0.25,1,1,1e999"],
 ], ids=["overflowing sum", "float() texts", "inf at a chunk's end"])
 def test_dataset_reader_agrees_on_float_texts(tmp_path, rows):
     path = tmp_path / "dataset.csv"
@@ -666,3 +675,16 @@ def test_simulator_files_take_memory_for_one_chunk(tmp_path):
     assert np.array_equal(back.codes, truth.codes)
     assert np.array_equal(back.x2_cells, truth.x2_cells, equal_nan=True)
     assert np.array_equal(back.y_cells, truth.y_cells, equal_nan=True)
+
+
+def test_draws_reader_memory_stays_near_the_arrays_at_the_readme_shape(tmp_path):
+    # the benchmark's readme draws table, 4 chains x 750 draws of 19
+    # parameters: the row-by-row reader peaked at 0.54 MiB on it, and a
+    # parse chunk of 104 such rows may hold at most 0.4 MiB more
+    rng = np.random.default_rng(18)
+    path = tmp_path / "draws.csv"
+    write_draws_csv(path, [f"theta_{j}" for j in range(19)], rng.normal(size=(4, 750)),
+                    rng.normal(size=(4, 750, 19)))
+    (_, chains, _, theta), peak = _traced_peak(read_draws_csv, path)
+    assert peak <= 0.54 * 2 ** 20 + 0.4 * 2 ** 20
+    assert theta.shape == (3000, 19) and np.array_equal(chains, np.repeat(np.arange(4), 750))

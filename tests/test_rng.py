@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlate.errors import InvalidConfig
-from seqlate.rng import substream
+from seqlate.rng import _BLOCK, substream
 
 
 def test_substream_is_deterministic():
@@ -59,6 +59,17 @@ def test_substream_draws_what_the_seed_sequence_of_the_triple_draws(seed, label,
 @settings(max_examples=300, deadline=None)
 def test_substream_matches_the_seed_sequence_of_the_triple_over_all_inputs(seed, label, index):
     _assert_same_stream(substream(seed, label, index), _reference(seed, label, index))
+
+
+def test_substream_agrees_across_block_edges_and_interleaved_families():
+    # the state words of _BLOCK consecutive indices are hashed at once and the
+    # last block is kept: a run across a block's edge, and calls that switch
+    # between families and blocks, still draw what each triple's sequence draws
+    for index in range(_BLOCK - 3, _BLOCK + 3):
+        _assert_same_stream(substream(7, "unit", index), _reference(7, "unit", index))
+    for index in (5, 3 * _BLOCK + 1, 5):
+        for seed, label in ((7, "unit"), (7, "chain"), (8, "unit")):
+            _assert_same_stream(substream(seed, label, index), _reference(seed, label, index))
 
 
 def test_substream_calls_return_independent_generators():
