@@ -108,9 +108,9 @@ def _parse_float(text: str, column: str, row: int) -> float:
 def _csv_table(path: Path):
     """Stream a CSV file: first its header, then lists of (1-based row
     number, fields) pairs for the non-empty rows, of up to _PARSE_FIELDS
-    fields in all.  A file that
-    is not text or not CSV, or a row whose field count is not the header's,
-    raises SchemaError after the rows before it, to be checked first."""
+    fields in all.  A file that is not text or not CSV, or a row whose field
+    count is not the header's, raises SchemaError after the rows before it,
+    to be checked first."""
     rows, error = [], None
     try:
         with path.open(newline="") as fh:
